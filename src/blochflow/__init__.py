@@ -31,7 +31,6 @@ from .model import (
     bloch_vector,
     frame_regularity,
     reduce_angle,
-    surface_sample,
     tangent_frame,
     write_surface_csv,
 )
@@ -40,7 +39,6 @@ from .field import (
     Velocity,
     velocity_band,
     velocity_closed,
-    velocity_generic,
     velocity_jacobian,
 )
 from .zeromode import (
@@ -123,13 +121,11 @@ __all__ = [
     "index_of",
     "read_grid",
     "reduce_angle",
-    "surface_sample",
     "sweep_chern",
     "sweep_euler",
     "tangent_frame",
     "velocity_band",
     "velocity_closed",
-    "velocity_generic",
     "velocity_jacobian",
     "weighted_index_sum",
     "winding_hermitian",

@@ -16,7 +16,10 @@ pinned by ``ORIENTATION`` so that the phase whose image surface encloses
 the origin (R - r < c < R + r) carries Chern number +1.
 
 The integrand blows up as the gap closes, so both methods refuse to run
-when the minimum gap drops below ``EPS_GAP_CHERN``.
+when the minimum gap drops below ``EPS_GAP_CHERN``.  ``gap_min`` finds
+that gap in closed form: the minimum of |h| lies on the line kx = pi,
+where it is the smallest value of |h| over the ends ky = 0, pi and the
+real roots of a cubic in cos ky.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import DegenerateTriangle, GaplessModel
 from .model import TWO_PI, ModelParams, bloch_components
@@ -36,7 +38,6 @@ EPS_GAP_CHERN = 1e-6
 # Measured once: the triple-product integrand with right-handed (kx, ky)
 # already gives +1 in the tube-enclosing phase, so the pin is the identity.
 ORIENTATION = 1.0
-_FD_STEP = 1e-5
 
 
 class ChernMethod(Enum):
@@ -59,28 +60,28 @@ def _unit_bloch(kx, ky, p: ModelParams):
     return hx / norm, hy / norm, hz / norm
 
 
-def gap_min(p: ModelParams, n: int = 128) -> float:
-    """Minimum band gap |h| over the zone: grid scan plus local refinement."""
-    if n < 32:
-        raise ValueError(f"gap scan grid must have n >= 32, got n={n}")
-    ticks = -math.pi + TWO_PI * np.arange(n) / n
-    kx, ky = np.meshgrid(ticks, ticks, indexing="ij")
-    hx, hy, hz = bloch_components(kx, ky, p)
-    sq = hx * hx + hy * hy + hz * hz
-    i, j = np.unravel_index(np.argmin(sq), sq.shape)
+def gap_min(p: ModelParams) -> float:
+    """Minimum band gap |h| over the zone, in closed form.
 
-    def gap_sq(u):
-        a, b, c = bloch_components(u[0], u[1], p)
-        return a * a + b * b + c * c
+    For c >= 0, |h|^2 = rho^2 + c^2 + 2 c rho cos kx + r^2 sin^2 ky is
+    smallest on kx = pi.  There, with u = cos ky,
 
-    res = minimize(
-        gap_sq,
-        np.array([kx[i, j], ky[i, j]]),
-        method="Nelder-Mead",
-        options={"xatol": 1e-12, "fatol": 1e-24, "maxiter": 800},
-    )
-    best = min(float(sq[i, j]), float(res.fun))
-    return math.sqrt(max(best, 0.0))
+        |h|^2 = (rho - c)^2 + r^2 (1 - u^2),   rho^2 = R^2 + r^2 + 2 R r u,
+
+    whose stationary points are u = -+1 and the roots of the cubic
+    (R^2 + r^2 + 2 R r u)(R - r u)^2 - c^2 R^2 = 0.  Every root is clipped
+    into [-1, 1] and evaluated: any such u is a real point of the line,
+    so a spurious candidate can never lower the minimum.
+    """
+    R, r, c = p.R, p.r, p.c
+    a, b = R * R + r * r, 2.0 * R * r
+    # (a + b u)(R - r u)^2 - c^2 R^2 with a = R^2 + r^2, b = 2 R r, expanded in u
+    cubic = [b * r * r, a * r * r - 2.0 * b * R * r, b * R * R - 2.0 * a * R * r, (a - c * c) * R * R]
+    roots = np.roots(cubic)
+    u = np.concatenate(([-1.0, 1.0], np.clip(roots.real, -1.0, 1.0)))
+    sin_sq = 1.0 - u * u
+    rho = np.sqrt((R + r * u) ** 2 + r * r * sin_sq)
+    return math.sqrt(float(np.min((rho - c) ** 2 + r * r * sin_sq)))
 
 
 def gapless_boundary(R: float, r: float) -> tuple:
@@ -94,7 +95,7 @@ def gapless_boundary(R: float, r: float) -> tuple:
     return (R - r, R + r)
 
 
-def chern_direct(p: ModelParams, n: int = 256, fd_step: float = _FD_STEP) -> ChernResult:
+def chern_direct(p: ModelParams, n: int = 256, fd_step: float = 1e-5) -> ChernResult:
     """Midpoint-rule quadrature of the degree integrand on an n x n grid.
 
     The integrand concentrates into a peak of width ~gap near a band

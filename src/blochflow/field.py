@@ -1,18 +1,17 @@
-"""Band velocity field in the Brillouin zone and its local Jacobian.
+"""Band velocity field in the Brillouin zone and its Hessian.
 
-The band velocity is the k-gradient of the band energy (hbar = 1).  For
-the two-band torus model it has two equivalent expressions:
+The band velocity is the k-gradient of the band energy |h| (hbar = 1).
+Writing G = |h|^2 / 2 = (rho^2 + c^2 + r^2 sin^2 ky) / 2 + c rho cos kx,
+both follow in closed form from the derivatives of G:
 
-* a closed form obtained by differentiating |h| directly,
-* the generic projection of the tangent frame onto the unit Bloch vector,
-  vx = hhat . dh/dkx and vy = hhat . dh/dky.
+    v_i = G_i / |h|,        d v_i / d k_j = (G_ij - v_i v_j) / |h|,
 
-Both are provided and must agree to 1e-10 wherever the gap is open; the
-test suite enforces this.  The gradient form used throughout is that of
-the upper band (+|h|).  ``velocity_band`` applies the band sign: the two
-bands carry opposite velocities, so zero locations and Jacobian
-determinant signs (hence indexes) are band independent, while sinks and
-sources trade places under band negation.
+so the velocity Jacobian is the (exactly symmetric) Hessian of |h|.  The
+gradient form used throughout is that of the upper band (+|h|).
+``velocity_band`` applies the band sign: the two bands carry opposite
+velocities, so zero locations and Hessian determinant signs (hence
+indexes) are band independent, while sinks and sources trade places
+under band negation.
 
 The field is undefined where |h| = 0; scalar entry points raise
 GaplessPoint below ``EPS_GAP``, while the array-valued helpers let NaN/inf
@@ -29,7 +28,6 @@ from .errors import GaplessPoint
 from .model import Band, KPoint, ModelParams
 
 EPS_GAP = 1e-9
-FD_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -46,8 +44,7 @@ class Velocity:
 class Jacobian2:
     """2x2 matrix of velocity derivatives d v_i / d k_j.
 
-    The velocity is a gradient, so this is a Hessian and symmetric up to
-    finite-difference noise.
+    The velocity is a gradient, so this is the Hessian of |h|.
     """
 
     m: np.ndarray
@@ -83,36 +80,28 @@ def velocity_and_gap(kx, ky, p: ModelParams):
     return vx + 0.0, vy + 0.0, gap
 
 
-def generic_velocity_and_gap(kx, ky, p: ModelParams):
-    """Frame-projection velocity (hhat . dh/dk_i) and gap, vectorized."""
+def hessian_components(kx, ky, p: ModelParams):
+    """Closed-form Hessian entries (hxx, hxy, hyy) of |h|, vectorized.
+
+    These are the velocity derivatives dvx/dkx, dvx/dky = dvy/dkx and
+    dvy/dky.  No gap checks; NaN/inf propagate where |h| = 0.
+    """
+    vx, vy, gap = velocity_and_gap(kx, ky, p)
     sx, cx = np.sin(kx), np.cos(kx)
     sy, cy = np.sin(ky), np.cos(ky)
     rho = np.sqrt((p.r * sy) ** 2 + (p.R + p.r * cy) ** 2)
-    drho = -p.r * p.R * sy / rho
-    hx = rho * cx + p.c
-    hy = rho * sx
-    hz = p.r * sy
-    gap = np.sqrt(hx * hx + hy * hy + hz * hz)
-    # frame: dh/dkx = (-rho sx, rho cx, 0), dh/dky = (drho cx, drho sx, r cy)
+    rr = p.r * p.R
+    gxx = -p.c * rho * cx
+    gxy = p.c * rr * sx * sy / rho
+    gyy = -rr * cy - p.c * rr * cx * (cy / rho + rr * sy * sy / rho**3) + p.r**2 * (cy * cy - sy * sy)
     with np.errstate(divide="ignore", invalid="ignore"):
-        vx = (hx * (-rho * sx) + hy * (rho * cx)) / gap
-        vy = (hx * (drho * cx) + hy * (drho * sx) + hz * (p.r * cy)) / gap
-    return vx + 0.0, vy + 0.0, gap
+        return (gxx - vx * vx) / gap, (gxy - vx * vy) / gap, (gyy - vy * vy) / gap
 
 
 def velocity_closed(k: KPoint, p: ModelParams, eps_gap: float = EPS_GAP) -> Velocity:
     """Closed-form velocity at one k-point; raises GaplessPoint if |h| <= eps_gap."""
     k = k.canonical()
     vx, vy, gap = velocity_and_gap(k.kx, k.ky, p)
-    if gap <= eps_gap:
-        raise GaplessPoint(f"|h| = {float(gap):.3e} <= {eps_gap:.1e} at k = ({k.kx}, {k.ky})")
-    return Velocity(float(vx), float(vy))
-
-
-def velocity_generic(k: KPoint, p: ModelParams, eps_gap: float = EPS_GAP) -> Velocity:
-    """Frame-projection velocity at one k-point; must agree with velocity_closed."""
-    k = k.canonical()
-    vx, vy, gap = generic_velocity_and_gap(k.kx, k.ky, p)
     if gap <= eps_gap:
         raise GaplessPoint(f"|h| = {float(gap):.3e} <= {eps_gap:.1e} at k = ({k.kx}, {k.ky})")
     return Velocity(float(vx), float(vy))
@@ -125,35 +114,12 @@ def velocity_band(k: KPoint, p: ModelParams, band: Band = Band.LOWER) -> Velocit
     return Velocity(band.sign * v.vx, band.sign * v.vy)
 
 
-def jacobian_components(kx, ky, p: ModelParams, step: float = FD_STEP):
-    """Central-difference Jacobian entries, vectorized.
+def velocity_jacobian(k: KPoint, p: ModelParams) -> Jacobian2:
+    """Velocity Jacobian (the Hessian of |h|) at one k-point.
 
-    Returns (dvx/dkx, dvx/dky, dvy/dkx, dvy/dky); no gap checks.
+    Raises GaplessPoint if the bands touch at k.
     """
-    vxp, vyp, _ = velocity_and_gap(kx + step, ky, p)
-    vxm, vym, _ = velocity_and_gap(kx - step, ky, p)
-    m00 = (vxp - vxm) / (2.0 * step)
-    m10 = (vyp - vym) / (2.0 * step)
-    vxp, vyp, _ = velocity_and_gap(kx, ky + step, p)
-    vxm, vym, _ = velocity_and_gap(kx, ky - step, p)
-    m01 = (vxp - vxm) / (2.0 * step)
-    m11 = (vyp - vym) / (2.0 * step)
-    return m00, m01, m10, m11
-
-
-def velocity_jacobian(k: KPoint, p: ModelParams, step: float = FD_STEP) -> Jacobian2:
-    """Central-difference velocity Jacobian at one k-point.
-
-    Raises GaplessPoint if the center or any stencil point sits on a band
-    touching.
-    """
+    velocity_closed(k, p)  # raises GaplessPoint at a band touching
     k = k.canonical()
-    for dx, dy in ((0.0, 0.0), (step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step)):
-        _, _, gap = velocity_and_gap(k.kx + dx, k.ky + dy, p)
-        if gap <= EPS_GAP:
-            raise GaplessPoint(
-                f"|h| = {float(gap):.3e} within the finite-difference stencil at "
-                f"k = ({k.kx}, {k.ky})"
-            )
-    m00, m01, m10, m11 = jacobian_components(k.kx, k.ky, p, step)
-    return Jacobian2(np.array([[float(m00), float(m01)], [float(m10), float(m11)]]))
+    hxx, hxy, hyy = (float(x) for x in hessian_components(k.kx, k.ky, p))
+    return Jacobian2(np.array([[hxx, hxy], [hxy, hyy]]))

@@ -181,40 +181,25 @@ def frame_regularity(k: KPoint, p: ModelParams) -> float:
     return float(np.linalg.norm(np.cross(f.d_kx, f.d_ky)))
 
 
-def surface_sample(p: ModelParams, n: int) -> list:
-    """Sample h and the velocity on an n x n uniform grid over [-pi, pi)^2.
-
-    Returns a list of (KPoint, HVector, Velocity) rows ordered with ky as
-    the slow index and kx as the fast one.  At a k where the bands touch
-    the velocity entries are NaN (valid gapped parameters never hit this).
-    """
-    if n < 2:
-        raise ValueError(f"grid size must be at least 2, got n={n}")
-    from .field import Velocity, velocity_and_gap
-
-    ticks = -math.pi + TWO_PI * np.arange(n) / n
-    ky_grid, kx_grid = np.meshgrid(ticks, ticks, indexing="ij")
-    hx, hy, hz = bloch_components(kx_grid, ky_grid, p)
-    vx, vy, _ = velocity_and_gap(kx_grid, ky_grid, p)
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            rows.append(
-                (
-                    KPoint(float(kx_grid[i, j]), float(ky_grid[i, j])),
-                    HVector(float(hx[i, j]), float(hy[i, j]), float(hz[i, j])),
-                    Velocity(float(vx[i, j]), float(vy[i, j])),
-                )
-            )
-    return rows
-
-
 SURFACE_CSV_HEADER = "kx,ky,hx,hy,hz,vx,vy"
+_SURFACE_CSV_ROW = ",".join(["%.17g"] * 7) + "\n"
 
 
 def write_surface_csv(p: ModelParams, n: int, fh: TextIO) -> None:
-    """Write the surface_sample grid as CSV with 17-significant-digit floats."""
+    """Write h and the velocity on an n x n uniform grid over [-pi, pi)^2 as CSV.
+
+    One row per node, ky the slow index and kx the fast one, floats with
+    17 significant digits.  At a k where the bands touch the velocity
+    entries are NaN (valid gapped parameters never hit this).
+    """
+    if n < 2:
+        raise ValueError(f"grid size must be at least 2, got n={n}")
+    from .field import velocity_and_gap
+
+    ticks = -math.pi + TWO_PI * np.arange(n) / n
+    ky, kx = np.meshgrid(ticks, ticks, indexing="ij")
+    hx, hy, hz = bloch_components(kx, ky, p)
+    vx, vy, _ = velocity_and_gap(kx, ky, p)
     fh.write(SURFACE_CSV_HEADER + "\n")
-    for k, h, v in surface_sample(p, n):
-        row = (k.kx, k.ky, h.hx, h.hy, h.hz, v.vx, v.vy)
-        fh.write(",".join(format(x, ".17g") for x in row) + "\n")
+    for line in np.stack([kx, ky, hx, hy, hz, vx, vy], axis=-1):  # one ky value each
+        fh.writelines(_SURFACE_CSV_ROW % tuple(row) for row in line.tolist())

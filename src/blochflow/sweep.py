@@ -131,12 +131,12 @@ def sweep_euler(axes, base: ModelParams, seeds_per_axis: int = 64, tol: float = 
     cells = []
     for params in param_sets:
         g = gap_min(params)
+        if g < GAPLESS_THRESHOLD:
+            cells.append(SweepCell(params, None, None, g, STATUS_GAPLESS))
+            continue
         try:
             res = euler_characteristic(params, seeds_per_axis=seeds_per_axis, tol=tol)
-        except DegenerateField:
-            cells.append(SweepCell(params, None, None, g, STATUS_DEGENERATE))
-            continue
-        except (DegenerateZero, NonIsolatedZero):
+        except (DegenerateField, DegenerateZero, NonIsolatedZero):
             cells.append(SweepCell(params, None, None, g, STATUS_DEGENERATE))
             continue
         except GaplessModel:

@@ -35,7 +35,6 @@ DEFAULT_SAMPLES = 256
 MAX_SAMPLES = 4096
 MAX_INCREMENT = math.pi / 2
 NORM_FLOOR = 1e-12
-_FD_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -152,7 +151,7 @@ def winding_nonhermitian(
     loop: LoopSpec,
     band: Callable[[float, float], complex],
     component: str = "x",
-    fd_step: float = _FD_STEP,
+    fd_step: float = 1e-6,
 ) -> WindingResult:
     """Winding of (Re dE/dk_axis, Im dE/dk_axis) for a complex band energy.
 

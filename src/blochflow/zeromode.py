@@ -2,10 +2,11 @@
 
 Zeros are located by damped Newton iteration started from every node of a
 uniform seed grid, reduced to the fundamental domain, deduplicated with
-the torus metric, and validated as nondegenerate and isolated.  Each zero
-is classified from the velocity Jacobian: negative determinant is a
-saddle (index -1); positive determinant is a sink or source depending on
-the trace sign (index +1).
+the torus metric, and validated as nondegenerate and isolated.  Newton
+and the classification both use the velocity Jacobian, which is the
+closed-form Hessian of |h|: negative determinant is a saddle (index -1);
+positive determinant is a sink or source depending on the trace sign
+(index +1).
 
 A zero on the edge of the closed zone [-pi, pi]^2 is shared between two
 copies of the zone and is counted with weight 1/2 (1/4 at the corners,
@@ -33,14 +34,7 @@ from .errors import (
     NonIntegralSum,
     NonIsolatedZero,
 )
-from .field import (
-    EPS_GAP,
-    FD_STEP,
-    Jacobian2,
-    jacobian_components,
-    velocity_and_gap,
-    velocity_jacobian,
-)
+from .field import EPS_GAP, Jacobian2, hessian_components, velocity_and_gap, velocity_jacobian
 from .model import TWO_PI, KPoint, ModelParams, reduce_angle
 
 SEEDS_PER_AXIS = 64
@@ -128,25 +122,25 @@ def _newton_census(p: ModelParams, seeds_per_axis: int, tol: float, max_iter: in
     vnorm = np.hypot(vx, vy)
     converged = vnorm <= tol
     alive = np.isfinite(vnorm)
-    active = alive & ~converged
+    active = np.flatnonzero(alive & ~converged)
 
     for _ in range(max_iter):
-        if not np.any(active):
+        if active.size == 0:
             break
-        axx, axy, ayx, ayy = jacobian_components(px[active], py[active], p, FD_STEP)
-        det = axx * ayy - axy * ayx
-        va, vb = vx[active], vy[active]
+        x, y, va, vb = px[active], py[active], vx[active], vy[active]
+        hxx, hxy, hyy = hessian_components(x, y, p)
+        det = hxx * hyy - hxy * hxy
         ok = np.isfinite(det) & (np.abs(det) > 1e-300)
         with np.errstate(divide="ignore", invalid="ignore"):
-            sx = np.where(ok, (-ayy * va + axy * vb) / det, 0.0)
-            sy = np.where(ok, (ayx * va - axx * vb) / det, 0.0)
+            sx = np.where(ok, (hxy * vb - hyy * va) / det, 0.0)
+            sy = np.where(ok, (hxy * va - hxx * vb) / det, 0.0)
 
         # Damped step: halve wherever |v| would grow.
-        base = np.hypot(va, vb)
+        base = vnorm[active]
         scale = np.ones_like(sx)
         for _bt in range(12):
-            nx = reduce_angle(px[active] + scale * sx)
-            ny = reduce_angle(py[active] + scale * sy)
+            nx = reduce_angle(x + scale * sx)
+            ny = reduce_angle(y + scale * sy)
             nvx, nvy, ngap = velocity_and_gap(nx, ny, p)
             nnorm = np.hypot(nvx, nvy)
             worse = ~(nnorm <= base)
@@ -158,11 +152,12 @@ def _newton_census(p: ModelParams, seeds_per_axis: int, tol: float, max_iter: in
         vx[active], vy[active] = nvx, nvy
         vnorm[active] = nnorm
         dead = ~np.isfinite(nnorm) | (ngap <= EPS_GAP) | ~ok
-        alive_active = alive[active].copy()
-        alive_active[dead] = False
-        alive[active] = alive_active
-        converged = vnorm <= tol
-        active = alive & ~converged
+        alive[active[dead]] = False
+        # A Newton step within tol also counts: next to a gap closing the
+        # rounding floor of |v| (about eps rho c / |h|) can stay above tol.
+        done = (nnorm <= tol) | (np.hypot(sx, sy) <= tol)
+        converged[active[done]] = True
+        active = active[~dead & ~done]
 
     keep = converged & alive
     cx = reduce_angle(px[keep])

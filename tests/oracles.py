@@ -1,19 +1,102 @@
 """Independent oracles used to cross-check the library's own algorithms.
 
-Nothing here reuses the code path it is checking: zeros are found by a
-sign-change scan plus MINPACK's hybrid solver on the frame-projection
-velocity (the library census runs Newton on the closed form), windings by
-numpy's phase unwrapping, derivatives by plain central differences.
+Nothing here reuses the code path it is checking: velocities come from
+projecting the tangent frame onto the unit Bloch vector (the library
+differentiates |h| in closed form), zeros are found by a sign-change scan
+plus MINPACK's hybrid solver on that projection (the library census runs
+Newton on the closed form), the minimum gap by dense 2-D scans (the
+library solves a cubic on kx = pi), windings by numpy's phase unwrapping,
+derivatives by plain central differences.
 """
 
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 from scipy.optimize import fsolve
 
-from blochflow.field import generic_velocity_and_gap, velocity_and_gap
-from blochflow.model import TWO_PI, bloch_components, reduce_angle
+from blochflow.errors import GaplessPoint
+from blochflow.field import EPS_GAP, Velocity, velocity_and_gap
+from blochflow.model import TWO_PI, bloch_components, frame_components, reduce_angle
 from blochflow.zeromode import torus_distance
+
+
+def generic_velocity_and_gap(kx, ky, p):
+    """Frame-projection velocity (hhat . dh/dk_i) and gap, vectorized."""
+    hx, hy, hz = bloch_components(kx, ky, p)
+    ax, ay, az, bx, by, bz = frame_components(kx, ky, p)
+    gap = np.sqrt(hx * hx + hy * hy + hz * hz)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vx = (hx * ax + hy * ay + hz * az) / gap
+        vy = (hx * bx + hy * by + hz * bz) / gap
+    return vx + 0.0, vy + 0.0, gap
+
+
+def velocity_generic(k, p):
+    """Frame-projection velocity at one k-point; raises GaplessPoint if |h| <= EPS_GAP."""
+    k = k.canonical()
+    vx, vy, gap = generic_velocity_and_gap(k.kx, k.ky, p)
+    if gap <= EPS_GAP:
+        raise GaplessPoint(f"|h| = {float(gap):.3e} at k = ({k.kx}, {k.ky})")
+    return Velocity(float(vx), float(vy))
+
+
+def fd_velocity_jacobian(kx, ky, p, step=1e-5):
+    """Central-difference Jacobian (dvx/dkx, dvx/dky, dvy/dkx, dvy/dky) of the
+    frame-projection velocity."""
+    vxp, vyp, _ = generic_velocity_and_gap(kx + step, ky, p)
+    vxm, vym, _ = generic_velocity_and_gap(kx - step, ky, p)
+    m00, m10 = (vxp - vxm) / (2 * step), (vyp - vym) / (2 * step)
+    vxp, vyp, _ = generic_velocity_and_gap(kx, ky + step, p)
+    vxm, vym, _ = generic_velocity_and_gap(kx, ky - step, p)
+    m01, m11 = (vxp - vxm) / (2 * step), (vyp - vym) / (2 * step)
+    return m00, m01, m10, m11
+
+
+def scan_gap_min(p, n=256, levels=24):
+    """Minimum of |h| over the zone by dense 2-D scans.
+
+    An n x n scan of the whole zone, then around every local minimum of
+    that scan ``levels`` rescans of a 17 x 17 window, each window a
+    quarter the size of the one before and centred on its best node.
+    """
+
+    def gap_sq(kx, ky):
+        hx, hy, hz = bloch_components(kx, ky, p)
+        return hx * hx + hy * hy + hz * hz
+
+    step = TWO_PI / n
+    ticks = -math.pi + step * np.arange(n)
+    kx, ky = np.meshgrid(ticks, ticks, indexing="ij")
+    sq = gap_sq(kx, ky)
+    local_min = np.ones(sq.shape, dtype=bool)
+    for shift in ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1)):
+        local_min &= sq <= np.roll(sq, shift, axis=(0, 1))
+    best = float(np.min(sq))
+    for i, j in zip(*np.nonzero(local_min)):
+        cx, cy, half = kx[i, j], ky[i, j], 2.0 * step
+        for _ in range(levels):
+            offsets = np.linspace(-half, half, 17)
+            wx, wy = np.meshgrid(cx + offsets, cy + offsets, indexing="ij")
+            w = gap_sq(wx, wy)
+            a, b = np.unravel_index(np.argmin(w), w.shape)
+            cx, cy, half = wx[a, b], wy[a, b], half / 4.0
+            best = min(best, float(w[a, b]))
+    return math.sqrt(best)
+
+
+def surface_csv_rows(p, n):
+    """The rows write_surface_csv should write, formatted one value at a time."""
+    ticks = -math.pi + TWO_PI * np.arange(n) / n
+    ky, kx = np.meshgrid(ticks, ticks, indexing="ij")
+    hx, hy, hz = bloch_components(kx, ky, p)
+    vx, vy, _ = velocity_and_gap(kx, ky, p)
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            values = (kx[i, j], ky[i, j], hx[i, j], hy[i, j], hz[i, j], vx[i, j], vy[i, j])
+            rows.append(",".join(format(float(x), ".17g") for x in values))
+    return rows
 
 
 def fd_bloch_frame(kx, ky, p, step=1e-5):
@@ -90,6 +173,19 @@ def unwrap_winding(center, radius, p, n=4096):
     return (angles[-1] - angles[0]) / TWO_PI
 
 
+def census_fold(R, r):
+    """The fold c = max_ky rho(ky) (1 - (r/R) cos ky), from a 4001-point scan."""
+    ky = np.linspace(-math.pi, math.pi, 4001)
+    rho = np.sqrt((r * np.sin(ky)) ** 2 + (R + r * np.cos(ky)) ** 2)
+    return float(np.max(rho * (1.0 - (r / R) * np.cos(ky))))
+
+
+def critical_shifts(R, r):
+    """Axis shifts where the gap closes (R -+ r) or the zero census
+    bifurcates on the kx = pi line (the pitchfork and the fold)."""
+    return (R - r, R + r, (R * R - r * r) / R, census_fold(R, r))
+
+
 def random_gapped_params(rng, n_sets, avoid=0.05):
     """Valid, gapped, census-friendly random parameter sets.
 
@@ -99,17 +195,23 @@ def random_gapped_params(rng, n_sets, avoid=0.05):
     c = (R^2 - r^2)/R and the fold at max_ky rho(ky) (1 - (r/R) cos ky).
     """
     out = []
-    ky = np.linspace(-math.pi, math.pi, 4001)
     while len(out) < n_sets:
         R = rng.uniform(1.5, 4.0)
         r = rng.uniform(0.2, 0.8) * R
         c = rng.uniform(0.15, R + r + 1.5)
-        if abs(c - (R - r)) < avoid or abs(c - (R + r)) < avoid:
-            continue
-        rho = np.sqrt((r * np.sin(ky)) ** 2 + (R + r * np.cos(ky)) ** 2)
-        fold = float(np.max(rho * (1.0 - (r / R) * np.cos(ky))))
-        pitchfork = (R * R - r * r) / R
-        if abs(c - pitchfork) < avoid or abs(c - fold) < avoid:
+        if any(abs(c - v) < avoid for v in critical_shifts(R, r)):
             continue
         out.append((R, r, c))
     return out
+
+
+@st.composite
+def params_near_critical(draw):
+    """(R, r, c) as in random_gapped_params, but with c either anywhere in
+    [0, R + r + 1.5] or within 1e-3 of one of the critical_shifts."""
+    R = draw(st.floats(1.5, 4.0))
+    r = R * draw(st.floats(0.2, 0.8))
+    anchor = draw(st.sampled_from((None, 0, 1, 2, 3)))
+    if anchor is None:
+        return R, r, draw(st.floats(0.0, R + r + 1.5))
+    return R, r, critical_shifts(R, r)[anchor] + draw(st.floats(-1e-3, 1e-3))

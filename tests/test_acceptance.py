@@ -27,10 +27,15 @@ from blochflow import (
     winding_hermitian,
 )
 from blochflow.errors import DegenerateField, GaplessModel
-from blochflow.field import generic_velocity_and_gap, velocity_and_gap
+from blochflow.field import velocity_and_gap
 from blochflow.zeromode import torus_distance
 
-from oracles import brute_zero_census, fd_energy_gradient, random_gapped_params
+from oracles import (
+    brute_zero_census,
+    fd_energy_gradient,
+    generic_velocity_and_gap,
+    random_gapped_params,
+)
 
 P1 = ModelParams(3, 1, 1)
 PI = math.pi

@@ -1,9 +1,8 @@
 """Chern number: dual discretizations, gap structure, phase boundaries."""
 
-import math
-
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from blochflow import (
     ChernMethod,
@@ -14,16 +13,8 @@ from blochflow import (
     gapless_boundary,
 )
 from blochflow.errors import GaplessModel
-from blochflow.model import bloch_components
 
-from oracles import random_gapped_params
-
-
-def brute_gap(p, n=1024):
-    t = np.linspace(-math.pi, math.pi, n, endpoint=False)
-    kx, ky = np.meshgrid(t, t, indexing="ij")
-    hx, hy, hz = bloch_components(kx, ky, p)
-    return float(np.sqrt(np.min(hx * hx + hy * hy + hz * hz)))
+from oracles import params_near_critical, random_gapped_params, scan_gap_min
 
 
 def test_gapless_boundary_values():
@@ -41,9 +32,20 @@ def test_gap_min_at_closings():
 def test_gap_min_gapped_value():
     g = gap_min(ModelParams(3, 1, 1))
     assert g >= 0.9
-    assert g == pytest.approx(brute_gap(ModelParams(3, 1, 1)), abs=1e-6)
-    # refinement must not report more than the true minimum
-    assert g <= brute_gap(ModelParams(3, 1, 1)) + 1e-12
+    assert g == pytest.approx(scan_gap_min(ModelParams(3, 1, 1)), abs=1e-6)
+    # the closed form must not report more than any sampled gap
+    assert g <= scan_gap_min(ModelParams(3, 1, 1)) + 1e-12
+
+
+@settings(max_examples=120)
+@given(params_near_critical())
+def test_gap_min_matches_scan_oracle(params):
+    # up to and across the closings c = R -+ r, the pitchfork and the fold
+    p = ModelParams(*params)
+    g = gap_min(p)
+    scan = scan_gap_min(p)
+    assert g <= scan + 1e-12
+    assert abs(g - scan) <= 1e-9
 
 
 def test_gap_min_matches_boundary_roots():

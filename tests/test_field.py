@@ -1,9 +1,11 @@
-"""Velocity field: closed form vs frame projection, Jacobian, band sign."""
+"""Velocity field: closed form vs frame projection, Hessian, band sign."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from blochflow import (
     Band,
@@ -12,14 +14,19 @@ from blochflow import (
     ModelParams,
     velocity_band,
     velocity_closed,
-    velocity_generic,
     velocity_jacobian,
 )
 from blochflow.errors import GaplessPoint
-from blochflow.field import generic_velocity_and_gap, velocity_and_gap
-from blochflow.model import frame_components
+from blochflow.field import hessian_components, velocity_and_gap
+from blochflow.model import bloch_components, frame_components
 
-from oracles import fd_energy_gradient
+from oracles import (
+    fd_energy_gradient,
+    fd_velocity_jacobian,
+    generic_velocity_and_gap,
+    params_near_critical,
+    velocity_generic,
+)
 
 P1 = ModelParams(3, 1, 1)
 
@@ -105,7 +112,23 @@ def test_jacobian_symmetry():
         assert abs(j.m[0, 1] - j.m[1, 0]) <= 1e-6
 
 
+@settings(max_examples=150)
+@given(params_near_critical(), st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi))
+def test_hessian_matches_finite_differences(params, kx, ky):
+    # the closed-form Hessian against central differences of the
+    # frame-projection velocity, at k where the gap is open
+    p = ModelParams(*params)
+    hx, hy, hz = bloch_components(kx, ky, p)
+    assume(math.sqrt(hx * hx + hy * hy + hz * hz) >= 0.1)
+    hxx, hxy, hyy = (float(x) for x in hessian_components(kx, ky, p))
+    m00, m01, m10, m11 = (float(x) for x in fd_velocity_jacobian(kx, ky, p))
+    scale = 1.0 + max(abs(hxx), abs(hxy), abs(hyy))
+    for got, want in ((hxx, m00), (hxy, m01), (hxy, m10), (hyy, m11)):
+        assert abs(got - want) <= 1e-6 * scale
+
+
 def test_jacobian_gapless_stencil():
+    # the gap check sits at the point itself
     with pytest.raises(GaplessPoint):
         velocity_jacobian(KPoint(math.pi, math.pi), ModelParams(3, 1, 2))
 

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from blochflow import (
     Band,
@@ -14,13 +15,17 @@ from blochflow import (
     band_energy,
     bloch_vector,
     frame_regularity,
-    surface_sample,
     tangent_frame,
     write_surface_csv,
 )
 from blochflow.model import SURFACE_CSV_HEADER, bloch_components, frame_components
 
-from oracles import fd_bloch_frame
+from oracles import (
+    fd_bloch_frame,
+    generic_velocity_and_gap,
+    params_near_critical,
+    surface_csv_rows,
+)
 
 P1 = ModelParams(3, 1, 1)
 
@@ -133,15 +138,37 @@ def test_frame_regularity():
     assert worst > 0.0
 
 
-def test_surface_sample_grid():
-    rows = surface_sample(ModelParams(3, 1, 1), 2)
-    assert len(rows) == 4
-    by_k = {(round(k.kx, 12), round(k.ky, 12)): (h, v) for k, h, v in rows}
-    h, v = by_k[(0.0, 0.0)]
-    assert (h.hx, h.hy, h.hz) == pytest.approx((5.0, 0.0, 0.0), abs=1e-15)
-    assert (v.vx, v.vy) == pytest.approx((0.0, 0.0), abs=1e-15)
-    with pytest.raises(ValueError):
-        surface_sample(P1, 0)
+def _surface_csv(p, n):
+    buf = io.StringIO()
+    write_surface_csv(p, n, buf)
+    return buf.getvalue().splitlines()
+
+
+def test_surface_csv_grid():
+    lines = _surface_csv(ModelParams(3, 1, 1), 2)
+    assert len(lines) == 1 + 4
+    rows = [[float(tok) for tok in line.split(",")] for line in lines[1:]]
+    # ky is the slow index, kx the fast one
+    assert [(row[0], row[1]) for row in rows] == [(-math.pi, -math.pi), (0.0, -math.pi), (-math.pi, 0.0), (0.0, 0.0)]
+    assert rows[3][2:5] == pytest.approx([5.0, 0.0, 0.0], abs=1e-15)
+    assert rows[3][5:] == pytest.approx([0.0, 0.0], abs=1e-15)
+    for n in (0, 1):
+        with pytest.raises(ValueError):
+            write_surface_csv(P1, n, io.StringIO())
+
+
+@settings(max_examples=40)
+@given(params_near_critical())
+def test_surface_csv_matches_oracle_rows(params):
+    p = ModelParams(*params)
+    lines = _surface_csv(p, 8)
+    assert lines[1:] == surface_csv_rows(p, 8)
+    # the velocity columns also agree with the frame projection
+    rows = np.array([[float(tok) for tok in line.split(",")] for line in lines[1:]])
+    vx, vy, gap = generic_velocity_and_gap(rows[:, 0], rows[:, 1], p)
+    ok = gap > 1e-3
+    assert np.max(np.abs(rows[ok, 5] - vx[ok])) <= 1e-10
+    assert np.max(np.abs(rows[ok, 6] - vy[ok])) <= 1e-10
 
 
 def test_surface_csv_format():

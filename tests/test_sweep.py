@@ -13,7 +13,7 @@ from blochflow import (
     sweep_euler,
     write_grid,
 )
-from blochflow.sweep import CSV_HEADER, grid_to_csv, grid_to_json
+from blochflow.sweep import CSV_HEADER, GAPLESS_THRESHOLD, grid_to_csv, grid_to_json
 
 BASE = ModelParams(3, 1, 1)
 
@@ -68,6 +68,15 @@ def test_euler_sweep_values_and_tags():
         else:
             assert cell.status == "ok"
             assert cell.chi == 0
+
+
+def test_euler_sweep_gapless_threshold():
+    # every cell here has a gap below GAPLESS_THRESHOLD, though only the
+    # middle one sits on the closing c = R + r
+    grid = sweep_euler([SweepAxis("c", 3.9995, 4.0005, 3)], BASE)
+    assert [cell.status for cell in grid.cells] == ["gapless"] * 3
+    assert all(cell.chi is None for cell in grid.cells)
+    assert all(cell.gap_min < GAPLESS_THRESHOLD for cell in grid.cells)
 
 
 def test_single_cell_axis():

@@ -174,6 +174,16 @@ def test_euler_random_parameter_sweep():
         assert euler_characteristic(ModelParams(R, r, c)).chi == 0
 
 
+def test_census_keeps_edge_zero_near_upper_closing():
+    # 1.5e-3 above c = R + r the seed at (-pi, 0) sits on a zero whose |v|
+    # rounds to about 1.3e-12, above the tolerance; its Newton step does not
+    p = ModelParams(3, 1, 4.0015)
+    res = euler_characteristic(p, weight_mode=WeightMode.CANONICAL_CELL)
+    assert res.chi == 0
+    assert len(res.modes) == 4
+    _match(res.modes, -PI, 0.0)
+
+
 def test_band_independent_census():
     # the census runs on the band-free field; negating it (lower band)
     # preserves zeros and dets, so indexes cannot change
