@@ -4,8 +4,9 @@ The invariant is the degree of the unit Bloch vector as a map from the
 zone torus to the sphere.  Two discretizations are provided:
 
 * ``chern_direct``: midpoint quadrature of the triple product
-  hhat . (d hhat/dkx x d hhat/dky) / 4pi with small-step central
-  differences for the derivatives;
+  hhat . (d hhat/dkx x d hhat/dky) / 4pi, evaluated in closed form as
+  h . (dh/dkx x dh/dky) / (4pi |h|^3) from the Bloch vector and its
+  tangent frame;
 * ``chern_plaquette``: the sum of signed solid angles of the spherical
   triangles spanned by hhat over each grid plaquette, divided by 4pi.
   This counts the degree exactly, so the raw value lands within 1e-9 of
@@ -32,9 +33,11 @@ from enum import Enum
 import numpy as np
 
 from .errors import DegenerateTriangle, GaplessModel
-from .model import TWO_PI, ModelParams, bloch_components
+from .model import TWO_PI, ModelParams, bloch_components, frame_components
 
 EPS_GAP_CHERN = 1e-6
+# chern_plaquette doubles its grid at most this many times before giving up.
+MAX_DOUBLINGS = 3
 # Measured once: the triple-product integrand with right-handed (kx, ky)
 # already gives +1 in the tube-enclosing phase, so the pin is the identity.
 ORIENTATION = 1.0
@@ -58,6 +61,19 @@ def _unit_bloch(kx, ky, p: ModelParams):
     hx, hy, hz = bloch_components(kx, ky, p)
     norm = np.sqrt(hx * hx + hy * hy + hz * hz)
     return hx / norm, hy / norm, hz / norm
+
+
+def _degree_integrand(kx, ky, p: ModelParams):
+    """hhat . (d hhat/dkx x d hhat/dky) in closed form, broadcast over arrays.
+
+    Differentiating the normalisation only adds multiples of hhat, which
+    drop out of the triple product, so the integrand equals
+    h . (dh/dkx x dh/dky) / |h|^3 with dh/dk_i the tangent frame.
+    """
+    hx, hy, hz = bloch_components(kx, ky, p)
+    ax, ay, az, bx, by, bz = frame_components(kx, ky, p)
+    triple = hx * (ay * bz - az * by) + hy * (az * bx - ax * bz) + hz * (ax * by - ay * bx)
+    return triple / (hx * hx + hy * hy + hz * hz) ** 1.5
 
 
 def gap_min(p: ModelParams) -> float:
@@ -95,14 +111,16 @@ def gapless_boundary(R: float, r: float) -> tuple:
     return (R - r, R + r)
 
 
-def chern_direct(p: ModelParams, n: int = 256, fd_step: float = 1e-5) -> ChernResult:
+def chern_direct(p: ModelParams, n: int = 256) -> ChernResult:
     """Midpoint-rule quadrature of the degree integrand on an n x n grid.
 
-    The integrand concentrates into a peak of width ~gap near a band
-    touching, so the quadrature is only trustworthy while the gap stays
-    well above the grid spacing (raw error <= 1e-3 for gap >= ~0.1 at the
-    default n).  chern_plaquette counts the degree combinatorially and
-    holds up much closer to a closing; prefer it there.
+    The integrand hhat . (d hhat/dkx x d hhat/dky) is evaluated in closed
+    form as h . (dh/dkx x dh/dky) / |h|^3, with no finite differences.  It
+    concentrates into a peak of width ~gap near a band touching, so the
+    quadrature is only trustworthy while the gap stays well above the grid
+    spacing (raw error <= 1e-3 for gap >= ~0.1 at the default n).
+    chern_plaquette counts the degree combinatorially and holds up much
+    closer to a closing; prefer it there.
     """
     if n < 32:
         raise ValueError(f"direct quadrature needs n >= 32, got n={n}")
@@ -114,19 +132,7 @@ def chern_direct(p: ModelParams, n: int = 256, fd_step: float = 1e-5) -> ChernRe
     ticks = -math.pi + (np.arange(n) + 0.5) * step
     kx, ky = np.meshgrid(ticks, ticks, indexing="ij")
 
-    ux, uy, uz = _unit_bloch(kx, ky, p)
-    pxx, pxy, pxz = _unit_bloch(kx + fd_step, ky, p)
-    mxx, mxy, mxz = _unit_bloch(kx - fd_step, ky, p)
-    dxx, dxy, dxz = (pxx - mxx) / (2 * fd_step), (pxy - mxy) / (2 * fd_step), (pxz - mxz) / (2 * fd_step)
-    pyx, pyy, pyz = _unit_bloch(kx, ky + fd_step, p)
-    myx, myy, myz = _unit_bloch(kx, ky - fd_step, p)
-    dyx, dyy, dyz = (pyx - myx) / (2 * fd_step), (pyy - myy) / (2 * fd_step), (pyz - myz) / (2 * fd_step)
-
-    cx = dxy * dyz - dxz * dyy
-    cy = dxz * dyx - dxx * dyz
-    cz = dxx * dyy - dxy * dyx
-    integrand = ux * cx + uy * cy + uz * cz
-    raw = ORIENTATION * float(np.sum(integrand)) * step * step / (4.0 * math.pi)
+    raw = ORIENTATION * float(np.sum(_degree_integrand(kx, ky, p))) * step * step / (4.0 * math.pi)
     return ChernResult(raw, int(round(raw)), g, ChernMethod.DIRECT_QUADRATURE, n)
 
 
@@ -164,11 +170,11 @@ def _solid_angle_sum(u: np.ndarray) -> float:
     return total
 
 
-def chern_plaquette(p: ModelParams, n: int = 64, max_doublings: int = 3) -> ChernResult:
+def chern_plaquette(p: ModelParams, n: int = 64) -> ChernResult:
     """Degree count by summed signed solid angles over grid plaquettes.
 
     If a plaquette triangle is too coarse to orient, the grid is doubled
-    (up to ``max_doublings`` times) before giving up with
+    (up to ``MAX_DOUBLINGS`` times) before giving up with
     DegenerateTriangle.
     """
     if n < 16:
@@ -178,7 +184,7 @@ def chern_plaquette(p: ModelParams, n: int = 64, max_doublings: int = 3) -> Cher
         raise GaplessModel(f"minimum gap {g:.3e} <= {EPS_GAP_CHERN:.1e}; Chern number undefined")
 
     m = n
-    for _ in range(max_doublings + 1):
+    for _ in range(MAX_DOUBLINGS + 1):
         total = _solid_angle_sum(_unit_grid(p, m))
         if not math.isnan(total):
             raw = ORIENTATION * total / (4.0 * math.pi)

@@ -1,9 +1,9 @@
 """Command-line front end: census, invariants, windings, sweeps, dumps.
 
-Exit codes: 0 success, 1 usage/validation error (message names the flag),
-2 model or domain error (gapless model, degenerate field, ...).  Each
-subcommand writes exactly the owning module's serialization, either to
-stdout or to --out.
+Exit codes: 0 success, 1 usage/validation error (message names the flag,
+including an --out path that cannot be written), 2 model or domain error
+(gapless model, degenerate field, ...).  Each subcommand writes exactly
+the owning module's serialization, either to stdout or to --out.
 """
 
 from __future__ import annotations
@@ -53,8 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
     _add_model_flags(sp)
-    sp.add_argument("--seeds", type=int, default=64, help="Newton seed nodes per axis")
-    sp.add_argument("--tol", type=float, default=1e-12, help="convergence tolerance on |v|")
     sp.add_argument(
         "--weight-mode",
         choices=["closed", "canonical"],
@@ -89,8 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
     _add_model_flags(sp)
-    sp.add_argument("--seeds", type=int, default=64, help="Newton seed nodes per axis")
-    sp.add_argument("--tol", type=float, default=1e-12, help="convergence tolerance on |v|")
     _add_out_flag(sp)
 
     sp = sub.add_parser(
@@ -168,10 +164,8 @@ def _emit(text: str, out_path) -> None:
 
 def _cmd_zeros(args) -> int:
     p = _model_params(args)
-    if args.seeds < 2:
-        raise _UsageError(f"--seeds: must be at least 2, got {args.seeds}")
     mode = WeightMode.CLOSED_BZ if args.weight_mode == "closed" else WeightMode.CANONICAL_CELL
-    result = euler_characteristic(p, seeds_per_axis=args.seeds, tol=args.tol, weight_mode=mode)
+    result = euler_characteristic(p, weight_mode=mode)
     _emit(zero_modes_json(result.modes), args.out)
     sys.stdout.write(f"chi {result.chi}\n")
     return 0
@@ -195,9 +189,7 @@ def _cmd_chern(args) -> int:
 
 def _cmd_euler(args) -> int:
     p = _model_params(args)
-    if args.seeds < 2:
-        raise _UsageError(f"--seeds: must be at least 2, got {args.seeds}")
-    result = euler_characteristic(p, seeds_per_axis=args.seeds, tol=args.tol)
+    result = euler_characteristic(p)
     _emit(json.dumps({"chi": result.chi, "zero_modes": len(result.modes)}, indent=2), args.out)
     return 0
 
@@ -275,6 +267,11 @@ def main(argv=None) -> int:
     except TopologyError as e:
         sys.stderr.write(f"blochflow {args.command}: {type(e).__name__}: {e}\n")
         return 2
+    except OSError as e:
+        if args.out is None:
+            raise
+        sys.stderr.write(f"blochflow {args.command}: error: --out: {e}\n")
+        return 1
 
 
 if __name__ == "__main__":

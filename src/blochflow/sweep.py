@@ -106,44 +106,34 @@ def _cell_param_sets(axes, base: ModelParams):
     return axes, out
 
 
+def _sweep(axes, base: ModelParams, invariant) -> PhaseDiagramGrid:
+    """One cell per parameter set; ``invariant(params)`` returns (chern, chi)."""
+    axes, param_sets = _cell_param_sets(axes, base)
+    cells = []
+    for params in param_sets:
+        g = gap_min(params)
+        chern = chi = None
+        status = STATUS_GAPLESS
+        if not g < GAPLESS_THRESHOLD:
+            try:
+                chern, chi = invariant(params)
+                status = STATUS_OK
+            except (GaplessModel, DegenerateTriangle):
+                pass  # too close to a band touching for the method to resolve
+            except (DegenerateField, DegenerateZero, NonIsolatedZero):
+                status = STATUS_DEGENERATE
+        cells.append(SweepCell(params, chern, chi, g, status))
+    return PhaseDiagramGrid(axes, tuple(cells))
+
+
 def sweep_chern(axes, base: ModelParams, n_grid: int = 64) -> PhaseDiagramGrid:
     """Chern number per cell, with gapless cells tagged instead of computed."""
-    axes, param_sets = _cell_param_sets(axes, base)
-    cells = []
-    for params in param_sets:
-        g = gap_min(params)
-        if g < GAPLESS_THRESHOLD:
-            cells.append(SweepCell(params, None, None, g, STATUS_GAPLESS))
-            continue
-        try:
-            res = chern_plaquette(params, n_grid)
-        except (GaplessModel, DegenerateTriangle):
-            # Too close to a band touching for the grid to resolve.
-            cells.append(SweepCell(params, None, None, g, STATUS_GAPLESS))
-            continue
-        cells.append(SweepCell(params, res.value, None, g, STATUS_OK))
-    return PhaseDiagramGrid(axes, tuple(cells))
+    return _sweep(axes, base, lambda p: (chern_plaquette(p, n_grid).value, None))
 
 
-def sweep_euler(axes, base: ModelParams, seeds_per_axis: int = 64, tol: float = 1e-12) -> PhaseDiagramGrid:
+def sweep_euler(axes, base: ModelParams) -> PhaseDiagramGrid:
     """Euler characteristic per cell; degenerate/gapless cells carry tags."""
-    axes, param_sets = _cell_param_sets(axes, base)
-    cells = []
-    for params in param_sets:
-        g = gap_min(params)
-        if g < GAPLESS_THRESHOLD:
-            cells.append(SweepCell(params, None, None, g, STATUS_GAPLESS))
-            continue
-        try:
-            res = euler_characteristic(params, seeds_per_axis=seeds_per_axis, tol=tol)
-        except (DegenerateField, DegenerateZero, NonIsolatedZero):
-            cells.append(SweepCell(params, None, None, g, STATUS_DEGENERATE))
-            continue
-        except GaplessModel:
-            cells.append(SweepCell(params, None, None, g, STATUS_GAPLESS))
-            continue
-        cells.append(SweepCell(params, None, res.chi, g, STATUS_OK))
-    return PhaseDiagramGrid(axes, tuple(cells))
+    return _sweep(axes, base, lambda p: (None, euler_characteristic(p).chi))
 
 
 CSV_HEADER = "R,r,c,chern,chi,gap_min,status"

@@ -37,6 +37,8 @@ from .errors import (
 from .field import EPS_GAP, Jacobian2, hessian_components, velocity_and_gap, velocity_jacobian
 from .model import TWO_PI, KPoint, ModelParams, reduce_angle
 
+# The census runs in one configuration, the one the tests verify: Newton
+# from a 64 x 64 seed grid until |v| (or the Newton step) is at most 1e-12.
 SEEDS_PER_AXIS = 64
 NEWTON_TOL = 1e-12
 MAX_ITER = 50
@@ -105,9 +107,9 @@ def classify(j: Jacobian2) -> ZeroKind:
     return ZeroKind.SINK if j.trace < 0.0 else ZeroKind.SOURCE
 
 
-def _newton_census(p: ModelParams, seeds_per_axis: int, tol: float, max_iter: int):
+def _newton_census(p: ModelParams):
     """Converged canonical zero locations from a uniform Newton seed grid."""
-    ticks = -math.pi + TWO_PI * np.arange(seeds_per_axis) / seeds_per_axis
+    ticks = -math.pi + TWO_PI * np.arange(SEEDS_PER_AXIS) / SEEDS_PER_AXIS
     gx, gy = np.meshgrid(ticks, ticks, indexing="ij")
     px = gx.ravel().copy()
     py = gy.ravel().copy()
@@ -120,11 +122,11 @@ def _newton_census(p: ModelParams, seeds_per_axis: int, tol: float, max_iter: in
             "the velocity field is discontinuous there"
         )
     vnorm = np.hypot(vx, vy)
-    converged = vnorm <= tol
+    converged = vnorm <= NEWTON_TOL
     alive = np.isfinite(vnorm)
     active = np.flatnonzero(alive & ~converged)
 
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         if active.size == 0:
             break
         x, y, va, vb = px[active], py[active], vx[active], vy[active]
@@ -153,9 +155,9 @@ def _newton_census(p: ModelParams, seeds_per_axis: int, tol: float, max_iter: in
         vnorm[active] = nnorm
         dead = ~np.isfinite(nnorm) | (ngap <= EPS_GAP) | ~ok
         alive[active[dead]] = False
-        # A Newton step within tol also counts: next to a gap closing the
-        # rounding floor of |v| (about eps rho c / |h|) can stay above tol.
-        done = (nnorm <= tol) | (np.hypot(sx, sy) <= tol)
+        # A Newton step within NEWTON_TOL also counts: next to a gap closing
+        # the rounding floor of |v| (about eps rho c / |h|) can stay above it.
+        done = (nnorm <= NEWTON_TOL) | (np.hypot(sx, sy) <= NEWTON_TOL)
         converged[active[done]] = True
         active = active[~dead & ~done]
 
@@ -163,36 +165,47 @@ def _newton_census(p: ModelParams, seeds_per_axis: int, tol: float, max_iter: in
     cx = reduce_angle(px[keep])
     cy = reduce_angle(py[keep])
     cn = vnorm[keep]
-    if cx.size == 0:
-        return []
 
-    # Greedy torus-metric clustering, best-converged point first.
+    reps_x, reps_y = _dedup(cx, cy, cn)
+    _check_isolated(reps_x, reps_y)
+    return sorted(zip(reps_x, reps_y))
+
+
+def _dedup(cx, cy, cn):
+    """Distinct points of a converged cloud, best |v| first.
+
+    Each pass keeps the best remaining point and drops every remaining
+    point within DEDUP_RADIUS of it, so the loop runs once per distinct
+    zero.  Returns the kept coordinates in the order they were kept.
+    """
     order = np.argsort(cn, kind="stable")
     cx, cy = cx[order], cy[order]
     reps_x: list[float] = []
     reps_y: list[float] = []
-    for x, y in zip(cx, cy):
-        if reps_x:
-            d = torus_distance(np.array(reps_x), np.array(reps_y), x, y)
-            if float(np.min(d)) < DEDUP_RADIUS:
-                continue
-        reps_x.append(float(x))
-        reps_y.append(float(y))
+    while cx.size:
+        x, y = float(cx[0]), float(cy[0])
+        reps_x.append(x)
+        reps_y.append(y)
+        far = ~(torus_distance(x, y, cx, cy) < DEDUP_RADIUS)
+        cx, cy = cx[far], cy[far]
+    return reps_x, reps_y
 
-    # Isolation: distinct zeros must stay well separated for the index sum
-    # to be meaningful.
-    n = len(reps_x)
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = float(torus_distance(reps_x[i], reps_y[i], reps_x[j], reps_y[j]))
-            if d < ISOLATION_RADIUS:
-                raise NonIsolatedZero(
-                    f"zeros at ({reps_x[i]:.6g}, {reps_y[i]:.6g}) and "
-                    f"({reps_x[j]:.6g}, {reps_y[j]:.6g}) are only {d:.3e} apart"
-                )
 
-    zeros = sorted(zip(reps_x, reps_y))
-    return zeros
+def _check_isolated(reps_x, reps_y):
+    """Raise NonIsolatedZero for the first pair i < j closer than ISOLATION_RADIUS.
+
+    Distinct zeros must stay well separated for the index sum to be
+    meaningful.
+    """
+    rx, ry = np.array(reps_x), np.array(reps_y)
+    d = torus_distance(rx[:, None], ry[:, None], rx[None, :], ry[None, :])
+    crowded = np.argwhere(np.triu(d < ISOLATION_RADIUS, k=1))
+    if crowded.size:
+        i, j = crowded[0]
+        raise NonIsolatedZero(
+            f"zeros at ({reps_x[i]:.6g}, {reps_y[i]:.6g}) and "
+            f"({reps_x[j]:.6g}, {reps_y[j]:.6g}) are only {float(d[i, j]):.3e} apart"
+        )
 
 
 def _edge_positions(x: float):
@@ -228,7 +241,7 @@ def _expand_modes(canonical, weight_mode: WeightMode):
     return modes
 
 
-def _canonical_census(p: ModelParams, seeds_per_axis: int, tol: float, max_iter: int):
+def _canonical_census(p: ModelParams):
     """Canonical zeros with their Jacobians, after all validity checks."""
     if p.c <= C_DEGENERATE:
         raise DegenerateField(
@@ -236,18 +249,12 @@ def _canonical_census(p: ModelParams, seeds_per_axis: int, tol: float, max_iter:
             "the zero set consists of curves, not isolated points"
         )
     canonical = []
-    for kx, ky in _newton_census(p, seeds_per_axis, tol, max_iter):
+    for kx, ky in _newton_census(p):
         canonical.append((kx, ky, velocity_jacobian(KPoint(kx, ky), p)))
     return canonical
 
 
-def find_zero_modes(
-    p: ModelParams,
-    seeds_per_axis: int = SEEDS_PER_AXIS,
-    tol: float = NEWTON_TOL,
-    weight_mode: WeightMode = WeightMode.CLOSED_BZ,
-    max_iter: int = MAX_ITER,
-) -> list:
+def find_zero_modes(p: ModelParams, weight_mode: WeightMode = WeightMode.CLOSED_BZ) -> list:
     """Locate, validate and classify every zero of the velocity field.
 
     Returns ZeroMode entries either one-per-canonical-zero (CANONICAL_CELL)
@@ -259,7 +266,7 @@ def find_zero_modes(
     determinant below threshold, NonIsolatedZero when two distinct zeros
     crowd each other.
     """
-    return _expand_modes(_canonical_census(p, seeds_per_axis, tol, max_iter), weight_mode)
+    return _expand_modes(_canonical_census(p), weight_mode)
 
 
 def weighted_index_sum(modes) -> Fraction:
@@ -282,19 +289,14 @@ def integral_chi(closed_sum: Fraction, cell_sum: Fraction) -> int:
     return int(closed_sum)
 
 
-def euler_characteristic(
-    p: ModelParams,
-    seeds_per_axis: int = SEEDS_PER_AXIS,
-    tol: float = NEWTON_TOL,
-    weight_mode: WeightMode = WeightMode.CLOSED_BZ,
-) -> EulerResult:
+def euler_characteristic(p: ModelParams, weight_mode: WeightMode = WeightMode.CLOSED_BZ) -> EulerResult:
     """Euler characteristic as the weighted index sum over all zero modes.
 
     The sum is accumulated as an exact rational and must be an integer;
     both weight bookkeeping modes must agree, otherwise the census is
     inconsistent (a missed or spurious zero) and NonIntegralSum is raised.
     """
-    canonical = _canonical_census(p, seeds_per_axis, tol, MAX_ITER)
+    canonical = _canonical_census(p)
     closed = _expand_modes(canonical, WeightMode.CLOSED_BZ)
     cell = _expand_modes(canonical, WeightMode.CANONICAL_CELL)
     chi = integral_chi(weighted_index_sum(closed), weighted_index_sum(cell))

@@ -6,7 +6,9 @@ differentiates |h| in closed form), zeros are found by a sign-change scan
 plus MINPACK's hybrid solver on that projection (the library census runs
 Newton on the closed form), the minimum gap by dense 2-D scans (the
 library solves a cubic on kx = pi), windings by numpy's phase unwrapping,
-derivatives by plain central differences.
+derivatives by plain central differences (the Chern integrand included),
+and the census dedup by a greedy point-by-point loop (the library drops
+a whole cluster per pass).
 """
 
 import math
@@ -15,10 +17,10 @@ import numpy as np
 from hypothesis import strategies as st
 from scipy.optimize import fsolve
 
-from blochflow.errors import GaplessPoint
+from blochflow.errors import GaplessPoint, NonIsolatedZero
 from blochflow.field import EPS_GAP, Velocity, velocity_and_gap
 from blochflow.model import TWO_PI, bloch_components, frame_components, reduce_angle
-from blochflow.zeromode import torus_distance
+from blochflow.zeromode import DEDUP_RADIUS, ISOLATION_RADIUS, torus_distance
 
 
 def generic_velocity_and_gap(kx, ky, p):
@@ -120,6 +122,76 @@ def fd_energy_gradient(kx, ky, p, step=1e-4):
     gx = (energy(kx + step, ky) - energy(kx - step, ky)) / (2 * step)
     gy = (energy(kx, ky + step) - energy(kx, ky - step)) / (2 * step)
     return gx, gy
+
+
+def fd_degree_integrand(kx, ky, p, step=1e-5):
+    """hhat . (d hhat/dkx x d hhat/dky) with central differences of hhat."""
+
+    def unit(a, b):
+        hx, hy, hz = bloch_components(a, b, p)
+        norm = np.sqrt(hx * hx + hy * hy + hz * hz)
+        return np.array([hx / norm, hy / norm, hz / norm])
+
+    d_kx = (unit(kx + step, ky) - unit(kx - step, ky)) / (2 * step)
+    d_ky = (unit(kx, ky + step) - unit(kx, ky - step)) / (2 * step)
+    return np.einsum("i...,i...->...", unit(kx, ky), np.cross(d_kx, d_ky, axis=0))
+
+
+def greedy_dedup(cx, cy, cn):
+    """Census dedup point by point: visit the points by |v| (stable) and
+    keep each one that is at least DEDUP_RADIUS from every point kept so
+    far.  Returns the kept coordinates in the order they were kept."""
+    order = np.argsort(cn, kind="stable")
+    reps_x, reps_y = [], []
+    for x, y in zip(cx[order], cy[order]):
+        if reps_x:
+            d = torus_distance(np.array(reps_x), np.array(reps_y), x, y)
+            if float(np.min(d)) < DEDUP_RADIUS:
+                continue
+        reps_x.append(float(x))
+        reps_y.append(float(y))
+    return reps_x, reps_y
+
+
+def pairwise_isolation(reps_x, reps_y):
+    """Raise NonIsolatedZero for the first pair i < j (row-major) closer
+    than ISOLATION_RADIUS, checking one pair at a time."""
+    n = len(reps_x)
+    for i in range(n):
+        for j in range(i + 1, n):
+            d = float(torus_distance(reps_x[i], reps_y[i], reps_x[j], reps_y[j]))
+            if d < ISOLATION_RADIUS:
+                raise NonIsolatedZero(
+                    f"zeros at ({reps_x[i]:.6g}, {reps_y[i]:.6g}) and "
+                    f"({reps_x[j]:.6g}, {reps_y[j]:.6g}) are only {d:.3e} apart"
+                )
+
+
+@st.composite
+def converged_clouds(draw):
+    """Point clouds like the census's converged seeds: a few centres (some
+    right on either side of kx = -+pi), each with near-duplicates within
+    1e-7, 1e-6 or 3e-6 (around DEDUP_RADIUS) or within 2e-3 (crowding
+    ISOLATION_RADIUS), and |v| values with ties.  Returns (cx, cy, cn)
+    arrays with angles reduced to [-pi, pi)."""
+    edge = st.sampled_from((-math.pi, math.pi - 1e-8, -math.pi + 1e-8, math.pi - 5e-7))
+    xs, ys = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        x = draw(st.one_of(st.floats(-math.pi, math.pi), edge))
+        y = draw(st.floats(-math.pi, math.pi))
+        scale = draw(st.sampled_from((1e-7, 1e-6, 3e-6, 2e-3)))
+        offsets = draw(st.lists(st.tuples(st.floats(-scale, scale), st.floats(-scale, scale)), max_size=8))
+        for dx, dy in [(0.0, 0.0)] + offsets:
+            xs.append(x + dx)
+            ys.append(y + dy)
+    norms = draw(
+        st.lists(
+            st.one_of(st.floats(0.0, 1e-12), st.sampled_from((0.0, 5e-13))),
+            min_size=len(xs),
+            max_size=len(xs),
+        )
+    )
+    return reduce_angle(np.array(xs)), reduce_angle(np.array(ys)), np.array(norms)
 
 
 def brute_zero_census(p, n):

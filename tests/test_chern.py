@@ -2,7 +2,8 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from blochflow import (
     ChernMethod,
@@ -12,9 +13,11 @@ from blochflow import (
     gap_min,
     gapless_boundary,
 )
+from blochflow.chern import _degree_integrand
 from blochflow.errors import GaplessModel
+from blochflow.model import bloch_components
 
-from oracles import params_near_critical, random_gapped_params, scan_gap_min
+from oracles import fd_degree_integrand, params_near_critical, random_gapped_params, scan_gap_min
 
 
 def test_gapless_boundary_values():
@@ -46,6 +49,18 @@ def test_gap_min_matches_scan_oracle(params):
     scan = scan_gap_min(p)
     assert g <= scan + 1e-12
     assert abs(g - scan) <= 1e-9
+
+
+@settings(max_examples=150)
+@given(params_near_critical(), st.floats(-np.pi, np.pi), st.floats(-np.pi, np.pi))
+def test_degree_integrand_matches_finite_differences(params, kx, ky):
+    # closed form h . (dh/dkx x dh/dky) / |h|^3 against central differences
+    # of the unit Bloch vector, up to the closings and bifurcations
+    p = ModelParams(*params)
+    gap = float(np.linalg.norm(bloch_components(kx, ky, p)))
+    assume(gap >= 0.05)
+    exact = float(_degree_integrand(kx, ky, p))
+    assert abs(exact - float(fd_degree_integrand(kx, ky, p))) <= 1e-6 * (1.0 + abs(exact))
 
 
 def test_gap_min_matches_boundary_roots():

@@ -3,6 +3,8 @@
 import json
 import math
 
+import pytest
+
 from blochflow import ModelParams, find_zero_modes, zero_modes_json
 from blochflow.chern import chern_json, chern_plaquette
 from blochflow.cli import main
@@ -197,9 +199,31 @@ def test_help_everywhere(capsys):
 
 def test_help_lists_defaults(capsys):
     main(["zeros", "--help"])
-    out = capsys.readouterr().out
-    assert "64" in out       # seed grid default
-    assert "1e-12" in out    # Newton tolerance default
+    out = " ".join(capsys.readouterr().out.split())
+    assert "(default: closed)" in out  # weight mode default
+    assert "(default: 3.0)" in out     # major radius default
+
+
+def test_census_knobs_are_not_options(capsys):
+    # the census runs in its one verified configuration
+    for argv in (["euler", "--tol", "1e-16"], ["zeros", "--seeds", "4"]):
+        rc, out, err = run(capsys, argv)
+        assert rc == 1
+        assert out == ""
+        assert "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["euler"], ["field-dump", "--grid-n", "4"], ["phase-diagram", "--axis", "c:0.5:1.5:3"]],
+)
+def test_unwritable_out_path_exit(tmp_path, capsys, argv):
+    path = tmp_path / "missing" / "out.txt"
+    rc, out, err = run(capsys, [*argv, "--out", str(path)])
+    assert rc == 1
+    assert err.startswith(f"blochflow {argv[0]}: error: --out: ")
+    assert out == ""
+    assert not path.exists()
 
 
 def test_unknown_command_exit(capsys):

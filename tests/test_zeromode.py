@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from blochflow import (
     Jacobian2,
@@ -29,9 +30,15 @@ from blochflow.errors import (
     NonIsolatedZero,
 )
 from blochflow.model import axis_distance
-from blochflow.zeromode import index_from_det, torus_distance
+from blochflow.zeromode import _check_isolated, _dedup, index_from_det, torus_distance
 
-from oracles import brute_zero_census, random_gapped_params
+from oracles import (
+    brute_zero_census,
+    converged_clouds,
+    greedy_dedup,
+    pairwise_isolation,
+    random_gapped_params,
+)
 
 P1 = ModelParams(3, 1, 1)
 P3 = ModelParams(3, 1, 3)
@@ -124,6 +131,30 @@ def test_census_completeness_against_sign_scan():
         assert len(brute) == len(mine)
         for a, b in zip(brute, mine):
             assert float(torus_distance(a[0], a[1], b[0], b[1])) < 1e-6
+
+
+@settings(max_examples=300)
+@given(converged_clouds())
+def test_dedup_matches_greedy_oracle(cloud):
+    # one pass per kept point picks the same points, in the same order, as
+    # the point-by-point greedy loop, across the kx = -+pi seam too
+    assert _dedup(*cloud) == greedy_dedup(*cloud)
+
+
+@settings(max_examples=300)
+@given(converged_clouds())
+def test_isolation_check_matches_pairwise_oracle(cloud):
+    # the distance matrix reports the same first crowded pair as the double loop
+    reps = greedy_dedup(*cloud)
+
+    def outcome(check):
+        try:
+            check(*reps)
+        except NonIsolatedZero as e:
+            return str(e)
+        return None
+
+    assert outcome(_check_isolated) == outcome(pairwise_isolation)
 
 
 def test_classify_rules():
