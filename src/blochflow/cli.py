@@ -34,8 +34,8 @@ def _add_model_flags(sp):
     sp.add_argument("--c", type=float, default=1.0, help="axis shift of the image surface")
 
 
-def _add_out_flag(sp):
-    sp.add_argument("--out", type=str, default=None, help="write output to this path instead of stdout")
+def _add_out_flag(sp, text="write output to this path instead of stdout"):
+    sp.add_argument("--out", type=str, default=None, help=text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -59,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="closed",
         help="closed-zone fractional weights or one entry per canonical zero",
     )
-    _add_out_flag(sp)
+    _add_out_flag(sp, "write the census JSON to this path; the 'chi N' line still goes to stdout")
 
     sp = sub.add_parser(
         "chern",

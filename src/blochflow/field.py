@@ -86,7 +86,11 @@ def hessian_components(kx, ky, p: ModelParams):
     These are the velocity derivatives dvx/dkx, dvx/dky = dvy/dkx and
     dvy/dky.  No gap checks; NaN/inf propagate where |h| = 0.
     """
-    vx, vy, gap = velocity_and_gap(kx, ky, p)
+    return hessian_from_velocity(kx, ky, *velocity_and_gap(kx, ky, p), p)
+
+
+def hessian_from_velocity(kx, ky, vx, vy, gap, p: ModelParams):
+    """``hessian_components`` from the ``velocity_and_gap(kx, ky, p)`` a caller already holds."""
     sx, cx = np.sin(kx), np.cos(kx)
     sy, cy = np.sin(ky), np.cos(ky)
     rho = np.sqrt((p.r * sy) ** 2 + (p.R + p.r * cy) ** 2)
@@ -98,12 +102,18 @@ def hessian_components(kx, ky, p: ModelParams):
         return (gxx - vx * vx) / gap, (gxy - vx * vy) / gap, (gyy - vy * vy) / gap
 
 
-def velocity_closed(k: KPoint, p: ModelParams, eps_gap: float = EPS_GAP) -> Velocity:
-    """Closed-form velocity at one k-point; raises GaplessPoint if |h| <= eps_gap."""
+def _velocity_and_gap_at(k: KPoint, p: ModelParams, eps_gap: float = EPS_GAP):
+    """Canonical k with the velocity and gap there; raises GaplessPoint if |h| <= eps_gap."""
     k = k.canonical()
     vx, vy, gap = velocity_and_gap(k.kx, k.ky, p)
     if gap <= eps_gap:
         raise GaplessPoint(f"|h| = {float(gap):.3e} <= {eps_gap:.1e} at k = ({k.kx}, {k.ky})")
+    return k, vx, vy, gap
+
+
+def velocity_closed(k: KPoint, p: ModelParams, eps_gap: float = EPS_GAP) -> Velocity:
+    """Closed-form velocity at one k-point; raises GaplessPoint if |h| <= eps_gap."""
+    _, vx, vy, _ = _velocity_and_gap_at(k, p, eps_gap)
     return Velocity(float(vx), float(vy))
 
 
@@ -119,7 +129,6 @@ def velocity_jacobian(k: KPoint, p: ModelParams) -> Jacobian2:
 
     Raises GaplessPoint if the bands touch at k.
     """
-    velocity_closed(k, p)  # raises GaplessPoint at a band touching
-    k = k.canonical()
-    hxx, hxy, hyy = (float(x) for x in hessian_components(k.kx, k.ky, p))
+    k, vx, vy, gap = _velocity_and_gap_at(k, p)
+    hxx, hxy, hyy = (float(x) for x in hessian_from_velocity(k.kx, k.ky, vx, vy, gap, p))
     return Jacobian2(np.array([[hxx, hxy], [hxy, hyy]]))

@@ -2,11 +2,12 @@
 
 Zeros are located by damped Newton iteration started from every node of a
 uniform seed grid, reduced to the fundamental domain, deduplicated with
-the torus metric, and validated as nondegenerate and isolated.  Newton
-and the classification both use the velocity Jacobian, which is the
-closed-form Hessian of |h|: negative determinant is a saddle (index -1);
-positive determinant is a sink or source depending on the trace sign
-(index +1).
+the torus metric, and validated as nondegenerate and isolated.  A Newton
+step that would make |v| grow is halved, and only those seeds are
+re-evaluated.  Newton and the classification both use the velocity
+Jacobian, which is the closed-form Hessian of |h|: negative determinant
+is a saddle (index -1); positive determinant is a sink or source
+depending on the trace sign (index +1).
 
 A zero on the edge of the closed zone [-pi, pi]^2 is shared between two
 copies of the zone and is counted with weight 1/2 (1/4 at the corners,
@@ -34,7 +35,7 @@ from .errors import (
     NonIntegralSum,
     NonIsolatedZero,
 )
-from .field import EPS_GAP, Jacobian2, hessian_components, velocity_and_gap, velocity_jacobian
+from .field import EPS_GAP, Jacobian2, hessian_from_velocity, velocity_and_gap, velocity_jacobian
 from .model import TWO_PI, KPoint, ModelParams, reduce_angle
 
 # The census runs in one configuration, the one the tests verify: Newton
@@ -110,9 +111,7 @@ def classify(j: Jacobian2) -> ZeroKind:
 def _newton_census(p: ModelParams):
     """Converged canonical zero locations from a uniform Newton seed grid."""
     ticks = -math.pi + TWO_PI * np.arange(SEEDS_PER_AXIS) / SEEDS_PER_AXIS
-    gx, gy = np.meshgrid(ticks, ticks, indexing="ij")
-    px = gx.ravel().copy()
-    py = gy.ravel().copy()
+    px, py = (g.ravel() for g in np.meshgrid(ticks, ticks, indexing="ij"))
 
     vx, vy, gap = velocity_and_gap(px, py, p)
     min_gap = float(np.min(gap))
@@ -130,28 +129,29 @@ def _newton_census(p: ModelParams):
         if active.size == 0:
             break
         x, y, va, vb = px[active], py[active], vx[active], vy[active]
-        hxx, hxy, hyy = hessian_components(x, y, p)
+        hxx, hxy, hyy = hessian_from_velocity(x, y, va, vb, gap[active], p)
         det = hxx * hyy - hxy * hxy
         ok = np.isfinite(det) & (np.abs(det) > 1e-300)
         with np.errstate(divide="ignore", invalid="ignore"):
             sx = np.where(ok, (hxy * vb - hyy * va) / det, 0.0)
             sy = np.where(ok, (hxy * va - hxx * vb) / det, 0.0)
 
-        # Damped step: halve wherever |v| would grow.
+        # Damped step: halve wherever |v| would grow.  Only those seeds are
+        # re-evaluated; one still worse after 12 trials keeps the 12th.
         base = vnorm[active]
-        scale = np.ones_like(sx)
-        for _bt in range(12):
-            nx = reduce_angle(x + scale * sx)
-            ny = reduce_angle(y + scale * sy)
-            nvx, nvy, ngap = velocity_and_gap(nx, ny, p)
-            nnorm = np.hypot(nvx, nvy)
-            worse = ~(nnorm <= base)
-            if not np.any(worse):
+        nx, ny, nvx, nvy, ngap, nnorm = (np.empty_like(x) for _ in range(6))
+        worse = slice(None)
+        for t in range(12):
+            nx[worse] = reduce_angle(x[worse] + 0.5**t * sx[worse])
+            ny[worse] = reduce_angle(y[worse] + 0.5**t * sy[worse])
+            nvx[worse], nvy[worse], ngap[worse] = velocity_and_gap(nx[worse], ny[worse], p)
+            nnorm[worse] = np.hypot(nvx[worse], nvy[worse])
+            worse = np.flatnonzero(~(nnorm <= base))
+            if worse.size == 0:
                 break
-            scale[worse] *= 0.5
 
         px[active], py[active] = nx, ny
-        vx[active], vy[active] = nvx, nvy
+        vx[active], vy[active], gap[active] = nvx, nvy, ngap
         vnorm[active] = nnorm
         dead = ~np.isfinite(nnorm) | (ngap <= EPS_GAP) | ~ok
         alive[active[dead]] = False

@@ -7,8 +7,11 @@ plus MINPACK's hybrid solver on that projection (the library census runs
 Newton on the closed form), the minimum gap by dense 2-D scans (the
 library solves a cubic on kx = pi), windings by numpy's phase unwrapping,
 derivatives by plain central differences (the Chern integrand included),
-and the census dedup by a greedy point-by-point loop (the library drops
-a whole cluster per pass).
+the census dedup by a greedy point-by-point loop (the library drops a
+whole cluster per pass), and the Newton census by re-evaluating every
+active seed at every backtrack halving (the library re-evaluates only
+the seeds whose |v| grew, and reuses their stored velocity for the
+Hessian).
 """
 
 import math
@@ -17,10 +20,19 @@ import numpy as np
 from hypothesis import strategies as st
 from scipy.optimize import fsolve
 
-from blochflow.errors import GaplessPoint, NonIsolatedZero
-from blochflow.field import EPS_GAP, Velocity, velocity_and_gap
+from blochflow.errors import GaplessModel, GaplessPoint, NonIsolatedZero
+from blochflow.field import EPS_GAP, Velocity, hessian_components, velocity_and_gap
 from blochflow.model import TWO_PI, bloch_components, frame_components, reduce_angle
-from blochflow.zeromode import DEDUP_RADIUS, ISOLATION_RADIUS, torus_distance
+from blochflow.zeromode import (
+    DEDUP_RADIUS,
+    ISOLATION_RADIUS,
+    MAX_ITER,
+    NEWTON_TOL,
+    SEEDS_PER_AXIS,
+    _check_isolated,
+    _dedup,
+    torus_distance,
+)
 
 
 def generic_velocity_and_gap(kx, ky, p):
@@ -192,6 +204,71 @@ def converged_clouds(draw):
         )
     )
     return reduce_angle(np.array(xs)), reduce_angle(np.array(ys)), np.array(norms)
+
+
+def full_backtrack_census(p):
+    """The Newton census with every active seed re-evaluated at every
+    backtrack halving, and the Hessian re-evaluating the velocity.
+
+    A seed whose |v| did not grow is evaluated again at the same point
+    until no seed is worse or 12 trials are spent.  Dedup and isolation
+    are the library's (checked against greedy_dedup and
+    pairwise_isolation on their own).  Returns the sorted zero list, or
+    raises the same typed errors as ``_newton_census``.
+    """
+    ticks = -math.pi + TWO_PI * np.arange(SEEDS_PER_AXIS) / SEEDS_PER_AXIS
+    gx, gy = np.meshgrid(ticks, ticks, indexing="ij")
+    px = gx.ravel().copy()
+    py = gy.ravel().copy()
+
+    vx, vy, gap = velocity_and_gap(px, py, p)
+    min_gap = float(np.min(gap))
+    if min_gap <= EPS_GAP:
+        raise GaplessModel(
+            f"band gap closes on the seed grid (min |h| = {min_gap:.3e}); "
+            "the velocity field is discontinuous there"
+        )
+    vnorm = np.hypot(vx, vy)
+    converged = vnorm <= NEWTON_TOL
+    alive = np.isfinite(vnorm)
+    active = np.flatnonzero(alive & ~converged)
+
+    for _ in range(MAX_ITER):
+        if active.size == 0:
+            break
+        x, y, va, vb = px[active], py[active], vx[active], vy[active]
+        hxx, hxy, hyy = hessian_components(x, y, p)
+        det = hxx * hyy - hxy * hxy
+        ok = np.isfinite(det) & (np.abs(det) > 1e-300)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sx = np.where(ok, (hxy * vb - hyy * va) / det, 0.0)
+            sy = np.where(ok, (hxy * va - hxx * vb) / det, 0.0)
+
+        base = vnorm[active]
+        scale = np.ones_like(sx)
+        for _bt in range(12):
+            nx = reduce_angle(x + scale * sx)
+            ny = reduce_angle(y + scale * sy)
+            nvx, nvy, ngap = velocity_and_gap(nx, ny, p)
+            nnorm = np.hypot(nvx, nvy)
+            worse = ~(nnorm <= base)
+            if not np.any(worse):
+                break
+            scale[worse] *= 0.5
+
+        px[active], py[active] = nx, ny
+        vx[active], vy[active] = nvx, nvy
+        vnorm[active] = nnorm
+        dead = ~np.isfinite(nnorm) | (ngap <= EPS_GAP) | ~ok
+        alive[active[dead]] = False
+        done = (nnorm <= NEWTON_TOL) | (np.hypot(sx, sy) <= NEWTON_TOL)
+        converged[active[done]] = True
+        active = active[~dead & ~done]
+
+    keep = converged & alive
+    reps_x, reps_y = _dedup(reduce_angle(px[keep]), reduce_angle(py[keep]), vnorm[keep])
+    _check_isolated(reps_x, reps_y)
+    return sorted(zip(reps_x, reps_y))
 
 
 def brute_zero_census(p, n):

@@ -202,6 +202,7 @@ def test_help_lists_defaults(capsys):
     out = " ".join(capsys.readouterr().out.split())
     assert "(default: closed)" in out  # weight mode default
     assert "(default: 3.0)" in out     # major radius default
+    assert "the 'chi N' line still goes to stdout" in out  # zeros --out keeps chi on stdout
 
 
 def test_census_knobs_are_not_options(capsys):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import blochflow.field
 from blochflow import (
     Band,
     Jacobian2,
@@ -131,6 +132,33 @@ def test_jacobian_gapless_stencil():
     # the gap check sits at the point itself
     with pytest.raises(GaplessPoint):
         velocity_jacobian(KPoint(math.pi, math.pi), ModelParams(3, 1, 2))
+
+
+def test_jacobian_evaluates_velocity_once(monkeypatch):
+    # the velocity behind the gap check also feeds the Hessian, which
+    # equals hessian_components bit for bit
+    calls = []
+
+    def counting(kx, ky, p):
+        calls.append((kx, ky))
+        return velocity_and_gap(kx, ky, p)
+
+    rng = np.random.default_rng(11)
+    for kx, ky in rng.uniform(-2 * math.pi, 2 * math.pi, (20, 2)):
+        k = KPoint(kx, ky).canonical()
+        want = [float(x) for x in hessian_components(k.kx, k.ky, P1)]
+        with monkeypatch.context() as m:
+            m.setattr(blochflow.field, "velocity_and_gap", counting)
+            calls.clear()
+            j = velocity_jacobian(KPoint(kx, ky), P1)
+        assert len(calls) == 1
+        assert [j.m[0, 0], j.m[0, 1], j.m[1, 1]] == want and j.m[1, 0] == want[1]
+    gapless = ModelParams(3, 1, 2)
+    with pytest.raises(GaplessPoint) as a:
+        velocity_jacobian(KPoint(math.pi, -math.pi), gapless)
+    with pytest.raises(GaplessPoint) as b:
+        velocity_closed(KPoint(math.pi, -math.pi), gapless)
+    assert str(a.value) == str(b.value)
 
 
 def test_band_velocities_are_opposite():

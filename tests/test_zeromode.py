@@ -22,21 +22,28 @@ from blochflow import (
     weighted_index_sum,
     zero_modes_json,
 )
+import blochflow.field
+import blochflow.zeromode
 from blochflow.errors import (
     DegenerateField,
     DegenerateZero,
     GaplessModel,
     NonIntegralSum,
     NonIsolatedZero,
+    TopologyError,
 )
+from blochflow.field import velocity_and_gap
 from blochflow.model import axis_distance
-from blochflow.zeromode import _check_isolated, _dedup, index_from_det, torus_distance
+from blochflow.zeromode import _check_isolated, _dedup, _newton_census, index_from_det, torus_distance
 
+import oracles
 from oracles import (
     brute_zero_census,
     converged_clouds,
+    full_backtrack_census,
     greedy_dedup,
     pairwise_isolation,
+    params_near_critical,
     random_gapped_params,
 )
 
@@ -155,6 +162,46 @@ def test_isolation_check_matches_pairwise_oracle(cloud):
         return None
 
     assert outcome(_check_isolated) == outcome(pairwise_isolation)
+
+
+def _census_outcome(census, p):
+    """repr of the zero list (bit for bit, signed zeros included), or the
+    typed error and its message."""
+    try:
+        return repr(census(p))
+    except TopologyError as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=60)
+@given(params_near_critical())
+def test_census_matches_full_backtrack_oracle(params):
+    # re-evaluating only the seeds that backtrack, and building the Hessian
+    # from the stored velocity, changes no bit of the census
+    p = ModelParams(*params)
+    assert _census_outcome(_newton_census, p) == _census_outcome(full_backtrack_census, p)
+
+
+def test_census_kernel_work(monkeypatch):
+    # k-points sent to velocity_and_gap per census at (R, r) = (3, 1),
+    # Hessian path included; the full-backtrack loop sent 72,564, 306,852
+    # and 164,426 at c = 1.2, 3.2 and 4.5
+    points = []
+
+    def counting(kx, ky, p):
+        points.append(max(np.size(kx), np.size(ky)))
+        return velocity_and_gap(kx, ky, p)
+
+    for module in (blochflow.field, blochflow.zeromode, oracles):
+        monkeypatch.setattr(module, "velocity_and_gap", counting)
+    for c, before in ((1.2, 72564), (3.2, 306852), (4.5, 164426)):
+        p = ModelParams(3, 1, c)
+        points.clear()
+        full_backtrack_census(p)
+        full = sum(points)
+        points.clear()
+        _newton_census(p)
+        assert sum(points) <= min(before, full) / 2, (c, sum(points), full)
 
 
 def test_classify_rules():
