@@ -20,78 +20,28 @@ from .errors import (
     TopologyError,
     ZeroOnLoop,
 )
-from .model import (
-    Band,
-    Frame,
-    HVector,
-    KPoint,
-    ModelParams,
-    axis_distance,
-    band_energy,
-    bloch_vector,
-    frame_regularity,
-    reduce_angle,
-    tangent_frame,
-    write_surface_csv,
-)
-from .field import (
-    Jacobian2,
-    Velocity,
-    velocity_band,
-    velocity_closed,
-    velocity_jacobian,
-)
+from .model import KPoint, ModelParams
 from .zeromode import (
     EulerResult,
     WeightMode,
     ZeroKind,
     ZeroMode,
-    classify,
     euler_characteristic,
     find_zero_modes,
-    index_of,
-    weighted_index_sum,
-    zero_modes_json,
 )
-from .chern import (
-    ChernMethod,
-    ChernResult,
-    chern_direct,
-    chern_plaquette,
-    gap_min,
-    gapless_boundary,
-)
-from .winding import (
-    LoopSpec,
-    WindingResult,
-    winding_hermitian,
-    winding_nonhermitian,
-    winding_planar,
-)
-from .sweep import (
-    PhaseDiagramGrid,
-    SweepAxis,
-    SweepCell,
-    read_grid,
-    sweep_chern,
-    sweep_euler,
-    write_grid,
-)
+from .chern import ChernResult, chern_direct, chern_plaquette, gap_min, gapless_boundary
+from .winding import LoopSpec, WindingResult, winding_hermitian, winding_nonhermitian
+from .sweep import PhaseDiagramGrid, SweepAxis, sweep_chern, sweep_euler
 
 __all__ = [
-    "Band",
-    "ChernMethod",
     "ChernResult",
     "DegenerateField",
     "DegenerateTriangle",
     "DegenerateZero",
     "EulerResult",
-    "Frame",
     "GaplessModel",
     "GaplessPoint",
-    "HVector",
     "InsufficientSampling",
-    "Jacobian2",
     "KPoint",
     "LoopSpec",
     "ModelParams",
@@ -99,39 +49,20 @@ __all__ = [
     "NonIsolatedZero",
     "PhaseDiagramGrid",
     "SweepAxis",
-    "SweepCell",
     "TopologyError",
-    "Velocity",
     "WeightMode",
     "WindingResult",
     "ZeroKind",
     "ZeroMode",
     "ZeroOnLoop",
-    "axis_distance",
-    "band_energy",
-    "bloch_vector",
     "chern_direct",
     "chern_plaquette",
-    "classify",
     "euler_characteristic",
     "find_zero_modes",
-    "frame_regularity",
     "gap_min",
     "gapless_boundary",
-    "index_of",
-    "read_grid",
-    "reduce_angle",
     "sweep_chern",
     "sweep_euler",
-    "tangent_frame",
-    "velocity_band",
-    "velocity_closed",
-    "velocity_jacobian",
-    "weighted_index_sum",
     "winding_hermitian",
     "winding_nonhermitian",
-    "winding_planar",
-    "write_grid",
-    "write_surface_csv",
-    "zero_modes_json",
 ]

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import __version__
 from .chern import chern_direct, chern_json, chern_plaquette
 from .errors import TopologyError
 from .model import KPoint, ModelParams, write_surface_csv
-from .sweep import SweepAxis, sweep_chern, sweep_euler, grid_to_csv, grid_to_json, write_grid
+from .sweep import SweepAxis, sweep_chern, sweep_euler, grid_to_csv, grid_to_json
 from .winding import LoopSpec, winding_hermitian, winding_json
 from .zeromode import WeightMode, euler_characteristic, zero_modes_json
 
@@ -200,6 +201,8 @@ def _cmd_winding(args) -> int:
         cx, cy = (float(v) for v in args.center.split(","))
     except ValueError as e:
         raise _UsageError(f"--center: expected 'kx,ky', got {args.center!r}") from e
+    if not (math.isfinite(cx) and math.isfinite(cy)):
+        raise _UsageError(f"--center: must be finite, got {args.center!r}")
     try:
         loop = LoopSpec.circle(KPoint(cx, cy), args.radius, args.samples)
     except ValueError as e:
@@ -223,11 +226,7 @@ def _cmd_phase_diagram(args) -> int:
             grid = sweep_euler(axes, p)
     except ValueError as e:
         raise _UsageError(f"--axis: {e}") from e
-    if args.out is None:
-        text = grid_to_csv(grid) if args.format == "csv" else grid_to_json(grid)
-        _emit(text, None)
-    else:
-        write_grid(grid, args.out, args.format)
+    _emit(grid_to_csv(grid) if args.format == "csv" else grid_to_json(grid), args.out)
     return 0
 
 

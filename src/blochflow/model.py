@@ -1,4 +1,4 @@
-"""Quantum torus two-band model: Bloch vector, energy bands, tangent frame.
+"""Quantum torus two-band model: parameters, Bloch vector, tangent frame.
 
 The Hamiltonian is H(k) = h(k) . sigma for the real three-component map
 
@@ -10,17 +10,17 @@ vertical axis through (c, 0, 0) oscillates between R - r and R + r, so
 the surface is an embedded (slightly sheared) torus shifted by c >= 0
 along the first axis.  The bands are E = +-|h(k)|.
 
-Everything is smooth and 2*pi-periodic in kx and ky.  Operations taking a
-KPoint reduce it to the fundamental domain [-pi, pi)^2 before evaluating;
-the ``*_components`` helpers broadcast over numpy arrays and are the
-building blocks for the grid computations elsewhere in the package.
+Everything is smooth and 2*pi-periodic in kx and ky.  The Bloch vector
+and its tangent frame are the ``*_components`` kernels, which broadcast
+over numpy arrays of kx and ky; every grid and census computation in the
+package is built on them.  ``KPoint.canonical`` reduces a single point to
+the fundamental domain [-pi, pi)^2.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import TextIO
 
 import numpy as np
@@ -37,9 +37,10 @@ def reduce_angle(x):
 class ModelParams:
     """Torus parameters: major radius R, tube radius r, axis shift c.
 
-    Requires R > r > 0 so the image surface is embedded (never touches its
-    own axis) and c >= 0.  c = 0 is a legal surface but makes the first
-    velocity component vanish identically; the zero-mode census rejects it.
+    Requires finite R > r > 0 so the image surface is embedded (never
+    touches its own axis) and finite c >= 0.  c = 0 is a legal surface but
+    makes the first velocity component vanish identically; the zero-mode
+    census rejects it.
     """
 
     R: float
@@ -47,6 +48,8 @@ class ModelParams:
     c: float = 0.0
 
     def __post_init__(self):
+        if not all(math.isfinite(x) for x in (self.R, self.r, self.c)):
+            raise ValueError(f"parameters must be finite, got R={self.R}, r={self.r}, c={self.c}")
         if not self.r > 0.0:
             raise ValueError(f"tube radius r must be positive, got r={self.r}")
         if not self.R > self.r:
@@ -67,43 +70,6 @@ class KPoint:
     def canonical(self) -> "KPoint":
         """Equivalent representative in the fundamental domain [-pi, pi)^2."""
         return KPoint(float(reduce_angle(self.kx)), float(reduce_angle(self.ky)))
-
-
-class Band(Enum):
-    UPPER = 1
-    LOWER = -1
-
-    @property
-    def sign(self) -> int:
-        return self.value
-
-
-@dataclass(frozen=True)
-class HVector:
-    """Real Bloch vector (hx, hy, hz); its norm is the upper band energy."""
-
-    hx: float
-    hy: float
-    hz: float
-
-    @property
-    def norm(self) -> float:
-        return math.hypot(self.hx, self.hy, self.hz)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.hx, self.hy, self.hz])
-
-
-@dataclass(frozen=True, eq=False)
-class Frame:
-    """Tangent 3-vectors of the image surface along the kx and ky directions.
-
-    For this model the two vectors are orthogonal at every k and their
-    cross product never vanishes, so they form a regular frame.
-    """
-
-    d_kx: np.ndarray
-    d_ky: np.ndarray
 
 
 def axis_distance(ky, p: ModelParams):
@@ -128,26 +94,12 @@ def bloch_components(kx, ky, p: ModelParams):
     return rho * np.cos(kx) + p.c, rho * np.sin(kx), p.r * np.sin(ky)
 
 
-def bloch_vector(k: KPoint, p: ModelParams) -> HVector:
-    """Bloch vector at a single k-point (reduced to the fundamental domain)."""
-    k = k.canonical()
-    hx, hy, hz = bloch_components(k.kx, k.ky, p)
-    return HVector(float(hx), float(hy), float(hz))
-
-
-def band_energy(k: KPoint, p: ModelParams, band: Band = Band.UPPER) -> float:
-    """Signed band energy: band.sign * |h(k)|.
-
-    The two bands mirror each other exactly (particle-hole symmetry).
-    """
-    return band.sign * bloch_vector(k, p).norm
-
-
 def frame_components(kx, ky, p: ModelParams):
     """Tangent-frame components, broadcast over arrays.
 
     Returns (ax, ay, az, bx, by, bz) with (ax, ay, az) = dh/dkx and
-    (bx, by, bz) = dh/dky.
+    (bx, by, bz) = dh/dky.  For this model the two vectors are orthogonal
+    at every k and their cross product never vanishes: a regular frame.
     """
     rho = axis_distance(ky, p)
     drho = axis_distance_derivative(ky, p)
@@ -160,25 +112,6 @@ def frame_components(kx, ky, p: ModelParams):
     by = drho * sx
     bz = p.r * np.cos(ky) * np.ones_like(ax)
     return ax, ay, az, bx, by, bz
-
-
-def tangent_frame(k: KPoint, p: ModelParams) -> Frame:
-    k = k.canonical()
-    ax, ay, az, bx, by, bz = frame_components(k.kx, k.ky, p)
-    return Frame(
-        d_kx=np.array([float(ax), float(ay), float(az)]),
-        d_ky=np.array([float(bx), float(by), float(bz)]),
-    )
-
-
-def frame_regularity(k: KPoint, p: ModelParams) -> float:
-    """Norm of d_kx x d_ky; values near zero mean the frame degenerates.
-
-    Callers decide their own threshold; for valid torus parameters the
-    minimum over the zone is strictly positive.
-    """
-    f = tangent_frame(k, p)
-    return float(np.linalg.norm(np.cross(f.d_kx, f.d_ky)))
 
 
 SURFACE_CSV_HEADER = "kx,ky,hx,hy,hz,vx,vy"

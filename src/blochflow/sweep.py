@@ -20,6 +20,7 @@ Identical sweep inputs produce byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +55,8 @@ class SweepAxis:
     def __post_init__(self):
         if self.name not in _AXIS_NAMES:
             raise ValueError(f"axis name must be one of {_AXIS_NAMES}, got {self.name!r}")
+        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+            raise ValueError(f"axis bounds must be finite, got [{self.start}, {self.stop}]")
         if self.steps < 1:
             raise ValueError(f"axis needs steps >= 1, got {self.steps}")
         if not self.start < self.stop:
@@ -201,24 +204,3 @@ def grid_from_json(text: str) -> PhaseDiagramGrid:
         for c in doc["cells"]
     )
     return PhaseDiagramGrid(axes, cells)
-
-
-def write_grid(grid: PhaseDiagramGrid, path, format: str = "csv") -> None:
-    """Persist a grid; identical grids produce byte-identical files."""
-    if format not in ("csv", "json"):
-        raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
-    text = grid_to_csv(grid) if format == "csv" else grid_to_json(grid)
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    except OSError as e:
-        raise OSError(f"failed to write phase diagram to {path}: {e}") from e
-
-
-def read_grid(path) -> PhaseDiagramGrid:
-    """Load a JSON grid written by write_grid."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return grid_from_json(fh.read())
-    except OSError as e:
-        raise OSError(f"failed to read phase diagram from {path}: {e}") from e

@@ -48,8 +48,10 @@ class LoopSpec:
 
     @classmethod
     def circle(cls, center: KPoint, radius: float, samples: int = DEFAULT_SAMPLES) -> "LoopSpec":
-        if radius <= 0.0:
-            raise ValueError(f"loop radius must be positive, got {radius}")
+        if not (math.isfinite(center.kx) and math.isfinite(center.ky)):
+            raise ValueError(f"loop center must be finite, got ({center.kx}, {center.ky})")
+        if not 0.0 < radius < math.inf:
+            raise ValueError(f"loop radius must be positive and finite, got {radius}")
         if samples < MIN_SAMPLES:
             raise ValueError(f"loop needs at least {MIN_SAMPLES} samples, got {samples}")
         return cls(center=center, radius=radius, samples=samples)

@@ -93,11 +93,6 @@ def index_from_det(det: float) -> int:
     return 1 if det > 0.0 else -1
 
 
-def index_of(z: ZeroMode) -> int:
-    """Recompute the index of a zero mode from its Jacobian determinant."""
-    return index_from_det(z.det)
-
-
 def classify(j: Jacobian2) -> ZeroKind:
     """Saddle for det < 0; sink/source for det > 0 by the trace sign."""
     det = j.det

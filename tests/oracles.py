@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from scipy.optimize import fsolve
 
 from blochflow.errors import GaplessModel, GaplessPoint, NonIsolatedZero
-from blochflow.field import EPS_GAP, Velocity, hessian_components, velocity_and_gap
+from blochflow.field import EPS_GAP, hessian_from_velocity, velocity_and_gap
 from blochflow.model import TWO_PI, bloch_components, frame_components, reduce_angle
 from blochflow.zeromode import (
     DEDUP_RADIUS,
@@ -47,12 +47,12 @@ def generic_velocity_and_gap(kx, ky, p):
 
 
 def velocity_generic(k, p):
-    """Frame-projection velocity at one k-point; raises GaplessPoint if |h| <= EPS_GAP."""
+    """Frame-projection velocity (vx, vy) at one k-point; raises GaplessPoint if |h| <= EPS_GAP."""
     k = k.canonical()
     vx, vy, gap = generic_velocity_and_gap(k.kx, k.ky, p)
     if gap <= EPS_GAP:
         raise GaplessPoint(f"|h| = {float(gap):.3e} at k = ({k.kx}, {k.ky})")
-    return Velocity(float(vx), float(vy))
+    return float(vx), float(vy)
 
 
 def fd_velocity_jacobian(kx, ky, p, step=1e-5):
@@ -237,7 +237,7 @@ def full_backtrack_census(p):
         if active.size == 0:
             break
         x, y, va, vb = px[active], py[active], vx[active], vy[active]
-        hxx, hxy, hyy = hessian_components(x, y, p)
+        hxx, hxy, hyy = hessian_from_velocity(x, y, *velocity_and_gap(x, y, p), p)
         det = hxx * hyy - hxy * hxy
         ok = np.isfinite(det) & (np.abs(det) > 1e-300)
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -6,14 +6,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from blochflow import (
-    ChernMethod,
     ModelParams,
     chern_direct,
     chern_plaquette,
     gap_min,
     gapless_boundary,
 )
-from blochflow.chern import _degree_integrand
+from blochflow.chern import ChernMethod, _degree_integrand
 from blochflow.errors import GaplessModel
 from blochflow.model import bloch_components
 

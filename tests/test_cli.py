@@ -5,9 +5,10 @@ import math
 
 import pytest
 
-from blochflow import ModelParams, find_zero_modes, zero_modes_json
+from blochflow import ModelParams, find_zero_modes
 from blochflow.chern import chern_json, chern_plaquette
 from blochflow.cli import main
+from blochflow.zeromode import zero_modes_json
 
 
 def run(capsys, argv):
@@ -76,6 +77,30 @@ def test_bad_flag_value_exit(capsys):
     assert "--R" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "euler --c nan",
+        "zeros --c inf",
+        "euler --R inf",
+        "chern --c nan",
+        "chern --c inf",
+        "phase-diagram --axis c:0:inf:3",
+        "phase-diagram --axis c:nan:1:3",
+    ],
+)
+def test_non_finite_parameters_exit(capsys, argv):
+    # NaN and inf pass every ordering check, so they must be rejected as such
+    argv = argv.split()
+    flag = "--axis" if "--axis" in argv else "--R/--r/--c"
+    rc, out, err = run(capsys, argv)
+    assert rc == 1
+    assert out == ""
+    assert err.startswith(f"blochflow {argv[0]}: error: {flag}: ")
+    assert "finite" in err
+    assert "Traceback" not in err
+
+
 def test_chern_value(capsys):
     rc, out, _ = run(capsys, ["chern", "--R", "3", "--r", "1", "--c", "3"])
     assert rc == 0
@@ -124,15 +149,19 @@ def test_winding_output(capsys):
 
 
 def test_winding_bad_center(capsys):
-    rc, _, err = run(capsys, ["winding", "--center", "0;0"])
-    assert rc == 1
-    assert "--center" in err
+    for center in ("0;0", "nan,0", "0,inf"):
+        rc, out, err = run(capsys, ["winding", "--center", center])
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("blochflow winding: error: --center: ")
 
 
 def test_winding_bad_radius(capsys):
-    rc, _, err = run(capsys, ["winding", "--radius", "-1"])
-    assert rc == 1
-    assert "--radius" in err
+    for radius in ("-1", "nan", "inf"):
+        rc, out, err = run(capsys, ["winding", "--radius", radius])
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("blochflow winding: error: --radius/--samples: ")
 
 
 def test_phase_diagram_csv(tmp_path, capsys):

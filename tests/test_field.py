@@ -8,17 +8,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import blochflow.field
-from blochflow import (
-    Band,
+from blochflow import KPoint, ModelParams
+from blochflow.errors import GaplessPoint
+from blochflow.field import (
+    EPS_GAP,
     Jacobian2,
-    KPoint,
-    ModelParams,
-    velocity_band,
-    velocity_closed,
+    hessian_from_velocity,
+    velocity_and_gap,
     velocity_jacobian,
 )
-from blochflow.errors import GaplessPoint
-from blochflow.field import hessian_components, velocity_and_gap
 from blochflow.model import bloch_components, frame_components
 
 from oracles import (
@@ -33,24 +31,29 @@ P1 = ModelParams(3, 1, 1)
 
 
 def test_velocity_at_origin_is_zero():
-    v = velocity_closed(KPoint(0, 0), P1)
-    assert (v.vx, v.vy) == (0.0, 0.0)
+    vx, vy, _ = velocity_and_gap(0.0, 0.0, P1)
+    assert (vx, vy) == (0.0, 0.0)
     v = velocity_generic(KPoint(0, 0), ModelParams(2.5, 0.7, 0.4))
-    assert (v.vx, v.vy) == pytest.approx((0.0, 0.0), abs=1e-15)
+    assert v == pytest.approx((0.0, 0.0), abs=1e-15)
 
 
 def test_velocity_halfpi_value():
     # h = (1, 4, 0), |h| = sqrt(17), vx = -rho*c*sin(kx)/|h| = -4/sqrt(17)
-    v = velocity_closed(KPoint(math.pi / 2, 0), P1)
-    assert v.vx == pytest.approx(-4.0 / math.sqrt(17), abs=1e-14)
-    assert v.vy == pytest.approx(0.0, abs=1e-15)
+    vx, vy, gap = velocity_and_gap(math.pi / 2, 0.0, P1)
+    assert vx == pytest.approx(-4.0 / math.sqrt(17), abs=1e-14)
+    assert vy == pytest.approx(0.0, abs=1e-15)
+    assert gap == pytest.approx(math.sqrt(17), abs=1e-14)
 
 
 def test_gapless_point_raises():
+    # the array kernel reports the closed gap; the point entry raises
+    gapless = ModelParams(3, 1, 2)
+    _, _, gap = velocity_and_gap(math.pi, math.pi, gapless)
+    assert gap <= EPS_GAP
     with pytest.raises(GaplessPoint):
-        velocity_closed(KPoint(math.pi, math.pi), ModelParams(3, 1, 2))
+        velocity_jacobian(KPoint(math.pi, math.pi), gapless)
     with pytest.raises(GaplessPoint):
-        velocity_generic(KPoint(math.pi, math.pi), ModelParams(3, 1, 2))
+        velocity_generic(KPoint(math.pi, math.pi), gapless)
 
 
 def test_dual_formula_agreement():
@@ -85,10 +88,10 @@ def test_velocity_bounded_by_frame():
 
 def test_velocity_periodicity():
     rng = np.random.default_rng(6)
-    for kx, ky in rng.uniform(-math.pi, math.pi, (100, 2)):
-        a = velocity_closed(KPoint(kx, ky), P1)
-        b = velocity_closed(KPoint(kx + 2 * math.pi, ky + 2 * math.pi), P1)
-        assert (a.vx, a.vy) == pytest.approx((b.vx, b.vy), abs=1e-12)
+    kx, ky = rng.uniform(-math.pi, math.pi, (2, 100))
+    a = np.array(velocity_and_gap(kx, ky, P1))
+    b = np.array(velocity_and_gap(kx + 2 * math.pi, ky + 2 * math.pi, P1))
+    assert np.allclose(a, b, atol=1e-12)
 
 
 def test_jacobian_sink_at_origin():
@@ -121,7 +124,7 @@ def test_hessian_matches_finite_differences(params, kx, ky):
     p = ModelParams(*params)
     hx, hy, hz = bloch_components(kx, ky, p)
     assume(math.sqrt(hx * hx + hy * hy + hz * hz) >= 0.1)
-    hxx, hxy, hyy = (float(x) for x in hessian_components(kx, ky, p))
+    hxx, hxy, hyy = (float(x) for x in hessian_from_velocity(kx, ky, *velocity_and_gap(kx, ky, p), p))
     m00, m01, m10, m11 = (float(x) for x in fd_velocity_jacobian(kx, ky, p))
     scale = 1.0 + max(abs(hxx), abs(hxy), abs(hyy))
     for got, want in ((hxx, m00), (hxy, m01), (hxy, m10), (hyy, m11)):
@@ -136,7 +139,7 @@ def test_jacobian_gapless_stencil():
 
 def test_jacobian_evaluates_velocity_once(monkeypatch):
     # the velocity behind the gap check also feeds the Hessian, which
-    # equals hessian_components bit for bit
+    # equals the array kernels' Hessian bit for bit
     calls = []
 
     def counting(kx, ky, p):
@@ -146,38 +149,26 @@ def test_jacobian_evaluates_velocity_once(monkeypatch):
     rng = np.random.default_rng(11)
     for kx, ky in rng.uniform(-2 * math.pi, 2 * math.pi, (20, 2)):
         k = KPoint(kx, ky).canonical()
-        want = [float(x) for x in hessian_components(k.kx, k.ky, P1)]
+        want = [float(x) for x in hessian_from_velocity(k.kx, k.ky, *velocity_and_gap(k.kx, k.ky, P1), P1)]
         with monkeypatch.context() as m:
             m.setattr(blochflow.field, "velocity_and_gap", counting)
             calls.clear()
             j = velocity_jacobian(KPoint(kx, ky), P1)
         assert len(calls) == 1
         assert [j.m[0, 0], j.m[0, 1], j.m[1, 1]] == want and j.m[1, 0] == want[1]
-    gapless = ModelParams(3, 1, 2)
-    with pytest.raises(GaplessPoint) as a:
-        velocity_jacobian(KPoint(math.pi, -math.pi), gapless)
-    with pytest.raises(GaplessPoint) as b:
-        velocity_closed(KPoint(math.pi, -math.pi), gapless)
-    assert str(a.value) == str(b.value)
-
-
-def test_band_velocities_are_opposite():
-    rng = np.random.default_rng(8)
-    for kx, ky in rng.uniform(-math.pi, math.pi, (50, 2)):
-        k = KPoint(kx, ky)
-        up = velocity_band(k, P1, Band.UPPER)
-        lo = velocity_band(k, P1, Band.LOWER)
-        assert (lo.vx, lo.vy) == (-up.vx, -up.vy)
+    with pytest.raises(GaplessPoint) as err:
+        velocity_jacobian(KPoint(math.pi, -math.pi), ModelParams(3, 1, 2))
+    assert str(err.value).startswith("|h| = ")
+    assert str(err.value).endswith(f"<= {EPS_GAP:.1e} at k = ({-math.pi}, {-math.pi})")
 
 
 def test_band_zero_sets_and_indexes_coincide():
-    # negating a 2x2 Jacobian keeps its determinant, so indexes match
+    # the lower band -|h| has velocity -v and Jacobian -J: the same zeros,
+    # and negating a 2x2 Jacobian keeps its determinant, so indexes match
     for kx, ky in ((0.0, 0.0), (math.pi, 0.0), (0.0, math.pi), (math.pi, math.pi)):
-        k = KPoint(kx, ky)
-        up = velocity_band(k, P1, Band.UPPER)
-        lo = velocity_band(k, P1, Band.LOWER)
-        assert up.norm <= 1e-12 and lo.norm <= 1e-12
-        j = velocity_jacobian(k, P1)
+        vx, vy, _ = velocity_and_gap(kx, ky, P1)
+        assert math.hypot(vx, vy) <= 1e-12
+        j = velocity_jacobian(KPoint(kx, ky), P1)
         j_lower = Jacobian2(-j.m)
         assert np.sign(j_lower.det) == np.sign(j.det)
         assert j_lower.trace == pytest.approx(-j.trace, abs=1e-12)

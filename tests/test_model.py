@@ -1,4 +1,4 @@
-"""Model layer: parameters, Bloch vector, bands, tangent frame, CSV dump."""
+"""Model layer: parameters, Bloch vector, tangent frame, CSV dump."""
 
 import io
 import math
@@ -7,18 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from blochflow import (
-    Band,
-    KPoint,
-    ModelParams,
+from blochflow import KPoint, ModelParams
+from blochflow.model import (
+    SURFACE_CSV_HEADER,
     axis_distance,
-    band_energy,
-    bloch_vector,
-    frame_regularity,
-    tangent_frame,
+    bloch_components,
+    frame_components,
     write_surface_csv,
 )
-from blochflow.model import SURFACE_CSV_HEADER, bloch_components, frame_components
 
 from oracles import (
     fd_bloch_frame,
@@ -39,6 +35,9 @@ def test_params_validation():
         ModelParams(3, -1, 0)
     with pytest.raises(ValueError):
         ModelParams(3, 1, -0.5)
+    for bad in ((3, 1, math.nan), (3, 1, math.inf), (math.inf, 1, 1), (3, math.nan, 1)):
+        with pytest.raises(ValueError, match="finite"):
+            ModelParams(*bad)
     ModelParams(3, 1, 0)  # c = 0 is constructible (census rejects it later)
 
 
@@ -65,47 +64,32 @@ def test_axis_distance_lower_bound():
 
 
 def test_bloch_vector_values():
-    h = bloch_vector(KPoint(0, 0), P1)
-    assert (h.hx, h.hy, h.hz) == pytest.approx((5.0, 0.0, 0.0), abs=1e-15)
-    h = bloch_vector(KPoint(math.pi, 0), P1)
-    assert (h.hx, h.hy, h.hz) == pytest.approx((-3.0, 0.0, 0.0), abs=1e-15)
+    h = bloch_components(0.0, 0.0, P1)
+    assert h == pytest.approx((5.0, 0.0, 0.0), abs=1e-15)
+    h = bloch_components(math.pi, 0.0, P1)
+    assert h == pytest.approx((-3.0, 0.0, 0.0), abs=1e-15)
     # c = R - r closes the gap at (pi, pi)
-    h = bloch_vector(KPoint(math.pi, math.pi), ModelParams(3, 1, 2))
-    assert h.norm == pytest.approx(0.0, abs=1e-14)
-
-
-def test_band_energies():
-    assert band_energy(KPoint(0, 0), P1, Band.UPPER) == pytest.approx(5.0, abs=1e-15)
-    assert band_energy(KPoint(0, 0), P1, Band.LOWER) == pytest.approx(-5.0, abs=1e-15)
-    assert band_energy(KPoint(math.pi, math.pi), ModelParams(3, 1, 2), Band.UPPER) == pytest.approx(
-        0.0, abs=1e-14
-    )
-
-
-def test_particle_hole_symmetry_exact():
-    rng = np.random.default_rng(2)
-    for kx, ky in rng.uniform(-math.pi, math.pi, (200, 2)):
-        k = KPoint(kx, ky)
-        assert band_energy(k, P1, Band.LOWER) == -band_energy(k, P1, Band.UPPER)
+    hx, hy, hz = bloch_components(math.pi, math.pi, ModelParams(3, 1, 2))
+    assert math.hypot(hx, hy, hz) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_periodicity():
     rng = np.random.default_rng(3)
-    for kx, ky in rng.uniform(-math.pi, math.pi, (100, 2)):
-        a = bloch_vector(KPoint(kx, ky), P1)
-        b = bloch_vector(KPoint(kx + 2 * math.pi, ky), P1)
-        c = bloch_vector(KPoint(kx, ky + 2 * math.pi), P1)
-        for u, v in ((a, b), (a, c)):
-            assert np.allclose(u.as_array(), v.as_array(), atol=1e-12)
+    kx, ky = rng.uniform(-math.pi, math.pi, (2, 100))
+    a = np.array(bloch_components(kx, ky, P1))
+    b = np.array(bloch_components(kx + 2 * math.pi, ky, P1))
+    c = np.array(bloch_components(kx, ky + 2 * math.pi, P1))
+    assert np.allclose(a, b, atol=1e-12)
+    assert np.allclose(a, c, atol=1e-12)
 
 
 def test_frame_analytic_values():
-    f = tangent_frame(KPoint(0, 0), P1)
-    assert f.d_kx == pytest.approx([0.0, 4.0, 0.0], abs=1e-15)
-    assert f.d_ky == pytest.approx([0.0, 0.0, 1.0], abs=1e-15)
-    f = tangent_frame(KPoint(math.pi / 2, math.pi / 2), P1)
-    assert f.d_kx == pytest.approx([-math.sqrt(10), 0.0, 0.0], abs=1e-15)
-    assert f.d_ky == pytest.approx([0.0, -3.0 / math.sqrt(10), 0.0], abs=1e-15)
+    ax, ay, az, bx, by, bz = frame_components(0.0, 0.0, P1)
+    assert (ax, ay, az) == pytest.approx((0.0, 4.0, 0.0), abs=1e-15)
+    assert (bx, by, bz) == pytest.approx((0.0, 0.0, 1.0), abs=1e-15)
+    ax, ay, az, bx, by, bz = frame_components(math.pi / 2, math.pi / 2, P1)
+    assert (ax, ay, az) == pytest.approx((-math.sqrt(10), 0.0, 0.0), abs=1e-15)
+    assert (bx, by, bz) == pytest.approx((0.0, -3.0 / math.sqrt(10), 0.0), abs=1e-15)
 
 
 def test_frame_matches_finite_differences():
@@ -129,13 +113,13 @@ def test_frame_orthogonality():
 
 
 def test_frame_regularity():
-    # |(0,4,0) x (0,0,1)| = |(4,0,0)| = 4
-    assert frame_regularity(KPoint(0, 0), P1) == pytest.approx(4.0, abs=1e-12)
+    # |d_kx x d_ky| never vanishes; at the origin |(0,4,0) x (0,0,1)| = 4
     t = np.linspace(-math.pi, math.pi, 101)
-    worst = min(
-        frame_regularity(KPoint(kx, ky), P1) for kx in t[::10] for ky in t
-    )
-    assert worst > 0.0
+    kx, ky = np.meshgrid(t, t, indexing="ij")
+    ax, ay, az, bx, by, bz = frame_components(kx, ky, P1)
+    norm = np.linalg.norm(np.cross(np.stack([ax, ay, az], -1), np.stack([bx, by, bz], -1)), axis=-1)
+    assert norm[50, 50] == pytest.approx(4.0, abs=1e-12)
+    assert np.min(norm) > 0.0
 
 
 def _surface_csv(p, n):

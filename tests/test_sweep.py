@@ -5,15 +5,8 @@ import math
 
 import pytest
 
-from blochflow import (
-    ModelParams,
-    SweepAxis,
-    read_grid,
-    sweep_chern,
-    sweep_euler,
-    write_grid,
-)
-from blochflow.sweep import CSV_HEADER, GAPLESS_THRESHOLD, grid_to_csv, grid_to_json
+from blochflow import ModelParams, SweepAxis, sweep_chern, sweep_euler
+from blochflow.sweep import CSV_HEADER, GAPLESS_THRESHOLD, grid_from_json, grid_to_csv, grid_to_json
 
 BASE = ModelParams(3, 1, 1)
 
@@ -25,6 +18,9 @@ def test_axis_validation():
         SweepAxis("c", 1, 0, 5)
     with pytest.raises(ValueError):
         SweepAxis("c", 0, 1, 0)
+    for start, stop in ((0, math.inf), (math.nan, 1), (-math.inf, 1)):
+        with pytest.raises(ValueError, match="finite"):
+            SweepAxis("c", start, stop, 3)
     assert list(SweepAxis("c", 0.5, 2.0, 1).values()) == [0.5]
     assert len(SweepAxis("c", 0.2, 5.8, 57).values()) == 57
 
@@ -105,18 +101,18 @@ def test_invalid_axis_combination_rejected():
         )  # duplicate axis
 
 
-def test_csv_output_shape(tmp_path):
+def test_csv_output_shape():
     grid = sweep_euler([SweepAxis("c", 0.5, 1.5, 3)], BASE)
-    path = tmp_path / "grid.csv"
-    write_grid(grid, path, "csv")
-    lines = path.read_text().splitlines()
+    text = grid_to_csv(grid)
+    assert text.endswith("ok\n")
+    lines = text.splitlines()
     assert lines[0] == CSV_HEADER
     assert len(lines) == 1 + 3
     assert all(len(line.split(",")) == 7 for line in lines[1:])
     assert all(line.endswith("ok") for line in lines[1:])
 
 
-def test_output_determinism(tmp_path):
+def test_output_determinism():
     axes = [SweepAxis("c", 1.5, 2.5, 5)]
     a = grid_to_csv(sweep_chern(axes, BASE))
     b = grid_to_csv(sweep_chern(axes, BASE))
@@ -124,19 +120,14 @@ def test_output_determinism(tmp_path):
     ja = grid_to_json(sweep_chern(axes, BASE))
     jb = grid_to_json(sweep_chern(axes, BASE))
     assert ja == jb
-    p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-    write_grid(sweep_chern(axes, BASE), p1, "json")
-    write_grid(sweep_chern(axes, BASE), p2, "json")
-    assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_json_round_trip(tmp_path):
+def test_json_round_trip():
     grid = sweep_chern([SweepAxis("c", 1.8, 2.2, 5)], BASE)
-    path = tmp_path / "grid.json"
-    write_grid(grid, path, "json")
-    loaded = read_grid(path)
-    assert loaded == grid
-    doc = json.loads(path.read_text())
+    text = grid_to_json(grid)
+    assert grid_from_json(text) == grid
+    assert grid_to_json(grid_from_json(text)) == text
+    doc = json.loads(text)
     assert set(doc) == {"axes", "cells"}
 
 
@@ -149,16 +140,3 @@ def test_no_silent_cells():
             assert cell.chern is not None
         else:
             assert cell.chern is None
-
-
-def test_unwritable_path_error():
-    grid = sweep_chern([SweepAxis("c", 3.0, 3.5, 1)], BASE)
-    with pytest.raises(OSError) as err:
-        write_grid(grid, "/nonexistent-dir-xyz/grid.csv", "csv")
-    assert "/nonexistent-dir-xyz/grid.csv" in str(err.value)
-
-
-def test_format_validation():
-    grid = sweep_chern([SweepAxis("c", 3.0, 3.5, 1)], BASE)
-    with pytest.raises(ValueError):
-        write_grid(grid, "ignored.xml", "xml")

@@ -12,10 +12,10 @@ from blochflow import (
     find_zero_modes,
     winding_hermitian,
     winding_nonhermitian,
-    winding_planar,
 )
 from blochflow.errors import GaplessPoint, InsufficientSampling, ZeroOnLoop
 from blochflow.model import bloch_components
+from blochflow.winding import winding_planar
 from blochflow.zeromode import WeightMode
 
 from oracles import unwrap_winding
@@ -68,6 +68,10 @@ def test_planar_input_validation():
 def test_loopspec_validation():
     with pytest.raises(ValueError):
         LoopSpec.circle(KPoint(0, 0), -0.1)
+    bad = ((KPoint(math.nan, 0), 0.3), (KPoint(0, math.inf), 0.3), (KPoint(0, 0), math.nan), (KPoint(0, 0), math.inf))
+    for center, radius in bad:
+        with pytest.raises(ValueError, match="finite"):
+            LoopSpec.circle(center, radius)
     with pytest.raises(ValueError):
         LoopSpec.circle(KPoint(0, 0), 0.3, samples=8)
     with pytest.raises(ValueError):

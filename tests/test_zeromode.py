@@ -9,18 +9,13 @@ import pytest
 from hypothesis import given, settings
 
 from blochflow import (
-    Jacobian2,
     KPoint,
     ModelParams,
     WeightMode,
     ZeroKind,
     ZeroMode,
-    classify,
     euler_characteristic,
     find_zero_modes,
-    index_of,
-    weighted_index_sum,
-    zero_modes_json,
 )
 import blochflow.field
 import blochflow.zeromode
@@ -32,9 +27,18 @@ from blochflow.errors import (
     NonIsolatedZero,
     TopologyError,
 )
-from blochflow.field import velocity_and_gap
+from blochflow.field import Jacobian2, velocity_and_gap
 from blochflow.model import axis_distance
-from blochflow.zeromode import _check_isolated, _dedup, _newton_census, index_from_det, torus_distance
+from blochflow.zeromode import (
+    _check_isolated,
+    _dedup,
+    _newton_census,
+    classify,
+    index_from_det,
+    torus_distance,
+    weighted_index_sum,
+    zero_modes_json,
+)
 
 import oracles
 from oracles import (
@@ -222,7 +226,7 @@ def test_index_rules():
         index_from_det(1e-9)
     modes = find_zero_modes(P1)
     for z in modes:
-        assert index_of(z) == z.index
+        assert index_from_det(z.det) == z.index
         assert z.index == (1 if z.det > 0 else -1)
 
 
