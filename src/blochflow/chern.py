@@ -33,7 +33,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DegenerateTriangle, GaplessModel
-from .model import TWO_PI, ModelParams, bloch_components, frame_components
+from .model import TWO_PI, ModelParams, _kx_pi_cubic, bloch_components, frame_components
 
 EPS_GAP_CHERN = 1e-6
 # chern_plaquette doubles its grid at most this many times before giving up.
@@ -85,15 +85,12 @@ def gap_min(p: ModelParams) -> float:
         |h|^2 = (rho - c)^2 + r^2 (1 - u^2),   rho^2 = R^2 + r^2 + 2 R r u,
 
     whose stationary points are u = -+1 and the roots of the cubic
-    (R^2 + r^2 + 2 R r u)(R - r u)^2 - c^2 R^2 = 0.  Every root is clipped
-    into [-1, 1] and evaluated: any such u is a real point of the line,
-    so a spurious candidate can never lower the minimum.
+    ``model._kx_pi_cubic``.  Every root is clipped into [-1, 1] and
+    evaluated: any such u is a real point of the line, so a spurious
+    candidate can never lower the minimum.
     """
     R, r, c = p.R, p.r, p.c
-    a, b = R * R + r * r, 2.0 * R * r
-    # (a + b u)(R - r u)^2 - c^2 R^2 with a = R^2 + r^2, b = 2 R r, expanded in u
-    cubic = [b * r * r, a * r * r - 2.0 * b * R * r, b * R * R - 2.0 * a * R * r, (a - c * c) * R * R]
-    roots = np.roots(cubic)
+    roots = np.roots(_kx_pi_cubic(p))
     u = np.concatenate(([-1.0, 1.0], np.clip(roots.real, -1.0, 1.0)))
     sin_sq = 1.0 - u * u
     rho = np.sqrt((R + r * u) ** 2 + r * r * sin_sq)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from . import __version__
@@ -259,7 +260,14 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        return _HANDLERS[args.command](args)
+        status = _HANDLERS[args.command](args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader closed stdout early (`| head`): exit quietly, and point
+        # stdout at devnull so the interpreter's final flush does not fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except _UsageError as e:
         sys.stderr.write(f"blochflow {args.command}: error: {e}\n")
         return 1

@@ -26,7 +26,7 @@ class DegenerateZero(TopologyError):
 
 
 class NonIsolatedZero(TopologyError):
-    """Two converged zeros sit closer than the isolation radius."""
+    """Two zeros crowd each other, or c is so close to a bifurcation that they would."""
 
 
 class NonIntegralSum(TopologyError):

@@ -88,6 +88,17 @@ def axis_distance_derivative(ky, p: ModelParams):
     return -p.r * p.R * np.sin(ky) / axis_distance(ky, p)
 
 
+def _kx_pi_cubic(p: ModelParams) -> list:
+    """Coefficients, highest power first, of (R^2 + r^2 + 2 R r u)(R - r u)^2 - c^2 R^2.
+
+    Its roots u = cos ky in (-1, 1) are where rho (1 - (r/R) u) = c: the
+    stationary points of |h| on kx = pi off ky in {0, pi}, and the zeros of v there.
+    """
+    R, r, c = p.R, p.r, p.c
+    a, b = R * R + r * r, 2.0 * R * r
+    return [b * r * r, a * r * r - 2.0 * b * R * r, b * R * R - 2.0 * a * R * r, (a - c * c) * R * R]
+
+
 def bloch_components(kx, ky, p: ModelParams):
     """Components (hx, hy, hz) of the Bloch vector; broadcasts over arrays."""
     rho = axis_distance(ky, p)

@@ -1,11 +1,12 @@
 """Zero modes of the velocity field and their index-sum invariant.
 
-Zeros are located by damped Newton iteration started from every node of a
-uniform seed grid, reduced to the fundamental domain, deduplicated with
-the torus metric, and validated as nondegenerate and isolated.  A Newton
-step that would make |v| grow is halved, and only those seeds are
-re-evaluated.  Newton and the classification both use the velocity
-Jacobian, which is the closed-form Hessian of |h|: negative determinant
+The zeros are known in closed form.  Since vx = -c rho sin kx / |h|, every
+zero lies on kx in {0, pi}.  Four are fixed, at ky in {0, pi}; the others
+are (pi, -+arccos u) for each root u in (-1, 1) of the cubic that
+``gap_min`` also solves.  Within ``BIFURCATION_MARGIN`` of the pitchfork
+c_p or the fold c_f (``zero_bifurcations``), where the count changes, the
+census raises NonIsolatedZero.  Every zero is then classified by its
+velocity Jacobian, the closed-form Hessian of |h|: negative determinant
 is a saddle (index -1); positive determinant is a sink or source
 depending on the trace sign (index +1).
 
@@ -35,15 +36,12 @@ from .errors import (
     NonIntegralSum,
     NonIsolatedZero,
 )
-from .field import EPS_GAP, Jacobian2, hessian_from_velocity, velocity_and_gap, velocity_jacobian
-from .model import TWO_PI, KPoint, ModelParams, reduce_angle
+from .field import EPS_GAP, Jacobian2, velocity_jacobian
+from .model import TWO_PI, KPoint, ModelParams, _kx_pi_cubic, reduce_angle
 
-# The census runs in one configuration, the one the tests verify: Newton
-# from a 64 x 64 seed grid until |v| (or the Newton step) is at most 1e-12.
-SEEDS_PER_AXIS = 64
-NEWTON_TOL = 1e-12
-MAX_ITER = 50
-DEDUP_RADIUS = 1e-6
+# Within this distance in c of a bifurcation, where zeros are born or merge,
+# the census raises instead of returning nearly singular Jacobians.
+BIFURCATION_MARGIN = 1e-5
 ISOLATION_RADIUS = 1e-3
 DET_EPS = 1e-8
 C_DEGENERATE = 1e-6
@@ -63,7 +61,7 @@ class WeightMode(Enum):
 
 @dataclass(frozen=True, eq=False)
 class ZeroMode:
-    """A converged, classified zero of the velocity field."""
+    """A located, classified zero of the velocity field."""
 
     location: KPoint
     jac: Jacobian2
@@ -103,87 +101,42 @@ def classify(j: Jacobian2) -> ZeroKind:
     return ZeroKind.SINK if j.trace < 0.0 else ZeroKind.SOURCE
 
 
-def _newton_census(p: ModelParams):
-    """Converged canonical zero locations from a uniform Newton seed grid."""
-    ticks = -math.pi + TWO_PI * np.arange(SEEDS_PER_AXIS) / SEEDS_PER_AXIS
-    px, py = (g.ravel() for g in np.meshgrid(ticks, ticks, indexing="ij"))
+def zero_bifurcations(R: float, r: float) -> tuple:
+    """The two axis shifts where the zero count changes: (c_p, c_f).
 
-    vx, vy, gap = velocity_and_gap(px, py, p)
-    min_gap = float(np.min(gap))
-    if min_gap <= EPS_GAP:
-        raise GaplessModel(
-            f"band gap closes on the seed grid (min |h| = {min_gap:.3e}); "
-            "the velocity field is discontinuous there"
-        )
-    vnorm = np.hypot(vx, vy)
-    converged = vnorm <= NEWTON_TOL
-    alive = np.isfinite(vnorm)
-    active = np.flatnonzero(alive & ~converged)
-
-    for _ in range(MAX_ITER):
-        if active.size == 0:
-            break
-        x, y, va, vb = px[active], py[active], vx[active], vy[active]
-        hxx, hxy, hyy = hessian_from_velocity(x, y, va, vb, gap[active], p)
-        det = hxx * hyy - hxy * hxy
-        ok = np.isfinite(det) & (np.abs(det) > 1e-300)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sx = np.where(ok, (hxy * vb - hyy * va) / det, 0.0)
-            sy = np.where(ok, (hxy * va - hxx * vb) / det, 0.0)
-
-        # Damped step: halve wherever |v| would grow.  Only those seeds are
-        # re-evaluated; one still worse after 12 trials keeps the 12th.
-        base = vnorm[active]
-        nx, ny, nvx, nvy, ngap, nnorm = (np.empty_like(x) for _ in range(6))
-        worse = slice(None)
-        for t in range(12):
-            nx[worse] = reduce_angle(x[worse] + 0.5**t * sx[worse])
-            ny[worse] = reduce_angle(y[worse] + 0.5**t * sy[worse])
-            nvx[worse], nvy[worse], ngap[worse] = velocity_and_gap(nx[worse], ny[worse], p)
-            nnorm[worse] = np.hypot(nvx[worse], nvy[worse])
-            worse = np.flatnonzero(~(nnorm <= base))
-            if worse.size == 0:
-                break
-
-        px[active], py[active] = nx, ny
-        vx[active], vy[active], gap[active] = nvx, nvy, ngap
-        vnorm[active] = nnorm
-        dead = ~np.isfinite(nnorm) | (ngap <= EPS_GAP) | ~ok
-        alive[active[dead]] = False
-        # A Newton step within NEWTON_TOL also counts: next to a gap closing
-        # the rounding floor of |v| (about eps rho c / |h|) can stay above it.
-        done = (nnorm <= NEWTON_TOL) | (np.hypot(sx, sy) <= NEWTON_TOL)
-        converged[active[done]] = True
-        active = active[~dead & ~done]
-
-    keep = converged & alive
-    cx = reduce_angle(px[keep])
-    cy = reduce_angle(py[keep])
-    cn = vnorm[keep]
-
-    reps_x, reps_y = _dedup(cx, cy, cn)
-    _check_isolated(reps_x, reps_y)
-    return sorted(zip(reps_x, reps_y))
-
-
-def _dedup(cx, cy, cn):
-    """Distinct points of a converged cloud, best |v| first.
-
-    Each pass keeps the best remaining point and drops every remaining
-    point within DEDUP_RADIUS of it, so the loop runs once per distinct
-    zero.  Returns the kept coordinates in the order they were kept.
+    On kx = pi the zeros off ky in {0, pi} solve g(u) = c, with
+    g(u) = rho (1 - (r/R) u) and u = cos ky.  Since g(-1) = g(1) = c_p, a
+    zero pair splits off each of (pi, 0) and (pi, pi) at the pitchfork c_p;
+    the pairs merge again at the fold c_f, the maximum of g at u = -r/(3R).
     """
-    order = np.argsort(cn, kind="stable")
-    cx, cy = cx[order], cy[order]
-    reps_x: list[float] = []
-    reps_y: list[float] = []
-    while cx.size:
-        x, y = float(cx[0]), float(cy[0])
-        reps_x.append(x)
-        reps_y.append(y)
-        far = ~(torus_distance(x, y, cx, cy) < DEDUP_RADIUS)
-        cx, cy = cx[far], cy[far]
-    return reps_x, reps_y
+    return (R * R - r * r) / R, (R * R + r * r / 3.0) ** 1.5 / (R * R)
+
+
+def _closed_form_census(p: ModelParams):
+    """Canonical zero locations, sorted: the four fixed zeros and the cubic's."""
+    if p.c <= C_DEGENERATE:
+        raise DegenerateField(
+            f"axis shift c = {p.c} makes the kx-velocity vanish identically: "
+            "the zero set consists of curves, not isolated points"
+        )
+    # |h| at (pi, pi) and (pi, 0), the only points where the gap can close
+    gap = min(abs(p.c - (p.R - p.r)), abs(p.c - (p.R + p.r)))
+    if gap <= EPS_GAP:
+        raise GaplessModel(f"band gap closes at a fixed zero (|h| = {gap:.3e}); the velocity is undefined there")
+    c_p, c_f = zero_bifurcations(p.R, p.r)
+    if min(abs(p.c - c_p), abs(p.c - c_f)) <= BIFURCATION_MARGIN:
+        raise NonIsolatedZero(
+            f"c = {p.c} is within {BIFURCATION_MARGIN:.0e} of the pitchfork c_p = {c_p} or the fold "
+            f"c_f = {c_f}, where zeros on kx = pi are born or merge"
+        )
+    cubic = _kx_pi_cubic(p)
+    u = np.roots(cubic)
+    u = u.real[u.imag == 0.0]
+    u = u - np.polyval(cubic, u) / np.polyval(np.polyder(cubic), u)  # one Newton step polishes each root
+    points = [(-math.pi, -math.pi), (-math.pi, 0.0), (0.0, -math.pi), (0.0, 0.0)]
+    points += [(-math.pi, s * float(ky)) for ky in np.arccos(u[np.abs(u) < 1.0]) for s in (-1.0, 1.0)]
+    _check_isolated(*zip(*points))
+    return sorted(points)
 
 
 def _check_isolated(reps_x, reps_y):
@@ -236,19 +189,6 @@ def _expand_modes(canonical, weight_mode: WeightMode):
     return modes
 
 
-def _canonical_census(p: ModelParams):
-    """Canonical zeros with their Jacobians, after all validity checks."""
-    if p.c <= C_DEGENERATE:
-        raise DegenerateField(
-            f"axis shift c = {p.c} makes the kx-velocity vanish identically: "
-            "the zero set consists of curves, not isolated points"
-        )
-    canonical = []
-    for kx, ky in _newton_census(p):
-        canonical.append((kx, ky, velocity_jacobian(KPoint(kx, ky), p)))
-    return canonical
-
-
 def find_zero_modes(p: ModelParams, weight_mode: WeightMode = WeightMode.CLOSED_BZ) -> list:
     """Locate, validate and classify every zero of the velocity field.
 
@@ -257,11 +197,12 @@ def find_zero_modes(p: ModelParams, weight_mode: WeightMode = WeightMode.CLOSED_
     corner weights (CLOSED_BZ), sorted by location.
 
     Raises DegenerateField when c is (numerically) zero, GaplessModel when
-    the gap closes on the seed grid, DegenerateZero for a Jacobian
-    determinant below threshold, NonIsolatedZero when two distinct zeros
-    crowd each other.
+    the gap closes at a fixed zero, DegenerateZero for a Jacobian
+    determinant below threshold, NonIsolatedZero near a bifurcation or
+    when two distinct zeros crowd each other.
     """
-    return _expand_modes(_canonical_census(p), weight_mode)
+    canonical = [(kx, ky, velocity_jacobian(KPoint(kx, ky), p)) for kx, ky in _closed_form_census(p)]
+    return _expand_modes(canonical, weight_mode)
 
 
 def weighted_index_sum(modes) -> Fraction:
@@ -269,34 +210,25 @@ def weighted_index_sum(modes) -> Fraction:
     return sum((z.weight * z.index for z in modes), Fraction(0))
 
 
-def integral_chi(closed_sum: Fraction, cell_sum: Fraction) -> int:
-    """Validate the two weighted sums and collapse them to an integer chi."""
-    if closed_sum.denominator != 1:
+def integral_chi(total: Fraction) -> int:
+    """Collapse a weighted index sum to an integer chi, or raise NonIntegralSum."""
+    if total.denominator != 1:
         raise NonIntegralSum(
-            f"weighted index sum {closed_sum} is not an integer; "
+            f"weighted index sum {total} is not an integer; "
             "a zero was missed or double counted"
         )
-    if closed_sum != cell_sum:
-        raise NonIntegralSum(
-            f"weight modes disagree: closed-zone sum {closed_sum} vs "
-            f"canonical-cell sum {cell_sum}"
-        )
-    return int(closed_sum)
+    return int(total)
 
 
 def euler_characteristic(p: ModelParams, weight_mode: WeightMode = WeightMode.CLOSED_BZ) -> EulerResult:
     """Euler characteristic as the weighted index sum over all zero modes.
 
-    The sum is accumulated as an exact rational and must be an integer;
-    both weight bookkeeping modes must agree, otherwise the census is
-    inconsistent (a missed or spurious zero) and NonIntegralSum is raised.
+    The sum is accumulated as an exact rational and must be an integer,
+    otherwise the census is inconsistent (a missed or spurious zero) and
+    NonIntegralSum is raised.
     """
-    canonical = _canonical_census(p)
-    closed = _expand_modes(canonical, WeightMode.CLOSED_BZ)
-    cell = _expand_modes(canonical, WeightMode.CANONICAL_CELL)
-    chi = integral_chi(weighted_index_sum(closed), weighted_index_sum(cell))
-    modes = closed if weight_mode is WeightMode.CLOSED_BZ else cell
-    return EulerResult(chi, modes, weight_mode)
+    modes = find_zero_modes(p, weight_mode)
+    return EulerResult(integral_chi(weighted_index_sum(modes)), modes, weight_mode)
 
 
 def zero_modes_json(modes) -> str:

@@ -3,15 +3,14 @@
 Nothing here reuses the code path it is checking: velocities come from
 projecting the tangent frame onto the unit Bloch vector (the library
 differentiates |h| in closed form), zeros are found by a sign-change scan
-plus MINPACK's hybrid solver on that projection (the library census runs
-Newton on the closed form), the minimum gap by dense 2-D scans (the
+plus MINPACK's hybrid solver on that projection (the library census
+solves a cubic), the minimum gap by dense 2-D scans (the
 library solves a cubic on kx = pi), windings by numpy's phase unwrapping,
 derivatives by plain central differences (the Chern integrand included),
-the census dedup by a greedy point-by-point loop (the library drops a
-whole cluster per pass), and the Newton census by re-evaluating every
-active seed at every backtrack halving (the library re-evaluates only
-the seeds whose |v| grew, and reuses their stored velocity for the
-Hessian).
+the isolation check by a pair-by-pair loop (the library builds a distance
+matrix), the zero census by the paper's generic method, damped Newton
+from a seed grid with a greedy dedup (the library solves the model's
+cubic in closed form), and the fold of that census by a dense scan.
 """
 
 import math
@@ -20,19 +19,24 @@ import numpy as np
 from hypothesis import strategies as st
 from scipy.optimize import fsolve
 
-from blochflow.errors import GaplessModel, GaplessPoint, NonIsolatedZero
+from blochflow.errors import DegenerateField, GaplessModel, GaplessPoint, NonIsolatedZero
 from blochflow.field import EPS_GAP, hessian_from_velocity, velocity_and_gap
 from blochflow.model import TWO_PI, bloch_components, frame_components, reduce_angle
 from blochflow.zeromode import (
-    DEDUP_RADIUS,
+    C_DEGENERATE,
     ISOLATION_RADIUS,
-    MAX_ITER,
-    NEWTON_TOL,
-    SEEDS_PER_AXIS,
     _check_isolated,
-    _dedup,
     torus_distance,
+    zero_bifurcations,
 )
+
+# The Newton census: damped Newton from every node of a 64 x 64 seed grid
+# until |v| (or the Newton step) is at most 1e-12, then a dedup of the
+# converged seeds within 1e-6 of each other.
+SEEDS_PER_AXIS = 64
+NEWTON_TOL = 1e-12
+MAX_ITER = 50
+DEDUP_RADIUS = 1e-6
 
 
 def generic_velocity_and_gap(kx, ky, p):
@@ -207,15 +211,17 @@ def converged_clouds(draw):
 
 
 def full_backtrack_census(p):
-    """The Newton census with every active seed re-evaluated at every
-    backtrack halving, and the Hessian re-evaluating the velocity.
+    """The paper's generic census: damped Newton from a uniform seed grid,
+    with every active seed re-evaluated at every backtrack halving.
 
     A seed whose |v| did not grow is evaluated again at the same point
-    until no seed is worse or 12 trials are spent.  Dedup and isolation
-    are the library's (checked against greedy_dedup and
-    pairwise_isolation on their own).  Returns the sorted zero list, or
-    raises the same typed errors as ``_newton_census``.
+    until no seed is worse or 12 trials are spent.  Converged seeds are
+    merged by greedy_dedup; isolation is the library's check (tested
+    against pairwise_isolation on its own).  Returns the sorted canonical
+    zero list, or raises DegenerateField, GaplessModel or NonIsolatedZero.
     """
+    if p.c <= C_DEGENERATE:
+        raise DegenerateField(f"axis shift c = {p.c} makes the kx-velocity vanish identically")
     ticks = -math.pi + TWO_PI * np.arange(SEEDS_PER_AXIS) / SEEDS_PER_AXIS
     gx, gy = np.meshgrid(ticks, ticks, indexing="ij")
     px = gx.ravel().copy()
@@ -266,7 +272,7 @@ def full_backtrack_census(p):
         active = active[~dead & ~done]
 
     keep = converged & alive
-    reps_x, reps_y = _dedup(reduce_angle(px[keep]), reduce_angle(py[keep]), vnorm[keep])
+    reps_x, reps_y = greedy_dedup(reduce_angle(px[keep]), reduce_angle(py[keep]), vnorm[keep])
     _check_isolated(reps_x, reps_y)
     return sorted(zip(reps_x, reps_y))
 
@@ -332,7 +338,7 @@ def census_fold(R, r):
 def critical_shifts(R, r):
     """Axis shifts where the gap closes (R -+ r) or the zero census
     bifurcates on the kx = pi line (the pitchfork and the fold)."""
-    return (R - r, R + r, (R * R - r * r) / R, census_fold(R, r))
+    return (R - r, R + r, *zero_bifurcations(R, r))
 
 
 def random_gapped_params(rng, n_sets, avoid=0.05):

@@ -2,9 +2,13 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import blochflow
 from blochflow import ModelParams, find_zero_modes
 from blochflow.chern import chern_json, chern_plaquette
 from blochflow.cli import main
@@ -209,6 +213,30 @@ def test_field_dump(capsys):
     assert float(row["kx"]) == 0.0 and float(row["ky"]) == 0.0
     assert float(row["hx"]) == 5.0
     assert float(row["vx"]) == 0.0 and float(row["vy"]) == 0.0
+
+
+@pytest.mark.parametrize(
+    "argv, lines",
+    [(["field-dump", "--grid-n", "256"], 1), (["zeros", "--c", "3"], 0)],
+)
+def test_closed_stdout_exits_quietly(argv, lines):
+    # `blochflow ... | head -1`: the reader takes `lines` lines and closes
+    # the pipe.  The zeros output fits in a pipe buffer, so there the reader
+    # is gone before the process starts, or the write could win the race.
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(blochflow.__file__))}
+    r, w = os.pipe()
+    if not lines:
+        os.close(r)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "blochflow", *argv], stdout=w, stderr=subprocess.PIPE, env=env
+    )
+    os.close(w)
+    if lines:
+        with os.fdopen(r) as out:
+            for _ in range(lines):
+                out.readline()
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (1, b"")
 
 
 def test_field_dump_grid_validation(capsys):

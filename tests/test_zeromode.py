@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blochflow import (
     KPoint,
@@ -27,22 +28,22 @@ from blochflow.errors import (
     NonIsolatedZero,
     TopologyError,
 )
-from blochflow.field import Jacobian2, velocity_and_gap
+from blochflow.field import Jacobian2, velocity_and_gap, velocity_jacobian
 from blochflow.model import axis_distance
 from blochflow.zeromode import (
+    BIFURCATION_MARGIN,
     _check_isolated,
-    _dedup,
-    _newton_census,
     classify,
     index_from_det,
     torus_distance,
     weighted_index_sum,
+    zero_bifurcations,
     zero_modes_json,
 )
 
-import oracles
 from oracles import (
     brute_zero_census,
+    census_fold,
     converged_clouds,
     full_backtrack_census,
     greedy_dedup,
@@ -92,13 +93,45 @@ def test_census_canonical_mode():
     assert sorted(z.kind.value for z in modes) == ["saddle", "saddle", "sink", "source"]
 
 
-def test_census_zero_quality():
-    from blochflow.field import velocity_and_gap
+def _near_bifurcation(p):
+    return min(abs(p.c - b) for b in zero_bifurcations(p.R, p.r)) <= BIFURCATION_MARGIN
 
+
+def _canonical_zeros(p):
+    return [(z.location.kx, z.location.ky) for z in find_zero_modes(p, WeightMode.CANONICAL_CELL)]
+
+
+def test_census_zero_quality_reference_params():
     for z in find_zero_modes(P1):
         vx, vy, _ = velocity_and_gap(z.location.kx, z.location.ky, P1)
         assert math.hypot(float(vx), float(vy)) <= 1e-12
         assert abs(z.det) > 1e-8
+
+
+FIXED_ZEROS = [(-PI, -PI), (-PI, 0.0), (0.0, -PI), (0.0, 0.0)]
+
+
+@settings(max_examples=200)
+@given(params_near_critical())
+def test_census_zero_quality(params):
+    # Outside the bifurcation margin the four fixed zeros sit exactly on the
+    # symmetry points (there |v| evaluates to the rounding floor of sin(pi)
+    # over |h|, above 1e-12 near a gap closing); every other zero is a root
+    # of v to 1e-12 with a nondegenerate Jacobian.
+    p = ModelParams(*params)
+    if _near_bifurcation(p):
+        return
+    try:
+        modes = find_zero_modes(p, WeightMode.CANONICAL_CELL)
+    except (DegenerateField, GaplessModel):
+        return
+    points = [(z.location.kx, z.location.ky) for z in modes]
+    assert [q for q in points if q in FIXED_ZEROS] == FIXED_ZEROS
+    for z in modes:
+        assert abs(z.det) > 1e-8
+        if (z.location.kx, z.location.ky) not in FIXED_ZEROS:
+            vx, vy, _ = velocity_and_gap(z.location.kx, z.location.ky, p)
+            assert math.hypot(float(vx), float(vy)) <= 1e-12
 
 
 def test_degenerate_field_error():
@@ -146,14 +179,6 @@ def test_census_completeness_against_sign_scan():
 
 @settings(max_examples=300)
 @given(converged_clouds())
-def test_dedup_matches_greedy_oracle(cloud):
-    # one pass per kept point picks the same points, in the same order, as
-    # the point-by-point greedy loop, across the kx = -+pi seam too
-    assert _dedup(*cloud) == greedy_dedup(*cloud)
-
-
-@settings(max_examples=300)
-@given(converged_clouds())
 def test_isolation_check_matches_pairwise_oracle(cloud):
     # the distance matrix reports the same first crowded pair as the double loop
     reps = greedy_dedup(*cloud)
@@ -169,43 +194,88 @@ def test_isolation_check_matches_pairwise_oracle(cloud):
 
 
 def _census_outcome(census, p):
-    """repr of the zero list (bit for bit, signed zeros included), or the
-    typed error and its message."""
+    """The zero list, or the class of the typed error."""
     try:
-        return repr(census(p))
+        return census(p)
     except TopologyError as e:
-        return type(e), str(e)
+        return type(e)
+
+
+def _newton_zeros(p):
+    """The Newton oracle's zeros, with the library's nondegeneracy check."""
+    zeros = full_backtrack_census(p)
+    for kx, ky in zeros:
+        index_from_det(velocity_jacobian(KPoint(kx, ky), p).det)
+    return zeros
 
 
 @settings(max_examples=60)
 @given(params_near_critical())
 def test_census_matches_full_backtrack_oracle(params):
-    # re-evaluating only the seeds that backtrack, and building the Hessian
-    # from the stored velocity, changes no bit of the census
+    # the paper's generic Newton census certifies the closed form: outside
+    # the bifurcation margin both find the same zeros or raise the same
+    # typed error; inside it the closed form always raises
     p = ModelParams(*params)
-    assert _census_outcome(_newton_census, p) == _census_outcome(full_backtrack_census, p)
+    mine = _census_outcome(_canonical_zeros, p)
+    if _near_bifurcation(p):
+        assert mine is NonIsolatedZero
+        return
+    ref = _census_outcome(_newton_zeros, p)
+    if not isinstance(ref, list):
+        assert mine is ref
+        return
+    assert isinstance(mine, list) and len(mine) == len(ref)
+    for kx, ky in mine:
+        assert min(float(torus_distance(kx, ky, x, y)) for x, y in ref) < 1e-9
 
 
 def test_census_kernel_work(monkeypatch):
-    # k-points sent to velocity_and_gap per census at (R, r) = (3, 1),
-    # Hessian path included; the full-backtrack loop sent 72,564, 306,852
-    # and 164,426 at c = 1.2, 3.2 and 4.5
+    # the closed form sends velocity_and_gap one point per zero, for its
+    # Jacobian, and nothing else: 4 or 8 points per census
     points = []
 
     def counting(kx, ky, p):
         points.append(max(np.size(kx), np.size(ky)))
         return velocity_and_gap(kx, ky, p)
 
-    for module in (blochflow.field, blochflow.zeromode, oracles):
-        monkeypatch.setattr(module, "velocity_and_gap", counting)
-    for c, before in ((1.2, 72564), (3.2, 306852), (4.5, 164426)):
-        p = ModelParams(3, 1, c)
+    monkeypatch.setattr(blochflow.field, "velocity_and_gap", counting)
+    for c, count in ((1.2, 4), (3.0, 8), (4.5, 4)):
         points.clear()
-        full_backtrack_census(p)
-        full = sum(points)
-        points.clear()
-        _newton_census(p)
-        assert sum(points) <= min(before, full) / 2, (c, sum(points), full)
+        assert len(find_zero_modes(ModelParams(3, 1, c), WeightMode.CANONICAL_CELL)) == count
+        assert points == [1] * count
+
+
+@settings(max_examples=100)
+@given(st.floats(1.5, 4.0), st.floats(0.2, 0.8))
+def test_fold_matches_scan(R, ratio):
+    # the closed-form fold is the maximum that the dense scan approaches
+    # from below, and the bifurcations sit inside the Chern phase
+    r = R * ratio
+    c_p, c_f = zero_bifurcations(R, r)
+    assert 0.0 <= c_f - census_fold(R, r) <= 1e-6 * c_f
+    assert R - r < c_p < c_f < R + r
+
+
+@pytest.mark.parametrize("R, r", [(3.0, 1.0), (2.0, 1.5), (1.2, 1.0), (4.0, 0.8)])
+def test_bifurcation_margin(R, r):
+    # within 1e-5 of c_p or c_f the census raises; just outside it the
+    # zero count is 4 below c_p, 8 between c_p and c_f, 4 above c_f
+    c_p, c_f = zero_bifurcations(R, r)
+    for c in (c_p - 5e-6, c_p + 5e-6, c_f - 5e-6, c_f + 5e-6):
+        with pytest.raises(NonIsolatedZero):
+            find_zero_modes(ModelParams(R, r, c))
+    for c, count in ((c_p - 2e-5, 4), (c_p + 2e-5, 8), (c_f - 2e-5, 8), (c_f + 2e-5, 4)):
+        assert len(_canonical_zeros(ModelParams(R, r, c))) == count
+
+
+def test_pitchfork_end_roots_are_the_fixed_zeros(monkeypatch):
+    # at (R, r) = (2, 1) the cubic at c_p = 3/2 has the exact roots u = -+1,
+    # which are the fixed zeros (pi, pi) and (pi, 0), not new ones; with the
+    # margin switched off, their singular Jacobian is what raises
+    monkeypatch.setattr(blochflow.zeromode, "BIFURCATION_MARGIN", -1.0)
+    assert zero_bifurcations(2.0, 1.0)[0] == 1.5
+    with pytest.raises(DegenerateZero):
+        find_zero_modes(ModelParams(2.0, 1.0, 1.5))
 
 
 def test_classify_rules():
@@ -257,8 +327,8 @@ def test_euler_random_parameter_sweep():
 
 
 def test_census_keeps_edge_zero_near_upper_closing():
-    # 1.5e-3 above c = R + r the seed at (-pi, 0) sits on a zero whose |v|
-    # rounds to about 1.3e-12, above the tolerance; its Newton step does not
+    # 1.5e-3 above c = R + r, |v| at the fixed zero (-pi, 0) rounds to about
+    # 1.3e-12; the census must keep it all the same
     p = ModelParams(3, 1, 4.0015)
     res = euler_characteristic(p, weight_mode=WeightMode.CANONICAL_CELL)
     assert res.chi == 0
@@ -297,11 +367,8 @@ def test_non_integral_sum_detection():
     lone = ZeroMode(KPoint(-PI, 0.3), j, 1.0, 2.0, 1, ZeroKind.SOURCE, Fraction(1, 2))
     assert weighted_index_sum([lone]) == Fraction(1, 2)
     with pytest.raises(NonIntegralSum):
-        integral_chi(weighted_index_sum([lone]), Fraction(0))
-    # integral but inconsistent across weight modes is also rejected
-    with pytest.raises(NonIntegralSum):
-        integral_chi(Fraction(0), Fraction(2))
-    assert integral_chi(Fraction(0), Fraction(0)) == 0
+        integral_chi(weighted_index_sum([lone]))
+    assert integral_chi(Fraction(0)) == 0
 
 
 def test_zero_modes_json_schema():
