@@ -15,7 +15,6 @@ from .errors import (
     GaplessModel,
     GaplessPoint,
     InsufficientSampling,
-    NonIntegralSum,
     NonIsolatedZero,
     TopologyError,
     ZeroOnLoop,
@@ -45,7 +44,6 @@ __all__ = [
     "KPoint",
     "LoopSpec",
     "ModelParams",
-    "NonIntegralSum",
     "NonIsolatedZero",
     "PhaseDiagramGrid",
     "SweepAxis",

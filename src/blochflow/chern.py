@@ -12,9 +12,9 @@ zone torus to the sphere.  Two discretizations are provided:
   This counts the degree exactly, so the raw value lands within 1e-9 of
   an integer whenever the gap is open and the grid resolves the map.
 
-Orientation convention: with (kx, ky) right-handed the overall sign is
-pinned by ``ORIENTATION`` so that the phase whose image surface encloses
-the origin (R - r < c < R + r) carries Chern number +1.
+Orientation convention: with (kx, ky) right-handed, the phase whose
+image surface encloses the origin (R - r < c < R + r) carries Chern
+number +1.
 
 The integrand blows up as the gap closes, so both methods refuse to run
 when the minimum gap drops below ``EPS_GAP_CHERN``.  ``gap_min`` finds
@@ -38,9 +38,6 @@ from .model import TWO_PI, ModelParams, _kx_pi_cubic, bloch_components, frame_co
 EPS_GAP_CHERN = 1e-6
 # chern_plaquette doubles its grid at most this many times before giving up.
 MAX_DOUBLINGS = 3
-# Measured once: the triple-product integrand with right-handed (kx, ky)
-# already gives +1 in the tube-enclosing phase, so the pin is the identity.
-ORIENTATION = 1.0
 
 
 class ChernMethod(Enum):
@@ -129,7 +126,7 @@ def chern_direct(p: ModelParams, n: int = 256) -> ChernResult:
     ticks = -math.pi + (np.arange(n) + 0.5) * step
     kx, ky = np.meshgrid(ticks, ticks, indexing="ij")
 
-    raw = ORIENTATION * float(np.sum(_degree_integrand(kx, ky, p))) * step * step / (4.0 * math.pi)
+    raw = float(np.sum(_degree_integrand(kx, ky, p))) * step * step / (4.0 * math.pi)
     return ChernResult(raw, int(round(raw)), g, ChernMethod.DIRECT_QUADRATURE, n)
 
 
@@ -184,7 +181,7 @@ def chern_plaquette(p: ModelParams, n: int = 64) -> ChernResult:
     for _ in range(MAX_DOUBLINGS + 1):
         total = _solid_angle_sum(_unit_grid(p, m))
         if not math.isnan(total):
-            raw = ORIENTATION * total / (4.0 * math.pi)
+            raw = total / (4.0 * math.pi)
             return ChernResult(raw, int(round(raw)), g, ChernMethod.PLAQUETTE_SOLID_ANGLE, m)
         m *= 2
     raise DegenerateTriangle(

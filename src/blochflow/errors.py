@@ -29,10 +29,6 @@ class NonIsolatedZero(TopologyError):
     """Two zeros crowd each other, or c is so close to a bifurcation that they would."""
 
 
-class NonIntegralSum(TopologyError):
-    """The weighted index sum failed to reduce to an integer."""
-
-
 class ZeroOnLoop(TopologyError):
     """The sampled field vanishes at a point of the integration loop."""
 

@@ -14,38 +14,16 @@ independent, while sinks and sources trade places.
 
 ``velocity_and_gap`` and ``hessian_from_velocity`` broadcast over arrays
 and let NaN/inf propagate where |h| = 0, returning the gap so callers can
-mask.  ``velocity_jacobian`` evaluates one KPoint and raises GaplessPoint
-there when |h| <= ``EPS_GAP``.
+mask.  Callers that need a nonzero gap compare it with ``EPS_GAP``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import GaplessPoint
-from .model import KPoint, ModelParams
+from .model import ModelParams
 
 EPS_GAP = 1e-9
-
-
-@dataclass(frozen=True, eq=False)
-class Jacobian2:
-    """2x2 matrix of velocity derivatives d v_i / d k_j.
-
-    The velocity is a gradient, so this is the Hessian of |h|.
-    """
-
-    m: np.ndarray
-
-    @property
-    def det(self) -> float:
-        return float(self.m[0, 0] * self.m[1, 1] - self.m[0, 1] * self.m[1, 0])
-
-    @property
-    def trace(self) -> float:
-        return float(self.m[0, 0] + self.m[1, 1])
 
 
 def velocity_and_gap(kx, ky, p: ModelParams):
@@ -86,16 +64,3 @@ def hessian_from_velocity(kx, ky, vx, vy, gap, p: ModelParams):
     gyy = -rr * cy - p.c * rr * cx * (cy / rho + rr * sy * sy / rho**3) + p.r**2 * (cy * cy - sy * sy)
     with np.errstate(divide="ignore", invalid="ignore"):
         return (gxx - vx * vx) / gap, (gxy - vx * vy) / gap, (gyy - vy * vy) / gap
-
-
-def velocity_jacobian(k: KPoint, p: ModelParams) -> Jacobian2:
-    """Velocity Jacobian (the Hessian of |h|) at one k-point.
-
-    Raises GaplessPoint if |h| <= EPS_GAP at k.
-    """
-    k = k.canonical()
-    vx, vy, gap = velocity_and_gap(k.kx, k.ky, p)
-    if gap <= EPS_GAP:
-        raise GaplessPoint(f"|h| = {float(gap):.3e} <= {EPS_GAP:.1e} at k = ({k.kx}, {k.ky})")
-    hxx, hxy, hyy = (float(x) for x in hessian_from_velocity(k.kx, k.ky, vx, vy, gap, p))
-    return Jacobian2(np.array([[hxx, hxy], [hxy, hyy]]))

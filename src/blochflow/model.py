@@ -26,6 +26,10 @@ from typing import TextIO
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+# Largest accepted |R|, |r| and |c|.  The degree-4 coefficients of the
+# kx = pi cubic (``_kx_pi_cubic``) then stay below about 1e201 and |h|^2
+# below about 1e101, far from float overflow.
+PARAM_MAX = 1e50
 
 
 def reduce_angle(x):
@@ -37,10 +41,10 @@ def reduce_angle(x):
 class ModelParams:
     """Torus parameters: major radius R, tube radius r, axis shift c.
 
-    Requires finite R > r > 0 so the image surface is embedded (never
-    touches its own axis) and finite c >= 0.  c = 0 is a legal surface but
-    makes the first velocity component vanish identically; the zero-mode
-    census rejects it.
+    Requires R > r > 0 so the image surface is embedded (never touches its
+    own axis) and c >= 0, all at most ``PARAM_MAX``.  c = 0 is a legal
+    surface but makes the first velocity component vanish identically; the
+    zero-mode census rejects it.
     """
 
     R: float
@@ -48,8 +52,10 @@ class ModelParams:
     c: float = 0.0
 
     def __post_init__(self):
-        if not all(math.isfinite(x) for x in (self.R, self.r, self.c)):
-            raise ValueError(f"parameters must be finite, got R={self.R}, r={self.r}, c={self.c}")
+        if not all(abs(x) <= PARAM_MAX for x in (self.R, self.r, self.c)):
+            raise ValueError(
+                f"parameters must be finite and at most {PARAM_MAX:.0e}, got R={self.R}, r={self.r}, c={self.c}"
+            )
         if not self.r > 0.0:
             raise ValueError(f"tube radius r must be positive, got r={self.r}")
         if not self.R > self.r:

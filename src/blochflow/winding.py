@@ -35,6 +35,8 @@ DEFAULT_SAMPLES = 256
 MAX_SAMPLES = 4096
 MAX_INCREMENT = math.pi / 2
 NORM_FLOOR = 1e-12
+# Central-difference step of winding_nonhermitian's band derivative.
+FD_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -153,15 +155,14 @@ def winding_nonhermitian(
     loop: LoopSpec,
     band: Callable[[float, float], complex],
     component: str = "x",
-    fd_step: float = 1e-6,
 ) -> WindingResult:
     """Winding of (Re dE/dk_axis, Im dE/dk_axis) for a complex band energy.
 
     ``band`` maps (kx, ky) to a complex energy; the derivative along the
-    selected axis is taken by central differences.  With a purely real
-    band the imaginary part vanishes identically and the angle is only
-    defined while the real part keeps its sign; loops crossing its zero
-    set raise ZeroOnLoop.
+    selected axis is taken by central differences of step ``FD_STEP``.
+    With a purely real band the imaginary part vanishes identically and
+    the angle is only defined while the real part keeps its sign; loops
+    crossing its zero set raise ZeroOnLoop.
     """
     if component not in ("x", "y"):
         raise ValueError(f"component must be 'x' or 'y', got {component!r}")
@@ -171,10 +172,10 @@ def winding_nonhermitian(
         out = np.empty((kx.size, 2))
         for i in range(kx.size):
             if component == "x":
-                d = band(kx[i] + fd_step, ky[i]) - band(kx[i] - fd_step, ky[i])
+                d = band(kx[i] + FD_STEP, ky[i]) - band(kx[i] - FD_STEP, ky[i])
             else:
-                d = band(kx[i], ky[i] + fd_step) - band(kx[i], ky[i] - fd_step)
-            d = complex(d) / (2.0 * fd_step)
+                d = band(kx[i], ky[i] + FD_STEP) - band(kx[i], ky[i] - FD_STEP)
+            d = complex(d) / (2.0 * FD_STEP)
             out[i, 0] = d.real
             out[i, 1] = d.imag
         return out

@@ -5,38 +5,33 @@ zero lies on kx in {0, pi}.  Four are fixed, at ky in {0, pi}; the others
 are (pi, -+arccos u) for each root u in (-1, 1) of the cubic that
 ``gap_min`` also solves.  Within ``BIFURCATION_MARGIN`` of the pitchfork
 c_p or the fold c_f (``zero_bifurcations``), where the count changes, the
-census raises NonIsolatedZero.  Every zero is then classified by its
-velocity Jacobian, the closed-form Hessian of |h|: negative determinant
-is a saddle (index -1); positive determinant is a sink or source
-depending on the trace sign (index +1).
+census raises NonIsolatedZero.  All zeros are then classified in one
+array pass over their velocity Jacobian, the closed-form Hessian of |h|:
+negative determinant is a saddle (index -1); positive determinant is a
+sink or source depending on the trace sign (index +1).
 
-A zero on the edge of the closed zone [-pi, pi]^2 is shared between two
-copies of the zone and is counted with weight 1/2 (1/4 at the corners,
-shared between four copies).  The weighted index sum, accumulated in
-exact rational arithmetic, is the Euler characteristic of the image
-surface: 0 for every gapped, nondegenerate parameter set of the torus
-model, independent of where the individual zeros sit or how many there
-are.
+The sum of the indexes is the Euler characteristic of the image surface:
+0 for every gapped, nondegenerate parameter set of the torus model,
+independent of where the individual zeros sit or how many there are.
+The census returns its zeros at exact machine values, with kx in
+{-pi, 0} and ky in [-pi, pi), so a zero lies on the edge of the closed
+zone [-pi, pi]^2 exactly when a coordinate equals -pi.  For the
+closed-zone listing such a zero is repeated at +pi on that axis, and
+each of its n copies (2 on an edge, 4 at a corner) gets weight 1/n.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import (
-    DegenerateField,
-    DegenerateZero,
-    GaplessModel,
-    NonIntegralSum,
-    NonIsolatedZero,
-)
-from .field import EPS_GAP, Jacobian2, velocity_jacobian
+from .errors import DegenerateField, DegenerateZero, GaplessModel, NonIsolatedZero
+from .field import EPS_GAP, hessian_from_velocity, velocity_and_gap
 from .model import TWO_PI, KPoint, ModelParams, _kx_pi_cubic, reduce_angle
 
 # Within this distance in c of a bifurcation, where zeros are born or merge,
@@ -45,7 +40,6 @@ BIFURCATION_MARGIN = 1e-5
 ISOLATION_RADIUS = 1e-3
 DET_EPS = 1e-8
 C_DEGENERATE = 1e-6
-EDGE_TOL = 1e-7
 
 
 class ZeroKind(Enum):
@@ -64,19 +58,21 @@ class ZeroMode:
     """A located, classified zero of the velocity field."""
 
     location: KPoint
-    jac: Jacobian2
     det: float
     trace: float
-    index: int
     kind: ZeroKind
     weight: Fraction
+
+    @property
+    def index(self) -> int:
+        """Poincare index: -1 for a saddle, +1 for a sink or source."""
+        return -1 if self.kind is ZeroKind.SADDLE else 1
 
 
 @dataclass(frozen=True, eq=False)
 class EulerResult:
     chi: int
     modes: list
-    weight_mode: WeightMode
 
 
 def torus_distance(ax, ay, bx, by):
@@ -84,21 +80,16 @@ def torus_distance(ax, ay, bx, by):
     return np.hypot(reduce_angle(ax - bx), reduce_angle(ay - by))
 
 
-def index_from_det(det: float) -> int:
-    """Index of a nondegenerate zero: sign of the Jacobian determinant."""
-    if abs(det) <= DET_EPS:
-        raise DegenerateZero(f"|det J| = {abs(det):.3e} <= {DET_EPS:.1e}")
-    return 1 if det > 0.0 else -1
+def classify(det: float, trace: float) -> ZeroKind:
+    """Saddle for det < 0; sink/source for det > 0 by the trace sign.
 
-
-def classify(j: Jacobian2) -> ZeroKind:
-    """Saddle for det < 0; sink/source for det > 0 by the trace sign."""
-    det = j.det
+    Raises DegenerateZero when |det| <= DET_EPS.
+    """
     if abs(det) <= DET_EPS:
         raise DegenerateZero(f"|det J| = {abs(det):.3e} <= {DET_EPS:.1e}")
     if det < 0.0:
         return ZeroKind.SADDLE
-    return ZeroKind.SINK if j.trace < 0.0 else ZeroKind.SOURCE
+    return ZeroKind.SINK if trace < 0.0 else ZeroKind.SOURCE
 
 
 def zero_bifurcations(R: float, r: float) -> tuple:
@@ -157,36 +148,20 @@ def _check_isolated(reps_x, reps_y):
 
 
 def _edge_positions(x: float):
-    """Closed-zone representatives of one coordinate (two when on an edge)."""
-    if min(x + math.pi, math.pi - x) < EDGE_TOL:
-        low = x if x < 0.0 else x - TWO_PI
-        return (low, low + TWO_PI)
-    return (x,)
+    """Closed-zone representatives of one census coordinate (two on the -pi edge)."""
+    return (x, x + TWO_PI) if x == -math.pi else (x,)
 
 
-def _expand_modes(canonical, weight_mode: WeightMode):
-    """Build ZeroMode entries for the requested weight bookkeeping."""
-    modes = []
-    for kx, ky, jac in canonical:
-        det = jac.det
-        trace = jac.trace
-        index = index_from_det(det)
-        kind = classify(jac)
-        if weight_mode is WeightMode.CANONICAL_CELL:
-            modes.append(
-                ZeroMode(KPoint(kx, ky), jac, det, trace, index, kind, Fraction(1))
-            )
-            continue
-        xs = _edge_positions(kx)
-        ys = _edge_positions(ky)
+def _closed_zone_copies(modes):
+    """Every closed-zone representative of the canonical modes, weighted, sorted by location."""
+    copies = []
+    for z in modes:
+        xs = _edge_positions(z.location.kx)
+        ys = _edge_positions(z.location.ky)
         weight = Fraction(1, len(xs) * len(ys))
-        for x in xs:
-            for y in ys:
-                modes.append(
-                    ZeroMode(KPoint(x, y), jac, det, trace, index, kind, weight)
-                )
-    modes.sort(key=lambda z: (z.location.kx, z.location.ky))
-    return modes
+        copies += [replace(z, location=KPoint(x, y), weight=weight) for x in xs for y in ys]
+    copies.sort(key=lambda z: (z.location.kx, z.location.ky))
+    return copies
 
 
 def find_zero_modes(p: ModelParams, weight_mode: WeightMode = WeightMode.CLOSED_BZ) -> list:
@@ -201,34 +176,25 @@ def find_zero_modes(p: ModelParams, weight_mode: WeightMode = WeightMode.CLOSED_
     determinant below threshold, NonIsolatedZero near a bifurcation or
     when two distinct zeros crowd each other.
     """
-    canonical = [(kx, ky, velocity_jacobian(KPoint(kx, ky), p)) for kx, ky in _closed_form_census(p)]
-    return _expand_modes(canonical, weight_mode)
-
-
-def weighted_index_sum(modes) -> Fraction:
-    """Exact rational sum of weight * index over a mode list."""
-    return sum((z.weight * z.index for z in modes), Fraction(0))
-
-
-def integral_chi(total: Fraction) -> int:
-    """Collapse a weighted index sum to an integer chi, or raise NonIntegralSum."""
-    if total.denominator != 1:
-        raise NonIntegralSum(
-            f"weighted index sum {total} is not an integer; "
-            "a zero was missed or double counted"
-        )
-    return int(total)
+    kx, ky = np.array(_closed_form_census(p)).T
+    hxx, hxy, hyy = hessian_from_velocity(kx, ky, *velocity_and_gap(kx, ky, p), p)
+    det, trace = hxx * hyy - hxy * hxy, hxx + hyy
+    modes = [
+        ZeroMode(KPoint(x, y), d, t, classify(d, t), Fraction(1))
+        for x, y, d, t in zip(kx.tolist(), ky.tolist(), det.tolist(), trace.tolist())
+    ]
+    return modes if weight_mode is WeightMode.CANONICAL_CELL else _closed_zone_copies(modes)
 
 
 def euler_characteristic(p: ModelParams, weight_mode: WeightMode = WeightMode.CLOSED_BZ) -> EulerResult:
-    """Euler characteristic as the weighted index sum over all zero modes.
+    """Euler characteristic as the index sum over the canonical zeros (Poincare-Hopf).
 
-    The sum is accumulated as an exact rational and must be an integer,
-    otherwise the census is inconsistent (a missed or spurious zero) and
-    NonIntegralSum is raised.
+    ``modes`` lists the zeros in the requested weight bookkeeping; in
+    either one, the sum of weight * index equals ``chi``.
     """
-    modes = find_zero_modes(p, weight_mode)
-    return EulerResult(integral_chi(weighted_index_sum(modes)), modes, weight_mode)
+    modes = find_zero_modes(p, WeightMode.CANONICAL_CELL)
+    chi = sum(z.index for z in modes)
+    return EulerResult(chi, modes if weight_mode is WeightMode.CANONICAL_CELL else _closed_zone_copies(modes))
 
 
 def zero_modes_json(modes) -> str:

@@ -91,10 +91,17 @@ def test_bad_flag_value_exit(capsys):
         "chern --c inf",
         "phase-diagram --axis c:0:inf:3",
         "phase-diagram --axis c:nan:1:3",
+        "euler --c 1e160",
+        "zeros --R 1e80",
+        "chern --c 1e160",
+        "phase-diagram --axis c:1:1e200:3",
+        "field-dump --R 1e200 --grid-n 2",
+        "winding --R 1e200",
     ],
 )
 def test_non_finite_parameters_exit(capsys, argv):
-    # NaN and inf pass every ordering check, so they must be rejected as such
+    # NaN and inf pass every ordering check, so they must be rejected as
+    # such; finite values above model.PARAM_MAX would overflow the kx = pi cubic
     argv = argv.split()
     flag = "--axis" if "--axis" in argv else "--R/--r/--c"
     rc, out, err = run(capsys, argv)
@@ -103,6 +110,15 @@ def test_non_finite_parameters_exit(capsys, argv):
     assert err.startswith(f"blochflow {argv[0]}: error: {flag}: ")
     assert "finite" in err
     assert "Traceback" not in err
+
+
+def test_parameters_at_the_bound_run(capsys):
+    rc, out, _ = run(capsys, ["euler", "--R", "1e50", "--r", "1e49", "--c", "1e50"])
+    assert rc == 0
+    assert json.loads(out) == {"chi": 0, "zero_modes": 17}
+    rc, out, _ = run(capsys, ["chern", "--R", "1e50", "--r", "1e49", "--c", "1e50"])
+    assert rc == 0
+    assert json.loads(out)["value"] == 1
 
 
 def test_chern_value(capsys):

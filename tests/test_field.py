@@ -7,16 +7,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-import blochflow.field
 from blochflow import KPoint, ModelParams
 from blochflow.errors import GaplessPoint
-from blochflow.field import (
-    EPS_GAP,
-    Jacobian2,
-    hessian_from_velocity,
-    velocity_and_gap,
-    velocity_jacobian,
-)
+from blochflow.field import EPS_GAP, hessian_from_velocity, velocity_and_gap
 from blochflow.model import bloch_components, frame_components
 
 from oracles import (
@@ -28,6 +21,12 @@ from oracles import (
 )
 
 P1 = ModelParams(3, 1, 1)
+
+
+def _hessian(kx, ky, p):
+    """(hxx, hxy, hyy, det, trace) from the array kernels."""
+    hxx, hxy, hyy = hessian_from_velocity(kx, ky, *velocity_and_gap(kx, ky, p), p)
+    return hxx, hxy, hyy, hxx * hyy - hxy * hxy, hxx + hyy
 
 
 def test_velocity_at_origin_is_zero():
@@ -46,12 +45,11 @@ def test_velocity_halfpi_value():
 
 
 def test_gapless_point_raises():
-    # the array kernel reports the closed gap; the point entry raises
+    # the array kernel reports the closed gap for its callers to check;
+    # the frame-projection oracle raises at the point
     gapless = ModelParams(3, 1, 2)
     _, _, gap = velocity_and_gap(math.pi, math.pi, gapless)
     assert gap <= EPS_GAP
-    with pytest.raises(GaplessPoint):
-        velocity_jacobian(KPoint(math.pi, math.pi), gapless)
     with pytest.raises(GaplessPoint):
         velocity_generic(KPoint(math.pi, math.pi), gapless)
 
@@ -96,24 +94,35 @@ def test_velocity_periodicity():
 
 def test_jacobian_sink_at_origin():
     # analytic diagonal: dvx/dkx = -rho c/|h| = -4/5, dvy/dky = -(rR/|h|)(1 + c/rho - r/R)
-    j = velocity_jacobian(KPoint(0, 0), P1)
-    assert j.m[0, 0] == pytest.approx(-0.8, abs=1e-8)
-    assert j.m[1, 1] == pytest.approx(-0.55, abs=1e-8)
-    assert j.det == pytest.approx(0.44, abs=1e-7)
-    assert j.det > 0 and j.trace < 0  # sink
+    hxx, hxy, hyy, det, trace = _hessian(0.0, 0.0, P1)
+    assert hxx == pytest.approx(-0.8, abs=1e-8)
+    assert hyy == pytest.approx(-0.55, abs=1e-8)
+    assert hxy == 0.0
+    assert det == pytest.approx(0.44, abs=1e-7)
+    assert det > 0 and trace < 0  # sink
 
 
 def test_jacobian_saddle_on_edge():
-    j = velocity_jacobian(KPoint(math.pi, 0), P1)
-    assert j.det == pytest.approx(-5.0 / 9.0, abs=1e-7)
-    assert j.det < 0  # saddle
+    _, _, _, det, _ = _hessian(math.pi, 0.0, P1)
+    assert det == pytest.approx(-5.0 / 9.0, abs=1e-7)
+    assert det < 0  # saddle
 
 
 def test_jacobian_symmetry():
+    # the closed-form velocity is a gradient: central differences of it
+    # give a symmetric Jacobian whose off-diagonal is the kernel's hxy
     rng = np.random.default_rng(7)
-    for kx, ky in rng.uniform(-math.pi, math.pi, (100, 2)):
-        j = velocity_jacobian(KPoint(kx, ky), P1)
-        assert abs(j.m[0, 1] - j.m[1, 0]) <= 1e-6
+    kx, ky = rng.uniform(-math.pi, math.pi, (2, 100))
+    step = 1e-5
+    vxp, vyp, _ = velocity_and_gap(kx, ky + step, P1)
+    vxm, vym, _ = velocity_and_gap(kx, ky - step, P1)
+    dvx_dky = (vxp - vxm) / (2 * step)
+    vxp, vyp, _ = velocity_and_gap(kx + step, ky, P1)
+    vxm, vym, _ = velocity_and_gap(kx - step, ky, P1)
+    dvy_dkx = (vyp - vym) / (2 * step)
+    hxy = _hessian(kx, ky, P1)[1]
+    assert np.max(np.abs(dvx_dky - dvy_dkx)) <= 1e-6
+    assert np.max(np.abs(dvx_dky - hxy)) <= 1e-6
 
 
 @settings(max_examples=150)
@@ -131,44 +140,15 @@ def test_hessian_matches_finite_differences(params, kx, ky):
         assert abs(got - want) <= 1e-6 * scale
 
 
-def test_jacobian_gapless_stencil():
-    # the gap check sits at the point itself
-    with pytest.raises(GaplessPoint):
-        velocity_jacobian(KPoint(math.pi, math.pi), ModelParams(3, 1, 2))
-
-
-def test_jacobian_evaluates_velocity_once(monkeypatch):
-    # the velocity behind the gap check also feeds the Hessian, which
-    # equals the array kernels' Hessian bit for bit
-    calls = []
-
-    def counting(kx, ky, p):
-        calls.append((kx, ky))
-        return velocity_and_gap(kx, ky, p)
-
-    rng = np.random.default_rng(11)
-    for kx, ky in rng.uniform(-2 * math.pi, 2 * math.pi, (20, 2)):
-        k = KPoint(kx, ky).canonical()
-        want = [float(x) for x in hessian_from_velocity(k.kx, k.ky, *velocity_and_gap(k.kx, k.ky, P1), P1)]
-        with monkeypatch.context() as m:
-            m.setattr(blochflow.field, "velocity_and_gap", counting)
-            calls.clear()
-            j = velocity_jacobian(KPoint(kx, ky), P1)
-        assert len(calls) == 1
-        assert [j.m[0, 0], j.m[0, 1], j.m[1, 1]] == want and j.m[1, 0] == want[1]
-    with pytest.raises(GaplessPoint) as err:
-        velocity_jacobian(KPoint(math.pi, -math.pi), ModelParams(3, 1, 2))
-    assert str(err.value).startswith("|h| = ")
-    assert str(err.value).endswith(f"<= {EPS_GAP:.1e} at k = ({-math.pi}, {-math.pi})")
-
-
 def test_band_zero_sets_and_indexes_coincide():
     # the lower band -|h| has velocity -v and Jacobian -J: the same zeros,
     # and negating a 2x2 Jacobian keeps its determinant, so indexes match
-    for kx, ky in ((0.0, 0.0), (math.pi, 0.0), (0.0, math.pi), (math.pi, math.pi)):
-        vx, vy, _ = velocity_and_gap(kx, ky, P1)
-        assert math.hypot(vx, vy) <= 1e-12
-        j = velocity_jacobian(KPoint(kx, ky), P1)
-        j_lower = Jacobian2(-j.m)
-        assert np.sign(j_lower.det) == np.sign(j.det)
-        assert j_lower.trace == pytest.approx(-j.trace, abs=1e-12)
+    kx = np.array([0.0, math.pi, 0.0, math.pi])
+    ky = np.array([0.0, 0.0, math.pi, math.pi])
+    vx, vy, _ = velocity_and_gap(kx, ky, P1)
+    assert np.all(np.hypot(vx, vy) <= 1e-12)
+    hxx, hxy, hyy, det, trace = _hessian(kx, ky, P1)
+    lower_det = (-hxx) * (-hyy) - (-hxy) * (-hxy)
+    assert np.all(np.sign(lower_det) == np.sign(det))
+    assert np.all(np.abs(det) > 1e-8)
+    assert np.all((-hxx) + (-hyy) == -trace)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 
 from blochflow import KPoint, ModelParams
 from blochflow.model import (
+    PARAM_MAX,
     SURFACE_CSV_HEADER,
     axis_distance,
     bloch_components,
@@ -35,10 +36,12 @@ def test_params_validation():
         ModelParams(3, -1, 0)
     with pytest.raises(ValueError):
         ModelParams(3, 1, -0.5)
-    for bad in ((3, 1, math.nan), (3, 1, math.inf), (math.inf, 1, 1), (3, math.nan, 1)):
-        with pytest.raises(ValueError, match="finite"):
+    above = math.nextafter(PARAM_MAX, math.inf)
+    for bad in ((3, 1, math.nan), (3, 1, math.inf), (math.inf, 1, 1), (3, math.nan, 1), (3, 1, above), (above, 1, 1)):
+        with pytest.raises(ValueError, match="finite and at most"):
             ModelParams(*bad)
     ModelParams(3, 1, 0)  # c = 0 is constructible (census rejects it later)
+    ModelParams(PARAM_MAX, 1, PARAM_MAX)
 
 
 def test_kpoint_canonical():

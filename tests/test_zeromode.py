@@ -10,33 +10,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blochflow import (
-    KPoint,
+    LoopSpec,
     ModelParams,
     WeightMode,
     ZeroKind,
-    ZeroMode,
     euler_characteristic,
     find_zero_modes,
+    winding_hermitian,
 )
-import blochflow.field
 import blochflow.zeromode
 from blochflow.errors import (
     DegenerateField,
     DegenerateZero,
     GaplessModel,
-    NonIntegralSum,
     NonIsolatedZero,
     TopologyError,
 )
-from blochflow.field import Jacobian2, velocity_and_gap, velocity_jacobian
+from blochflow.field import hessian_from_velocity, velocity_and_gap
 from blochflow.model import axis_distance
 from blochflow.zeromode import (
     BIFURCATION_MARGIN,
     _check_isolated,
     classify,
-    index_from_det,
     torus_distance,
-    weighted_index_sum,
     zero_bifurcations,
     zero_modes_json,
 )
@@ -134,6 +130,70 @@ def test_census_zero_quality(params):
             assert math.hypot(float(vx), float(vy)) <= 1e-12
 
 
+def _census_outside_margin(params):
+    """Parameters and canonical modes for draws outside the bifurcation
+    margin and away from c = 0 and the gap closings, else None."""
+    p = ModelParams(*params)
+    if _near_bifurcation(p):
+        return None
+    try:
+        return p, find_zero_modes(p, WeightMode.CANONICAL_CELL)
+    except (DegenerateField, GaplessModel):
+        return None
+
+
+@settings(max_examples=200)
+@given(params_near_critical())
+def test_index_equals_small_loop_winding(params):
+    # the index two ways: the sign of the Hessian determinant, and the
+    # winding of v on a circle around the zero that encloses no other
+    # zero (radius a quarter of the distance to the nearest one)
+    found = _census_outside_margin(params)
+    if found is None:
+        return
+    p, modes = found
+    kx = np.array([z.location.kx for z in modes])
+    ky = np.array([z.location.ky for z in modes])
+    d = torus_distance(kx[:, None], ky[:, None], kx[None, :], ky[None, :])
+    np.fill_diagonal(d, np.inf)
+    for z, nearest in zip(modes, d.min(axis=1)):
+        assert winding_hermitian(LoopSpec.circle(z.location, nearest / 4.0), p).w == z.index
+
+
+def _closed_zone_images(kx, ky):
+    """Every translate of (kx, ky) by multiples of 2 pi inside [-pi, pi]^2."""
+    shifts = (-2.0 * PI, 0.0, 2.0 * PI)
+    return {
+        (kx + a, ky + b)
+        for a in shifts
+        for b in shifts
+        if -PI <= kx + a <= PI and -PI <= ky + b <= PI
+    }
+
+
+@settings(max_examples=200)
+@given(params_near_critical())
+def test_closed_zone_weights(params):
+    # the closed-zone listing holds every image of every canonical zero in
+    # [-pi, pi]^2, with its classification; the weights of one zero's
+    # images sum to 1, so weight * index sums to chi
+    found = _census_outside_margin(params)
+    if found is None:
+        return
+    p, canonical = found
+    closed = euler_characteristic(p)
+    assert closed.chi == euler_characteristic(p, WeightMode.CANONICAL_CELL).chi == sum(z.index for z in canonical)
+    by_location = {(z.location.kx, z.location.ky): z for z in closed.modes}
+    assert len(by_location) == len(closed.modes)
+    images = [_closed_zone_images(z.location.kx, z.location.ky) for z in canonical]
+    assert set(by_location) == set().union(*images)
+    for z, locations in zip(canonical, images):
+        copies = [by_location[k] for k in locations]
+        assert sum(c.weight for c in copies) == 1
+        assert {(c.det, c.trace, c.index, c.kind) for c in copies} == {(z.det, z.trace, z.index, z.kind)}
+    assert sum(z.weight * z.index for z in closed.modes) == closed.chi
+
+
 def test_degenerate_field_error():
     with pytest.raises(DegenerateField):
         find_zero_modes(ModelParams(3, 1, 0))
@@ -162,7 +222,7 @@ def test_extra_zero_window_census():
     for z in extra:
         g = axis_distance(z.location.ky, P3) * (1 - (P3.r / P3.R) * math.cos(z.location.ky))
         assert g == pytest.approx(P3.c, abs=1e-9)
-    assert weighted_index_sum(modes) == Fraction(0)
+    assert sum(z.weight * z.index for z in modes) == 0
 
 
 def test_census_completeness_against_sign_scan():
@@ -204,8 +264,10 @@ def _census_outcome(census, p):
 def _newton_zeros(p):
     """The Newton oracle's zeros, with the library's nondegeneracy check."""
     zeros = full_backtrack_census(p)
-    for kx, ky in zeros:
-        index_from_det(velocity_jacobian(KPoint(kx, ky), p).det)
+    kx, ky = np.array(zeros).T
+    hxx, hxy, hyy = hessian_from_velocity(kx, ky, *velocity_and_gap(kx, ky, p), p)
+    for det, trace in zip((hxx * hyy - hxy * hxy).tolist(), (hxx + hyy).tolist()):
+        classify(det, trace)
     return zeros
 
 
@@ -230,19 +292,23 @@ def test_census_matches_full_backtrack_oracle(params):
 
 
 def test_census_kernel_work(monkeypatch):
-    # the closed form sends velocity_and_gap one point per zero, for its
-    # Jacobian, and nothing else: 4 or 8 points per census
-    points = []
+    # the closed form evaluates all its zeros in one velocity_and_gap call
+    # and one hessian_from_velocity call: 4 or 8 points per census
+    calls = []
 
-    def counting(kx, ky, p):
-        points.append(max(np.size(kx), np.size(ky)))
-        return velocity_and_gap(kx, ky, p)
+    def counting(kernel):
+        def wrapped(kx, ky, *args):
+            calls.append((kernel.__name__, max(np.size(kx), np.size(ky))))
+            return kernel(kx, ky, *args)
 
-    monkeypatch.setattr(blochflow.field, "velocity_and_gap", counting)
+        return wrapped
+
+    monkeypatch.setattr(blochflow.zeromode, "velocity_and_gap", counting(velocity_and_gap))
+    monkeypatch.setattr(blochflow.zeromode, "hessian_from_velocity", counting(hessian_from_velocity))
     for c, count in ((1.2, 4), (3.0, 8), (4.5, 4)):
-        points.clear()
+        calls.clear()
         assert len(find_zero_modes(ModelParams(3, 1, c), WeightMode.CANONICAL_CELL)) == count
-        assert points == [1] * count
+        assert calls == [("velocity_and_gap", count), ("hessian_from_velocity", count)]
 
 
 @settings(max_examples=100)
@@ -279,25 +345,22 @@ def test_pitchfork_end_roots_are_the_fixed_zeros(monkeypatch):
 
 
 def test_classify_rules():
-    sink = Jacobian2(np.array([[-1.0, 0.0], [0.0, -2.0]]))
-    source = Jacobian2(np.array([[1.0, 0.0], [0.0, 2.0]]))
-    saddle = Jacobian2(np.array([[1.0, 0.0], [0.0, -2.0]]))
-    assert classify(sink) is ZeroKind.SINK
-    assert classify(source) is ZeroKind.SOURCE
-    assert classify(saddle) is ZeroKind.SADDLE
+    # (det, trace) of diag(-1, -2), diag(1, 2), diag(1, -2) and diag(1e-5, 1e-5)
+    assert classify(2.0, -3.0) is ZeroKind.SINK
+    assert classify(2.0, 3.0) is ZeroKind.SOURCE
+    assert classify(-2.0, -1.0) is ZeroKind.SADDLE
+    with pytest.raises(DegenerateZero) as err:
+        classify(1e-10, 2e-5)
+    assert str(err.value) == "|det J| = 1.000e-10 <= 1.0e-08"
     with pytest.raises(DegenerateZero):
-        classify(Jacobian2(np.array([[1e-5, 0.0], [0.0, 1e-5]])))
+        classify(-1e-9, 0.0)
 
 
 def test_index_rules():
-    assert index_from_det(0.44) == 1
-    assert index_from_det(-5.0 / 9.0) == -1
-    with pytest.raises(DegenerateZero):
-        index_from_det(1e-9)
     modes = find_zero_modes(P1)
     for z in modes:
-        assert index_from_det(z.det) == z.index
         assert z.index == (1 if z.det > 0 else -1)
+        assert z.kind is classify(z.det, z.trace)
 
 
 def test_euler_characteristic_reference():
@@ -317,7 +380,7 @@ def test_euler_weight_modes_agree():
         closed = euler_characteristic(p, weight_mode=WeightMode.CLOSED_BZ)
         cell = euler_characteristic(p, weight_mode=WeightMode.CANONICAL_CELL)
         assert closed.chi == cell.chi == 0
-        assert weighted_index_sum(closed.modes) == weighted_index_sum(cell.modes)
+        assert sum(z.weight * z.index for z in closed.modes) == sum(z.index for z in cell.modes)
 
 
 def test_euler_random_parameter_sweep():
@@ -338,11 +401,12 @@ def test_census_keeps_edge_zero_near_upper_closing():
 
 def test_band_independent_census():
     # the census runs on the band-free field; negating it (lower band)
-    # preserves zeros and dets, so indexes cannot change
+    # keeps det and negates the trace, so indexes cannot change while
+    # sinks and sources trade places
+    swap = {ZeroKind.SINK: ZeroKind.SOURCE, ZeroKind.SOURCE: ZeroKind.SINK, ZeroKind.SADDLE: ZeroKind.SADDLE}
     modes = find_zero_modes(P1, weight_mode=WeightMode.CANONICAL_CELL)
     for z in modes:
-        flipped = Jacobian2(-z.jac.m)
-        assert index_from_det(flipped.det) == z.index
+        assert classify(z.det, -z.trace) is swap[z.kind]
 
 
 def test_non_isolated_zero_near_fold():
@@ -357,18 +421,6 @@ def test_degenerate_bifurcation_is_typed_error():
     # refuse with a typed error, never return a broken census
     with pytest.raises((DegenerateZero, NonIsolatedZero)):
         find_zero_modes(ModelParams(3, 1, 8.0 / 3.0))
-
-
-def test_non_integral_sum_detection():
-    from blochflow.zeromode import integral_chi
-
-    # a fabricated lone half-weight zero cannot sum to an integer
-    j = Jacobian2(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    lone = ZeroMode(KPoint(-PI, 0.3), j, 1.0, 2.0, 1, ZeroKind.SOURCE, Fraction(1, 2))
-    assert weighted_index_sum([lone]) == Fraction(1, 2)
-    with pytest.raises(NonIntegralSum):
-        integral_chi(weighted_index_sum([lone]))
-    assert integral_chi(Fraction(0)) == 0
 
 
 def test_zero_modes_json_schema():
