@@ -132,7 +132,6 @@ def frame_components(kx, ky, p: ModelParams):
 
 
 SURFACE_CSV_HEADER = "kx,ky,hx,hy,hz,vx,vy"
-_SURFACE_CSV_ROW = ",".join(["%.17g"] * 7) + "\n"
 
 
 def write_surface_csv(p: ModelParams, n: int, fh: TextIO) -> None:
@@ -141,15 +140,22 @@ def write_surface_csv(p: ModelParams, n: int, fh: TextIO) -> None:
     One row per node, ky the slow index and kx the fast one, floats with
     17 significant digits.  At a k where the bands touch the velocity
     entries are NaN (valid gapped parameters never hit this).
+
+    Rows are streamed one ky line at a time, so memory does not grow with
+    n^2.  The n kx strings are formatted once per dump and ky and hz once
+    per line; only hx, hy, vx and vy are formatted per node.
     """
     if n < 2:
         raise ValueError(f"grid size must be at least 2, got n={n}")
     from .field import velocity_and_gap
 
     ticks = -math.pi + TWO_PI * np.arange(n) / n
-    ky, kx = np.meshgrid(ticks, ticks, indexing="ij")
-    hx, hy, hz = bloch_components(kx, ky, p)
-    vx, vy, _ = velocity_and_gap(kx, ky, p)
+    kx_heads = ["%.17g" % x for x in ticks.tolist()]
     fh.write(SURFACE_CSV_HEADER + "\n")
-    for line in np.stack([kx, ky, hx, hy, hz, vx, vy], axis=-1):  # one ky value each
-        fh.writelines(_SURFACE_CSV_ROW % tuple(row) for row in line.tolist())
+    for y in ticks.tolist():
+        ky = np.full(n, y)
+        hx, hy, hz = bloch_components(ticks, ky, p)
+        vx, vy, _ = velocity_and_gap(ticks, ky, p)
+        # ky and hz are constant along the line; %% leaves the per-node slots for the second pass
+        tail = ",%.17g,%%.17g,%%.17g,%.17g,%%.17g,%%.17g\n" % (y, hz[0])
+        fh.write((tail.join(kx_heads) + tail) % tuple(np.stack([hx, hy, vx, vy], axis=-1).ravel().tolist()))

@@ -3,7 +3,7 @@
 The zeros are known in closed form.  Since vx = -c rho sin kx / |h|, every
 zero lies on kx in {0, pi}.  Four are fixed, at ky in {0, pi}; the others
 are (pi, -+arccos u) for each root u in (-1, 1) of the cubic that
-``gap_min`` also solves.  Within ``BIFURCATION_MARGIN`` of the pitchfork
+``gap_min`` also solves.  Within ``BIFURCATION_MARGIN`` R of the pitchfork
 c_p or the fold c_f (``zero_bifurcations``), where the count changes, the
 census raises NonIsolatedZero.  All zeros are then classified in one
 array pass over their velocity Jacobian, the closed-form Hessian of |h|:
@@ -34,8 +34,13 @@ from .errors import DegenerateField, DegenerateZero, GaplessModel, NonIsolatedZe
 from .field import EPS_GAP, hessian_from_velocity, velocity_and_gap
 from .model import TWO_PI, KPoint, ModelParams, _kx_pi_cubic, reduce_angle
 
-# Within this distance in c of a bifurcation, where zeros are born or merge,
-# the census raises instead of returning nearly singular Jacobians.
+# The model is scale-covariant: scaling R, r and c by s scales h and c by s
+# and the Jacobian determinant by s^2, and leaves the zeros and their kinds
+# unchanged.  So the census thresholds bound scale-free quantities: c / R,
+# the fixed-zero gap / R, the distance in c to a bifurcation / R and
+# det J / R^2.  ISOLATION_RADIUS is a distance in k, scale-free already.
+# Within BIFURCATION_MARGIN R of a bifurcation, where zeros are born or
+# merge, the census raises instead of returning nearly singular Jacobians.
 BIFURCATION_MARGIN = 1e-5
 ISOLATION_RADIUS = 1e-3
 DET_EPS = 1e-8
@@ -80,13 +85,14 @@ def torus_distance(ax, ay, bx, by):
     return np.hypot(reduce_angle(ax - bx), reduce_angle(ay - by))
 
 
-def classify(det: float, trace: float) -> ZeroKind:
+def classify(det: float, trace: float, R: float = 1.0) -> ZeroKind:
     """Saddle for det < 0; sink/source for det > 0 by the trace sign.
 
-    Raises DegenerateZero when |det| <= DET_EPS.
+    Raises DegenerateZero when |det| / R^2 <= DET_EPS, R being the major
+    radius of the model that the Jacobian belongs to.
     """
-    if abs(det) <= DET_EPS:
-        raise DegenerateZero(f"|det J| = {abs(det):.3e} <= {DET_EPS:.1e}")
+    if abs(det) / (R * R) <= DET_EPS:
+        raise DegenerateZero(f"|det J| = {abs(det):.3e} <= {DET_EPS * R * R:.1e}")
     if det < 0.0:
         return ZeroKind.SADDLE
     return ZeroKind.SINK if trace < 0.0 else ZeroKind.SOURCE
@@ -105,19 +111,19 @@ def zero_bifurcations(R: float, r: float) -> tuple:
 
 def _closed_form_census(p: ModelParams):
     """Canonical zero locations, sorted: the four fixed zeros and the cubic's."""
-    if p.c <= C_DEGENERATE:
+    if p.c / p.R <= C_DEGENERATE:
         raise DegenerateField(
             f"axis shift c = {p.c} makes the kx-velocity vanish identically: "
             "the zero set consists of curves, not isolated points"
         )
     # |h| at (pi, pi) and (pi, 0), the only points where the gap can close
     gap = min(abs(p.c - (p.R - p.r)), abs(p.c - (p.R + p.r)))
-    if gap <= EPS_GAP:
+    if gap / p.R <= EPS_GAP:
         raise GaplessModel(f"band gap closes at a fixed zero (|h| = {gap:.3e}); the velocity is undefined there")
     c_p, c_f = zero_bifurcations(p.R, p.r)
-    if min(abs(p.c - c_p), abs(p.c - c_f)) <= BIFURCATION_MARGIN:
+    if min(abs(p.c - c_p), abs(p.c - c_f)) / p.R <= BIFURCATION_MARGIN:
         raise NonIsolatedZero(
-            f"c = {p.c} is within {BIFURCATION_MARGIN:.0e} of the pitchfork c_p = {c_p} or the fold "
+            f"c = {p.c} is within {BIFURCATION_MARGIN:.0e} R of the pitchfork c_p = {c_p} or the fold "
             f"c_f = {c_f}, where zeros on kx = pi are born or merge"
         )
     cubic = _kx_pi_cubic(p)
@@ -180,7 +186,7 @@ def find_zero_modes(p: ModelParams, weight_mode: WeightMode = WeightMode.CLOSED_
     hxx, hxy, hyy = hessian_from_velocity(kx, ky, *velocity_and_gap(kx, ky, p), p)
     det, trace = hxx * hyy - hxy * hxy, hxx + hyy
     modes = [
-        ZeroMode(KPoint(x, y), d, t, classify(d, t), Fraction(1))
+        ZeroMode(KPoint(x, y), d, t, classify(d, t, p.R), Fraction(1))
         for x, y, d, t in zip(kx.tolist(), ky.tolist(), det.tolist(), trace.tolist())
     ]
     return modes if weight_mode is WeightMode.CANONICAL_CELL else _closed_zone_copies(modes)

@@ -220,7 +220,7 @@ def full_backtrack_census(p):
     against pairwise_isolation on its own).  Returns the sorted canonical
     zero list, or raises DegenerateField, GaplessModel or NonIsolatedZero.
     """
-    if p.c <= C_DEGENERATE:
+    if p.c / p.R <= C_DEGENERATE:
         raise DegenerateField(f"axis shift c = {p.c} makes the kx-velocity vanish identically")
     ticks = -math.pi + TWO_PI * np.arange(SEEDS_PER_AXIS) / SEEDS_PER_AXIS
     gx, gy = np.meshgrid(ticks, ticks, indexing="ij")
@@ -229,7 +229,7 @@ def full_backtrack_census(p):
 
     vx, vy, gap = velocity_and_gap(px, py, p)
     min_gap = float(np.min(gap))
-    if min_gap <= EPS_GAP:
+    if min_gap / p.R <= EPS_GAP:
         raise GaplessModel(
             f"band gap closes on the seed grid (min |h| = {min_gap:.3e}); "
             "the velocity field is discontinuous there"

@@ -2,6 +2,7 @@
 
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -148,14 +149,41 @@ def test_surface_csv_grid():
 @given(params_near_critical())
 def test_surface_csv_matches_oracle_rows(params):
     p = ModelParams(*params)
-    lines = _surface_csv(p, 8)
-    assert lines[1:] == surface_csv_rows(p, 8)
-    # the velocity columns also agree with the frame projection
-    rows = np.array([[float(tok) for tok in line.split(",")] for line in lines[1:]])
-    vx, vy, gap = generic_velocity_and_gap(rows[:, 0], rows[:, 1], p)
-    ok = gap > 1e-3
-    assert np.max(np.abs(rows[ok, 5] - vx[ok])) <= 1e-10
-    assert np.max(np.abs(rows[ok, 6] - vy[ok])) <= 1e-10
+    # odd sizes and line lengths that leave unequal tails for vectorized kernels
+    for n in (2, 3, 8, 17, 64):
+        lines = _surface_csv(p, n)
+        assert lines[1:] == surface_csv_rows(p, n)
+        # the velocity columns also agree with the frame projection
+        rows = np.array([[float(tok) for tok in line.split(",")] for line in lines[1:]])
+        vx, vy, gap = generic_velocity_and_gap(rows[:, 0], rows[:, 1], p)
+        ok = gap > 1e-3
+        assert np.max(np.abs(rows[ok, 5] - vx[ok]), initial=0.0) <= 1e-10
+        assert np.max(np.abs(rows[ok, 6] - vy[ok]), initial=0.0) <= 1e-10
+
+
+def test_surface_csv_memory_independent_of_grid_area():
+    # rows are streamed one ky line at a time: one 512 x 512 float64 array
+    # alone would take 2 MB
+    class CountingSink:
+        def __init__(self):
+            self.lines = 0
+
+        def write(self, text):
+            self.lines += text.count("\n")
+
+        def writelines(self, lines):
+            for text in lines:
+                self.write(text)
+
+    sink = CountingSink()
+    tracemalloc.start()
+    try:
+        write_surface_csv(P1, 512, sink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.lines == 1 + 512 * 512
+    assert peak < 1_000_000
 
 
 def test_surface_csv_format():

@@ -90,7 +90,7 @@ def test_census_canonical_mode():
 
 
 def _near_bifurcation(p):
-    return min(abs(p.c - b) for b in zero_bifurcations(p.R, p.r)) <= BIFURCATION_MARGIN
+    return min(abs(p.c - b) for b in zero_bifurcations(p.R, p.r)) / p.R <= BIFURCATION_MARGIN
 
 
 def _canonical_zeros(p):
@@ -267,7 +267,7 @@ def _newton_zeros(p):
     kx, ky = np.array(zeros).T
     hxx, hxy, hyy = hessian_from_velocity(kx, ky, *velocity_and_gap(kx, ky, p), p)
     for det, trace in zip((hxx * hyy - hxy * hxy).tolist(), (hxx + hyy).tolist()):
-        classify(det, trace)
+        classify(det, trace, p.R)
     return zeros
 
 
@@ -324,14 +324,26 @@ def test_fold_matches_scan(R, ratio):
 
 @pytest.mark.parametrize("R, r", [(3.0, 1.0), (2.0, 1.5), (1.2, 1.0), (4.0, 0.8)])
 def test_bifurcation_margin(R, r):
-    # within 1e-5 of c_p or c_f the census raises; just outside it the
-    # zero count is 4 below c_p, 8 between c_p and c_f, 4 above c_f
+    # within the margin of 1e-5 R of c_p or c_f the census raises; just
+    # outside it the zero count is 4 below c_p, 8 between c_p and c_f, 4
+    # above c_f
     c_p, c_f = zero_bifurcations(R, r)
-    for c in (c_p - 5e-6, c_p + 5e-6, c_f - 5e-6, c_f + 5e-6):
+    margin = BIFURCATION_MARGIN * R
+    for c in (c_p - margin / 2, c_p + margin / 2, c_f - margin / 2, c_f + margin / 2):
         with pytest.raises(NonIsolatedZero):
             find_zero_modes(ModelParams(R, r, c))
-    for c, count in ((c_p - 2e-5, 4), (c_p + 2e-5, 8), (c_f - 2e-5, 8), (c_f + 2e-5, 4)):
+    for c, count in ((c_p - 2 * margin, 4), (c_p + 2 * margin, 8), (c_f - 2 * margin, 8), (c_f + 2 * margin, 4)):
         assert len(_canonical_zeros(ModelParams(R, r, c))) == count
+
+
+@pytest.mark.parametrize("s", [1e-6, 1e-4, 1e-3, 1.0, 1e3, 1e5])
+def test_census_is_scale_free(s):
+    # scaling R, r and c together scales h; the zeros and their kinds stay
+    want = [(z.location, z.kind) for z in euler_characteristic(P1).modes]
+    res = euler_characteristic(ModelParams(3 * s, s, s))
+    assert res.chi == 0
+    assert len(res.modes) == 9
+    assert [(z.location, z.kind) for z in res.modes] == want
 
 
 def test_pitchfork_end_roots_are_the_fixed_zeros(monkeypatch):
@@ -354,6 +366,11 @@ def test_classify_rules():
     assert str(err.value) == "|det J| = 1.000e-10 <= 1.0e-08"
     with pytest.raises(DegenerateZero):
         classify(-1e-9, 0.0)
+    # the threshold is on det / R^2: det scales like the square of the parameters
+    assert classify(2e-8, 1.0, R=1e-2) is ZeroKind.SOURCE
+    with pytest.raises(DegenerateZero) as err:
+        classify(5e-8, 1.0, R=3.0)
+    assert str(err.value) == "|det J| = 5.000e-08 <= 9.0e-08"
 
 
 def test_index_rules():
