@@ -5,8 +5,7 @@ zone torus to the sphere.  Two discretizations are provided:
 
 * ``chern_direct``: midpoint quadrature of the triple product
   hhat . (d hhat/dkx x d hhat/dky) / 4pi, evaluated in closed form as
-  h . (dh/dkx x dh/dky) / (4pi |h|^3) from the Bloch vector and its
-  tangent frame;
+  r (rho (rho + c cos kx) cos ky + r R sin^2 ky) / (4pi |h|^3);
 * ``chern_plaquette``: the sum of signed solid angles of the spherical
   triangles spanned by hhat over each grid plaquette, divided by 4pi.
   This counts the degree exactly, so the raw value lands within 1e-9 of
@@ -33,7 +32,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DegenerateTriangle, GaplessModel
-from .model import TWO_PI, ModelParams, _kx_pi_cubic, bloch_components, frame_components
+from .model import TWO_PI, ModelParams, _kx_pi_cubic, _trig_rho, bloch_components
 
 EPS_GAP_CHERN = 1e-6
 # chern_plaquette doubles its grid at most this many times before giving up.
@@ -65,12 +64,13 @@ def _degree_integrand(kx, ky, p: ModelParams):
 
     Differentiating the normalisation only adds multiples of hhat, which
     drop out of the triple product, so the integrand equals
-    h . (dh/dkx x dh/dky) / |h|^3 with dh/dk_i the tangent frame.
+    h . (dh/dkx x dh/dky) / |h|^3.  With dh/dkx = rho (-sin kx, cos kx, 0),
+    dh/dky = (rho' cos kx, rho' sin kx, r cos ky) and rho rho' = -r R sin ky,
+    the triple product is r (rho (rho + c cos kx) cos ky + r R sin^2 ky).
     """
-    hx, hy, hz = bloch_components(kx, ky, p)
-    ax, ay, az, bx, by, bz = frame_components(kx, ky, p)
-    triple = hx * (ay * bz - az * by) + hy * (az * bx - ax * bz) + hz * (ax * by - ay * bx)
-    return triple / (hx * hx + hy * hy + hz * hz) ** 1.5
+    sx, cx, sy, cy, rho = _trig_rho(kx, ky, p)
+    hx, hy, hz = rho * cx + p.c, rho * sx, p.r * sy
+    return p.r * (rho * (rho + p.c * cx) * cy + p.r * p.R * sy * sy) / (hx * hx + hy * hy + hz * hz) ** 1.5
 
 
 def gap_min(p: ModelParams) -> float:

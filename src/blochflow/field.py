@@ -12,31 +12,25 @@ lower band (-|h|) carries the opposite velocity and the negated Hessian,
 so zero locations and Hessian determinant signs (hence indexes) are band
 independent, while sinks and sources trade places.
 
-``velocity_and_gap`` and ``hessian_from_velocity`` broadcast over arrays
-and let NaN/inf propagate where |h| = 0, returning the gap so callers can
-mask.  Callers that need a nonzero gap compare it with ``EPS_GAP``.
+``velocity_and_gap`` and ``hessian`` both take (kx, ky, p), broadcast
+over arrays and evaluate the trig factors and rho once per call
+(``model._trig_rho``); the velocity formula is written once, in
+``_velocity``, and the Hessian builds on it.  NaN/inf propagate where
+|h| = 0: ``velocity_and_gap`` returns the gap so callers can mask, and
+callers that need a nonzero gap compare it with ``EPS_GAP``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .model import ModelParams
+from .model import ModelParams, _trig_rho
 
 EPS_GAP = 1e-9
 
 
-def velocity_and_gap(kx, ky, p: ModelParams):
-    """Closed-form velocity components and the local gap |h|, vectorized.
-
-    Returns (vx, vy, gap).  No gap checks are performed here: at a band
-    touching the division produces NaN/inf, which callers must mask using
-    the returned gap.  This is the hot kernel of the package, so the trig
-    factors are evaluated exactly once.
-    """
-    sx, cx = np.sin(kx), np.cos(kx)
-    sy, cy = np.sin(ky), np.cos(ky)
-    rho = np.sqrt((p.r * sy) ** 2 + (p.R + p.r * cy) ** 2)
+def _velocity(sx, cx, sy, cy, rho, p: ModelParams):
+    """(vx, vy, gap) from the ``_trig_rho`` factors; NaN/inf where |h| = 0."""
     hx = rho * cx + p.c
     hy = rho * sx
     hz = p.r * sy
@@ -48,16 +42,24 @@ def velocity_and_gap(kx, ky, p: ModelParams):
     return vx + 0.0, vy + 0.0, gap
 
 
-def hessian_from_velocity(kx, ky, vx, vy, gap, p: ModelParams):
+def velocity_and_gap(kx, ky, p: ModelParams):
+    """Closed-form velocity components and the local gap |h|, vectorized.
+
+    Returns (vx, vy, gap).  No gap checks are performed here: at a band
+    touching the division produces NaN/inf, which callers must mask using
+    the returned gap.
+    """
+    return _velocity(*_trig_rho(kx, ky, p), p)
+
+
+def hessian(kx, ky, p: ModelParams):
     """Closed-form Hessian entries (hxx, hxy, hyy) of |h|, vectorized.
 
     These are the velocity derivatives dvx/dkx, dvx/dky = dvy/dkx and
-    dvy/dky, built from the ``velocity_and_gap(kx, ky, p)`` a caller
-    already holds.  No gap checks; NaN/inf propagate where |h| = 0.
+    dvy/dky.  No gap checks; NaN/inf propagate where |h| = 0.
     """
-    sx, cx = np.sin(kx), np.cos(kx)
-    sy, cy = np.sin(ky), np.cos(ky)
-    rho = np.sqrt((p.r * sy) ** 2 + (p.R + p.r * cy) ** 2)
+    sx, cx, sy, cy, rho = _trig_rho(kx, ky, p)
+    vx, vy, gap = _velocity(sx, cx, sy, cy, rho, p)
     rr = p.r * p.R
     gxx = -p.c * rho * cx
     gxy = p.c * rr * sx * sy / rho

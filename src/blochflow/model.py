@@ -1,4 +1,4 @@
-"""Quantum torus two-band model: parameters, Bloch vector, tangent frame.
+"""Quantum torus two-band model: parameters and Bloch vector.
 
 The Hamiltonian is H(k) = h(k) . sigma for the real three-component map
 
@@ -10,11 +10,13 @@ vertical axis through (c, 0, 0) oscillates between R - r and R + r, so
 the surface is an embedded (slightly sheared) torus shifted by c >= 0
 along the first axis.  The bands are E = +-|h(k)|.
 
-Everything is smooth and 2*pi-periodic in kx and ky.  The Bloch vector
-and its tangent frame are the ``*_components`` kernels, which broadcast
-over numpy arrays of kx and ky; every grid and census computation in the
-package is built on them.  ``KPoint.canonical`` reduces a single point to
-the fundamental domain [-pi, pi)^2.
+Everything is smooth and 2*pi-periodic in kx and ky.  ``_trig_rho`` is
+the one place that evaluates sin kx, cos kx, sin ky, cos ky and rho(ky);
+the Bloch vector (``bloch_components``), the velocity and its Hessian
+(``field``) and the Chern integrand (``chern``) are all written on its
+factors and broadcast over numpy arrays of kx and ky.
+``KPoint.canonical`` reduces a single point to the fundamental domain
+[-pi, pi)^2.
 """
 
 from __future__ import annotations
@@ -30,6 +32,10 @@ TWO_PI = 2.0 * math.pi
 # kx = pi cubic (``_kx_pi_cubic``) then stay below about 1e201 and |h|^2
 # below about 1e101, far from float overflow.
 PARAM_MAX = 1e50
+# Smallest accepted r, the mirror bound: the leading coefficient of that
+# cubic is 2 R r^3, which R > r >= 1e-50 keeps above 1e-200, far from
+# float underflow.
+PARAM_MIN = 1e-50
 
 
 def reduce_angle(x):
@@ -42,9 +48,9 @@ class ModelParams:
     """Torus parameters: major radius R, tube radius r, axis shift c.
 
     Requires R > r > 0 so the image surface is embedded (never touches its
-    own axis) and c >= 0, all at most ``PARAM_MAX``.  c = 0 is a legal
-    surface but makes the first velocity component vanish identically; the
-    zero-mode census rejects it.
+    own axis) and c >= 0, all at most ``PARAM_MAX``, and r at least
+    ``PARAM_MIN``.  c = 0 is a legal surface but makes the first velocity
+    component vanish identically; the zero-mode census rejects it.
     """
 
     R: float
@@ -52,9 +58,10 @@ class ModelParams:
     c: float = 0.0
 
     def __post_init__(self):
-        if not all(abs(x) <= PARAM_MAX for x in (self.R, self.r, self.c)):
+        if not all(abs(x) <= PARAM_MAX for x in (self.R, self.r, self.c)) or 0.0 < self.r < PARAM_MIN:
             raise ValueError(
-                f"parameters must be finite and at most {PARAM_MAX:.0e}, got R={self.R}, r={self.r}, c={self.c}"
+                f"parameters must be finite and at most {PARAM_MAX:.0e}, with r at least {PARAM_MIN:.0e}, "
+                f"got R={self.R}, r={self.r}, c={self.c}"
             )
         if not self.r > 0.0:
             raise ValueError(f"tube radius r must be positive, got r={self.r}")
@@ -78,20 +85,14 @@ class KPoint:
         return KPoint(float(reduce_angle(self.kx)), float(reduce_angle(self.ky)))
 
 
-def axis_distance(ky, p: ModelParams):
-    """Distance of h(k) from the shifted symmetry axis; depends on ky only.
+def _trig_rho(kx, ky, p: ModelParams):
+    """(sin kx, cos kx, sin ky, cos ky, rho(ky)), each evaluated once; broadcasts.
 
-    Equals sqrt(r^2 sin^2 ky + (R + r cos ky)^2) and is bounded below by
-    R - r > 0 for valid parameters.
+    rho(ky) = sqrt(r^2 sin^2 ky + (R + r cos ky)^2) is the distance of h(k)
+    from the shifted symmetry axis, at least R - r > 0.
     """
-    s = np.sin(ky)
-    co = np.cos(ky)
-    return np.sqrt((p.r * s) ** 2 + (p.R + p.r * co) ** 2)
-
-
-def axis_distance_derivative(ky, p: ModelParams):
-    """d/dky of axis_distance: -r R sin(ky) / axis_distance(ky)."""
-    return -p.r * p.R * np.sin(ky) / axis_distance(ky, p)
+    sy, cy = np.sin(ky), np.cos(ky)
+    return np.sin(kx), np.cos(kx), sy, cy, np.sqrt((p.r * sy) ** 2 + (p.R + p.r * cy) ** 2)
 
 
 def _kx_pi_cubic(p: ModelParams) -> list:
@@ -107,28 +108,8 @@ def _kx_pi_cubic(p: ModelParams) -> list:
 
 def bloch_components(kx, ky, p: ModelParams):
     """Components (hx, hy, hz) of the Bloch vector; broadcasts over arrays."""
-    rho = axis_distance(ky, p)
-    return rho * np.cos(kx) + p.c, rho * np.sin(kx), p.r * np.sin(ky)
-
-
-def frame_components(kx, ky, p: ModelParams):
-    """Tangent-frame components, broadcast over arrays.
-
-    Returns (ax, ay, az, bx, by, bz) with (ax, ay, az) = dh/dkx and
-    (bx, by, bz) = dh/dky.  For this model the two vectors are orthogonal
-    at every k and their cross product never vanishes: a regular frame.
-    """
-    rho = axis_distance(ky, p)
-    drho = axis_distance_derivative(ky, p)
-    sx = np.sin(kx)
-    cx = np.cos(kx)
-    ax = -rho * sx
-    ay = rho * cx
-    az = np.zeros_like(ax)
-    bx = drho * cx
-    by = drho * sx
-    bz = p.r * np.cos(ky) * np.ones_like(ax)
-    return ax, ay, az, bx, by, bz
+    sx, cx, sy, _, rho = _trig_rho(kx, ky, p)
+    return rho * cx + p.c, rho * sx, p.r * sy
 
 
 SURFACE_CSV_HEADER = "kx,ky,hx,hy,hz,vx,vy"

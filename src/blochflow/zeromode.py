@@ -31,7 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DegenerateField, DegenerateZero, GaplessModel, NonIsolatedZero
-from .field import EPS_GAP, hessian_from_velocity, velocity_and_gap
+from .field import EPS_GAP, hessian
 from .model import TWO_PI, KPoint, ModelParams, _kx_pi_cubic, reduce_angle
 
 # The model is scale-covariant: scaling R, r and c by s scales h and c by s
@@ -111,10 +111,15 @@ def zero_bifurcations(R: float, r: float) -> tuple:
 
 def _closed_form_census(p: ModelParams):
     """Canonical zero locations, sorted: the four fixed zeros and the cubic's."""
-    if p.c / p.R <= C_DEGENERATE:
+    if p.c == 0.0:
         raise DegenerateField(
             f"axis shift c = {p.c} makes the kx-velocity vanish identically: "
             "the zero set consists of curves, not isolated points"
+        )
+    if p.c / p.R <= C_DEGENERATE:
+        raise DegenerateField(
+            f"axis shift c / R = {p.c / p.R:.3e} <= {C_DEGENERATE:.0e}: the kx-velocity, "
+            "proportional to c, is too weak to isolate and classify the zeros"
         )
     # |h| at (pi, pi) and (pi, 0), the only points where the gap can close
     gap = min(abs(p.c - (p.R - p.r)), abs(p.c - (p.R + p.r)))
@@ -183,7 +188,7 @@ def find_zero_modes(p: ModelParams, weight_mode: WeightMode = WeightMode.CLOSED_
     when two distinct zeros crowd each other.
     """
     kx, ky = np.array(_closed_form_census(p)).T
-    hxx, hxy, hyy = hessian_from_velocity(kx, ky, *velocity_and_gap(kx, ky, p), p)
+    hxx, hxy, hyy = hessian(kx, ky, p)
     det, trace = hxx * hyy - hxy * hxy, hxx + hyy
     modes = [
         ZeroMode(KPoint(x, y), d, t, classify(d, t, p.R), Fraction(1))

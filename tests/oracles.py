@@ -2,10 +2,11 @@
 
 Nothing here reuses the code path it is checking: velocities come from
 projecting the tangent frame onto the unit Bloch vector (the library
-differentiates |h| in closed form), zeros are found by a sign-change scan
-plus MINPACK's hybrid solver on that projection (the library census
-solves a cubic), the minimum gap by dense 2-D scans (the
-library solves a cubic on kx = pi), windings by numpy's phase unwrapping,
+differentiates |h| in closed form), the Chern integrand from the frame's
+triple product (the library has it worked out by hand), zeros are found
+by a sign-change scan plus MINPACK's hybrid solver on that projection
+(the library census solves a cubic), the minimum gap by dense 2-D scans
+(the library solves a cubic on kx = pi), windings by numpy's phase unwrapping,
 derivatives by plain central differences (the Chern integrand included),
 the isolation check by a pair-by-pair loop (the library builds a distance
 matrix), the zero census by the paper's generic method, damped Newton
@@ -20,8 +21,8 @@ from hypothesis import strategies as st
 from scipy.optimize import fsolve
 
 from blochflow.errors import DegenerateField, GaplessModel, GaplessPoint, NonIsolatedZero
-from blochflow.field import EPS_GAP, hessian_from_velocity, velocity_and_gap
-from blochflow.model import TWO_PI, bloch_components, frame_components, reduce_angle
+from blochflow.field import EPS_GAP, hessian, velocity_and_gap
+from blochflow.model import TWO_PI, bloch_components, reduce_angle
 from blochflow.zeromode import (
     C_DEGENERATE,
     ISOLATION_RADIUS,
@@ -37,6 +38,58 @@ SEEDS_PER_AXIS = 64
 NEWTON_TOL = 1e-12
 MAX_ITER = 50
 DEDUP_RADIUS = 1e-6
+
+
+def axis_distance(ky, p):
+    """Distance of h(k) from the shifted symmetry axis; depends on ky only.
+
+    Equals sqrt(r^2 sin^2 ky + (R + r cos ky)^2) and is bounded below by
+    R - r > 0 for valid parameters.
+    """
+    s = np.sin(ky)
+    co = np.cos(ky)
+    return np.sqrt((p.r * s) ** 2 + (p.R + p.r * co) ** 2)
+
+
+def axis_distance_derivative(ky, p):
+    """d/dky of axis_distance: -r R sin(ky) / axis_distance(ky)."""
+    return -p.r * p.R * np.sin(ky) / axis_distance(ky, p)
+
+
+def frame_components(kx, ky, p):
+    """Tangent-frame components, broadcast over arrays.
+
+    Returns (ax, ay, az, bx, by, bz) with (ax, ay, az) = dh/dkx and
+    (bx, by, bz) = dh/dky.  For this model the two vectors are orthogonal
+    at every k and their cross product never vanishes: a regular frame.
+    """
+    rho = axis_distance(ky, p)
+    drho = axis_distance_derivative(ky, p)
+    sx = np.sin(kx)
+    cx = np.cos(kx)
+    ax = -rho * sx
+    ay = rho * cx
+    az = np.zeros_like(ax)
+    bx = drho * cx
+    by = drho * sx
+    bz = p.r * np.cos(ky) * np.ones_like(ax)
+    return ax, ay, az, bx, by, bz
+
+
+def frame_degree_integrand(kx, ky, p):
+    """h . (dh/dkx x dh/dky) / |h|^3 with the cross product of the tangent frame."""
+    hx, hy, hz = bloch_components(kx, ky, p)
+    ax, ay, az, bx, by, bz = frame_components(kx, ky, p)
+    triple = hx * (ay * bz - az * by) + hy * (az * bx - ax * bz) + hz * (ax * by - ay * bx)
+    return triple / (hx * hx + hy * hy + hz * hz) ** 1.5
+
+
+def frame_chern_direct(p, n):
+    """chern_direct's raw midpoint sum, with ``frame_degree_integrand`` as the integrand."""
+    step = TWO_PI / n
+    ticks = -math.pi + (np.arange(n) + 0.5) * step
+    kx, ky = np.meshgrid(ticks, ticks, indexing="ij")
+    return float(np.sum(frame_degree_integrand(kx, ky, p))) * step * step / (4.0 * math.pi)
 
 
 def generic_velocity_and_gap(kx, ky, p):
@@ -243,7 +296,7 @@ def full_backtrack_census(p):
         if active.size == 0:
             break
         x, y, va, vb = px[active], py[active], vx[active], vy[active]
-        hxx, hxy, hyy = hessian_from_velocity(x, y, *velocity_and_gap(x, y, p), p)
+        hxx, hxy, hyy = hessian(x, y, p)
         det = hxx * hyy - hxy * hxy
         ok = np.isfinite(det) & (np.abs(det) > 1e-300)
         with np.errstate(divide="ignore", invalid="ignore"):

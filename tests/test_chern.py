@@ -16,7 +16,15 @@ from blochflow.chern import ChernMethod, _degree_integrand
 from blochflow.errors import GaplessModel
 from blochflow.model import bloch_components
 
-from oracles import fd_degree_integrand, params_near_critical, random_gapped_params, scan_gap_min
+from oracles import (
+    axis_distance,
+    fd_degree_integrand,
+    frame_chern_direct,
+    frame_degree_integrand,
+    params_near_critical,
+    random_gapped_params,
+    scan_gap_min,
+)
 
 
 def test_gapless_boundary_values():
@@ -53,13 +61,20 @@ def test_gap_min_matches_scan_oracle(params):
 @settings(max_examples=150)
 @given(params_near_critical(), st.floats(-np.pi, np.pi), st.floats(-np.pi, np.pi))
 def test_degree_integrand_matches_finite_differences(params, kx, ky):
-    # closed form h . (dh/dkx x dh/dky) / |h|^3 against central differences
-    # of the unit Bloch vector, up to the closings and bifurcations
+    # the hand-worked r (rho (rho + c cos kx) cos ky + r R sin^2 ky) / |h|^3
+    # against central differences of the unit Bloch vector, and against the
+    # triple product of the tangent frame to rounding, up to the closings
+    # and bifurcations
     p = ModelParams(*params)
     gap = float(np.linalg.norm(bloch_components(kx, ky, p)))
     assume(gap >= 0.05)
     exact = float(_degree_integrand(kx, ky, p))
     assert abs(exact - float(fd_degree_integrand(kx, ky, p))) <= 1e-6 * (1.0 + abs(exact))
+    # near a closing the numerator cancels; both formulas round relative to
+    # the size of its terms, not to the integrand
+    rho = float(axis_distance(ky, p))
+    size = p.r * (rho * (rho + p.c) + p.r * p.R) / gap**3
+    assert abs(exact - float(frame_degree_integrand(kx, ky, p))) <= 1e-12 * size
 
 
 def test_gap_min_matches_boundary_roots():
@@ -80,10 +95,13 @@ def test_chern_plaquette_values(c, value):
 
 @pytest.mark.parametrize("c,value", [(1.0, 0), (3.0, 1), (5.0, 0)])
 def test_chern_direct_values(c, value):
-    res = chern_direct(ModelParams(3, 1, c), 256)
+    p = ModelParams(3, 1, c)
+    res = chern_direct(p, 256)
     assert res.value == value
     assert abs(res.raw - value) <= 1e-3
     assert res.method is ChernMethod.DIRECT_QUADRATURE
+    # the same midpoint sum over the frame triple product
+    assert abs(res.raw - frame_chern_direct(p, 256)) <= 1e-12
 
 
 def test_chern_gapless_refusal():

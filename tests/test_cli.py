@@ -63,6 +63,18 @@ def test_zeros_degenerate_exit(capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("c, ratio_shown", [("2e-6", True), ("0", False)])
+def test_zeros_small_axis_shift_message(capsys, c, ratio_shown):
+    # 0 < c <= 1e-6 R does not make the kx-velocity vanish identically; the
+    # message gives c / R and the threshold instead
+    rc, out, err = run(capsys, ["zeros", "--R", "3", "--r", "1", "--c", c])
+    assert rc == 2
+    assert out == ""
+    assert "DegenerateField" in err
+    assert ("c / R" in err) is ratio_shown
+    assert ("vanish identically" in err) is not ratio_shown
+
+
 def test_zeros_gapless_exit(capsys):
     rc, _, err = run(capsys, ["zeros", "--c", "2"])
     assert rc == 2
@@ -97,6 +109,8 @@ def test_bad_flag_value_exit(capsys):
         "phase-diagram --axis c:1:1e200:3",
         "field-dump --R 1e200 --grid-n 2",
         "winding --R 1e200",
+        # r below model.PARAM_MIN: the kx = pi cubic would underflow
+        "euler --R 3e-160 --r 1e-160 --c 3e-160",
     ],
 )
 def test_non_finite_parameters_exit(capsys, argv):

@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 
 from blochflow import KPoint, ModelParams
 from blochflow.errors import GaplessPoint
-from blochflow.field import EPS_GAP, hessian_from_velocity, velocity_and_gap
-from blochflow.model import bloch_components, frame_components
+from blochflow.field import EPS_GAP, hessian, velocity_and_gap
+from blochflow.model import bloch_components
 
 from oracles import (
     fd_energy_gradient,
     fd_velocity_jacobian,
+    frame_components,
     generic_velocity_and_gap,
     params_near_critical,
     velocity_generic,
@@ -25,7 +26,7 @@ P1 = ModelParams(3, 1, 1)
 
 def _hessian(kx, ky, p):
     """(hxx, hxy, hyy, det, trace) from the array kernels."""
-    hxx, hxy, hyy = hessian_from_velocity(kx, ky, *velocity_and_gap(kx, ky, p), p)
+    hxx, hxy, hyy = hessian(kx, ky, p)
     return hxx, hxy, hyy, hxx * hyy - hxy * hxy, hxx + hyy
 
 
@@ -133,7 +134,7 @@ def test_hessian_matches_finite_differences(params, kx, ky):
     p = ModelParams(*params)
     hx, hy, hz = bloch_components(kx, ky, p)
     assume(math.sqrt(hx * hx + hy * hy + hz * hz) >= 0.1)
-    hxx, hxy, hyy = (float(x) for x in hessian_from_velocity(kx, ky, *velocity_and_gap(kx, ky, p), p))
+    hxx, hxy, hyy = (float(x) for x in hessian(kx, ky, p))
     m00, m01, m10, m11 = (float(x) for x in fd_velocity_jacobian(kx, ky, p))
     scale = 1.0 + max(abs(hxx), abs(hxy), abs(hyy))
     for got, want in ((hxx, m00), (hxy, m01), (hxy, m10), (hyy, m11)):

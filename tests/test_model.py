@@ -11,15 +11,16 @@ from hypothesis import given, settings
 from blochflow import KPoint, ModelParams
 from blochflow.model import (
     PARAM_MAX,
+    PARAM_MIN,
     SURFACE_CSV_HEADER,
-    axis_distance,
     bloch_components,
-    frame_components,
     write_surface_csv,
 )
 
 from oracles import (
+    axis_distance,
     fd_bloch_frame,
+    frame_components,
     generic_velocity_and_gap,
     params_near_critical,
     surface_csv_rows,
@@ -38,11 +39,21 @@ def test_params_validation():
     with pytest.raises(ValueError):
         ModelParams(3, 1, -0.5)
     above = math.nextafter(PARAM_MAX, math.inf)
-    for bad in ((3, 1, math.nan), (3, 1, math.inf), (math.inf, 1, 1), (3, math.nan, 1), (3, 1, above), (above, 1, 1)):
+    below = math.nextafter(PARAM_MIN, 0.0)
+    for bad in (
+        (3, 1, math.nan),
+        (3, 1, math.inf),
+        (math.inf, 1, 1),
+        (3, math.nan, 1),
+        (3, 1, above),
+        (above, 1, 1),
+        (3, below, 1),
+    ):
         with pytest.raises(ValueError, match="finite and at most"):
             ModelParams(*bad)
     ModelParams(3, 1, 0)  # c = 0 is constructible (census rejects it later)
     ModelParams(PARAM_MAX, 1, PARAM_MAX)
+    ModelParams(3 * PARAM_MIN, PARAM_MIN, 0)
 
 
 def test_kpoint_canonical():

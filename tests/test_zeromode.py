@@ -26,8 +26,7 @@ from blochflow.errors import (
     NonIsolatedZero,
     TopologyError,
 )
-from blochflow.field import hessian_from_velocity, velocity_and_gap
-from blochflow.model import axis_distance
+from blochflow.field import hessian, velocity_and_gap
 from blochflow.zeromode import (
     BIFURCATION_MARGIN,
     _check_isolated,
@@ -38,6 +37,7 @@ from blochflow.zeromode import (
 )
 
 from oracles import (
+    axis_distance,
     brute_zero_census,
     census_fold,
     converged_clouds,
@@ -265,7 +265,7 @@ def _newton_zeros(p):
     """The Newton oracle's zeros, with the library's nondegeneracy check."""
     zeros = full_backtrack_census(p)
     kx, ky = np.array(zeros).T
-    hxx, hxy, hyy = hessian_from_velocity(kx, ky, *velocity_and_gap(kx, ky, p), p)
+    hxx, hxy, hyy = hessian(kx, ky, p)
     for det, trace in zip((hxx * hyy - hxy * hxy).tolist(), (hxx + hyy).tolist()):
         classify(det, trace, p.R)
     return zeros
@@ -292,8 +292,8 @@ def test_census_matches_full_backtrack_oracle(params):
 
 
 def test_census_kernel_work(monkeypatch):
-    # the closed form evaluates all its zeros in one velocity_and_gap call
-    # and one hessian_from_velocity call: 4 or 8 points per census
+    # the closed form evaluates all its zeros in one hessian call, which
+    # evaluates the velocity itself: 4 or 8 points per census
     calls = []
 
     def counting(kernel):
@@ -303,12 +303,11 @@ def test_census_kernel_work(monkeypatch):
 
         return wrapped
 
-    monkeypatch.setattr(blochflow.zeromode, "velocity_and_gap", counting(velocity_and_gap))
-    monkeypatch.setattr(blochflow.zeromode, "hessian_from_velocity", counting(hessian_from_velocity))
+    monkeypatch.setattr(blochflow.zeromode, "hessian", counting(hessian))
     for c, count in ((1.2, 4), (3.0, 8), (4.5, 4)):
         calls.clear()
         assert len(find_zero_modes(ModelParams(3, 1, c), WeightMode.CANONICAL_CELL)) == count
-        assert calls == [("velocity_and_gap", count), ("hessian_from_velocity", count)]
+        assert calls == [("hessian", count)]
 
 
 @settings(max_examples=100)
@@ -336,7 +335,7 @@ def test_bifurcation_margin(R, r):
         assert len(_canonical_zeros(ModelParams(R, r, c))) == count
 
 
-@pytest.mark.parametrize("s", [1e-6, 1e-4, 1e-3, 1.0, 1e3, 1e5])
+@pytest.mark.parametrize("s", [1e-50, 1e-6, 1e-4, 1e-3, 1.0, 1e3, 1e5])
 def test_census_is_scale_free(s):
     # scaling R, r and c together scales h; the zeros and their kinds stay
     want = [(z.location, z.kind) for z in euler_characteristic(P1).modes]
