@@ -9,17 +9,20 @@ zone torus to the sphere.  Two discretizations are provided:
 * ``chern_plaquette``: the sum of signed solid angles of the spherical
   triangles spanned by hhat over each grid plaquette, divided by 4pi.
   This counts the degree exactly, so the raw value lands within 1e-9 of
-  an integer whenever the gap is open and the grid resolves the map.
+  an integer whenever the gap is open and the grid resolves the map.  The
+  grid starts at ``GRID_N`` nodes per axis and doubles itself whenever a
+  triangle cannot be oriented, so it takes no resolution argument.
 
 Orientation convention: with (kx, ky) right-handed, the phase whose
 image surface encloses the origin (R - r < c < R + r) carries Chern
 number +1.
 
 The integrand blows up as the gap closes, so both methods refuse to run
-when the minimum gap drops below ``EPS_GAP_CHERN``.  ``gap_min`` finds
-that gap in closed form: the minimum of |h| lies on the line kx = pi,
-where it is the smallest value of |h| over the ends ky = 0, pi and the
-real roots of a cubic in cos ky.
+when gap / R drops to ``EPS_GAP_CHERN`` (scaling R, r and c together
+leaves the unit Bloch vector unchanged).  ``gap_min`` finds that gap in
+closed form: the minimum of |h| lies on the line kx = pi, where it is the
+smallest value of |h| over the ends ky = 0, pi and the real roots of a
+cubic in cos ky.
 """
 
 from __future__ import annotations
@@ -35,7 +38,8 @@ from .errors import DegenerateTriangle, GaplessModel
 from .model import TWO_PI, ModelParams, _kx_pi_cubic, _trig_rho, bloch_components
 
 EPS_GAP_CHERN = 1e-6
-# chern_plaquette doubles its grid at most this many times before giving up.
+# chern_plaquette's starting nodes per axis, and how often it may double them.
+GRID_N = 64
 MAX_DOUBLINGS = 3
 
 
@@ -105,6 +109,14 @@ def gapless_boundary(R: float, r: float) -> tuple:
     return (R - r, R + r)
 
 
+def _open_gap(p: ModelParams) -> float:
+    """gap_min(p), or GaplessModel when gap_min / R is at most EPS_GAP_CHERN."""
+    g = gap_min(p)
+    if g / p.R <= EPS_GAP_CHERN:
+        raise GaplessModel(f"minimum gap / R = {g / p.R:.3e} <= {EPS_GAP_CHERN:.1e}; Chern number undefined")
+    return g
+
+
 def chern_direct(p: ModelParams, n: int = 256) -> ChernResult:
     """Midpoint-rule quadrature of the degree integrand on an n x n grid.
 
@@ -118,9 +130,7 @@ def chern_direct(p: ModelParams, n: int = 256) -> ChernResult:
     """
     if n < 32:
         raise ValueError(f"direct quadrature needs n >= 32, got n={n}")
-    g = gap_min(p)
-    if g <= EPS_GAP_CHERN:
-        raise GaplessModel(f"minimum gap {g:.3e} <= {EPS_GAP_CHERN:.1e}; Chern number undefined")
+    g = _open_gap(p)
 
     step = TWO_PI / n
     ticks = -math.pi + (np.arange(n) + 0.5) * step
@@ -164,20 +174,16 @@ def _solid_angle_sum(u: np.ndarray) -> float:
     return total
 
 
-def chern_plaquette(p: ModelParams, n: int = 64) -> ChernResult:
+def chern_plaquette(p: ModelParams) -> ChernResult:
     """Degree count by summed signed solid angles over grid plaquettes.
 
-    If a plaquette triangle is too coarse to orient, the grid is doubled
-    (up to ``MAX_DOUBLINGS`` times) before giving up with
-    DegenerateTriangle.
+    The grid starts at ``GRID_N`` nodes per axis.  If a plaquette triangle
+    is too coarse to orient, the grid is doubled (up to ``MAX_DOUBLINGS``
+    times) before giving up with DegenerateTriangle.
     """
-    if n < 16:
-        raise ValueError(f"plaquette sum needs n >= 16, got n={n}")
-    g = gap_min(p)
-    if g <= EPS_GAP_CHERN:
-        raise GaplessModel(f"minimum gap {g:.3e} <= {EPS_GAP_CHERN:.1e}; Chern number undefined")
+    g = _open_gap(p)
 
-    m = n
+    m = GRID_N
     for _ in range(MAX_DOUBLINGS + 1):
         total = _solid_angle_sum(_unit_grid(p, m))
         if not math.isnan(total):

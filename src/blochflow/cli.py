@@ -3,7 +3,9 @@
 Exit codes: 0 success, 1 usage/validation error (message names the flag,
 including an --out path that cannot be written), 2 model or domain error
 (gapless model, degenerate field, ...).  Each subcommand writes exactly
-the owning module's serialization, either to stdout or to --out.
+the owning module's serialization, either to stdout or to --out.  Chern
+grids and loop samples start fixed and refine themselves, so they are not
+options; ``field-dump --grid-n`` sets the size of the output.
 """
 
 from __future__ import annotations
@@ -75,12 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="plaquette",
         help="solid-angle plaquette sum or direct quadrature",
     )
-    sp.add_argument(
-        "--grid-n",
-        type=int,
-        default=None,
-        help="grid nodes per axis (default 64 plaquette, 256 direct)",
-    )
     _add_out_flag(sp)
 
     sp = sub.add_parser(
@@ -99,7 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(sp)
     sp.add_argument("--center", type=str, default="0,0", help="loop center as 'kx,ky'")
     sp.add_argument("--radius", type=float, default=0.3, help="loop radius in radians")
-    sp.add_argument("--samples", type=int, default=256, help="initial loop samples (auto-densified)")
     _add_out_flag(sp)
 
     sp = sub.add_parser(
@@ -116,7 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="sweep axis, e.g. c:0.2:5.8:57 (repeat for a 2-D sweep)",
     )
     sp.add_argument("--quantity", choices=["chern", "euler"], default="chern")
-    sp.add_argument("--grid-n", type=int, default=64, help="plaquette grid for per-cell Chern numbers")
     sp.add_argument("--format", choices=["csv", "json"], default="csv")
     _add_out_flag(sp)
 
@@ -175,16 +169,7 @@ def _cmd_zeros(args) -> int:
 
 def _cmd_chern(args) -> int:
     p = _model_params(args)
-    if args.method == "plaquette":
-        n = 64 if args.grid_n is None else args.grid_n
-        if n < 16:
-            raise _UsageError(f"--grid-n: plaquette method needs n >= 16, got {n}")
-        res = chern_plaquette(p, n)
-    else:
-        n = 256 if args.grid_n is None else args.grid_n
-        if n < 32:
-            raise _UsageError(f"--grid-n: direct quadrature needs n >= 32, got {n}")
-        res = chern_direct(p, n)
+    res = chern_plaquette(p) if args.method == "plaquette" else chern_direct(p)
     _emit(chern_json(res), args.out)
     return 0
 
@@ -205,9 +190,9 @@ def _cmd_winding(args) -> int:
     if not (math.isfinite(cx) and math.isfinite(cy)):
         raise _UsageError(f"--center: must be finite, got {args.center!r}")
     try:
-        loop = LoopSpec.circle(KPoint(cx, cy), args.radius, args.samples)
+        loop = LoopSpec.circle(KPoint(cx, cy), args.radius)
     except ValueError as e:
-        raise _UsageError(f"--radius/--samples: {e}") from e
+        raise _UsageError(f"--radius: {e}") from e
     res = winding_hermitian(loop, p)
     _emit(winding_json(res), args.out)
     return 0
@@ -218,11 +203,9 @@ def _cmd_phase_diagram(args) -> int:
     axes = [_parse_axis(text) for text in args.axis]
     if len(axes) > 2:
         raise _UsageError(f"--axis: at most 2 axes, got {len(axes)}")
-    if args.grid_n < 16:
-        raise _UsageError(f"--grid-n: needs n >= 16, got {args.grid_n}")
     try:
         if args.quantity == "chern":
-            grid = sweep_chern(axes, p, n_grid=args.grid_n)
+            grid = sweep_chern(axes, p)
         else:
             grid = sweep_euler(axes, p)
     except ValueError as e:

@@ -129,9 +129,9 @@ def _sweep(axes, base: ModelParams, invariant) -> PhaseDiagramGrid:
     return PhaseDiagramGrid(axes, tuple(cells))
 
 
-def sweep_chern(axes, base: ModelParams, n_grid: int = 64) -> PhaseDiagramGrid:
-    """Chern number per cell, with gapless cells tagged instead of computed."""
-    return _sweep(axes, base, lambda p: (chern_plaquette(p, n_grid).value, None))
+def sweep_chern(axes, base: ModelParams) -> PhaseDiagramGrid:
+    """Chern number per cell by ``chern_plaquette`` (which picks its own grid); gapless cells tagged."""
+    return _sweep(axes, base, lambda p: (chern_plaquette(p).value, None))
 
 
 def sweep_euler(axes, base: ModelParams) -> PhaseDiagramGrid:

@@ -4,8 +4,10 @@ The winding number is the accumulated angle of a nonvanishing planar
 field along a closed loop, divided by 2*pi.  It is computed as the sum of
 wrapped angle increments between consecutive samples, closing the loop
 from the last sample back to the first; increments must stay below pi/2
-or the sampling is declared too coarse (the caller, or the adapters here,
-then densify and retry).
+or the sampling is declared too coarse.  A circle starts at
+``DEFAULT_SAMPLES`` samples, which the adapters here double until the
+increments are fine enough (up to ``MAX_SAMPLES``); a polyline is taken
+as given.
 
 Adapters:
 
@@ -49,20 +51,20 @@ class LoopSpec:
     points: tuple | None = None
 
     @classmethod
-    def circle(cls, center: KPoint, radius: float, samples: int = DEFAULT_SAMPLES) -> "LoopSpec":
+    def circle(cls, center: KPoint, radius: float) -> "LoopSpec":
         if not (math.isfinite(center.kx) and math.isfinite(center.ky)):
             raise ValueError(f"loop center must be finite, got ({center.kx}, {center.ky})")
         if not 0.0 < radius < math.inf:
             raise ValueError(f"loop radius must be positive and finite, got {radius}")
-        if samples < MIN_SAMPLES:
-            raise ValueError(f"loop needs at least {MIN_SAMPLES} samples, got {samples}")
-        return cls(center=center, radius=radius, samples=samples)
+        return cls(center=center, radius=radius)
 
     @classmethod
     def polyline(cls, points) -> "LoopSpec":
         pts = tuple(points)
         if len(pts) < MIN_SAMPLES + 1:
             raise ValueError(f"polyline loop needs at least {MIN_SAMPLES + 1} points")
+        if not all(math.isfinite(q.kx) and math.isfinite(q.ky) for q in pts):
+            raise ValueError("polyline points must be finite")
         first = pts[0].canonical()
         last = pts[-1].canonical()
         if math.hypot(
@@ -80,10 +82,10 @@ class LoopSpec:
         t = TWO_PI * np.arange(self.samples) / self.samples
         return self.center.kx + self.radius * np.cos(t), self.center.ky + self.radius * np.sin(t)
 
-    def densified(self, factor: int) -> "LoopSpec | None":
+    def densified(self) -> "LoopSpec | None":
         if self.points is not None:
             return None
-        return LoopSpec(center=self.center, radius=self.radius, samples=self.samples * factor)
+        return LoopSpec(center=self.center, radius=self.radius, samples=self.samples * 2)
 
 
 @dataclass(frozen=True)
@@ -98,12 +100,15 @@ def winding_planar(field_samples) -> WindingResult:
     """Winding of a sampled planar field around its implicit closed loop.
 
     ``field_samples`` is a sequence of (a, b) pairs or an (N, 2) array.
-    Raises ZeroOnLoop if any sample norm drops to the floor and
-    InsufficientSampling if any wrapped increment reaches pi/2.
+    Raises ValueError on a non-finite sample, ZeroOnLoop if any sample
+    norm drops to the floor and InsufficientSampling if any wrapped
+    increment reaches pi/2.
     """
     arr = np.asarray(field_samples, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 3:
         raise ValueError("expected at least 3 samples of shape (N, 2)")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("field samples must be finite")
     a, b = arr[:, 0], arr[:, 1]
     norms = np.hypot(a, b)
     min_norm = float(np.min(norms))
@@ -127,7 +132,7 @@ def _with_densification(loop: LoopSpec, evaluate) -> WindingResult:
         try:
             return winding_planar(evaluate(current))
         except InsufficientSampling:
-            denser = current.densified(2)
+            denser = current.densified()
             if denser is None or denser.samples > MAX_SAMPLES:
                 raise
             current = denser

@@ -139,7 +139,7 @@ def test_criterion_3_chern_phase_structure():
     detail = ""
     for c, want in expectations.items():
         p = ModelParams(3, 1, c)
-        plaq = chern_plaquette(p, 64)
+        plaq = chern_plaquette(p)
         direct = chern_direct(p, 256)
         if not (
             plaq.value == want
@@ -206,7 +206,7 @@ def test_criterion_6_error_paths():
         except GaplessModel:
             pass
         try:
-            chern_plaquette(ModelParams(3, 1, c), 64)
+            chern_plaquette(ModelParams(3, 1, c))
             ok, detail = False, f"(c={c} chern returned instead of raising)"
         except GaplessModel:
             pass

@@ -87,7 +87,7 @@ def test_gap_min_matches_boundary_roots():
 
 @pytest.mark.parametrize("c,value", [(1.0, 0), (3.0, 1), (5.0, 0)])
 def test_chern_plaquette_values(c, value):
-    res = chern_plaquette(ModelParams(3, 1, c), 64)
+    res = chern_plaquette(ModelParams(3, 1, c))
     assert res.value == value
     assert abs(res.raw - value) <= 1e-9
     assert res.method is ChernMethod.PLAQUETTE_SOLID_ANGLE
@@ -108,14 +108,24 @@ def test_chern_gapless_refusal():
     with pytest.raises(GaplessModel):
         chern_direct(ModelParams(3, 1, 2), 64)
     with pytest.raises(GaplessModel):
-        chern_plaquette(ModelParams(3, 1, 4), 64)
+        chern_plaquette(ModelParams(3, 1, 4))
 
 
 def test_chern_grid_preconditions():
     with pytest.raises(ValueError):
         chern_direct(ModelParams(3, 1, 1), 16)
-    with pytest.raises(ValueError):
-        chern_plaquette(ModelParams(3, 1, 1), 8)
+
+
+@pytest.mark.parametrize("s", [1e-12, 1e-8, 1e-6, 1e-3, 1.0, 1e3, 1e8])
+def test_chern_is_scale_free(s):
+    # scaling R, r and c together scales h and leaves hhat unchanged, so
+    # the gap gate must not refuse a model whose gap is small only in
+    # absolute terms
+    p = ModelParams(3 * s, 1 * s, 3 * s)
+    assert chern_plaquette(p).value == 1
+    assert chern_direct(p).value == 1
+    with pytest.raises(GaplessModel, match="gap / R"):
+        chern_plaquette(ModelParams(3 * s, 1 * s, 2 * s))
 
 
 def test_chern_grid_stability():
@@ -127,7 +137,7 @@ def test_chern_grid_stability():
 def test_plaquette_robust_near_closing():
     # the degree count stays exactly quantized even at gap ~ 1e-3, where
     # the quadrature integrand is far too sharp for any fixed grid
-    res = chern_plaquette(ModelParams(3, 1, 2.001), 64)
+    res = chern_plaquette(ModelParams(3, 1, 2.001))
     assert res.value == 1
     assert abs(res.raw - 1) <= 1e-9
 
@@ -151,7 +161,7 @@ def test_methods_agree_on_random_parameters():
     for R, r, c in random_gapped_params(rng, 20, avoid=0.1):
         p = ModelParams(R, r, c)
         d = chern_direct(p, 256)
-        q = chern_plaquette(p, 64)
+        q = chern_plaquette(p)
         assert d.value == q.value
         assert abs(q.raw - q.value) <= 1e-9
         assert abs(d.raw - d.value) <= 1e-3
@@ -160,7 +170,7 @@ def test_methods_agree_on_random_parameters():
 def test_chern_integer_quantization_random():
     rng = np.random.default_rng(12)
     for R, r, c in random_gapped_params(rng, 10, avoid=0.1):
-        res = chern_plaquette(ModelParams(R, r, c), 64)
+        res = chern_plaquette(ModelParams(R, r, c))
         assert abs(res.raw - round(res.raw)) <= 1e-9
 
 
@@ -169,14 +179,14 @@ def test_deformation_invariance():
     for c in np.linspace(2.5, 3.5, 11):
         p = ModelParams(3, 1, float(c))
         assert gap_min(p) > 0.05
-        assert chern_plaquette(p, 64).value == 1
+        assert chern_plaquette(p).value == 1
     for c in np.linspace(4.5, 5.5, 6):
-        assert chern_plaquette(ModelParams(3, 1, float(c)), 64).value == 0
+        assert chern_plaquette(ModelParams(3, 1, float(c))).value == 0
 
 
 def test_value_flips_only_at_boundaries():
     lo, hi = gapless_boundary(3, 1)
-    inside = chern_plaquette(ModelParams(3, 1, (lo + hi) / 2), 64).value
-    below = chern_plaquette(ModelParams(3, 1, lo - 0.5), 64).value
-    above = chern_plaquette(ModelParams(3, 1, hi + 0.5), 64).value
+    inside = chern_plaquette(ModelParams(3, 1, (lo + hi) / 2)).value
+    below = chern_plaquette(ModelParams(3, 1, lo - 0.5)).value
+    above = chern_plaquette(ModelParams(3, 1, hi + 0.5)).value
     assert inside == 1 and below == 0 and above == 0

@@ -146,7 +146,7 @@ def test_chern_value(capsys):
 
 def test_chern_matches_module_serialization(capsys):
     rc, out, _ = run(capsys, ["chern", "--c", "3"])
-    assert out.rstrip("\n") == chern_json(chern_plaquette(ModelParams(3, 1, 3), 64))
+    assert out.rstrip("\n") == chern_json(chern_plaquette(ModelParams(3, 1, 3)))
 
 
 def test_chern_direct_method(capsys):
@@ -156,6 +156,13 @@ def test_chern_direct_method(capsys):
     assert doc["value"] == 0
     assert doc["method"] == "direct_quadrature"
     assert doc["grid_n"] == 256
+
+
+def test_chern_small_scale(capsys):
+    # (3, 1, 3) scaled by 1e-8: gapped, with the same Chern number
+    rc, out, err = run(capsys, ["chern", "--R", "3e-8", "--r", "1e-8", "--c", "3e-8"])
+    assert rc == 0, err
+    assert json.loads(out)["value"] == 1
 
 
 def test_chern_gapless_exit(capsys):
@@ -195,7 +202,7 @@ def test_winding_bad_radius(capsys):
         rc, out, err = run(capsys, ["winding", "--radius", radius])
         assert rc == 1
         assert out == ""
-        assert err.startswith("blochflow winding: error: --radius/--samples: ")
+        assert err.startswith("blochflow winding: error: --radius: ")
 
 
 def test_phase_diagram_csv(tmp_path, capsys):
@@ -293,8 +300,15 @@ def test_help_lists_defaults(capsys):
 
 
 def test_census_knobs_are_not_options(capsys):
-    # the census runs in its one verified configuration
-    for argv in (["euler", "--tol", "1e-16"], ["zeros", "--seeds", "4"]):
+    # the census runs in its one verified configuration, and the Chern grid
+    # and the loop samples refine themselves
+    for argv in (
+        ["euler", "--tol", "1e-16"],
+        ["zeros", "--seeds", "4"],
+        ["chern", "--grid-n", "32"],
+        ["phase-diagram", "--axis", "c:0.5:1.5:3", "--grid-n", "32"],
+        ["winding", "--samples", "64"],
+    ):
         rc, out, err = run(capsys, argv)
         assert rc == 1
         assert out == ""

@@ -83,7 +83,7 @@ def test_single_cell_axis():
 
 def test_two_axis_sweep():
     axes = [SweepAxis("r", 0.5, 1.5, 3), SweepAxis("c", 0.5, 1.0, 2)]
-    grid = sweep_chern(axes, BASE, n_grid=32)
+    grid = sweep_chern(axes, BASE)
     assert len(grid.cells) == 6
     # axis order: r is the slow axis
     rs = [cell.params.r for cell in grid.cells]

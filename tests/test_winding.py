@@ -14,7 +14,7 @@ from blochflow import (
     winding_nonhermitian,
 )
 from blochflow.errors import GaplessPoint, InsufficientSampling, ZeroOnLoop
-from blochflow.model import bloch_components
+from blochflow.model import bloch_components, reduce_angle
 from blochflow.winding import winding_planar
 from blochflow.zeromode import WeightMode
 
@@ -63,6 +63,15 @@ def test_planar_insufficient_sampling():
 def test_planar_input_validation():
     with pytest.raises(ValueError):
         winding_planar([(1.0, 0.0)])
+    for bad in (math.nan, math.inf):
+        samples = circle_samples(64)
+        samples[10, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            winding_planar(samples)
+    # the adapters pass a band's non-finite derivative on to the same check
+    band = lambda kx, ky: complex(math.nan, 0.0) if ky > 0.25 else (1 + 1j) * kx
+    with pytest.raises(ValueError, match="finite"):
+        winding_nonhermitian(LoopSpec.circle(KPoint(0, 0), 0.3), band)
 
 
 def test_loopspec_validation():
@@ -73,12 +82,17 @@ def test_loopspec_validation():
         with pytest.raises(ValueError, match="finite"):
             LoopSpec.circle(center, radius)
     with pytest.raises(ValueError):
-        LoopSpec.circle(KPoint(0, 0), 0.3, samples=8)
-    with pytest.raises(ValueError):
         LoopSpec.polyline([KPoint(0, 0), KPoint(1, 0), KPoint(0, 0)])
     open_pts = [KPoint(0.3 * math.cos(u), 0.3 * math.sin(u)) for u in np.linspace(0, 5.0, 40)]
     with pytest.raises(ValueError):
         LoopSpec.polyline(open_pts)
+    closed = [KPoint(0.3 * math.cos(u), 0.3 * math.sin(u)) for u in np.linspace(0, 2 * PI, 40)]
+    for bad in (KPoint(math.nan, 0), KPoint(0, math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            LoopSpec.polyline(closed[:10] + [bad] + closed[11:])
+    # nan ends would pass the closure check: hypot(nan) > 1e-9 is False
+    with pytest.raises(ValueError, match="finite"):
+        LoopSpec.polyline([KPoint(math.nan, 0)] + closed[1:-1] + [KPoint(math.nan, 0)])
 
 
 @pytest.mark.parametrize(
@@ -105,6 +119,39 @@ def test_winding_equals_index_for_all_zeros():
         assert winding_hermitian(loop, P1).w == z.index
 
 
+def _rectangle(kx_lo, kx_hi, ky_lo, ky_hi, per_side=200):
+    corners = [(kx_lo, ky_lo), (kx_hi, ky_lo), (kx_hi, ky_hi), (kx_lo, ky_hi)]
+    pts = []
+    for (x0, y0), (x1, y1) in zip(corners, corners[1:] + corners[:1]):
+        for t in np.arange(per_side) / per_side:
+            pts.append(KPoint(x0 + t * (x1 - x0), y0 + t * (y1 - y0)))
+    return pts + [pts[0]]
+
+
+@pytest.mark.parametrize(
+    "ky_lo,ky_hi,enclosed",
+    [
+        (-0.52, 0.52, 1),  # the source at (pi, 0)
+        (-1.66, 1.66, 3),  # that source and the pitchfork saddle pair
+        (0.5, 2.7, 2),     # a saddle and a source
+    ],
+)
+def test_winding_equals_enclosed_index_sum(ky_lo, ky_hi, enclosed):
+    # (3, 1, 3) lies between the pitchfork and the fold: 8 zeros, 6 of
+    # them on kx = pi.  A rectangle around a stretch of that line winds
+    # by the index sum of the zeros it holds.
+    p = ModelParams(3, 1, 3)
+    half = 1.0
+    inside = [
+        z
+        for z in find_zero_modes(p, weight_mode=WeightMode.CANONICAL_CELL)
+        if abs(reduce_angle(z.location.kx - PI)) < half and ky_lo < z.location.ky < ky_hi
+    ]
+    assert len(inside) == enclosed
+    loop = LoopSpec.polyline(_rectangle(PI - half, PI + half, ky_lo, ky_hi))
+    assert winding_hermitian(loop, p).w == sum(z.index for z in inside)
+
+
 def test_orientation_reversal_negates():
     t = np.linspace(0, 2 * PI, 129)
     fwd = [KPoint(0.3 * math.cos(u), 0.3 * math.sin(u)) for u in t]
@@ -121,15 +168,6 @@ def test_loop_deformation_invariance():
         assert winding_hermitian(LoopSpec.circle(KPoint(0, 0), radius), P1).w == 1
     for radius in (0.1, 0.2):
         assert winding_hermitian(LoopSpec.circle(KPoint(1.5, 1.5), radius), P1).w == 0
-
-
-def test_sampling_convergence():
-    base = winding_hermitian(LoopSpec.circle(KPoint(0, 0), 0.3, samples=16), P1)
-    for factor in (2, 4, 8, 16):
-        denser = winding_hermitian(
-            LoopSpec.circle(KPoint(0, 0), 0.3, samples=16 * factor), P1
-        )
-        assert denser.w == base.w == 1
 
 
 def test_hermitian_zero_on_loop():
@@ -161,13 +199,14 @@ def test_nonhermitian_enclosed_zero():
 
 
 def test_nonhermitian_autodensification():
-    # dE/dkx = ((kx-a) + i(ky-b))^4 winds four times; 16 samples put the
-    # increments at exactly pi/2, so the adapter must densify
+    # dE/dkx = ((kx-a) + i(ky-b))^64 winds 64 times; the circle's 256
+    # starting samples put the increments at exactly pi/2, so the adapter
+    # must densify
     a, b = 1.0, 1.0
-    band = lambda kx, ky: ((kx - a) + 1j * (ky - b)) ** 5 / 5.0
-    res = winding_nonhermitian(LoopSpec.circle(KPoint(a, b), 1.0, samples=16), band)
-    assert res.w == 4
-    assert res.samples == 32
+    band = lambda kx, ky: ((kx - a) + 1j * (ky - b)) ** 65 / 65.0
+    res = winding_nonhermitian(LoopSpec.circle(KPoint(a, b), 1.0), band)
+    assert res.w == 64
+    assert res.samples == 512
 
 
 def test_nonhermitian_real_band_domain():
