@@ -12,6 +12,8 @@ zone torus to the sphere.  Two discretizations are provided:
   an integer whenever the gap is open and the grid resolves the map.  The
   grid starts at ``GRID_N`` nodes per axis and doubles itself whenever a
   triangle cannot be oriented, so it takes no resolution argument.
+  hhat is three component arrays on a wrapped open grid, and the two
+  triangles of a plaquette share their links (``_solid_angle_sum``).
 
 Orientation convention: with (kx, ky) right-handed, the phase whose
 image surface encloses the origin (R - r < c < R + r) carries Chern
@@ -55,12 +57,6 @@ class ChernResult:
     gap_min: float
     method: ChernMethod
     grid_n: int
-
-
-def _unit_bloch(kx, ky, p: ModelParams):
-    hx, hy, hz = bloch_components(kx, ky, p)
-    norm = np.sqrt(hx * hx + hy * hy + hz * hz)
-    return hx / norm, hy / norm, hz / norm
 
 
 def _degree_integrand(kx, ky, p: ModelParams):
@@ -134,44 +130,48 @@ def chern_direct(p: ModelParams, n: int = 256) -> ChernResult:
 
     step = TWO_PI / n
     ticks = -math.pi + (np.arange(n) + 0.5) * step
-    kx, ky = np.meshgrid(ticks, ticks, indexing="ij")
-
-    raw = float(np.sum(_degree_integrand(kx, ky, p))) * step * step / (4.0 * math.pi)
+    raw = float(np.sum(_degree_integrand(ticks[:, None], ticks[None, :], p))) * step * step / (4.0 * math.pi)
     return ChernResult(raw, int(round(raw)), g, ChernMethod.DIRECT_QUADRATURE, n)
 
 
-def _unit_grid(p: ModelParams, n: int) -> np.ndarray:
-    """Unit Bloch vectors on the periodic n x n node grid, shape (n, n, 3)."""
-    ticks = -math.pi + TWO_PI * np.arange(n) / n
-    kx, ky = np.meshgrid(ticks, ticks, indexing="ij")
-    return np.stack(_unit_bloch(kx, ky, p), axis=-1)
+def _unit_grid(p: ModelParams, n: int) -> tuple:
+    """hhat's components on the n periodic ticks per axis plus the first again (axis 0 kx)."""
+    t = -math.pi + TWO_PI * (np.arange(n + 1) % n) / n
+    hx, hy, hz = bloch_components(t[:, None], t[None, :], p)
+    norm = np.sqrt(hx * hx + hy * hy + hz * hz)
+    return hx / norm, hy / norm, hz / norm
 
 
-def _solid_angle_sum(u: np.ndarray) -> float:
+def _solid_angle_sum(u: tuple) -> float:
     """Signed solid angles of the two triangles of every plaquette, summed.
 
-    ``u`` is a periodic grid of unit vectors.  Returns NaN when any
-    triangle is too spread out (denominator of the half-angle formula not
-    positive) to orient unambiguously.
+    ``u`` is the component triple of ``_unit_grid``.  Plaquette (i, j) has
+    corners a, b, c, d at (i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1) and
+    triangles (a, b, c), (a, c, d) of solid angle 2 atan2(t0 . (t1 x t2),
+    1 + t0 . t1 + t1 . t2 + t2 . t0).  Both triple products use e = a x c
+    (a . (b x c) = -b . e, a . (c x d) = d . e); both denominators slice the
+    kx links lx and the ky links ly.  NaN when a triangle cannot be oriented:
+    a denominator <= 0, or it and the numerator both within 1e-12 of zero.
     """
-    a = u
-    b = np.roll(u, -1, axis=0)
-    c = np.roll(u, -1, axis=(0, 1))
-    d = np.roll(u, -1, axis=1)
+    x, y, z = u
+    lx = x[:-1] * x[1:] + y[:-1] * y[1:] + z[:-1] * z[1:]
+    ly = x[:, :-1] * x[:, 1:] + y[:, :-1] * y[:, 1:] + z[:, :-1] * z[:, 1:]
+    ax, ay, az = x[:-1, :-1], y[:-1, :-1], z[:-1, :-1]
+    cx, cy, cz = x[1:, 1:], y[1:, 1:], z[1:, 1:]
+    ex, ey, ez = ay * cz - az * cy, az * cx - ax * cz, ax * cy - ay * cx
+    ac = ax * cx + ay * cy + az * cz
 
     total = 0.0
-    for t0, t1, t2 in ((a, b, c), (a, c, d)):
-        numer = np.einsum("ijk,ijk->ij", t0, np.cross(t1, t2))
-        denom = (
-            1.0
-            + np.einsum("ijk,ijk->ij", t0, t1)
-            + np.einsum("ijk,ijk->ij", t1, t2)
-            + np.einsum("ijk,ijk->ij", t2, t0)
-        )
-        if np.any(denom <= 0.0) or np.any(np.hypot(numer, denom) < 1e-12):
+    for numer, denom in (
+        (-(x[1:, :-1] * ex + y[1:, :-1] * ey + z[1:, :-1] * ez), 1.0 + lx[:, :-1] + ly[1:] + ac),
+        (x[:-1, 1:] * ex + y[:-1, 1:] * ey + z[:-1, 1:] * ez, 1.0 + ac + lx[:, 1:] + ly[:-1]),
+    ):
+        # hypot(numer, denom) >= denom: only denom < 1e-12 (2e-12 for rounding) can trip it
+        low = denom.min()
+        if low <= 0.0 or (low < 2e-12 and np.any(np.hypot(numer, denom) < 1e-12)):
             return math.nan
-        total += float(np.sum(2.0 * np.arctan2(numer, denom)))
-    return total
+        total += float(np.sum(np.arctan2(numer, denom)))
+    return 2.0 * total
 
 
 def chern_plaquette(p: ModelParams) -> ChernResult:

@@ -17,7 +17,7 @@ over arrays and evaluate the trig factors and rho once per call
 (``model._trig_rho``); the velocity formula is written once, in
 ``_velocity``, and the Hessian builds on it.  NaN/inf propagate where
 |h| = 0: ``velocity_and_gap`` returns the gap so callers can mask, and
-callers that need a nonzero gap compare it with ``EPS_GAP``.
+callers that need a nonzero gap compare gap / R with ``EPS_GAP``.
 """
 
 from __future__ import annotations

@@ -101,8 +101,8 @@ def winding_planar(field_samples) -> WindingResult:
 
     ``field_samples`` is a sequence of (a, b) pairs or an (N, 2) array.
     Raises ValueError on a non-finite sample, ZeroOnLoop if any sample
-    norm drops to the floor and InsufficientSampling if any wrapped
-    increment reaches pi/2.
+    norm drops to ``NORM_FLOOR`` times the largest (a scale-free floor)
+    and InsufficientSampling if any wrapped increment reaches pi/2.
     """
     arr = np.asarray(field_samples, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 3:
@@ -112,8 +112,8 @@ def winding_planar(field_samples) -> WindingResult:
     a, b = arr[:, 0], arr[:, 1]
     norms = np.hypot(a, b)
     min_norm = float(np.min(norms))
-    if min_norm <= NORM_FLOOR:
-        raise ZeroOnLoop(f"field norm {min_norm:.3e} on the loop is at or below {NORM_FLOOR:.1e}")
+    if min_norm <= NORM_FLOOR * float(np.max(norms)):
+        raise ZeroOnLoop(f"field norm {min_norm:.3e} on the loop is at or below {NORM_FLOOR:.1e} times its largest")
     angles = np.arctan2(b, a)
     incr = reduce_angle(np.diff(angles, append=angles[:1]))
     worst = float(np.max(np.abs(incr)))
@@ -142,15 +142,15 @@ def winding_hermitian(loop: LoopSpec, p: ModelParams) -> WindingResult:
     """Winding of the band velocity along the loop.
 
     The loop must avoid zero modes (ZeroOnLoop otherwise) and band
-    touchings (GaplessPoint).
+    touchings, gap / R at most ``field.EPS_GAP`` (GaplessPoint).
     """
 
     def evaluate(spec: LoopSpec):
         kx, ky = spec.sample_points()
         vx, vy, gap = velocity_and_gap(kx, ky, p)
         g = float(np.min(gap))
-        if g <= EPS_GAP:
-            raise GaplessPoint(f"loop touches a gapless point (min |h| = {g:.3e})")
+        if g / p.R <= EPS_GAP:
+            raise GaplessPoint(f"loop touches a gapless point (min |h| / R = {g / p.R:.3e} <= {EPS_GAP:.1e})")
         return np.stack([vx, vy], axis=1)
 
     return _with_densification(loop, evaluate)

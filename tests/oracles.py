@@ -11,7 +11,11 @@ derivatives by plain central differences (the Chern integrand included),
 the isolation check by a pair-by-pair loop (the library builds a distance
 matrix), the zero census by the paper's generic method, damped Newton
 from a seed grid with a greedy dedup (the library solves the model's
-cubic in closed form), and the fold of that census by a dense scan.
+cubic in closed form), the fold of that census by a dense scan, and the
+plaquette solid-angle sum by np.roll neighbours, np.cross and einsum over
+an (n, n, 3) stack of unit vectors (the library slices three component
+arrays of a wrapped open grid and shares the cross product and the edge
+dot products between the two triangles of a plaquette).
 """
 
 import math
@@ -90,6 +94,39 @@ def frame_chern_direct(p, n):
     ticks = -math.pi + (np.arange(n) + 0.5) * step
     kx, ky = np.meshgrid(ticks, ticks, indexing="ij")
     return float(np.sum(frame_degree_integrand(kx, ky, p))) * step * step / (4.0 * math.pi)
+
+
+def periodic_unit_grid(p, n):
+    """Unit Bloch vectors on the periodic n x n node grid, shape (n, n, 3), axis 0 kx."""
+    ticks = -math.pi + TWO_PI * np.arange(n) / n
+    kx, ky = np.meshgrid(ticks, ticks, indexing="ij")
+    hx, hy, hz = bloch_components(kx, ky, p)
+    norm = np.sqrt(hx * hx + hy * hy + hz * hz)
+    return np.stack((hx / norm, hy / norm, hz / norm), axis=-1)
+
+
+def roll_solid_angle_sum(u):
+    """Signed solid angles of the triangles (a, b, c) and (a, c, d) of every
+    plaquette of the periodic grid ``u``, summed; NaN when a triangle's
+    half-angle denominator is not positive or (numer, denom) is near zero."""
+    a = u
+    b = np.roll(u, -1, axis=0)
+    c = np.roll(u, -1, axis=(0, 1))
+    d = np.roll(u, -1, axis=1)
+
+    total = 0.0
+    for t0, t1, t2 in ((a, b, c), (a, c, d)):
+        numer = np.einsum("ijk,ijk->ij", t0, np.cross(t1, t2))
+        denom = (
+            1.0
+            + np.einsum("ijk,ijk->ij", t0, t1)
+            + np.einsum("ijk,ijk->ij", t1, t2)
+            + np.einsum("ijk,ijk->ij", t2, t0)
+        )
+        if np.any(denom <= 0.0) or np.any(np.hypot(numer, denom) < 1e-12):
+            return math.nan
+        total += float(np.sum(2.0 * np.arctan2(numer, denom)))
+    return total
 
 
 def generic_velocity_and_gap(kx, ky, p):

@@ -1,5 +1,7 @@
 """Chern number: dual discretizations, gap structure, phase boundaries."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -12,7 +14,7 @@ from blochflow import (
     gap_min,
     gapless_boundary,
 )
-from blochflow.chern import ChernMethod, _degree_integrand
+from blochflow.chern import EPS_GAP_CHERN, ChernMethod, _degree_integrand, _solid_angle_sum, _unit_grid
 from blochflow.errors import GaplessModel
 from blochflow.model import bloch_components
 
@@ -22,7 +24,9 @@ from oracles import (
     frame_chern_direct,
     frame_degree_integrand,
     params_near_critical,
+    periodic_unit_grid,
     random_gapped_params,
+    roll_solid_angle_sum,
     scan_gap_min,
 )
 
@@ -142,18 +146,89 @@ def test_plaquette_robust_near_closing():
     assert abs(res.raw - 1) <= 1e-9
 
 
+def _wrapped(u):
+    """The component arrays of the open grid that wraps the periodic (n, n, 3) grid ``u``."""
+    return tuple(np.pad(u[..., k], ((0, 1), (0, 1)), mode="wrap") for k in range(3))
+
+
+def _assert_kernels_agree(p, n):
+    grid = _unit_grid(p, n)
+    # row and column n repeat row and column 0
+    for comp in grid:
+        assert np.array_equal(comp[n], comp[0]) and np.array_equal(comp[:, n], comp[:, 0])
+    new = _solid_angle_sum(grid)
+    ref = roll_solid_angle_sum(periodic_unit_grid(p, n))
+    assert math.isnan(new) == math.isnan(ref)
+    if not math.isnan(ref):
+        assert abs(new - ref) / (4.0 * math.pi) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [16, 32, 64, 128, 256, 512])
+def test_solid_angle_sum_matches_roll_oracle(n):
+    sets = random_gapped_params(np.random.default_rng(15), 8, avoid=0.01)
+    # both phases, so that a sign error in either triangle shows
+    assert {R - r < c < R + r for R, r, c in sets} == {True, False}
+    for R, r, c in sets:
+        _assert_kernels_agree(ModelParams(R, r, c), n)
+
+
+@settings(max_examples=80)
+@given(params_near_critical(), st.sampled_from((16, 32, 64, 128, 256, 512)))
+def test_solid_angle_sum_matches_roll_oracle_near_critical(params, n):
+    # coarse grids near a closing leave triangles unorientable: both
+    # kernels must then give NaN together
+    p = ModelParams(*params)
+    assume(gap_min(p) / p.R > EPS_GAP_CHERN)
+    _assert_kernels_agree(p, n)
+
+
 def test_solid_angle_ambiguity_flag():
-    import math as _math
-
-    from blochflow.chern import _solid_angle_sum, _unit_grid
-
+    x, y, z = _unit_grid(ModelParams(3, 1, 1), 16)
+    assert not math.isnan(_solid_angle_sum((x, y, z)))
     # antipodal neighbours make the half-angle denominator nonpositive
-    u = _unit_grid(ModelParams(3, 1, 1), 16)
-    assert not _math.isnan(_solid_angle_sum(u))
-    u = u.copy()
+    u = np.stack((x[:-1, :-1], y[:-1, :-1], z[:-1, :-1]), axis=-1)
     u[0, 0] = (0.0, 0.0, 1.0)
     u[1, 0] = (0.0, 0.0, -1.0)
-    assert _math.isnan(_solid_angle_sum(u))
+    assert math.isnan(_solid_angle_sum(_wrapped(u)))
+    assert math.isnan(roll_solid_angle_sum(u))
+
+
+# Corner offsets from a plaquette's a = (i, j): b = (1, 0), c = (1, 1), d = (0, 1).
+TRIANGLE_ABC = ((0, 0), (1, 0), (1, 1))
+TRIANGLE_ACD = ((0, 0), (1, 1), (0, 1))
+
+
+@pytest.mark.parametrize("corners", [TRIANGLE_ABC, TRIANGLE_ACD], ids=["abc", "acd"])
+@pytest.mark.parametrize("i,j", [(3, 5), (15, 15)], ids=["inner", "wrapped"])
+def test_single_triangle_ambiguity_flag(corners, i, j):
+    # Three nodes 120 degrees apart on the equator of a grid that otherwise
+    # points north: the one triangle holding all three has denominator
+    # 1 - 3/2 < 0, every other one at least 1/2.  At (15, 15) the far
+    # corners lie on the wrap row and column.
+    n = 16
+    u = np.zeros((n, n, 3))
+    u[..., 2] = 1.0
+    north = _wrapped(u)
+    assert _solid_angle_sum(north) == 0.0
+    for (di, dj), phi in zip(corners, (0.0, 2.0 * math.pi / 3, 4.0 * math.pi / 3)):
+        u[(i + di) % n, (j + dj) % n] = (math.cos(phi), math.sin(phi), 0.0)
+    assert math.isnan(_solid_angle_sum(_wrapped(u)))
+    assert math.isnan(roll_solid_angle_sum(u))
+
+
+def test_near_antipodal_diagonal_flag():
+    # a = (1, 0, 0) and c 1e-13 rad from -a on the plaquette's diagonal,
+    # b = d off the a-c great circle, every other node north: both
+    # triangles have a denominator of about 6e-14 > 0 and a numerator of
+    # about 8e-14, so only the hypot test can flag them
+    n, eta = 16, 1e-13
+    u = np.zeros((n, n, 3))
+    u[..., 2] = 1.0
+    u[3, 5] = (1.0, 0.0, 0.0)
+    u[4, 6] = (-math.cos(eta), math.sin(eta), 0.0)
+    u[4, 5] = u[3, 6] = (0.0, 0.6, 0.8)
+    assert math.isnan(_solid_angle_sum(_wrapped(u)))
+    assert math.isnan(roll_solid_angle_sum(u))
 
 
 def test_methods_agree_on_random_parameters():

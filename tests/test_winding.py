@@ -152,6 +152,25 @@ def test_winding_equals_enclosed_index_sum(ky_lo, ky_hi, enclosed):
     assert winding_hermitian(loop, p).w == sum(z.index for z in inside)
 
 
+@pytest.mark.parametrize("s", [1e-12, 1e-10, 1e-8, 1e-4, 1.0, 1e4, 1e8])
+def test_winding_is_scale_free(s):
+    # scaling R, r and c by s scales h and the velocity by s, so neither
+    # the gap floor nor the zero-on-loop floor may depend on the units;
+    # the default CLI loop around the sink of (3, 1, 3)
+    loop = LoopSpec.circle(KPoint(0, 0), 0.3)
+    ref = winding_hermitian(loop, ModelParams(3, 1, 3))
+    res = winding_hermitian(loop, ModelParams(3 * s, 1 * s, 3 * s))
+    assert res.w == ref.w == 1
+    assert res.samples == ref.samples
+    assert res.min_field_norm == pytest.approx(s * ref.min_field_norm, rel=1e-9)
+    # the non-Hermitian adapter has no R: dE/dkx = s ((kx - a) + i (ky - b))
+    a, b = 1.0, 0.5
+    band = lambda kx, ky: s * (0.5 * (kx - a) ** 2 + 1j * ((ky - b) * kx))
+    res = winding_nonhermitian(LoopSpec.circle(KPoint(a, b), 0.4), band)
+    assert res.w == 1
+    assert res.min_field_norm == pytest.approx(s * 0.4, rel=1e-6)
+
+
 def test_orientation_reversal_negates():
     t = np.linspace(0, 2 * PI, 129)
     fwd = [KPoint(0.3 * math.cos(u), 0.3 * math.sin(u)) for u in t]
