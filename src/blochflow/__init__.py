@@ -26,7 +26,6 @@ from .zeromode import (
     ZeroKind,
     ZeroMode,
     euler_characteristic,
-    find_zero_modes,
 )
 from .chern import ChernResult, chern_direct, chern_plaquette, gap_min, gapless_boundary
 from .winding import LoopSpec, WindingResult, winding_hermitian, winding_nonhermitian
@@ -56,7 +55,6 @@ __all__ = [
     "chern_direct",
     "chern_plaquette",
     "euler_characteristic",
-    "find_zero_modes",
     "gap_min",
     "gapless_boundary",
     "sweep_chern",

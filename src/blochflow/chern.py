@@ -9,11 +9,11 @@ zone torus to the sphere.  Two discretizations are provided:
 * ``chern_plaquette``: the sum of signed solid angles of the spherical
   triangles spanned by hhat over each grid plaquette, divided by 4pi.
   This counts the degree exactly, so the raw value lands within 1e-9 of
-  an integer whenever the gap is open and the grid resolves the map.  The
-  grid starts at ``GRID_N`` nodes per axis and doubles itself whenever a
-  triangle cannot be oriented, so it takes no resolution argument.
-  hhat is three component arrays on a wrapped open grid, and the two
-  triangles of a plaquette share their links (``_solid_angle_sum``).
+  an integer whenever the gap is open.  The grid is a fixed ``GRID_N``
+  nodes per axis, and a triangle it cannot orient raises
+  DegenerateTriangle.  hhat is three component arrays on a wrapped open
+  grid, and the two triangles of a plaquette share their links
+  (``_solid_angle_sum``).
 
 Orientation convention: with (kx, ky) right-handed, the phase whose
 image surface encloses the origin (R - r < c < R + r) carries Chern
@@ -36,13 +36,16 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DegenerateTriangle, GaplessModel
-from .model import TWO_PI, ModelParams, _kx_pi_cubic, _trig_rho, bloch_components
+from .errors import DegenerateTriangle, GaplessModel, InsufficientSampling
+from .model import TWO_PI, ModelParams, _kx_pi_roots, _trig_rho, bloch_components
 
 EPS_GAP_CHERN = 1e-6
-# chern_plaquette's starting nodes per axis, and how often it may double them.
+# chern_plaquette's nodes per axis.  It must be even, so that (pi, 0) and
+# (pi, pi), the only points where the gap can close, are grid nodes.
 GRID_N = 64
-MAX_DOUBLINGS = 3
+# chern_direct's nodes per axis, and the largest |raw - value| it reports.
+DIRECT_N = 256
+DIRECT_TOL = 1e-2
 
 
 class ChernMethod(Enum):
@@ -81,14 +84,11 @@ def gap_min(p: ModelParams) -> float:
 
         |h|^2 = (rho - c)^2 + r^2 (1 - u^2),   rho^2 = R^2 + r^2 + 2 R r u,
 
-    whose stationary points are u = -+1 and the roots of the cubic
-    ``model._kx_pi_cubic``.  Every root is clipped into [-1, 1] and
-    evaluated: any such u is a real point of the line, so a spurious
-    candidate can never lower the minimum.
+    whose stationary points are u = -+1 and the roots in (-1, 1) of the
+    cubic ``model._kx_pi_cubic`` (``model._kx_pi_roots``).
     """
     R, r, c = p.R, p.r, p.c
-    roots = np.roots(_kx_pi_cubic(p))
-    u = np.concatenate(([-1.0, 1.0], np.clip(roots.real, -1.0, 1.0)))
+    u = np.concatenate(([-1.0, 1.0], _kx_pi_roots(p)))
     sin_sq = 1.0 - u * u
     rho = np.sqrt((R + r * u) ** 2 + r * r * sin_sq)
     return math.sqrt(float(np.min((rho - c) ** 2 + r * r * sin_sq)))
@@ -113,25 +113,30 @@ def _open_gap(p: ModelParams) -> float:
     return g
 
 
-def chern_direct(p: ModelParams, n: int = 256) -> ChernResult:
-    """Midpoint-rule quadrature of the degree integrand on an n x n grid.
+def chern_direct(p: ModelParams) -> ChernResult:
+    """Midpoint-rule quadrature of the degree integrand on a DIRECT_N x DIRECT_N grid.
 
     The integrand hhat . (d hhat/dkx x d hhat/dky) is evaluated in closed
     form as h . (dh/dkx x dh/dky) / |h|^3, with no finite differences.  It
     concentrates into a peak of width ~gap near a band touching, so the
     quadrature is only trustworthy while the gap stays well above the grid
-    spacing (raw error <= 1e-3 for gap >= ~0.1 at the default n).
+    spacing (|raw - value| is 1.7e-3 at R, r, c = 3, 1, 4.1, a gap of 0.1),
+    and it raises InsufficientSampling when |raw - value| > ``DIRECT_TOL``.
     chern_plaquette counts the degree combinatorially and holds up much
     closer to a closing; prefer it there.
     """
-    if n < 32:
-        raise ValueError(f"direct quadrature needs n >= 32, got n={n}")
     g = _open_gap(p)
 
-    step = TWO_PI / n
-    ticks = -math.pi + (np.arange(n) + 0.5) * step
+    step = TWO_PI / DIRECT_N
+    ticks = -math.pi + (np.arange(DIRECT_N) + 0.5) * step
     raw = float(np.sum(_degree_integrand(ticks[:, None], ticks[None, :], p))) * step * step / (4.0 * math.pi)
-    return ChernResult(raw, int(round(raw)), g, ChernMethod.DIRECT_QUADRATURE, n)
+    value = int(round(raw))
+    if not abs(raw - value) <= DIRECT_TOL:
+        raise InsufficientSampling(
+            f"direct quadrature |raw - value| = {abs(raw - value):.3e} > {DIRECT_TOL:.0e} (raw {raw:.6f}): "
+            f"the gap is too small for its {DIRECT_N} x {DIRECT_N} grid; use --method plaquette"
+        )
+    return ChernResult(raw, value, g, ChernMethod.DIRECT_QUADRATURE, DIRECT_N)
 
 
 def _unit_grid(p: ModelParams, n: int) -> tuple:
@@ -175,25 +180,19 @@ def _solid_angle_sum(u: tuple) -> float:
 
 
 def chern_plaquette(p: ModelParams) -> ChernResult:
-    """Degree count by summed signed solid angles over grid plaquettes.
+    """Degree count by summed signed solid angles over the plaquettes of a GRID_N grid.
 
-    The grid starts at ``GRID_N`` nodes per axis.  If a plaquette triangle
-    is too coarse to orient, the grid is doubled (up to ``MAX_DOUBLINGS``
-    times) before giving up with DegenerateTriangle.
+    Raises DegenerateTriangle if a plaquette triangle is too coarse to orient.
     """
     g = _open_gap(p)
-
-    m = GRID_N
-    for _ in range(MAX_DOUBLINGS + 1):
-        total = _solid_angle_sum(_unit_grid(p, m))
-        if not math.isnan(total):
-            raw = total / (4.0 * math.pi)
-            return ChernResult(raw, int(round(raw)), g, ChernMethod.PLAQUETTE_SOLID_ANGLE, m)
-        m *= 2
-    raise DegenerateTriangle(
-        f"plaquette triangles remain ambiguous up to n = {m // 2}; "
-        "the map varies too fast for this grid (gap too small?)"
-    )
+    total = _solid_angle_sum(_unit_grid(p, GRID_N))
+    if math.isnan(total):
+        raise DegenerateTriangle(
+            f"plaquette triangles are ambiguous at n = {GRID_N}; "
+            "the map varies too fast for this grid (gap too small?)"
+        )
+    raw = total / (4.0 * math.pi)
+    return ChernResult(raw, int(round(raw)), g, ChernMethod.PLAQUETTE_SOLID_ANGLE, GRID_N)
 
 
 def chern_json(res: ChernResult) -> str:

@@ -4,7 +4,7 @@ Exit codes: 0 success, 1 usage/validation error (message names the flag,
 including an --out path that cannot be written), 2 model or domain error
 (gapless model, degenerate field, ...).  Each subcommand writes exactly
 the owning module's serialization, either to stdout or to --out.  Chern
-grids and loop samples start fixed and refine themselves, so they are not
+grids are fixed and loop samples refine themselves, so they are not
 options; ``field-dump --grid-n`` sets the size of the output.
 """
 

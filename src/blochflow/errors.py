@@ -34,7 +34,7 @@ class ZeroOnLoop(TopologyError):
 
 
 class InsufficientSampling(TopologyError):
-    """Angle increments between consecutive loop samples are too large to trust."""
+    """A sampled quantity is too coarse to trust: loop angle increments or a quadrature sum."""
 
 
 class DegenerateTriangle(TopologyError):

@@ -106,6 +106,16 @@ def _kx_pi_cubic(p: ModelParams) -> list:
     return [b * r * r, a * r * r - 2.0 * b * R * r, b * R * R - 2.0 * a * R * r, (a - c * c) * R * R]
 
 
+def _kx_pi_roots(p: ModelParams) -> np.ndarray:
+    """The real roots u in (-1, 1) of ``_kx_pi_cubic``, each polished by one Newton step."""
+    cubic = c3, c2, c1, c0 = _kx_pi_cubic(p)
+    u = np.roots(cubic)
+    u = u.real[u.imag == 0.0]
+    # Horner by hand: the same arithmetic as np.polyval and np.polyder, without their per-call overhead
+    u = u - (((c3 * u + c2) * u + c1) * u + c0) / ((3.0 * c3 * u + 2.0 * c2) * u + c1)
+    return u[np.abs(u) < 1.0]
+
+
 def bloch_components(kx, ky, p: ModelParams):
     """Components (hx, hy, hz) of the Bloch vector; broadcasts over arrays."""
     sx, cx, sy, _, rho = _trig_rho(kx, ky, p)

@@ -19,6 +19,7 @@ Identical sweep inputs produce byte-identical files.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -63,8 +64,6 @@ class SweepAxis:
             raise ValueError(f"axis needs start < stop, got [{self.start}, {self.stop}]")
 
     def values(self) -> np.ndarray:
-        if self.steps == 1:
-            return np.array([self.start])
         return np.linspace(self.start, self.stop, self.steps)
 
 
@@ -91,14 +90,8 @@ def _cell_param_sets(axes, base: ModelParams):
     names = [ax.name for ax in axes]
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate sweep axis {names}")
-    grids = [ax.values() for ax in axes]
-    combos = []
-    if len(axes) == 1:
-        combos = [(v,) for v in grids[0]]
-    else:
-        combos = [(u, v) for u in grids[0] for v in grids[1]]
     out = []
-    for combo in combos:
+    for combo in itertools.product(*(ax.values() for ax in axes)):
         kw = {"R": base.R, "r": base.r, "c": base.c}
         for name, value in zip(names, combo):
             kw[name] = float(value)
@@ -130,7 +123,7 @@ def _sweep(axes, base: ModelParams, invariant) -> PhaseDiagramGrid:
 
 
 def sweep_chern(axes, base: ModelParams) -> PhaseDiagramGrid:
-    """Chern number per cell by ``chern_plaquette`` (which picks its own grid); gapless cells tagged."""
+    """Chern number per cell by ``chern_plaquette`` (a fixed grid); gapless cells tagged."""
     return _sweep(axes, base, lambda p: (chern_plaquette(p).value, None))
 
 

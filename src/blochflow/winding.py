@@ -4,10 +4,10 @@ The winding number is the accumulated angle of a nonvanishing planar
 field along a closed loop, divided by 2*pi.  It is computed as the sum of
 wrapped angle increments between consecutive samples, closing the loop
 from the last sample back to the first; increments must stay below pi/2
-or the sampling is declared too coarse.  A circle starts at
-``DEFAULT_SAMPLES`` samples, which the adapters here double until the
-increments are fine enough (up to ``MAX_SAMPLES``); a polyline is taken
-as given.
+or the sampling is declared too coarse.  The sample count is not a
+setting: the adapters here sample a circle at ``DEFAULT_SAMPLES`` points
+and double that until the increments are fine enough (up to
+``MAX_SAMPLES``); a polyline is taken as given and never densified.
 
 Adapters:
 
@@ -47,7 +47,6 @@ class LoopSpec:
 
     center: KPoint | None = None
     radius: float = 0.0
-    samples: int = DEFAULT_SAMPLES
     points: tuple | None = None
 
     @classmethod
@@ -71,21 +70,16 @@ class LoopSpec:
             reduce_angle(first.kx - last.kx), reduce_angle(first.ky - last.ky)
         ) > 1e-9:
             raise ValueError("polyline loop must be closed (first and last point coincide)")
-        return cls(points=pts, samples=len(pts) - 1)
+        return cls(points=pts)
 
-    def sample_points(self):
-        """Loop sample coordinates as arrays (kx, ky), closure left implicit."""
+    def sample_points(self, n: int):
+        """Loop sample coordinates as arrays (kx, ky), closure left implicit: n on a circle, a polyline's own."""
         if self.points is not None:
             kx = np.array([q.kx for q in self.points[:-1]])
             ky = np.array([q.ky for q in self.points[:-1]])
             return kx, ky
-        t = TWO_PI * np.arange(self.samples) / self.samples
+        t = TWO_PI * np.arange(n) / n
         return self.center.kx + self.radius * np.cos(t), self.center.ky + self.radius * np.sin(t)
-
-    def densified(self) -> "LoopSpec | None":
-        if self.points is not None:
-            return None
-        return LoopSpec(center=self.center, radius=self.radius, samples=self.samples * 2)
 
 
 @dataclass(frozen=True)
@@ -126,16 +120,15 @@ def winding_planar(field_samples) -> WindingResult:
 
 
 def _with_densification(loop: LoopSpec, evaluate) -> WindingResult:
-    """Run winding_planar on ``evaluate(loop)``, doubling circle sampling as needed."""
-    current = loop
+    """Run winding_planar on ``evaluate(kx, ky)`` of the loop samples, doubling a circle's as needed."""
+    n = DEFAULT_SAMPLES
     while True:
         try:
-            return winding_planar(evaluate(current))
+            return winding_planar(evaluate(*loop.sample_points(n)))
         except InsufficientSampling:
-            denser = current.densified()
-            if denser is None or denser.samples > MAX_SAMPLES:
+            n *= 2
+            if loop.points is not None or n > MAX_SAMPLES:
                 raise
-            current = denser
 
 
 def winding_hermitian(loop: LoopSpec, p: ModelParams) -> WindingResult:
@@ -145,8 +138,7 @@ def winding_hermitian(loop: LoopSpec, p: ModelParams) -> WindingResult:
     touchings, gap / R at most ``field.EPS_GAP`` (GaplessPoint).
     """
 
-    def evaluate(spec: LoopSpec):
-        kx, ky = spec.sample_points()
+    def evaluate(kx, ky):
         vx, vy, gap = velocity_and_gap(kx, ky, p)
         g = float(np.min(gap))
         if g / p.R <= EPS_GAP:
@@ -172,8 +164,7 @@ def winding_nonhermitian(
     if component not in ("x", "y"):
         raise ValueError(f"component must be 'x' or 'y', got {component!r}")
 
-    def evaluate(spec: LoopSpec):
-        kx, ky = spec.sample_points()
+    def evaluate(kx, ky):
         out = np.empty((kx.size, 2))
         for i in range(kx.size):
             if component == "x":

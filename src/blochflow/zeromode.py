@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import DegenerateField, DegenerateZero, GaplessModel, NonIsolatedZero
 from .field import EPS_GAP, hessian
-from .model import TWO_PI, KPoint, ModelParams, _kx_pi_cubic, reduce_angle
+from .model import TWO_PI, KPoint, ModelParams, _kx_pi_roots, reduce_angle
 
 # The model is scale-covariant: scaling R, r and c by s scales h and c by s
 # and the Jacobian determinant by s^2, and leaves the zeros and their kinds
@@ -85,7 +85,7 @@ def torus_distance(ax, ay, bx, by):
     return np.hypot(reduce_angle(ax - bx), reduce_angle(ay - by))
 
 
-def classify(det: float, trace: float, R: float = 1.0) -> ZeroKind:
+def classify(det: float, trace: float, R: float) -> ZeroKind:
     """Saddle for det < 0; sink/source for det > 0 by the trace sign.
 
     Raises DegenerateZero when |det| / R^2 <= DET_EPS, R being the major
@@ -131,12 +131,8 @@ def _closed_form_census(p: ModelParams):
             f"c = {p.c} is within {BIFURCATION_MARGIN:.0e} R of the pitchfork c_p = {c_p} or the fold "
             f"c_f = {c_f}, where zeros on kx = pi are born or merge"
         )
-    cubic = _kx_pi_cubic(p)
-    u = np.roots(cubic)
-    u = u.real[u.imag == 0.0]
-    u = u - np.polyval(cubic, u) / np.polyval(np.polyder(cubic), u)  # one Newton step polishes each root
     points = [(-math.pi, -math.pi), (-math.pi, 0.0), (0.0, -math.pi), (0.0, 0.0)]
-    points += [(-math.pi, s * float(ky)) for ky in np.arccos(u[np.abs(u) < 1.0]) for s in (-1.0, 1.0)]
+    points += [(-math.pi, s * float(ky)) for ky in np.arccos(_kx_pi_roots(p)) for s in (-1.0, 1.0)]
     _check_isolated(*zip(*points))
     return sorted(points)
 
@@ -175,12 +171,13 @@ def _closed_zone_copies(modes):
     return copies
 
 
-def find_zero_modes(p: ModelParams, weight_mode: WeightMode = WeightMode.CLOSED_BZ) -> list:
-    """Locate, validate and classify every zero of the velocity field.
+def euler_characteristic(p: ModelParams, weight_mode: WeightMode = WeightMode.CLOSED_BZ) -> EulerResult:
+    """Locate, validate and classify every zero; chi is their index sum (Poincare-Hopf).
 
-    Returns ZeroMode entries either one-per-canonical-zero (CANONICAL_CELL)
-    or expanded to all closed-zone representatives with fractional edge and
-    corner weights (CLOSED_BZ), sorted by location.
+    ``modes`` has one ZeroMode per canonical zero (CANONICAL_CELL) or
+    every closed-zone representative with fractional edge and corner
+    weights (CLOSED_BZ), sorted by location; in either bookkeeping the sum
+    of weight * index equals ``chi``.
 
     Raises DegenerateField when c is (numerically) zero, GaplessModel when
     the gap closes at a fixed zero, DegenerateZero for a Jacobian
@@ -194,16 +191,6 @@ def find_zero_modes(p: ModelParams, weight_mode: WeightMode = WeightMode.CLOSED_
         ZeroMode(KPoint(x, y), d, t, classify(d, t, p.R), Fraction(1))
         for x, y, d, t in zip(kx.tolist(), ky.tolist(), det.tolist(), trace.tolist())
     ]
-    return modes if weight_mode is WeightMode.CANONICAL_CELL else _closed_zone_copies(modes)
-
-
-def euler_characteristic(p: ModelParams, weight_mode: WeightMode = WeightMode.CLOSED_BZ) -> EulerResult:
-    """Euler characteristic as the index sum over the canonical zeros (Poincare-Hopf).
-
-    ``modes`` lists the zeros in the requested weight bookkeeping; in
-    either one, the sum of weight * index equals ``chi``.
-    """
-    modes = find_zero_modes(p, WeightMode.CANONICAL_CELL)
     chi = sum(z.index for z in modes)
     return EulerResult(chi, modes if weight_mode is WeightMode.CANONICAL_CELL else _closed_zone_copies(modes))
 

@@ -20,7 +20,6 @@ from blochflow import (
     chern_direct,
     chern_plaquette,
     euler_characteristic,
-    find_zero_modes,
     gap_min,
     sweep_chern,
     sweep_euler,
@@ -48,7 +47,7 @@ def _report(name, ok, detail=""):
 
 def test_criterion_1_zero_mode_census():
     t0 = time.perf_counter()
-    modes = find_zero_modes(P1)
+    modes = euler_characteristic(P1).modes
     elapsed = time.perf_counter() - t0
 
     expected = {
@@ -114,7 +113,7 @@ def test_criterion_2_euler_characteristic():
         brute = brute_zero_census(p, 2048)
         mine = sorted(
             (z.location.kx, z.location.ky)
-            for z in find_zero_modes(p, weight_mode=WeightMode.CANONICAL_CELL)
+            for z in euler_characteristic(p, weight_mode=WeightMode.CANONICAL_CELL).modes
         )
         if len(brute) != len(mine) or any(
             float(torus_distance(a[0], a[1], b[0], b[1])) >= 1e-6
@@ -140,7 +139,7 @@ def test_criterion_3_chern_phase_structure():
     for c, want in expectations.items():
         p = ModelParams(3, 1, c)
         plaq = chern_plaquette(p)
-        direct = chern_direct(p, 256)
+        direct = chern_direct(p)
         if not (
             plaq.value == want
             and direct.value == want
@@ -177,7 +176,7 @@ def test_criterion_4_velocity_equivalence():
 def test_criterion_5_winding_equals_index():
     ok = True
     detail = ""
-    for z in find_zero_modes(P1, weight_mode=WeightMode.CANONICAL_CELL):
+    for z in euler_characteristic(P1, weight_mode=WeightMode.CANONICAL_CELL).modes:
         w = winding_hermitian(LoopSpec.circle(z.location, 0.3), P1).w
         if w != z.index:
             ok = False
@@ -195,13 +194,13 @@ def test_criterion_6_error_paths():
     ok = True
     detail = ""
     try:
-        find_zero_modes(ModelParams(3, 1, 0))
+        euler_characteristic(ModelParams(3, 1, 0))
         ok, detail = False, "(c=0 census returned instead of raising)"
     except DegenerateField:
         pass
     for c in (2.0, 4.0):
         try:
-            find_zero_modes(ModelParams(3, 1, c))
+            euler_characteristic(ModelParams(3, 1, c))
             ok, detail = False, f"(c={c} census returned instead of raising)"
         except GaplessModel:
             pass

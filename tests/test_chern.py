@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import blochflow.chern
 from blochflow import (
     ModelParams,
     chern_direct,
@@ -14,8 +15,17 @@ from blochflow import (
     gap_min,
     gapless_boundary,
 )
-from blochflow.chern import EPS_GAP_CHERN, ChernMethod, _degree_integrand, _solid_angle_sum, _unit_grid
-from blochflow.errors import GaplessModel
+from blochflow.chern import (
+    DIRECT_N,
+    EPS_GAP_CHERN,
+    GRID_N,
+    ChernMethod,
+    _degree_integrand,
+    _solid_angle_sum,
+    _unit_grid,
+)
+from blochflow.cli import main
+from blochflow.errors import DegenerateTriangle, GaplessModel, InsufficientSampling
 from blochflow.model import bloch_components
 
 from oracles import (
@@ -100,24 +110,33 @@ def test_chern_plaquette_values(c, value):
 @pytest.mark.parametrize("c,value", [(1.0, 0), (3.0, 1), (5.0, 0)])
 def test_chern_direct_values(c, value):
     p = ModelParams(3, 1, c)
-    res = chern_direct(p, 256)
+    res = chern_direct(p)
     assert res.value == value
     assert abs(res.raw - value) <= 1e-3
     assert res.method is ChernMethod.DIRECT_QUADRATURE
     # the same midpoint sum over the frame triple product
-    assert abs(res.raw - frame_chern_direct(p, 256)) <= 1e-12
+    assert abs(res.raw - frame_chern_direct(p, DIRECT_N)) <= 1e-12
 
 
 def test_chern_gapless_refusal():
     with pytest.raises(GaplessModel):
-        chern_direct(ModelParams(3, 1, 2), 64)
+        chern_direct(ModelParams(3, 1, 2))
     with pytest.raises(GaplessModel):
         chern_plaquette(ModelParams(3, 1, 4))
 
 
-def test_chern_grid_preconditions():
-    with pytest.raises(ValueError):
-        chern_direct(ModelParams(3, 1, 1), 16)
+@pytest.mark.parametrize("c", [2.0001, 3.9999])
+def test_chern_direct_refuses_uncertain_sum(c, capsys):
+    # 1e-4 inside either closing the midpoint sum lands near 1/2 and used
+    # to round to 0; the plaquette count is 1
+    p = ModelParams(3, 1, c)
+    assert chern_plaquette(p).value == 1
+    with pytest.raises(InsufficientSampling, match="--method plaquette"):
+        chern_direct(p)
+    assert main(["chern", "--c", str(c), "--method", "direct"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "InsufficientSampling" in err and "|raw - value|" in err
 
 
 @pytest.mark.parametrize("s", [1e-12, 1e-8, 1e-6, 1e-3, 1.0, 1e3, 1e8])
@@ -133,9 +152,8 @@ def test_chern_is_scale_free(s):
 
 
 def test_chern_grid_stability():
-    a = chern_direct(ModelParams(3, 1, 3), 128)
-    b = chern_direct(ModelParams(3, 1, 3), 256)
-    assert abs(a.raw - b.raw) < 1e-3
+    p = ModelParams(3, 1, 3)
+    assert abs(chern_direct(p).raw - frame_chern_direct(p, 128)) < 1e-3
 
 
 def test_plaquette_robust_near_closing():
@@ -144,6 +162,46 @@ def test_plaquette_robust_near_closing():
     res = chern_plaquette(ModelParams(3, 1, 2.001))
     assert res.value == 1
     assert abs(res.raw - 1) <= 1e-9
+
+
+@st.composite
+def params_near_closing(draw):
+    """(R, r, c) over six decades of R and r/R in [1e-4, 1 - 1e-4], with c
+    either anywhere in [0, 2.2 (R + r)] or within 1e-3 R of R -+ r, down to
+    about EPS_GAP_CHERN R from it."""
+    R = 10.0 ** draw(st.floats(-3.0, 3.0))
+    r = R * draw(st.floats(1e-4, 1.0 - 1e-4))
+    if draw(st.booleans()):
+        return R, r, draw(st.floats(0.0, 2.2 * (R + r)))
+    offset = R * 10.0 ** draw(st.floats(math.log10(EPS_GAP_CHERN), -3.0))
+    return R, r, R + draw(st.sampled_from((-r, r))) + draw(st.sampled_from((-offset, offset)))
+
+
+@settings(max_examples=300)
+@given(params_near_closing())
+def test_even_grid_resolves_every_gapped_set(params):
+    # (pi, 0) and (pi, pi), the preimages of -x and the only places the gap
+    # can close, are nodes of the even GRID_N grid, so one pass orients
+    # every triangle and counts C = [c < R + r] - [c < R - r] exactly
+    R, r, c = params
+    assume(c >= 0.0)
+    p = ModelParams(R, r, c)
+    assume(gap_min(p) / R > EPS_GAP_CHERN)
+    raw = _solid_angle_sum(_unit_grid(p, GRID_N)) / (4.0 * math.pi)
+    assert not math.isnan(raw)
+    assert abs(raw - ((c < R + r) - (c < R - r))) <= 1e-9
+
+
+def test_unorientable_grid_raises(monkeypatch, tmp_path):
+    monkeypatch.setattr(blochflow.chern, "_solid_angle_sum", lambda u: math.nan)
+    with pytest.raises(DegenerateTriangle):
+        chern_plaquette(ModelParams(3, 1, 3))
+    # a sweep keeps every cell, with no Chern value
+    out = tmp_path / "pd.csv"
+    assert main(["phase-diagram", "--axis", "c:0.2:5.8:57", "--out", str(out)]) == 0
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 57
+    assert all(row.split(",")[3] == "" for row in rows)
 
 
 def _wrapped(u):
@@ -235,7 +293,7 @@ def test_methods_agree_on_random_parameters():
     rng = np.random.default_rng(11)
     for R, r, c in random_gapped_params(rng, 20, avoid=0.1):
         p = ModelParams(R, r, c)
-        d = chern_direct(p, 256)
+        d = chern_direct(p)
         q = chern_plaquette(p)
         assert d.value == q.value
         assert abs(q.raw - q.value) <= 1e-9

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import blochflow
-from blochflow import ModelParams, find_zero_modes
+from blochflow import ModelParams, euler_characteristic
 from blochflow.chern import chern_json, chern_plaquette
 from blochflow.cli import main
 from blochflow.zeromode import zero_modes_json
@@ -37,7 +37,7 @@ def test_zeros_reference(capsys):
 def test_zeros_matches_module_serialization(capsys):
     rc, out, _ = run(capsys, ["zeros"])
     body = "\n".join(out.splitlines()[:-1])
-    assert body == zero_modes_json(find_zero_modes(ModelParams(3, 1, 1)))
+    assert body == zero_modes_json(euler_characteristic(ModelParams(3, 1, 1)).modes)
 
 
 def test_zeros_out_file(tmp_path, capsys):
@@ -45,7 +45,7 @@ def test_zeros_out_file(tmp_path, capsys):
     rc, out, _ = run(capsys, ["zeros", "--out", str(out_path)])
     assert rc == 0
     assert out == "chi 0\n"
-    assert out_path.read_text() == zero_modes_json(find_zero_modes(ModelParams(3, 1, 1)))
+    assert out_path.read_text() == zero_modes_json(euler_characteristic(ModelParams(3, 1, 1)).modes)
 
 
 def test_zeros_canonical_weight_mode(capsys):

@@ -9,7 +9,7 @@ from blochflow import (
     KPoint,
     LoopSpec,
     ModelParams,
-    find_zero_modes,
+    euler_characteristic,
     winding_hermitian,
     winding_nonhermitian,
 )
@@ -114,7 +114,7 @@ def test_hermitian_winding(center, expected):
 
 
 def test_winding_equals_index_for_all_zeros():
-    for z in find_zero_modes(P1, weight_mode=WeightMode.CANONICAL_CELL):
+    for z in euler_characteristic(P1, weight_mode=WeightMode.CANONICAL_CELL).modes:
         loop = LoopSpec.circle(z.location, 0.3)
         assert winding_hermitian(loop, P1).w == z.index
 
@@ -144,7 +144,7 @@ def test_winding_equals_enclosed_index_sum(ky_lo, ky_hi, enclosed):
     half = 1.0
     inside = [
         z
-        for z in find_zero_modes(p, weight_mode=WeightMode.CANONICAL_CELL)
+        for z in euler_characteristic(p, weight_mode=WeightMode.CANONICAL_CELL).modes
         if abs(reduce_angle(z.location.kx - PI)) < half and ky_lo < z.location.ky < ky_hi
     ]
     assert len(inside) == enclosed

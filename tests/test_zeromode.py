@@ -15,7 +15,6 @@ from blochflow import (
     WeightMode,
     ZeroKind,
     euler_characteristic,
-    find_zero_modes,
     winding_hermitian,
 )
 import blochflow.zeromode
@@ -61,7 +60,7 @@ def _match(modes, kx, ky, tol=1e-9):
 
 
 def test_census_structure_reference_params():
-    modes = find_zero_modes(P1)
+    modes = euler_characteristic(P1).modes
     assert len(modes) == 9
 
     sink = _match(modes, 0.0, 0.0)
@@ -83,7 +82,7 @@ def test_census_structure_reference_params():
 
 
 def test_census_canonical_mode():
-    modes = find_zero_modes(P1, weight_mode=WeightMode.CANONICAL_CELL)
+    modes = euler_characteristic(P1, weight_mode=WeightMode.CANONICAL_CELL).modes
     assert len(modes) == 4
     assert all(z.weight == Fraction(1) for z in modes)
     assert sorted(z.kind.value for z in modes) == ["saddle", "saddle", "sink", "source"]
@@ -94,11 +93,11 @@ def _near_bifurcation(p):
 
 
 def _canonical_zeros(p):
-    return [(z.location.kx, z.location.ky) for z in find_zero_modes(p, WeightMode.CANONICAL_CELL)]
+    return [(z.location.kx, z.location.ky) for z in euler_characteristic(p, WeightMode.CANONICAL_CELL).modes]
 
 
 def test_census_zero_quality_reference_params():
-    for z in find_zero_modes(P1):
+    for z in euler_characteristic(P1).modes:
         vx, vy, _ = velocity_and_gap(z.location.kx, z.location.ky, P1)
         assert math.hypot(float(vx), float(vy)) <= 1e-12
         assert abs(z.det) > 1e-8
@@ -118,7 +117,7 @@ def test_census_zero_quality(params):
     if _near_bifurcation(p):
         return
     try:
-        modes = find_zero_modes(p, WeightMode.CANONICAL_CELL)
+        modes = euler_characteristic(p, WeightMode.CANONICAL_CELL).modes
     except (DegenerateField, GaplessModel):
         return
     points = [(z.location.kx, z.location.ky) for z in modes]
@@ -137,7 +136,7 @@ def _census_outside_margin(params):
     if _near_bifurcation(p):
         return None
     try:
-        return p, find_zero_modes(p, WeightMode.CANONICAL_CELL)
+        return p, euler_characteristic(p, WeightMode.CANONICAL_CELL).modes
     except (DegenerateField, GaplessModel):
         return None
 
@@ -196,19 +195,19 @@ def test_closed_zone_weights(params):
 
 def test_degenerate_field_error():
     with pytest.raises(DegenerateField):
-        find_zero_modes(ModelParams(3, 1, 0))
+        euler_characteristic(ModelParams(3, 1, 0))
 
 
 def test_gapless_model_error():
     with pytest.raises(GaplessModel):
-        find_zero_modes(ModelParams(3, 1, 2))
+        euler_characteristic(ModelParams(3, 1, 2))
     with pytest.raises(GaplessModel):
-        find_zero_modes(ModelParams(3, 1, 4))
+        euler_characteristic(ModelParams(3, 1, 4))
 
 
 def test_extra_zero_window_census():
     # between c = (R^2-r^2)/R and the fold, extra zero pairs live on kx = +-pi
-    modes = find_zero_modes(P3)
+    modes = euler_characteristic(P3).modes
     assert len(modes) > 9
     assert len(modes) == 17
     # every edge zero with generic ky must satisfy the defining equation
@@ -230,7 +229,7 @@ def test_census_completeness_against_sign_scan():
         brute = brute_zero_census(p, 512)
         mine = sorted(
             (z.location.kx, z.location.ky)
-            for z in find_zero_modes(p, weight_mode=WeightMode.CANONICAL_CELL)
+            for z in euler_characteristic(p, weight_mode=WeightMode.CANONICAL_CELL).modes
         )
         assert len(brute) == len(mine)
         for a, b in zip(brute, mine):
@@ -306,7 +305,7 @@ def test_census_kernel_work(monkeypatch):
     monkeypatch.setattr(blochflow.zeromode, "hessian", counting(hessian))
     for c, count in ((1.2, 4), (3.0, 8), (4.5, 4)):
         calls.clear()
-        assert len(find_zero_modes(ModelParams(3, 1, c), WeightMode.CANONICAL_CELL)) == count
+        assert len(euler_characteristic(ModelParams(3, 1, c), WeightMode.CANONICAL_CELL).modes) == count
         assert calls == [("hessian", count)]
 
 
@@ -330,7 +329,7 @@ def test_bifurcation_margin(R, r):
     margin = BIFURCATION_MARGIN * R
     for c in (c_p - margin / 2, c_p + margin / 2, c_f - margin / 2, c_f + margin / 2):
         with pytest.raises(NonIsolatedZero):
-            find_zero_modes(ModelParams(R, r, c))
+            euler_characteristic(ModelParams(R, r, c))
     for c, count in ((c_p - 2 * margin, 4), (c_p + 2 * margin, 8), (c_f - 2 * margin, 8), (c_f + 2 * margin, 4)):
         assert len(_canonical_zeros(ModelParams(R, r, c))) == count
 
@@ -352,19 +351,19 @@ def test_pitchfork_end_roots_are_the_fixed_zeros(monkeypatch):
     monkeypatch.setattr(blochflow.zeromode, "BIFURCATION_MARGIN", -1.0)
     assert zero_bifurcations(2.0, 1.0)[0] == 1.5
     with pytest.raises(DegenerateZero):
-        find_zero_modes(ModelParams(2.0, 1.0, 1.5))
+        euler_characteristic(ModelParams(2.0, 1.0, 1.5))
 
 
 def test_classify_rules():
     # (det, trace) of diag(-1, -2), diag(1, 2), diag(1, -2) and diag(1e-5, 1e-5)
-    assert classify(2.0, -3.0) is ZeroKind.SINK
-    assert classify(2.0, 3.0) is ZeroKind.SOURCE
-    assert classify(-2.0, -1.0) is ZeroKind.SADDLE
+    assert classify(2.0, -3.0, 1.0) is ZeroKind.SINK
+    assert classify(2.0, 3.0, 1.0) is ZeroKind.SOURCE
+    assert classify(-2.0, -1.0, 1.0) is ZeroKind.SADDLE
     with pytest.raises(DegenerateZero) as err:
-        classify(1e-10, 2e-5)
+        classify(1e-10, 2e-5, 1.0)
     assert str(err.value) == "|det J| = 1.000e-10 <= 1.0e-08"
     with pytest.raises(DegenerateZero):
-        classify(-1e-9, 0.0)
+        classify(-1e-9, 0.0, 1.0)
     # the threshold is on det / R^2: det scales like the square of the parameters
     assert classify(2e-8, 1.0, R=1e-2) is ZeroKind.SOURCE
     with pytest.raises(DegenerateZero) as err:
@@ -373,10 +372,10 @@ def test_classify_rules():
 
 
 def test_index_rules():
-    modes = find_zero_modes(P1)
+    modes = euler_characteristic(P1).modes
     for z in modes:
         assert z.index == (1 if z.det > 0 else -1)
-        assert z.kind is classify(z.det, z.trace)
+        assert z.kind is classify(z.det, z.trace, P1.R)
 
 
 def test_euler_characteristic_reference():
@@ -420,27 +419,27 @@ def test_band_independent_census():
     # keeps det and negates the trace, so indexes cannot change while
     # sinks and sources trade places
     swap = {ZeroKind.SINK: ZeroKind.SOURCE, ZeroKind.SOURCE: ZeroKind.SINK, ZeroKind.SADDLE: ZeroKind.SADDLE}
-    modes = find_zero_modes(P1, weight_mode=WeightMode.CANONICAL_CELL)
+    modes = euler_characteristic(P1, weight_mode=WeightMode.CANONICAL_CELL).modes
     for z in modes:
-        assert classify(z.det, -z.trace) is swap[z.kind]
+        assert classify(z.det, -z.trace, P1.R) is swap[z.kind]
 
 
 def test_non_isolated_zero_near_fold():
     # just under the fold where the extra zero pair merges, the two zeros
     # crowd within the isolation radius
     with pytest.raises(NonIsolatedZero):
-        find_zero_modes(ModelParams(3, 1, 3.1682004804590176 - 1e-8))
+        euler_characteristic(ModelParams(3, 1, 3.1682004804590176 - 1e-8))
 
 
 def test_degenerate_bifurcation_is_typed_error():
     # at c = (R^2 - r^2)/R the edge zeros are being born; the census must
     # refuse with a typed error, never return a broken census
     with pytest.raises((DegenerateZero, NonIsolatedZero)):
-        find_zero_modes(ModelParams(3, 1, 8.0 / 3.0))
+        euler_characteristic(ModelParams(3, 1, 8.0 / 3.0))
 
 
 def test_zero_modes_json_schema():
-    modes = find_zero_modes(P1)
+    modes = euler_characteristic(P1).modes
     records = json.loads(zero_modes_json(modes))
     assert len(records) == 9
     for rec in records:
