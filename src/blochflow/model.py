@@ -17,6 +17,14 @@ the Bloch vector (``bloch_components``), the velocity and its Hessian
 factors and broadcast over numpy arrays of kx and ky.
 ``KPoint.canonical`` reduces a single point to the fundamental domain
 [-pi, pi)^2.
+
+On the line kx = pi, the velocity zeros off ky in {0, pi} and the
+stationary points of |h| are the roots u = cos ky in (-1, 1) of one cubic
+(``_kx_pi_cubic``), written on s = r/R and g = c/R.  ``_kx_pi_roots``
+solves it in closed form with ``math`` and is the one solver that the gap
+minimum (``chern.gap_min``) and the zero census (``zeromode``) share.
+There are two such roots when c lies in the window c_p < c < c_f between
+the pitchfork and the fold (``zero_bifurcations``), and none otherwise.
 """
 
 from __future__ import annotations
@@ -28,13 +36,12 @@ from typing import TextIO
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
-# Largest accepted |R|, |r| and |c|.  The degree-4 coefficients of the
-# kx = pi cubic (``_kx_pi_cubic``) then stay below about 1e201 and |h|^2
-# below about 1e101, far from float overflow.
+# Largest accepted |R|, |r| and |c|.  |h|^2 and the Hessian determinant,
+# of order R^2, then stay below about 1e101, far from float overflow.
 PARAM_MAX = 1e50
-# Smallest accepted r, the mirror bound: the leading coefficient of that
-# cubic is 2 R r^3, which R > r >= 1e-50 keeps above 1e-200, far from
-# float underflow.
+# Smallest accepted r, the mirror bound: R > r >= 1e-50 keeps |h|^2 and the
+# Hessian determinant above about 1e-100, far from float underflow.  The
+# kx = pi cubic (``_kx_pi_cubic``) is scale-free and needs neither bound.
 PARAM_MIN = 1e-50
 
 
@@ -95,25 +102,67 @@ def _trig_rho(kx, ky, p: ModelParams):
     return np.sin(kx), np.cos(kx), sy, cy, np.sqrt((p.r * sy) ** 2 + (p.R + p.r * cy) ** 2)
 
 
-def _kx_pi_cubic(p: ModelParams) -> list:
-    """Coefficients, highest power first, of (R^2 + r^2 + 2 R r u)(R - r u)^2 - c^2 R^2.
+def zero_bifurcations(R: float, r: float) -> tuple:
+    """The two axis shifts where the zero count changes: (c_p, c_f).
 
-    Its roots u = cos ky in (-1, 1) are where rho (1 - (r/R) u) = c: the
-    stationary points of |h| on kx = pi off ky in {0, pi}, and the zeros of v there.
+    On kx = pi the zeros off ky in {0, pi} solve g(u) = c, with
+    g(u) = rho (1 - (r/R) u) and u = cos ky.  Since g(-1) = g(1) = c_p, a
+    zero pair splits off each of (pi, 0) and (pi, pi) at the pitchfork c_p;
+    the pairs merge again at the fold c_f, the maximum of g at u = -r/(3R).
     """
-    R, r, c = p.R, p.r, p.c
-    a, b = R * R + r * r, 2.0 * R * r
-    return [b * r * r, a * r * r - 2.0 * b * R * r, b * R * R - 2.0 * a * R * r, (a - c * c) * R * R]
+    return (R * R - r * r) / R, (R * R + r * r / 3.0) ** 1.5 / (R * R)
 
 
-def _kx_pi_roots(p: ModelParams) -> np.ndarray:
-    """The real roots u in (-1, 1) of ``_kx_pi_cubic``, each polished by one Newton step."""
-    cubic = c3, c2, c1, c0 = _kx_pi_cubic(p)
-    u = np.roots(cubic)
-    u = u.real[u.imag == 0.0]
-    # Horner by hand: the same arithmetic as np.polyval and np.polyder, without their per-call overhead
-    u = u - (((c3 * u + c2) * u + c1) * u + c0) / ((3.0 * c3 * u + 2.0 * c2) * u + c1)
-    return u[np.abs(u) < 1.0]
+def _kx_pi_cubic(p: ModelParams) -> list:
+    """Coefficients, highest power first, of (1 + s^2 + 2 s u)(1 - s u)^2 - g^2, s = r/R, g = c/R.
+
+    This is (R^2 + r^2 + 2 R r u)(R - r u)^2 - c^2 R^2 over R^4.  Its roots
+    u = cos ky in (-1, 1) are where rho (1 - (r/R) u) = c: the stationary
+    points of |h| on kx = pi off ky in {0, pi}, and the zeros of v there.
+    """
+    s, g = p.r / p.R, p.c / p.R
+    b = 2.0 * s**3
+    return [b, s * s * (s * s - 3.0), -b, (1.0 - g) * (1.0 + g) + s * s]
+
+
+def _kx_pi_roots(p: ModelParams) -> list:
+    """The roots u in (-1, 1) of ``_kx_pi_cubic`` in closed form, each polished by one Newton step.
+
+    There are two for c_p < c < c_f (``zero_bifurcations``) and none
+    otherwise.  With w = u + s/3 measured from the fold point, where the
+    cubic's left side is stationary, the cubic reads
+    2 s^3 w^3 - s^2 (3 + s^2) w^2 + s^2 e = 0 with e > 0 inside the window,
+    and y = sqrt(e) / w turns it into the depressed y^3 - (3 + s^2) y +
+    2 s sqrt(e) = 0.  Its three real roots (trigonometric form) are the two
+    wanted ones, y_0 > 0 and y_2 < 0, and y_1 >= 0, which lies beyond
+    u = 1/s.  Where rounding at r -> R, c -> c_p leaves one real root,
+    Cardano gives it: y_2, near u = -1.
+    """
+    c_p, c_f = zero_bifurcations(p.R, p.r)
+    if not c_p < p.c < c_f:
+        return []
+    c3, c2, c1, c0 = _kx_pi_cubic(p)
+    s = p.r / p.R
+    u0 = -s / 3.0
+    e = (((c3 * u0 + c2) * u0 + c1) * u0 + c0) / (s * s)
+    if not e > 0.0:  # c_f rounded up past the fold
+        return []
+    m, sqrt_e = math.sqrt(1.0 + s * s / 3.0), math.sqrt(e)
+    h, q = m**3, s * sqrt_e  # y^3 - 3 m^2 y + 2 q = 0
+    if q < h:
+        phi = math.acos(-q / h) / 3.0
+        ys = (2.0 * m * math.cos(phi), 2.0 * m * math.cos(phi + 2.0 * math.pi / 3.0))
+    else:
+        t = (q + math.sqrt((q - h) * (q + h))) ** (1.0 / 3.0)
+        ys = (-(t + m * m / t),)
+    roots = []
+    for y in ys:
+        u = u0 + sqrt_e / y
+        # one Newton step, Horner by hand
+        u -= (((c3 * u + c2) * u + c1) * u + c0) / ((3.0 * c3 * u + 2.0 * c2) * u + c1)
+        if abs(u) < 1.0:
+            roots.append(u)
+    return roots
 
 
 def bloch_components(kx, ky, p: ModelParams):

@@ -3,9 +3,10 @@
 The zeros are known in closed form.  Since vx = -c rho sin kx / |h|, every
 zero lies on kx in {0, pi}.  Four are fixed, at ky in {0, pi}; the others
 are (pi, -+arccos u) for each root u in (-1, 1) of the cubic that
-``gap_min`` also solves.  Within ``BIFURCATION_MARGIN`` R of the pitchfork
-c_p or the fold c_f (``zero_bifurcations``), where the count changes, the
-census raises NonIsolatedZero.  All zeros are then classified in one
+``gap_min`` also solves (``model._kx_pi_roots``).  Within
+``BIFURCATION_MARGIN`` R of the pitchfork c_p or the fold c_f
+(``model.zero_bifurcations``), where the count changes, the census raises
+NonIsolatedZero.  All zeros are then classified in one
 array pass over their velocity Jacobian, the closed-form Hessian of |h|:
 negative determinant is a saddle (index -1); positive determinant is a
 sink or source depending on the trace sign (index +1).
@@ -32,7 +33,7 @@ import numpy as np
 
 from .errors import DegenerateField, DegenerateZero, GaplessModel, NonIsolatedZero
 from .field import EPS_GAP, hessian
-from .model import TWO_PI, KPoint, ModelParams, _kx_pi_roots, reduce_angle
+from .model import TWO_PI, KPoint, ModelParams, _kx_pi_roots, reduce_angle, zero_bifurcations
 
 # The model is scale-covariant: scaling R, r and c by s scales h and c by s
 # and the Jacobian determinant by s^2, and leaves the zeros and their kinds
@@ -98,17 +99,6 @@ def classify(det: float, trace: float, R: float) -> ZeroKind:
     return ZeroKind.SINK if trace < 0.0 else ZeroKind.SOURCE
 
 
-def zero_bifurcations(R: float, r: float) -> tuple:
-    """The two axis shifts where the zero count changes: (c_p, c_f).
-
-    On kx = pi the zeros off ky in {0, pi} solve g(u) = c, with
-    g(u) = rho (1 - (r/R) u) and u = cos ky.  Since g(-1) = g(1) = c_p, a
-    zero pair splits off each of (pi, 0) and (pi, pi) at the pitchfork c_p;
-    the pairs merge again at the fold c_f, the maximum of g at u = -r/(3R).
-    """
-    return (R * R - r * r) / R, (R * R + r * r / 3.0) ** 1.5 / (R * R)
-
-
 def _closed_form_census(p: ModelParams):
     """Canonical zero locations, sorted: the four fixed zeros and the cubic's."""
     if p.c == 0.0:
@@ -132,7 +122,7 @@ def _closed_form_census(p: ModelParams):
             f"c_f = {c_f}, where zeros on kx = pi are born or merge"
         )
     points = [(-math.pi, -math.pi), (-math.pi, 0.0), (0.0, -math.pi), (0.0, 0.0)]
-    points += [(-math.pi, s * float(ky)) for ky in np.arccos(_kx_pi_roots(p)) for s in (-1.0, 1.0)]
+    points += [(-math.pi, s * math.acos(u)) for u in _kx_pi_roots(p) for s in (-1.0, 1.0)]
     _check_isolated(*zip(*points))
     return sorted(points)
 

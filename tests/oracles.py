@@ -9,13 +9,16 @@ by a sign-change scan plus MINPACK's hybrid solver on that projection
 (the library solves a cubic on kx = pi), windings by numpy's phase unwrapping,
 derivatives by plain central differences (the Chern integrand included),
 the isolation check by a pair-by-pair loop (the library builds a distance
-matrix), the zero census by the paper's generic method, damped Newton
-from a seed grid with a greedy dedup (the library solves the model's
-cubic in closed form), the fold of that census by a dense scan, and the
-plaquette solid-angle sum by np.roll neighbours, np.cross and einsum over
-an (n, n, 3) stack of unit vectors (the library slices three component
-arrays of a wrapped open grid and shares the cross product and the edge
-dot products between the two triangles of a plaquette).
+matrix), the roots of the kx = pi cubic by np.roots, the eigenvalues of
+its companion matrix (the library has them in closed form; both polish
+them by the same Newton step), the zero census by the paper's generic
+method, damped Newton from a seed grid with a greedy dedup (the library
+solves the model's cubic in closed form), the fold of that census by a
+dense scan, and the plaquette solid-angle sum by np.roll neighbours,
+np.cross and einsum over an (n, n, 3) stack of unit vectors (the library
+slices three component arrays of a wrapped open grid and shares the cross
+product and the edge dot products between the two triangles of a
+plaquette).
 """
 
 import math
@@ -26,7 +29,7 @@ from scipy.optimize import fsolve
 
 from blochflow.errors import DegenerateField, GaplessModel, GaplessPoint, NonIsolatedZero
 from blochflow.field import EPS_GAP, hessian, velocity_and_gap
-from blochflow.model import TWO_PI, bloch_components, reduce_angle
+from blochflow.model import TWO_PI, _kx_pi_cubic, bloch_components, reduce_angle
 from blochflow.zeromode import (
     C_DEGENERATE,
     ISOLATION_RADIUS,
@@ -191,6 +194,16 @@ def scan_gap_min(p, n=256, levels=24):
             cx, cy, half = wx[a, b], wy[a, b], half / 4.0
             best = min(best, float(w[a, b]))
     return math.sqrt(best)
+
+
+def numpy_kx_pi_roots(p):
+    """The real roots u in (-1, 1) of ``model._kx_pi_cubic`` by np.roots,
+    each polished by the same one Newton step as ``model._kx_pi_roots``."""
+    cubic = c3, c2, c1, c0 = _kx_pi_cubic(p)
+    u = np.roots(cubic)
+    u = u.real[u.imag == 0.0]
+    u = u - (((c3 * u + c2) * u + c1) * u + c0) / ((3.0 * c3 * u + 2.0 * c2) * u + c1)
+    return sorted(u[np.abs(u) < 1.0].tolist())
 
 
 def surface_csv_rows(p, n):

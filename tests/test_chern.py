@@ -166,11 +166,11 @@ def test_plaquette_robust_near_closing():
 
 @st.composite
 def params_near_closing(draw):
-    """(R, r, c) over six decades of R and r/R in [1e-4, 1 - 1e-4], with c
+    """(R, r, c) over six decades of R and r/R in [1e-8, 1 - 1e-8], with c
     either anywhere in [0, 2.2 (R + r)] or within 1e-3 R of R -+ r, down to
     about EPS_GAP_CHERN R from it."""
     R = 10.0 ** draw(st.floats(-3.0, 3.0))
-    r = R * draw(st.floats(1e-4, 1.0 - 1e-4))
+    r = R * draw(st.floats(1e-8, 1.0 - 1e-8))
     if draw(st.booleans()):
         return R, r, draw(st.floats(0.0, 2.2 * (R + r)))
     offset = R * 10.0 ** draw(st.floats(math.log10(EPS_GAP_CHERN), -3.0))

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -109,13 +110,14 @@ def test_bad_flag_value_exit(capsys):
         "phase-diagram --axis c:1:1e200:3",
         "field-dump --R 1e200 --grid-n 2",
         "winding --R 1e200",
-        # r below model.PARAM_MIN: the kx = pi cubic would underflow
+        # r below model.PARAM_MIN: |h|^2 and det J would underflow
         "euler --R 3e-160 --r 1e-160 --c 3e-160",
     ],
 )
 def test_non_finite_parameters_exit(capsys, argv):
     # NaN and inf pass every ordering check, so they must be rejected as
-    # such; finite values above model.PARAM_MAX would overflow the kx = pi cubic
+    # such; finite values above model.PARAM_MAX are refused too, well before
+    # |h|^2 and det J could overflow
     argv = argv.split()
     flag = "--axis" if "--axis" in argv else "--R/--r/--c"
     rc, out, err = run(capsys, argv)
@@ -169,6 +171,23 @@ def test_chern_gapless_exit(capsys):
     rc, _, err = run(capsys, ["chern", "--c", "2"])
     assert rc == 2
     assert "Gapless" in err
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        ("chern --R 1 --r 1e-9 --c 1", 2),
+        ("phase-diagram --R 1 --r 1e-50 --axis c:0.5:1.5:3", 0),
+    ],
+)
+def test_parameter_edge_warns_nothing(capsys, argv, code):
+    # at c = R with r / R below 1e-8, c_p and c_f round to R: the cubic has
+    # no root in (-1, 1) to find, and its solver must not divide by zero
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, _, err = run(capsys, argv.split())
+    assert rc == code
+    assert "Warning" not in err
 
 
 def test_euler_output(capsys):

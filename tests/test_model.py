@@ -2,19 +2,24 @@
 
 import io
 import math
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from blochflow import KPoint, ModelParams
+from blochflow import KPoint, ModelParams, gap_min
 from blochflow.model import (
     PARAM_MAX,
     PARAM_MIN,
     SURFACE_CSV_HEADER,
+    _kx_pi_cubic,
+    _kx_pi_roots,
     bloch_components,
     write_surface_csv,
+    zero_bifurcations,
 )
 
 from oracles import (
@@ -22,7 +27,9 @@ from oracles import (
     fd_bloch_frame,
     frame_components,
     generic_velocity_and_gap,
+    numpy_kx_pi_roots,
     params_near_critical,
+    scan_gap_min,
     surface_csv_rows,
 )
 
@@ -221,3 +228,75 @@ def test_bloch_components_broadcast():
     hx, hy, hz = bloch_components(kx, 0.0, P1)
     assert hx.shape == kx.shape
     assert np.allclose(hz, 0.0, atol=1e-15)
+
+
+def _term_size(cubic, u):
+    """The sum of |c_k u^k|, which sets the rounding error of the cubic at u."""
+    c3, c2, c1, c0 = (abs(x) for x in cubic)
+    return ((c3 * abs(u) + c2) * abs(u) + c1) * abs(u) + c0
+
+
+@st.composite
+def params_around_bifurcations(draw):
+    """(R, r, c) over six decades of R and r/R in [1e-8, 1 - 1e-8], with c
+    anywhere in [0, 2.2 (R + r)], anywhere between the pitchfork c_p and the
+    fold c_f, or 1e-12 R to 0.1 R from either, on either side."""
+    R = 10.0 ** draw(st.floats(-3.0, 3.0))
+    r = R * draw(st.floats(1e-8, 1.0 - 1e-8))
+    c_p, c_f = zero_bifurcations(R, r)
+    where = draw(st.sampled_from(("anywhere", "window", "edge")))
+    if where == "anywhere":
+        return R, r, draw(st.floats(0.0, 2.2 * (R + r)))
+    if where == "window":
+        return R, r, c_p + (c_f - c_p) * draw(st.floats(0.0, 1.0))
+    offset = R * 10.0 ** draw(st.floats(-12.0, -1.0))
+    return R, r, draw(st.sampled_from((c_p, c_f))) + draw(st.sampled_from((-offset, offset)))
+
+
+@settings(max_examples=200)
+@given(params_around_bifurcations())
+def test_kx_pi_roots_match_numpy_oracle(params):
+    # the closed form against the companion-matrix eigenvalues, and its gap
+    # minimum against the dense scan.  Nearer to c_p or c_f, rounding alone
+    # decides the root count: at r/R ~ 1e-8 the window (c_p, c_f) is only
+    # about 1e-16 R wide, and as r -> R the root near u = 1 meets the one
+    # near u = R/r, so the cubic fixes it only to about 4e-16 R^2 / (R - r).
+    R, r, c = params
+    c_p, c_f = zero_bifurcations(R, r)
+    assume(c >= 0.0 and abs(c - c_p) > 1e-12 * R * R / (R - r) and abs(c - c_f) > 1e-12 * R)
+    p = ModelParams(R, r, c)
+    mine, ref = sorted(_kx_pi_roots(p)), numpy_kx_pi_roots(p)
+    assert len(mine) == len(ref)
+    cubic = c3, c2, c1, _ = _kx_pi_cubic(p)
+    for u, v in zip(mine, ref):
+        # near the fold the two roots merge, and the rounded cubic fixes each
+        # only to its rounding error over its slope there
+        slope = abs((3.0 * c3 * v + 2.0 * c2) * v + c1)
+        assert abs(u - v) <= 1e-12 + 4.0 * sys.float_info.epsilon * _term_size(cubic, v) / slope
+    # a 64-node scan: at c = 0, |h| is flat in kx and the scan refines
+    # around every node of its minimal rows
+    g, scan = gap_min(p), scan_gap_min(p, 64)
+    assert g <= scan + 1e-12 * R
+    assert abs(g - scan) <= 1e-9 * R
+
+
+@pytest.mark.parametrize(
+    "R, r, c",
+    [
+        (592453769653587.0, 592453769653584.6, 4.75100321963074),
+        (8.89978575632993e-40, 8.899785756274985e-40, 1.098884277179589e-50),
+        (1.9592723737235127e35, 1.9592723737234356e35, 1.5424507828098445e22),
+        (7.8310679462611075e-28, 1.431351057544347e-28, 7.9622415667794515e-28),
+    ],
+)
+def test_kx_pi_roots_at_rounding_edges(R, r, c):
+    # the first three have r -> R and c within rounding of c_p, where the
+    # depressed cubic rounds to one real root (Cardano's, within rounding of
+    # u = -1); the last has c one ulp below c_f, where the cubic at the fold
+    # point rounds below 0
+    p = ModelParams(R, r, c)
+    cubic = c3, c2, c1, c0 = _kx_pi_cubic(p)
+    for u in _kx_pi_roots(p):
+        assert abs(u) < 1.0
+        assert abs(((c3 * u + c2) * u + c1) * u + c0) <= 1e-12 * _term_size(cubic, u)
+    assert abs(gap_min(p) - scan_gap_min(p, 64)) <= 1e-9 * R
