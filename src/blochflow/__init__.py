@@ -22,7 +22,6 @@ from .errors import (
 from .model import KPoint, ModelParams
 from .zeromode import (
     EulerResult,
-    WeightMode,
     ZeroKind,
     ZeroMode,
     euler_characteristic,
@@ -47,7 +46,6 @@ __all__ = [
     "PhaseDiagramGrid",
     "SweepAxis",
     "TopologyError",
-    "WeightMode",
     "WindingResult",
     "ZeroKind",
     "ZeroMode",

@@ -20,9 +20,9 @@ from . import __version__
 from .chern import chern_direct, chern_json, chern_plaquette
 from .errors import TopologyError
 from .model import KPoint, ModelParams, write_surface_csv
-from .sweep import SweepAxis, sweep_chern, sweep_euler, grid_to_csv, grid_to_json
+from .sweep import SweepAxis, sweep_chern, sweep_euler, grid_to_csv
 from .winding import LoopSpec, winding_hermitian, winding_json
-from .zeromode import WeightMode, euler_characteristic, zero_modes_json
+from .zeromode import closed_zone_records, euler_characteristic, zero_modes_json
 
 
 class _Parser(argparse.ArgumentParser):
@@ -30,16 +30,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _add_model_flags(sp):
-    sp.add_argument("--R", type=float, default=3.0, help="torus major radius")
-    sp.add_argument("--r", type=float, default=1.0, help="torus tube radius")
-    sp.add_argument("--c", type=float, default=1.0, help="axis shift of the image surface")
-
-
-def _add_out_flag(sp, text="write output to this path instead of stdout"):
-    sp.add_argument("--out", type=str, default=None, help=text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -51,58 +41,26 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser(
-        "zeros",
-        help="zero-mode census with weights and the Euler characteristic",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
-    )
-    _add_model_flags(sp)
-    sp.add_argument(
-        "--weight-mode",
-        choices=["closed", "canonical"],
-        default="closed",
-        help="closed-zone fractional weights or one entry per canonical zero",
-    )
-    _add_out_flag(sp, "write the census JSON to this path; the 'chi N' line still goes to stdout")
+    def command(name, text):
+        sp = sub.add_parser(name, help=text, formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        sp.add_argument("--R", type=float, default=3.0, help="torus major radius")
+        sp.add_argument("--r", type=float, default=1.0, help="torus tube radius")
+        sp.add_argument("--c", type=float, default=1.0, help="axis shift of the image surface")
+        return sp
 
-    sp = sub.add_parser(
-        "chern",
-        help="Chern number of the gapped model",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
-    )
-    _add_model_flags(sp)
+    command("zeros", "zero-mode census with weights and the Euler characteristic")
+    sp = command("chern", "Chern number of the gapped model")
     sp.add_argument(
         "--method",
         choices=["plaquette", "direct"],
         default="plaquette",
         help="solid-angle plaquette sum or direct quadrature",
     )
-    _add_out_flag(sp)
-
-    sp = sub.add_parser(
-        "euler",
-        help="Euler characteristic from the weighted zero-mode index sum",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
-    )
-    _add_model_flags(sp)
-    _add_out_flag(sp)
-
-    sp = sub.add_parser(
-        "winding",
-        help="winding of the velocity field along a circular loop",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
-    )
-    _add_model_flags(sp)
+    command("euler", "Euler characteristic from the weighted zero-mode index sum")
+    sp = command("winding", "winding of the velocity field along a circular loop")
     sp.add_argument("--center", type=str, default="0,0", help="loop center as 'kx,ky'")
     sp.add_argument("--radius", type=float, default=0.3, help="loop radius in radians")
-    _add_out_flag(sp)
-
-    sp = sub.add_parser(
-        "phase-diagram",
-        help="sweep parameters and write a phase-diagram grid",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
-    )
-    _add_model_flags(sp)
+    sp = command("phase-diagram", "sweep parameters and write a phase-diagram grid")
     sp.add_argument(
         "--axis",
         action="append",
@@ -111,18 +69,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="sweep axis, e.g. c:0.2:5.8:57 (repeat for a 2-D sweep)",
     )
     sp.add_argument("--quantity", choices=["chern", "euler"], default="chern")
-    sp.add_argument("--format", choices=["csv", "json"], default="csv")
-    _add_out_flag(sp)
-
-    sp = sub.add_parser(
-        "field-dump",
-        help="dump h and the velocity on a uniform grid as CSV",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
-    )
-    _add_model_flags(sp)
+    sp = command("field-dump", "dump h and the velocity on a uniform grid as CSV")
     sp.add_argument("--grid-n", type=int, default=64, help="grid nodes per axis")
-    _add_out_flag(sp)
 
+    for name, sp in sub.choices.items():
+        text = "write output to this path instead of stdout"
+        if name == "zeros":
+            text = "write the census JSON to this path; the 'chi N' line still goes to stdout"
+        sp.add_argument("--out", type=str, default=None, help=text)
     return parser
 
 
@@ -160,8 +114,7 @@ def _emit(text: str, out_path) -> None:
 
 def _cmd_zeros(args) -> int:
     p = _model_params(args)
-    mode = WeightMode.CLOSED_BZ if args.weight_mode == "closed" else WeightMode.CANONICAL_CELL
-    result = euler_characteristic(p, weight_mode=mode)
+    result = euler_characteristic(p)
     _emit(zero_modes_json(result.modes), args.out)
     sys.stdout.write(f"chi {result.chi}\n")
     return 0
@@ -177,7 +130,7 @@ def _cmd_chern(args) -> int:
 def _cmd_euler(args) -> int:
     p = _model_params(args)
     result = euler_characteristic(p)
-    _emit(json.dumps({"chi": result.chi, "zero_modes": len(result.modes)}, indent=2), args.out)
+    _emit(json.dumps({"chi": result.chi, "zero_modes": len(closed_zone_records(result.modes))}, indent=2), args.out)
     return 0
 
 
@@ -210,7 +163,7 @@ def _cmd_phase_diagram(args) -> int:
             grid = sweep_euler(axes, p)
     except ValueError as e:
         raise _UsageError(f"--axis: {e}") from e
-    _emit(grid_to_csv(grid) if args.format == "csv" else grid_to_json(grid), args.out)
+    _emit(grid_to_csv(grid), args.out)
     return 0
 
 

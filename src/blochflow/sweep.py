@@ -2,25 +2,23 @@
 
 A sweep varies one or two of the model parameters (R, r, c) over uniform
 axes and records per cell either an invariant value or an explicit status
-tag; no cell is ever silently dropped.  Cells closer than
-``GAPLESS_THRESHOLD`` to a gap closing are tagged "gapless" (the Chern
+tag; no cell is ever silently dropped.  Cells whose minimum gap
+``gap_min`` is below ``GAPLESS_THRESHOLD`` are tagged "gapless" (the Chern
 number is ill-defined across a band touching); cells whose velocity field
-degenerates (c ~ 0, or a degenerate zero) are tagged "degenerate".
+degenerates (c ~ 0, or a degenerate zero) are tagged "degenerate".  The
+threshold bounds the gap |h| itself, in parameter units, not a distance
+in c to a closing, and unlike the census thresholds it is absolute, not
+relative to R; it stays so until the benchmark's reference changes with
+it.
 
-File formats:
-
-* CSV with header ``R,r,c,chern,chi,gap_min,status`` (floats written with
-  17 significant digits, missing values empty),
-* JSON ``{"axes": [...], "cells": [...]}`` that round-trips to an equal
-  grid.
-
-Identical sweep inputs produce byte-identical files.
+The output is CSV with header ``R,r,c,chern,chi,gap_min,status`` (floats
+written with 17 significant digits, missing values empty).  Identical
+sweep inputs produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 
@@ -78,7 +76,6 @@ class SweepCell:
 
 @dataclass(frozen=True)
 class PhaseDiagramGrid:
-    axes: tuple
     cells: tuple
 
 
@@ -99,14 +96,13 @@ def _cell_param_sets(axes, base: ModelParams):
             out.append(ModelParams(**kw))
         except ValueError as e:
             raise ValueError(f"sweep axis produces invalid parameters {kw}: {e}") from e
-    return axes, out
+    return out
 
 
 def _sweep(axes, base: ModelParams, invariant) -> PhaseDiagramGrid:
     """One cell per parameter set; ``invariant(params)`` returns (chern, chi)."""
-    axes, param_sets = _cell_param_sets(axes, base)
     cells = []
-    for params in param_sets:
+    for params in _cell_param_sets(axes, base):
         g = gap_min(params)
         chern = chi = None
         status = STATUS_GAPLESS
@@ -119,7 +115,7 @@ def _sweep(axes, base: ModelParams, invariant) -> PhaseDiagramGrid:
             except (DegenerateField, DegenerateZero, NonIsolatedZero):
                 status = STATUS_DEGENERATE
         cells.append(SweepCell(params, chern, chi, g, status))
-    return PhaseDiagramGrid(axes, tuple(cells))
+    return PhaseDiagramGrid(tuple(cells))
 
 
 def sweep_chern(axes, base: ModelParams) -> PhaseDiagramGrid:
@@ -158,42 +154,3 @@ def grid_to_csv(grid: PhaseDiagramGrid) -> str:
         )
     return "\n".join(lines) + "\n"
 
-
-def grid_to_json(grid: PhaseDiagramGrid) -> str:
-    doc = {
-        "axes": [
-            {"name": ax.name, "start": ax.start, "stop": ax.stop, "steps": ax.steps}
-            for ax in grid.axes
-        ],
-        "cells": [
-            {
-                "R": cell.params.R,
-                "r": cell.params.r,
-                "c": cell.params.c,
-                "chern": cell.chern,
-                "chi": cell.chi,
-                "gap_min": cell.gap_min,
-                "status": cell.status,
-            }
-            for cell in grid.cells
-        ],
-    }
-    return json.dumps(doc, indent=2)
-
-
-def grid_from_json(text: str) -> PhaseDiagramGrid:
-    doc = json.loads(text)
-    axes = tuple(
-        SweepAxis(ax["name"], ax["start"], ax["stop"], ax["steps"]) for ax in doc["axes"]
-    )
-    cells = tuple(
-        SweepCell(
-            ModelParams(c["R"], c["r"], c["c"]),
-            c["chern"],
-            c["chi"],
-            c["gap_min"],
-            c["status"],
-        )
-        for c in doc["cells"]
-    )
-    return PhaseDiagramGrid(axes, cells)

@@ -14,20 +14,21 @@ sink or source depending on the trace sign (index +1).
 The sum of the indexes is the Euler characteristic of the image surface:
 0 for every gapped, nondegenerate parameter set of the torus model,
 independent of where the individual zeros sit or how many there are.
-The census returns its zeros at exact machine values, with kx in
-{-pi, 0} and ky in [-pi, pi), so a zero lies on the edge of the closed
-zone [-pi, pi]^2 exactly when a coordinate equals -pi.  For the
-closed-zone listing such a zero is repeated at +pi on that axis, and
-each of its n copies (2 on an edge, 4 at a corner) gets weight 1/n.
+The census returns each zero once, at exact machine values, with kx in
+{-pi, 0} and ky in [-pi, pi).  So a zero lies on the edge of the closed
+zone [-pi, pi]^2 exactly when a coordinate equals -pi.  The `zeros`
+output lists the closed zone instead (``closed_zone_records``, whose
+length `euler` reports as ``zero_modes``): there such a zero is repeated
+at +pi on that axis, and each of its n copies (2 on an edge, 4 at a
+corner) gets weight 1/n, so the weighted index sum is the same chi.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 import numpy as np
 
@@ -54,11 +55,6 @@ class ZeroKind(Enum):
     SADDLE = "saddle"
 
 
-class WeightMode(Enum):
-    CLOSED_BZ = "closed_bz"
-    CANONICAL_CELL = "canonical_cell"
-
-
 @dataclass(frozen=True, eq=False)
 class ZeroMode:
     """A located, classified zero of the velocity field."""
@@ -67,7 +63,6 @@ class ZeroMode:
     det: float
     trace: float
     kind: ZeroKind
-    weight: Fraction
 
     @property
     def index(self) -> int:
@@ -144,30 +139,10 @@ def _check_isolated(reps_x, reps_y):
         )
 
 
-def _edge_positions(x: float):
-    """Closed-zone representatives of one census coordinate (two on the -pi edge)."""
-    return (x, x + TWO_PI) if x == -math.pi else (x,)
-
-
-def _closed_zone_copies(modes):
-    """Every closed-zone representative of the canonical modes, weighted, sorted by location."""
-    copies = []
-    for z in modes:
-        xs = _edge_positions(z.location.kx)
-        ys = _edge_positions(z.location.ky)
-        weight = Fraction(1, len(xs) * len(ys))
-        copies += [replace(z, location=KPoint(x, y), weight=weight) for x in xs for y in ys]
-    copies.sort(key=lambda z: (z.location.kx, z.location.ky))
-    return copies
-
-
-def euler_characteristic(p: ModelParams, weight_mode: WeightMode = WeightMode.CLOSED_BZ) -> EulerResult:
+def euler_characteristic(p: ModelParams) -> EulerResult:
     """Locate, validate and classify every zero; chi is their index sum (Poincare-Hopf).
 
-    ``modes`` has one ZeroMode per canonical zero (CANONICAL_CELL) or
-    every closed-zone representative with fractional edge and corner
-    weights (CLOSED_BZ), sorted by location; in either bookkeeping the sum
-    of weight * index equals ``chi``.
+    ``modes`` has one ZeroMode per canonical zero, sorted by location.
 
     Raises DegenerateField when c is (numerically) zero, GaplessModel when
     the gap closes at a fixed zero, DegenerateZero for a Jacobian
@@ -178,26 +153,46 @@ def euler_characteristic(p: ModelParams, weight_mode: WeightMode = WeightMode.CL
     hxx, hxy, hyy = hessian(kx, ky, p)
     det, trace = hxx * hyy - hxy * hxy, hxx + hyy
     modes = [
-        ZeroMode(KPoint(x, y), d, t, classify(d, t, p.R), Fraction(1))
+        ZeroMode(KPoint(x, y), d, t, classify(d, t, p.R))
         for x, y, d, t in zip(kx.tolist(), ky.tolist(), det.tolist(), trace.tolist())
     ]
-    chi = sum(z.index for z in modes)
-    return EulerResult(chi, modes if weight_mode is WeightMode.CANONICAL_CELL else _closed_zone_copies(modes))
+    return EulerResult(sum(z.index for z in modes), modes)
+
+
+def _edge_positions(x: float):
+    """Closed-zone representatives of one census coordinate (two on the -pi edge)."""
+    return (x, x + TWO_PI) if x == -math.pi else (x,)
+
+
+def closed_zone_records(modes) -> list:
+    """The `zeros` records: every closed-zone copy of the canonical modes, sorted by location.
+
+    A zero with n copies (2 on an edge, 4 at a corner) lists each at
+    weight weight_num / weight_den = 1/n, so the weights of one zero sum
+    to 1 and the weighted index sum is chi.
+    """
+    records = []
+    for z in modes:
+        xs = _edge_positions(z.location.kx)
+        ys = _edge_positions(z.location.ky)
+        records += [
+            {
+                "kx": x,
+                "ky": y,
+                "det": z.det,
+                "trace": z.trace,
+                "index": z.index,
+                "kind": z.kind.value,
+                "weight_num": 1,
+                "weight_den": len(xs) * len(ys),
+            }
+            for x in xs
+            for y in ys
+        ]
+    records.sort(key=lambda rec: (rec["kx"], rec["ky"]))
+    return records
 
 
 def zero_modes_json(modes) -> str:
-    """JSON array serialization of a mode list (the `zeros` output schema)."""
-    records = [
-        {
-            "kx": z.location.kx,
-            "ky": z.location.ky,
-            "det": z.det,
-            "trace": z.trace,
-            "index": z.index,
-            "kind": z.kind.value,
-            "weight_num": z.weight.numerator,
-            "weight_den": z.weight.denominator,
-        }
-        for z in modes
-    ]
-    return json.dumps(records, indent=2)
+    """JSON array of the closed-zone records of the canonical modes (the `zeros` output schema)."""
+    return json.dumps(closed_zone_records(modes), indent=2)

@@ -25,6 +25,7 @@ import math
 
 import numpy as np
 from hypothesis import strategies as st
+from scipy import ndimage
 from scipy.optimize import fsolve
 
 from blochflow.errors import DegenerateField, GaplessModel, GaplessPoint, NonIsolatedZero
@@ -167,9 +168,13 @@ def fd_velocity_jacobian(kx, ky, p, step=1e-5):
 def scan_gap_min(p, n=256, levels=24):
     """Minimum of |h| over the zone by dense 2-D scans.
 
-    An n x n scan of the whole zone, then around every local minimum of
-    that scan ``levels`` rescans of a 17 x 17 window, each window a
-    quarter the size of the one before and centred on its best node.
+    An n x n scan of the whole zone, then ``levels`` rescans of a 17 x 17
+    window, each window a quarter the size of the one before and centred
+    on its best node, from the best node of each 8-connected group of
+    local minima (a group across the zone edge counts as two).  A local
+    minimum is at most each neighbour to within 4 ulp, so a row where |h|
+    is flat up to rounding, as at c = 0 where |h| does not depend on kx,
+    is one group and not a third of its nodes.
     """
 
     def gap_sq(kx, ky):
@@ -182,9 +187,10 @@ def scan_gap_min(p, n=256, levels=24):
     sq = gap_sq(kx, ky)
     local_min = np.ones(sq.shape, dtype=bool)
     for shift in ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1)):
-        local_min &= sq <= np.roll(sq, shift, axis=(0, 1))
+        local_min &= sq <= np.roll(sq, shift, axis=(0, 1)) * (1.0 + 4.0 * np.finfo(float).eps)
     best = float(np.min(sq))
-    for i, j in zip(*np.nonzero(local_min)):
+    groups, count = ndimage.label(local_min, structure=np.ones((3, 3)))
+    for i, j in ndimage.minimum_position(sq, groups, range(1, count + 1)):
         cx, cy, half = kx[i, j], ky[i, j], 2.0 * step
         for _ in range(levels):
             offsets = np.linspace(-half, half, 17)
@@ -198,7 +204,16 @@ def scan_gap_min(p, n=256, levels=24):
 
 def numpy_kx_pi_roots(p):
     """The real roots u in (-1, 1) of ``model._kx_pi_cubic`` by np.roots,
-    each polished by the same one Newton step as ``model._kx_pi_roots``."""
+    each polished by the same one Newton step as ``model._kx_pi_roots``.
+
+    Known to be wrong near the pitchfork as r -> R: within about
+    4e-16 R^2 / (R - r) of c_p, where the root near u = 1 meets the one
+    near u = R / r, np.roots resolves it only to about sqrt(eps) and one
+    Newton step does not bring it back (at R = 144.68632625892462,
+    r = 144.6863240451086, c = 5.327264025252778e-06 it gives u = 0.887
+    where the closed form gives 0.9999999942).  Compare only outside
+    that band.
+    """
     cubic = c3, c2, c1, c0 = _kx_pi_cubic(p)
     u = np.roots(cubic)
     u = u.real[u.imag == 0.0]

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS/FAIL
 line per criterion.
 """
 
+import json
 import math
 import time
 from fractions import Fraction
@@ -15,7 +16,6 @@ from blochflow import (
     LoopSpec,
     ModelParams,
     SweepAxis,
-    WeightMode,
     ZeroKind,
     chern_direct,
     chern_plaquette,
@@ -27,7 +27,7 @@ from blochflow import (
 )
 from blochflow.errors import DegenerateField, GaplessModel
 from blochflow.field import velocity_and_gap
-from blochflow.zeromode import torus_distance
+from blochflow.zeromode import torus_distance, zero_modes_json
 
 from oracles import (
     brute_zero_census,
@@ -45,9 +45,18 @@ def _report(name, ok, detail=""):
     assert ok, f"{name} failed {detail}"
 
 
+def _closed_zone(p):
+    """The `zeros` JSON records of p: every closed-zone copy with its weight."""
+    return json.loads(zero_modes_json(euler_characteristic(p).modes))
+
+
+def _weight(rec):
+    return Fraction(rec["weight_num"], rec["weight_den"])
+
+
 def test_criterion_1_zero_mode_census():
     t0 = time.perf_counter()
-    modes = euler_characteristic(P1).modes
+    records = _closed_zone(P1)
     elapsed = time.perf_counter() - t0
 
     expected = {
@@ -61,16 +70,16 @@ def test_criterion_1_zero_mode_census():
         (-PI, 0.0): (ZeroKind.SADDLE, Fraction(1, 2)),
         (PI, 0.0): (ZeroKind.SADDLE, Fraction(1, 2)),
     }
-    ok = len(modes) == 9
-    detail = f"({len(modes)} representatives, {elapsed * 1e3:.0f} ms)"
+    ok = len(records) == 9
+    detail = f"({len(records)} representatives, {elapsed * 1e3:.0f} ms)"
     if ok:
         for (ex, ey), (kind, weight) in expected.items():
             hits = [
-                z
-                for z in modes
-                if math.hypot(z.location.kx - ex, z.location.ky - ey) <= 1e-9
+                (rec["kind"], _weight(rec))
+                for rec in records
+                if math.hypot(rec["kx"] - ex, rec["ky"] - ey) <= 1e-9
             ]
-            if len(hits) != 1 or hits[0].kind is not kind or hits[0].weight != weight:
+            if hits != [(kind.value, weight)]:
                 ok = False
                 detail = f"(mismatch at ({ex:.3f}, {ey:.3f}))"
                 break
@@ -85,13 +94,13 @@ def test_criterion_2_euler_characteristic():
 
     res = euler_characteristic(P1)
     sums = {}
-    for z in res.modes:
-        sums[z.kind] = sums.get(z.kind, Fraction(0)) + z.weight * z.index
+    for rec in _closed_zone(P1):
+        sums[rec["kind"]] = sums.get(rec["kind"], Fraction(0)) + _weight(rec) * rec["index"]
     exact_ok = (
         res.chi == 0
-        and sums[ZeroKind.SINK] == Fraction(1)
-        and sums[ZeroKind.SOURCE] == Fraction(1)
-        and sums[ZeroKind.SADDLE] == Fraction(-2)
+        and sums[ZeroKind.SINK.value] == Fraction(1)
+        and sums[ZeroKind.SOURCE.value] == Fraction(1)
+        and sums[ZeroKind.SADDLE.value] == Fraction(-2)
     )
 
     # 50 gapped parameter sets; three sit inside the extra-zero window
@@ -113,7 +122,7 @@ def test_criterion_2_euler_characteristic():
         brute = brute_zero_census(p, 2048)
         mine = sorted(
             (z.location.kx, z.location.ky)
-            for z in euler_characteristic(p, weight_mode=WeightMode.CANONICAL_CELL).modes
+            for z in euler_characteristic(p).modes
         )
         if len(brute) != len(mine) or any(
             float(torus_distance(a[0], a[1], b[0], b[1])) >= 1e-6
@@ -176,7 +185,7 @@ def test_criterion_4_velocity_equivalence():
 def test_criterion_5_winding_equals_index():
     ok = True
     detail = ""
-    for z in euler_characteristic(P1, weight_mode=WeightMode.CANONICAL_CELL).modes:
+    for z in euler_characteristic(P1).modes:
         w = winding_hermitian(LoopSpec.circle(z.location, 0.3), P1).w
         if w != z.index:
             ok = False

@@ -49,14 +49,6 @@ def test_zeros_out_file(tmp_path, capsys):
     assert out_path.read_text() == zero_modes_json(euler_characteristic(ModelParams(3, 1, 1)).modes)
 
 
-def test_zeros_canonical_weight_mode(capsys):
-    rc, out, _ = run(capsys, ["zeros", "--weight-mode", "canonical"])
-    assert rc == 0
-    records = json.loads("\n".join(out.splitlines()[:-1]))
-    assert len(records) == 4
-    assert all(rec["weight_num"] == 1 and rec["weight_den"] == 1 for rec in records)
-
-
 def test_zeros_degenerate_exit(capsys):
     rc, out, err = run(capsys, ["zeros", "--c", "0"])
     assert rc == 2
@@ -243,7 +235,7 @@ def test_phase_diagram_csv(tmp_path, capsys):
 def test_phase_diagram_euler_quantity(capsys):
     rc, out, _ = run(
         capsys,
-        ["phase-diagram", "--axis", "c:0.5:1.5:3", "--quantity", "euler", "--format", "csv"],
+        ["phase-diagram", "--axis", "c:0.5:1.5:3", "--quantity", "euler"],
     )
     assert rc == 0
     lines = out.splitlines()
@@ -313,9 +305,11 @@ def test_help_everywhere(capsys):
 def test_help_lists_defaults(capsys):
     main(["zeros", "--help"])
     out = " ".join(capsys.readouterr().out.split())
-    assert "(default: closed)" in out  # weight mode default
     assert "(default: 3.0)" in out     # major radius default
     assert "the 'chi N' line still goes to stdout" in out  # zeros --out keeps chi on stdout
+    main(["chern", "--help"])
+    out = " ".join(capsys.readouterr().out.split())
+    assert "(default: plaquette)" in out  # method default
 
 
 def test_census_knobs_are_not_options(capsys):
@@ -327,6 +321,8 @@ def test_census_knobs_are_not_options(capsys):
         ["chern", "--grid-n", "32"],
         ["phase-diagram", "--axis", "c:0.5:1.5:3", "--grid-n", "32"],
         ["winding", "--samples", "64"],
+        ["zeros", "--weight-mode", "canonical"],
+        ["phase-diagram", "--axis", "c:0.5:1.5:3", "--format", "json"],
     ):
         rc, out, err = run(capsys, argv)
         assert rc == 1

@@ -273,9 +273,7 @@ def test_kx_pi_roots_match_numpy_oracle(params):
         # only to its rounding error over its slope there
         slope = abs((3.0 * c3 * v + 2.0 * c2) * v + c1)
         assert abs(u - v) <= 1e-12 + 4.0 * sys.float_info.epsilon * _term_size(cubic, v) / slope
-    # a 64-node scan: at c = 0, |h| is flat in kx and the scan refines
-    # around every node of its minimal rows
-    g, scan = gap_min(p), scan_gap_min(p, 64)
+    g, scan = gap_min(p), scan_gap_min(p)
     assert g <= scan + 1e-12 * R
     assert abs(g - scan) <= 1e-9 * R
 
@@ -299,4 +297,4 @@ def test_kx_pi_roots_at_rounding_edges(R, r, c):
     for u in _kx_pi_roots(p):
         assert abs(u) < 1.0
         assert abs(((c3 * u + c2) * u + c1) * u + c0) <= 1e-12 * _term_size(cubic, u)
-    assert abs(gap_min(p) - scan_gap_min(p, 64)) <= 1e-9 * R
+    assert abs(gap_min(p) - scan_gap_min(p)) <= 1e-9 * R

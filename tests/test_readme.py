@@ -18,7 +18,7 @@ def _block(heading, lang=""):
 def test_library_sketch_runs():
     ns = {}
     exec(compile(_block("## Library sketch", "python"), str(README), "exec"), ns)
-    assert len(ns["modes"]) == 9
+    assert len(ns["modes"]) == 4
     assert ns["chi"] == 0
     assert ns["C"] == 0
     assert ns["w"] == 1

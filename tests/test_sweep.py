@@ -1,12 +1,11 @@
 """Parameter sweeps: phase structure, tags, deterministic persistence."""
 
-import json
 import math
 
 import pytest
 
 from blochflow import ModelParams, SweepAxis, sweep_chern, sweep_euler
-from blochflow.sweep import CSV_HEADER, GAPLESS_THRESHOLD, grid_from_json, grid_to_csv, grid_to_json
+from blochflow.sweep import CSV_HEADER, GAPLESS_THRESHOLD, grid_to_csv
 
 BASE = ModelParams(3, 1, 1)
 
@@ -117,18 +116,6 @@ def test_output_determinism():
     a = grid_to_csv(sweep_chern(axes, BASE))
     b = grid_to_csv(sweep_chern(axes, BASE))
     assert a == b
-    ja = grid_to_json(sweep_chern(axes, BASE))
-    jb = grid_to_json(sweep_chern(axes, BASE))
-    assert ja == jb
-
-
-def test_json_round_trip():
-    grid = sweep_chern([SweepAxis("c", 1.8, 2.2, 5)], BASE)
-    text = grid_to_json(grid)
-    assert grid_from_json(text) == grid
-    assert grid_to_json(grid_from_json(text)) == text
-    doc = json.loads(text)
-    assert set(doc) == {"axes", "cells"}
 
 
 def test_no_silent_cells():

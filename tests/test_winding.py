@@ -16,7 +16,6 @@ from blochflow import (
 from blochflow.errors import GaplessPoint, InsufficientSampling, ZeroOnLoop
 from blochflow.model import bloch_components, reduce_angle
 from blochflow.winding import winding_planar
-from blochflow.zeromode import WeightMode
 
 from oracles import unwrap_winding
 
@@ -114,7 +113,7 @@ def test_hermitian_winding(center, expected):
 
 
 def test_winding_equals_index_for_all_zeros():
-    for z in euler_characteristic(P1, weight_mode=WeightMode.CANONICAL_CELL).modes:
+    for z in euler_characteristic(P1).modes:
         loop = LoopSpec.circle(z.location, 0.3)
         assert winding_hermitian(loop, P1).w == z.index
 
@@ -144,7 +143,7 @@ def test_winding_equals_enclosed_index_sum(ky_lo, ky_hi, enclosed):
     half = 1.0
     inside = [
         z
-        for z in euler_characteristic(p, weight_mode=WeightMode.CANONICAL_CELL).modes
+        for z in euler_characteristic(p).modes
         if abs(reduce_angle(z.location.kx - PI)) < half and ky_lo < z.location.ky < ky_hi
     ]
     assert len(inside) == enclosed

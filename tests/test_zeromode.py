@@ -1,4 +1,4 @@
-"""Zero-mode census, classification, weights, Euler characteristic."""
+"""Zero-mode census, classification, closed-zone weights, Euler characteristic."""
 
 import json
 import math
@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from blochflow import (
     LoopSpec,
     ModelParams,
-    WeightMode,
     ZeroKind,
     euler_characteristic,
     winding_hermitian,
@@ -59,32 +58,46 @@ def _match(modes, kx, ky, tol=1e-9):
     return hits[0]
 
 
-def test_census_structure_reference_params():
-    modes = euler_characteristic(P1).modes
-    assert len(modes) == 9
+def _closed_zone(p):
+    """The `zeros` JSON records of p: every closed-zone copy with its weight."""
+    return json.loads(zero_modes_json(euler_characteristic(p).modes))
 
-    sink = _match(modes, 0.0, 0.0)
-    assert sink.kind is ZeroKind.SINK
-    assert sink.index == 1
-    assert sink.weight == Fraction(1)
+
+def _weight(rec):
+    return Fraction(rec["weight_num"], rec["weight_den"])
+
+
+def _match_record(records, kx, ky, tol=1e-9):
+    hits = [rec for rec in records if math.hypot(rec["kx"] - kx, rec["ky"] - ky) <= tol]
+    assert len(hits) == 1, f"expected one record at ({kx}, {ky}), found {len(hits)}"
+    return hits[0]
+
+
+def test_census_structure_reference_params():
+    records = _closed_zone(P1)
+    assert len(records) == 9
+
+    sink = _match_record(records, 0.0, 0.0)
+    assert sink["kind"] == ZeroKind.SINK.value
+    assert sink["index"] == 1
+    assert _weight(sink) == Fraction(1)
 
     for sx, sy in ((-PI, -PI), (-PI, PI), (PI, -PI), (PI, PI)):
-        z = _match(modes, sx, sy)
-        assert z.kind is ZeroKind.SOURCE
-        assert z.index == 1
-        assert z.weight == Fraction(1, 4)
+        rec = _match_record(records, sx, sy)
+        assert rec["kind"] == ZeroKind.SOURCE.value
+        assert rec["index"] == 1
+        assert _weight(rec) == Fraction(1, 4)
 
     for sx, sy in ((0.0, -PI), (0.0, PI), (-PI, 0.0), (PI, 0.0)):
-        z = _match(modes, sx, sy)
-        assert z.kind is ZeroKind.SADDLE
-        assert z.index == -1
-        assert z.weight == Fraction(1, 2)
+        rec = _match_record(records, sx, sy)
+        assert rec["kind"] == ZeroKind.SADDLE.value
+        assert rec["index"] == -1
+        assert _weight(rec) == Fraction(1, 2)
 
 
 def test_census_canonical_mode():
-    modes = euler_characteristic(P1, weight_mode=WeightMode.CANONICAL_CELL).modes
+    modes = euler_characteristic(P1).modes
     assert len(modes) == 4
-    assert all(z.weight == Fraction(1) for z in modes)
     assert sorted(z.kind.value for z in modes) == ["saddle", "saddle", "sink", "source"]
 
 
@@ -93,7 +106,7 @@ def _near_bifurcation(p):
 
 
 def _canonical_zeros(p):
-    return [(z.location.kx, z.location.ky) for z in euler_characteristic(p, WeightMode.CANONICAL_CELL).modes]
+    return [(z.location.kx, z.location.ky) for z in euler_characteristic(p).modes]
 
 
 def test_census_zero_quality_reference_params():
@@ -117,7 +130,7 @@ def test_census_zero_quality(params):
     if _near_bifurcation(p):
         return
     try:
-        modes = euler_characteristic(p, WeightMode.CANONICAL_CELL).modes
+        modes = euler_characteristic(p).modes
     except (DegenerateField, GaplessModel):
         return
     points = [(z.location.kx, z.location.ky) for z in modes]
@@ -136,7 +149,7 @@ def _census_outside_margin(params):
     if _near_bifurcation(p):
         return None
     try:
-        return p, euler_characteristic(p, WeightMode.CANONICAL_CELL).modes
+        return p, euler_characteristic(p).modes
     except (DegenerateField, GaplessModel):
         return None
 
@@ -173,24 +186,25 @@ def _closed_zone_images(kx, ky):
 @settings(max_examples=200)
 @given(params_near_critical())
 def test_closed_zone_weights(params):
-    # the closed-zone listing holds every image of every canonical zero in
+    # the `zeros` records hold every image of every canonical zero in
     # [-pi, pi]^2, with its classification; the weights of one zero's
     # images sum to 1, so weight * index sums to chi
     found = _census_outside_margin(params)
     if found is None:
         return
     p, canonical = found
-    closed = euler_characteristic(p)
-    assert closed.chi == euler_characteristic(p, WeightMode.CANONICAL_CELL).chi == sum(z.index for z in canonical)
-    by_location = {(z.location.kx, z.location.ky): z for z in closed.modes}
-    assert len(by_location) == len(closed.modes)
+    records = _closed_zone(p)
+    by_location = {(rec["kx"], rec["ky"]): rec for rec in records}
+    assert len(by_location) == len(records)
     images = [_closed_zone_images(z.location.kx, z.location.ky) for z in canonical]
     assert set(by_location) == set().union(*images)
     for z, locations in zip(canonical, images):
         copies = [by_location[k] for k in locations]
-        assert sum(c.weight for c in copies) == 1
-        assert {(c.det, c.trace, c.index, c.kind) for c in copies} == {(z.det, z.trace, z.index, z.kind)}
-    assert sum(z.weight * z.index for z in closed.modes) == closed.chi
+        assert sum(_weight(c) for c in copies) == 1
+        assert {(c["det"], c["trace"], c["index"], c["kind"]) for c in copies} == {
+            (z.det, z.trace, z.index, z.kind.value)
+        }
+    assert sum(_weight(rec) * rec["index"] for rec in records) == euler_characteristic(p).chi
 
 
 def test_degenerate_field_error():
@@ -207,21 +221,21 @@ def test_gapless_model_error():
 
 def test_extra_zero_window_census():
     # between c = (R^2-r^2)/R and the fold, extra zero pairs live on kx = +-pi
-    modes = euler_characteristic(P3).modes
-    assert len(modes) > 9
-    assert len(modes) == 17
+    records = _closed_zone(P3)
+    assert len(euler_characteristic(P3).modes) == 8
+    assert len(records) == 17
     # every edge zero with generic ky must satisfy the defining equation
     # c = rho(ky) (1 - (r/R) cos ky), by substitution
     extra = [
-        z
-        for z in modes
-        if abs(abs(z.location.kx) - PI) < 1e-7 and min(abs(z.location.ky), abs(abs(z.location.ky) - PI)) > 1e-6
+        rec
+        for rec in records
+        if abs(abs(rec["kx"]) - PI) < 1e-7 and min(abs(rec["ky"]), abs(abs(rec["ky"]) - PI)) > 1e-6
     ]
     assert len(extra) == 8  # 4 canonical zeros, each on two edge copies
-    for z in extra:
-        g = axis_distance(z.location.ky, P3) * (1 - (P3.r / P3.R) * math.cos(z.location.ky))
+    for rec in extra:
+        g = axis_distance(rec["ky"], P3) * (1 - (P3.r / P3.R) * math.cos(rec["ky"]))
         assert g == pytest.approx(P3.c, abs=1e-9)
-    assert sum(z.weight * z.index for z in modes) == 0
+    assert sum(_weight(rec) * rec["index"] for rec in records) == 0
 
 
 def test_census_completeness_against_sign_scan():
@@ -229,7 +243,7 @@ def test_census_completeness_against_sign_scan():
         brute = brute_zero_census(p, 512)
         mine = sorted(
             (z.location.kx, z.location.ky)
-            for z in euler_characteristic(p, weight_mode=WeightMode.CANONICAL_CELL).modes
+            for z in euler_characteristic(p).modes
         )
         assert len(brute) == len(mine)
         for a, b in zip(brute, mine):
@@ -305,7 +319,7 @@ def test_census_kernel_work(monkeypatch):
     monkeypatch.setattr(blochflow.zeromode, "hessian", counting(hessian))
     for c, count in ((1.2, 4), (3.0, 8), (4.5, 4)):
         calls.clear()
-        assert len(euler_characteristic(ModelParams(3, 1, c), WeightMode.CANONICAL_CELL).modes) == count
+        assert len(euler_characteristic(ModelParams(3, 1, c)).modes) == count
         assert calls == [("hessian", count)]
 
 
@@ -340,7 +354,7 @@ def test_census_is_scale_free(s):
     want = [(z.location, z.kind) for z in euler_characteristic(P1).modes]
     res = euler_characteristic(ModelParams(3 * s, s, s))
     assert res.chi == 0
-    assert len(res.modes) == 9
+    assert len(res.modes) == 4
     assert [(z.location, z.kind) for z in res.modes] == want
 
 
@@ -379,23 +393,23 @@ def test_index_rules():
 
 
 def test_euler_characteristic_reference():
-    res = euler_characteristic(P1)
-    assert res.chi == 0
-    # exact rational bookkeeping: 1 (sink) + 1 (corner sources) - 2 (edge saddles)
+    assert euler_characteristic(P1).chi == 0
+    # exact rational bookkeeping of the `zeros` records: 1 (sink) + 1
+    # (corner sources) - 2 (edge saddles)
     by_kind = {}
-    for z in res.modes:
-        by_kind[z.kind] = by_kind.get(z.kind, Fraction(0)) + z.weight * z.index
-    assert by_kind[ZeroKind.SINK] == Fraction(1)
-    assert by_kind[ZeroKind.SOURCE] == Fraction(1)
-    assert by_kind[ZeroKind.SADDLE] == Fraction(-2)
+    for rec in _closed_zone(P1):
+        by_kind[rec["kind"]] = by_kind.get(rec["kind"], Fraction(0)) + _weight(rec) * rec["index"]
+    assert by_kind[ZeroKind.SINK.value] == Fraction(1)
+    assert by_kind[ZeroKind.SOURCE.value] == Fraction(1)
+    assert by_kind[ZeroKind.SADDLE.value] == Fraction(-2)
 
 
 def test_euler_weight_modes_agree():
+    # the weighted closed-zone sum of the `zeros` records is chi
     for p in (P1, P3, ModelParams(2, 0.5, 0.8)):
-        closed = euler_characteristic(p, weight_mode=WeightMode.CLOSED_BZ)
-        cell = euler_characteristic(p, weight_mode=WeightMode.CANONICAL_CELL)
-        assert closed.chi == cell.chi == 0
-        assert sum(z.weight * z.index for z in closed.modes) == sum(z.index for z in cell.modes)
+        res = euler_characteristic(p)
+        assert res.chi == sum(z.index for z in res.modes) == 0
+        assert sum(_weight(rec) * rec["index"] for rec in _closed_zone(p)) == res.chi
 
 
 def test_euler_random_parameter_sweep():
@@ -408,7 +422,7 @@ def test_census_keeps_edge_zero_near_upper_closing():
     # 1.5e-3 above c = R + r, |v| at the fixed zero (-pi, 0) rounds to about
     # 1.3e-12; the census must keep it all the same
     p = ModelParams(3, 1, 4.0015)
-    res = euler_characteristic(p, weight_mode=WeightMode.CANONICAL_CELL)
+    res = euler_characteristic(p)
     assert res.chi == 0
     assert len(res.modes) == 4
     _match(res.modes, -PI, 0.0)
@@ -419,7 +433,7 @@ def test_band_independent_census():
     # keeps det and negates the trace, so indexes cannot change while
     # sinks and sources trade places
     swap = {ZeroKind.SINK: ZeroKind.SOURCE, ZeroKind.SOURCE: ZeroKind.SINK, ZeroKind.SADDLE: ZeroKind.SADDLE}
-    modes = euler_characteristic(P1, weight_mode=WeightMode.CANONICAL_CELL).modes
+    modes = euler_characteristic(P1).modes
     for z in modes:
         assert classify(z.det, -z.trace, P1.R) is swap[z.kind]
 
