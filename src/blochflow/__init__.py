@@ -19,14 +19,14 @@ from .errors import (
     TopologyError,
     ZeroOnLoop,
 )
-from .model import KPoint, ModelParams
+from .model import KPoint, ModelParams, gapless_boundary
 from .zeromode import (
     EulerResult,
     ZeroKind,
     ZeroMode,
     euler_characteristic,
 )
-from .chern import ChernResult, chern_direct, chern_plaquette, gap_min, gapless_boundary
+from .chern import ChernResult, chern_direct, chern_plaquette, gap_min
 from .winding import LoopSpec, WindingResult, winding_hermitian, winding_nonhermitian
 from .sweep import PhaseDiagramGrid, SweepAxis, sweep_chern, sweep_euler
 

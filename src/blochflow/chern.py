@@ -32,15 +32,13 @@ of a cubic in cos ky (``model._kx_pi_roots``).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .errors import DegenerateTriangle, GaplessModel, InsufficientSampling
-from .model import TWO_PI, ModelParams, _kx_pi_roots, _trig_rho, bloch_components
+from .model import TWO_PI, ModelParams, _bloch, _kx_pi_roots, _trig_rho, bloch_components
 
 EPS_GAP_CHERN = 1e-6
 # chern_plaquette's nodes per axis.  It must be even, so that (pi, 0) and
@@ -54,17 +52,12 @@ DIRECT_N = 256
 DIRECT_TOL = 1e-2
 
 
-class ChernMethod(Enum):
-    DIRECT_QUADRATURE = "direct_quadrature"
-    PLAQUETTE_SOLID_ANGLE = "plaquette_solid_angle"
-
-
 @dataclass(frozen=True)
 class ChernResult:
     raw: float
     value: int
     gap_min: float
-    method: ChernMethod
+    method: str  # "plaquette_solid_angle" or "direct_quadrature"
     grid_n: int
 
 
@@ -78,7 +71,7 @@ def _degree_integrand(kx, ky, p: ModelParams):
     the triple product is r (rho (rho + c cos kx) cos ky + r R sin^2 ky).
     """
     sx, cx, sy, cy, rho = _trig_rho(kx, ky, p)
-    hx, hy, hz = rho * cx + p.c, rho * sx, p.r * sy
+    hx, hy, hz = _bloch(sx, cx, sy, cy, rho, p)
     return p.r * (rho * (rho + p.c * cx) * cy + p.r * p.R * sy * sy) / (hx * hx + hy * hy + hz * hz) ** 1.5
 
 
@@ -100,17 +93,6 @@ def gap_min(p: ModelParams) -> float:
         rho = math.sqrt((R + r * u) ** 2 + r * r * sin_sq)
         least = min(least, (rho - c) ** 2 + r * r * sin_sq)
     return math.sqrt(least)
-
-
-def gapless_boundary(R: float, r: float) -> tuple:
-    """The two axis shifts where the gap closes: (R - r, R + r).
-
-    For c between them the image surface encloses the origin and the
-    Chern number is +1; outside it is 0.
-    """
-    if not (R > r > 0.0):
-        raise ValueError(f"requires R > r > 0, got R={R}, r={r}")
-    return (R - r, R + r)
 
 
 def _open_gap(p: ModelParams) -> float:
@@ -144,7 +126,7 @@ def chern_direct(p: ModelParams) -> ChernResult:
             f"direct quadrature |raw - value| = {abs(raw - value):.3e} > {DIRECT_TOL:.0e} (raw {raw:.6f}): "
             f"the gap is too small for its {DIRECT_N} x {DIRECT_N} grid; use --method plaquette"
         )
-    return ChernResult(raw, value, g, ChernMethod.DIRECT_QUADRATURE, DIRECT_N)
+    return ChernResult(raw, value, g, "direct_quadrature", DIRECT_N)
 
 
 def _unit_grid(p: ModelParams, n: int) -> tuple:
@@ -200,17 +182,4 @@ def chern_plaquette(p: ModelParams) -> ChernResult:
             "the map varies too fast for this grid (gap too small?)"
         )
     raw = total / (4.0 * math.pi)
-    return ChernResult(raw, int(round(raw)), g, ChernMethod.PLAQUETTE_SOLID_ANGLE, GRID_N)
-
-
-def chern_json(res: ChernResult) -> str:
-    return json.dumps(
-        {
-            "raw": res.raw,
-            "value": res.value,
-            "gap_min": res.gap_min,
-            "method": res.method.value,
-            "grid_n": res.grid_n,
-        },
-        indent=2,
-    )
+    return ChernResult(raw, int(round(raw)), g, "plaquette_solid_angle", GRID_N)

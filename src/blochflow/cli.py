@@ -2,10 +2,20 @@
 
 Exit codes: 0 success, 1 usage/validation error (message names the flag,
 including an --out path that cannot be written), 2 model or domain error
-(gapless model, degenerate field, ...).  Each subcommand writes exactly
-the owning module's serialization, either to stdout or to --out.  Chern
-grids are fixed and loop samples refine themselves, so they are not
-options; ``field-dump --grid-n`` sets the size of the output.
+(gapless model, degenerate field, ...).  Chern grids are fixed and loop
+samples refine themselves, so they are not options; ``field-dump
+--grid-n`` sets the size of the output.
+
+This is the one module that formats output.  Each subcommand serializes
+the record the library returns and writes the same bytes, ending in one
+newline, to stdout or to --out.  ``zeros`` writes the closed-zone records
+(``closed_zone_records``) as a JSON array, then a ``chi N`` line that stays
+on stdout; ``euler`` writes chi and the number of those records as
+``zero_modes``; ``chern`` and ``winding`` write their result records as
+JSON objects in field order (``samples`` as ``samples_used``);
+``phase-diagram`` writes CSV (``grid_to_csv``: 17 significant digits,
+missing values empty, byte-identical for identical sweeps); ``field-dump``
+streams ``model.write_surface_csv``.
 """
 
 from __future__ import annotations
@@ -15,14 +25,15 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 
 from . import __version__
-from .chern import chern_direct, chern_json, chern_plaquette
+from .chern import chern_direct, chern_plaquette
 from .errors import TopologyError
-from .model import KPoint, ModelParams, write_surface_csv
-from .sweep import SweepAxis, sweep_chern, sweep_euler, grid_to_csv
-from .winding import LoopSpec, winding_hermitian, winding_json
-from .zeromode import closed_zone_records, euler_characteristic, zero_modes_json
+from .model import TWO_PI, KPoint, ModelParams, write_surface_csv
+from .sweep import PhaseDiagramGrid, SweepAxis, sweep_chern, sweep_euler
+from .winding import LoopSpec, winding_hermitian
+from .zeromode import euler_characteristic
 
 
 class _Parser(argparse.ArgumentParser):
@@ -48,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--c", type=float, default=1.0, help="axis shift of the image surface")
         return sp
 
-    command("zeros", "zero-mode census with weights and the Euler characteristic")
+    command("zeros", "closed-zone copies of each zero with their weights, and the Euler characteristic")
     sp = command("chern", "Chern number of the gapped model")
     sp.add_argument(
         "--method",
@@ -56,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="plaquette",
         help="solid-angle plaquette sum or direct quadrature",
     )
-    command("euler", "Euler characteristic from the weighted zero-mode index sum")
+    command("euler", "Euler characteristic: the index sum of the zeros")
     sp = command("winding", "winding of the velocity field along a circular loop")
     sp.add_argument("--center", type=str, default="0,0", help="loop center as 'kx,ky'")
     sp.add_argument("--radius", type=float, default=0.3, help="loop radius in radians")
@@ -102,11 +113,76 @@ def _parse_axis(text: str) -> SweepAxis:
         raise _UsageError(f"--axis: {e}") from e
 
 
+def _edge_positions(x: float):
+    """Closed-zone representatives of one census coordinate (two on the -pi edge)."""
+    return (x, x + TWO_PI) if x == -math.pi else (x,)
+
+
+def closed_zone_records(modes) -> list:
+    """The `zeros` records: every closed-zone copy of the canonical modes, sorted by location.
+
+    The census gives each zero once, with coordinates in [-pi, pi); a zero
+    with a coordinate at -pi is repeated at +pi on that axis.  A zero with
+    n copies (2 on an edge, 4 at a corner) lists each at weight
+    weight_num / weight_den = 1/n, so the weights of one zero sum to 1 and
+    the weighted index sum is chi.
+    """
+    records = []
+    for z in modes:
+        xs = _edge_positions(z.location.kx)
+        ys = _edge_positions(z.location.ky)
+        records += [
+            {
+                "kx": x,
+                "ky": y,
+                "det": z.det,
+                "trace": z.trace,
+                "index": z.index,
+                "kind": z.kind.value,
+                "weight_num": 1,
+                "weight_den": len(xs) * len(ys),
+            }
+            for x in xs
+            for y in ys
+        ]
+    records.sort(key=lambda rec: (rec["kx"], rec["ky"]))
+    return records
+
+
+CSV_HEADER = "R,r,c,chern,chi,gap_min,status"
+
+
+def _fmt(x: float) -> str:
+    return format(x, ".17g")
+
+
+def grid_to_csv(grid: PhaseDiagramGrid) -> str:
+    lines = [CSV_HEADER]
+    for cell in grid.cells:
+        p = cell.params
+        lines.append(
+            ",".join(
+                (
+                    _fmt(p.R),
+                    _fmt(p.r),
+                    _fmt(p.c),
+                    "" if cell.chern is None else str(cell.chern),
+                    "" if cell.chi is None else str(cell.chi),
+                    _fmt(cell.gap_min),
+                    cell.status,
+                )
+            )
+        )
+    return "\n".join(lines) + "\n"
+
+
+def _json(doc) -> str:
+    return json.dumps(doc, indent=2) + "\n"
+
+
 def _emit(text: str, out_path) -> None:
     if out_path is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -115,7 +191,7 @@ def _emit(text: str, out_path) -> None:
 def _cmd_zeros(args) -> int:
     p = _model_params(args)
     result = euler_characteristic(p)
-    _emit(zero_modes_json(result.modes), args.out)
+    _emit(_json(closed_zone_records(result.modes)), args.out)
     sys.stdout.write(f"chi {result.chi}\n")
     return 0
 
@@ -123,14 +199,14 @@ def _cmd_zeros(args) -> int:
 def _cmd_chern(args) -> int:
     p = _model_params(args)
     res = chern_plaquette(p) if args.method == "plaquette" else chern_direct(p)
-    _emit(chern_json(res), args.out)
+    _emit(_json(asdict(res)), args.out)
     return 0
 
 
 def _cmd_euler(args) -> int:
     p = _model_params(args)
     result = euler_characteristic(p)
-    _emit(json.dumps({"chi": result.chi, "zero_modes": len(closed_zone_records(result.modes))}, indent=2), args.out)
+    _emit(_json({"chi": result.chi, "zero_modes": len(closed_zone_records(result.modes))}), args.out)
     return 0
 
 
@@ -146,8 +222,9 @@ def _cmd_winding(args) -> int:
         loop = LoopSpec.circle(KPoint(cx, cy), args.radius)
     except ValueError as e:
         raise _UsageError(f"--radius: {e}") from e
-    res = winding_hermitian(loop, p)
-    _emit(winding_json(res), args.out)
+    doc = asdict(winding_hermitian(loop, p))
+    doc["samples_used"] = doc.pop("samples")
+    _emit(_json(doc), args.out)
     return 0
 
 

@@ -24,16 +24,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import ModelParams, _trig_rho
+from .model import ModelParams, _bloch, _trig_rho
 
 EPS_GAP = 1e-9
 
 
 def _velocity(sx, cx, sy, cy, rho, p: ModelParams):
     """(vx, vy, gap) from the ``_trig_rho`` factors; NaN/inf where |h| = 0."""
-    hx = rho * cx + p.c
-    hy = rho * sx
-    hz = p.r * sy
+    hx, hy, hz = _bloch(sx, cx, sy, cy, rho, p)
     gap = np.sqrt(hx * hx + hy * hy + hz * hz)
     with np.errstate(divide="ignore", invalid="ignore"):
         vx = -rho * p.c * sx / gap

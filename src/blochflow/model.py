@@ -11,10 +11,11 @@ the surface is an embedded (slightly sheared) torus shifted by c >= 0
 along the first axis.  The bands are E = +-|h(k)|.
 
 Everything is smooth and 2*pi-periodic in kx and ky.  ``_trig_rho`` is
-the one place that evaluates sin kx, cos kx, sin ky, cos ky and rho(ky);
-the Bloch vector (``bloch_components``), the velocity and its Hessian
-(``field``) and the Chern integrand (``chern``) are all written on its
-factors and broadcast over numpy arrays of kx and ky.
+the one place that evaluates sin kx, cos kx, sin ky, cos ky and rho(ky),
+and ``_bloch`` the one place that assembles h from those factors; the
+Bloch vector (``bloch_components``), the velocity and its Hessian
+(``field``) and the Chern integrand (``chern``) are all written on them
+and broadcast over numpy arrays of kx and ky.
 ``KPoint.canonical`` reduces a single point to the fundamental domain
 [-pi, pi)^2.
 
@@ -25,6 +26,7 @@ solves it in closed form with ``math`` and is the one solver that the gap
 minimum (``chern.gap_min``) and the zero census (``zeromode``) share.
 There are two such roots when c lies in the window c_p < c < c_f between
 the pitchfork and the fold (``zero_bifurcations``), and none otherwise.
+The gap closes at c = R -+ r (``gapless_boundary``).
 """
 
 from __future__ import annotations
@@ -102,6 +104,11 @@ def _trig_rho(kx, ky, p: ModelParams):
     return np.sin(kx), np.cos(kx), sy, cy, np.sqrt((p.r * sy) ** 2 + (p.R + p.r * cy) ** 2)
 
 
+def _bloch(sx, cx, sy, cy, rho, p: ModelParams):
+    """(hx, hy, hz) = (rho cos kx + c, rho sin kx, r sin ky) from the ``_trig_rho`` factors."""
+    return rho * cx + p.c, rho * sx, p.r * sy
+
+
 def zero_bifurcations(R: float, r: float) -> tuple:
     """The two axis shifts where the zero count changes: (c_p, c_f).
 
@@ -111,6 +118,18 @@ def zero_bifurcations(R: float, r: float) -> tuple:
     the pairs merge again at the fold c_f, the maximum of g at u = -r/(3R).
     """
     return (R * R - r * r) / R, (R * R + r * r / 3.0) ** 1.5 / (R * R)
+
+
+def gapless_boundary(R: float, r: float) -> tuple:
+    """The two axis shifts where the gap closes: (R - r, R + r).
+
+    There |h| vanishes at (pi, pi) and (pi, 0) respectively.  For c between
+    them the image surface encloses the origin and the Chern number is +1;
+    outside it is 0.
+    """
+    if not (R > r > 0.0):
+        raise ValueError(f"requires R > r > 0, got R={R}, r={r}")
+    return (R - r, R + r)
 
 
 def _kx_pi_cubic(p: ModelParams) -> list:
@@ -167,8 +186,7 @@ def _kx_pi_roots(p: ModelParams) -> list:
 
 def bloch_components(kx, ky, p: ModelParams):
     """Components (hx, hy, hz) of the Bloch vector; broadcasts over arrays."""
-    sx, cx, sy, _, rho = _trig_rho(kx, ky, p)
-    return rho * cx + p.c, rho * sx, p.r * sy
+    return _bloch(*_trig_rho(kx, ky, p), p)
 
 
 SURFACE_CSV_HEADER = "kx,ky,hx,hy,hz,vx,vy"

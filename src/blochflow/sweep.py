@@ -1,4 +1,4 @@
-"""Parameter sweeps producing phase-diagram grids with deterministic output.
+"""Parameter sweeps producing phase-diagram grids.
 
 A sweep varies one or two of the model parameters (R, r, c) over uniform
 axes and records per cell either an invariant value or an explicit status
@@ -9,11 +9,8 @@ degenerates (c ~ 0, or a degenerate zero) are tagged "degenerate".  The
 threshold bounds the gap |h| itself, in parameter units, not a distance
 in c to a closing, and unlike the census thresholds it is absolute, not
 relative to R; it stays so until the benchmark's reference changes with
-it.
-
-The output is CSV with header ``R,r,c,chern,chi,gap_min,status`` (floats
-written with 17 significant digits, missing values empty).  Identical
-sweep inputs produce byte-identical files.
+it.  Identical sweep inputs give identical grids; ``cli`` writes them as
+CSV.
 """
 
 from __future__ import annotations
@@ -126,31 +123,3 @@ def sweep_chern(axes, base: ModelParams) -> PhaseDiagramGrid:
 def sweep_euler(axes, base: ModelParams) -> PhaseDiagramGrid:
     """Euler characteristic per cell; degenerate/gapless cells carry tags."""
     return _sweep(axes, base, lambda p: (None, euler_characteristic(p).chi))
-
-
-CSV_HEADER = "R,r,c,chern,chi,gap_min,status"
-
-
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
-
-
-def grid_to_csv(grid: PhaseDiagramGrid) -> str:
-    lines = [CSV_HEADER]
-    for cell in grid.cells:
-        p = cell.params
-        lines.append(
-            ",".join(
-                (
-                    _fmt(p.R),
-                    _fmt(p.r),
-                    _fmt(p.c),
-                    "" if cell.chern is None else str(cell.chern),
-                    "" if cell.chi is None else str(cell.chi),
-                    _fmt(cell.gap_min),
-                    cell.status,
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
-

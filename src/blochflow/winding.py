@@ -21,7 +21,6 @@ Adapters:
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -177,15 +176,3 @@ def winding_nonhermitian(
         return out
 
     return _with_densification(loop, evaluate)
-
-
-def winding_json(res: WindingResult) -> str:
-    return json.dumps(
-        {
-            "w": res.w,
-            "total_angle": res.total_angle,
-            "min_field_norm": res.min_field_norm,
-            "samples_used": res.samples,
-        },
-        indent=2,
-    )

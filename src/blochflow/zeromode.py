@@ -16,16 +16,12 @@ The sum of the indexes is the Euler characteristic of the image surface:
 independent of where the individual zeros sit or how many there are.
 The census returns each zero once, at exact machine values, with kx in
 {-pi, 0} and ky in [-pi, pi).  So a zero lies on the edge of the closed
-zone [-pi, pi]^2 exactly when a coordinate equals -pi.  The `zeros`
-output lists the closed zone instead (``closed_zone_records``, whose
-length `euler` reports as ``zero_modes``): there such a zero is repeated
-at +pi on that axis, and each of its n copies (2 on an edge, 4 at a
-corner) gets weight 1/n, so the weighted index sum is the same chi.
+zone [-pi, pi]^2 exactly when a coordinate equals -pi; the `zeros`
+output of ``cli`` lists its closed-zone copies with their weights.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -34,7 +30,7 @@ import numpy as np
 
 from .errors import DegenerateField, DegenerateZero, GaplessModel, NonIsolatedZero
 from .field import EPS_GAP, hessian
-from .model import TWO_PI, KPoint, ModelParams, _kx_pi_roots, reduce_angle, zero_bifurcations
+from .model import KPoint, ModelParams, _kx_pi_roots, gapless_boundary, reduce_angle, zero_bifurcations
 
 # The model is scale-covariant: scaling R, r and c by s scales h and c by s
 # and the Jacobian determinant by s^2, and leaves the zeros and their kinds
@@ -107,7 +103,7 @@ def _closed_form_census(p: ModelParams):
             "proportional to c, is too weak to isolate and classify the zeros"
         )
     # |h| at (pi, pi) and (pi, 0), the only points where the gap can close
-    gap = min(abs(p.c - (p.R - p.r)), abs(p.c - (p.R + p.r)))
+    gap = min(abs(p.c - b) for b in gapless_boundary(p.R, p.r))
     if gap / p.R <= EPS_GAP:
         raise GaplessModel(f"band gap closes at a fixed zero (|h| = {gap:.3e}); the velocity is undefined there")
     c_p, c_f = zero_bifurcations(p.R, p.r)
@@ -157,42 +153,3 @@ def euler_characteristic(p: ModelParams) -> EulerResult:
         for x, y, d, t in zip(kx.tolist(), ky.tolist(), det.tolist(), trace.tolist())
     ]
     return EulerResult(sum(z.index for z in modes), modes)
-
-
-def _edge_positions(x: float):
-    """Closed-zone representatives of one census coordinate (two on the -pi edge)."""
-    return (x, x + TWO_PI) if x == -math.pi else (x,)
-
-
-def closed_zone_records(modes) -> list:
-    """The `zeros` records: every closed-zone copy of the canonical modes, sorted by location.
-
-    A zero with n copies (2 on an edge, 4 at a corner) lists each at
-    weight weight_num / weight_den = 1/n, so the weights of one zero sum
-    to 1 and the weighted index sum is chi.
-    """
-    records = []
-    for z in modes:
-        xs = _edge_positions(z.location.kx)
-        ys = _edge_positions(z.location.ky)
-        records += [
-            {
-                "kx": x,
-                "ky": y,
-                "det": z.det,
-                "trace": z.trace,
-                "index": z.index,
-                "kind": z.kind.value,
-                "weight_num": 1,
-                "weight_den": len(xs) * len(ys),
-            }
-            for x in xs
-            for y in ys
-        ]
-    records.sort(key=lambda rec: (rec["kx"], rec["ky"]))
-    return records
-
-
-def zero_modes_json(modes) -> str:
-    """JSON array of the closed-zone records of the canonical modes (the `zeros` output schema)."""
-    return json.dumps(closed_zone_records(modes), indent=2)

@@ -4,7 +4,6 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS/FAIL
 line per criterion.
 """
 
-import json
 import math
 import time
 from fractions import Fraction
@@ -25,9 +24,10 @@ from blochflow import (
     sweep_euler,
     winding_hermitian,
 )
+from blochflow.cli import closed_zone_records
 from blochflow.errors import DegenerateField, GaplessModel
 from blochflow.field import velocity_and_gap
-from blochflow.zeromode import torus_distance, zero_modes_json
+from blochflow.zeromode import torus_distance
 
 from oracles import (
     brute_zero_census,
@@ -46,8 +46,8 @@ def _report(name, ok, detail=""):
 
 
 def _closed_zone(p):
-    """The `zeros` JSON records of p: every closed-zone copy with its weight."""
-    return json.loads(zero_modes_json(euler_characteristic(p).modes))
+    """The `zeros` records of p: every closed-zone copy with its weight."""
+    return closed_zone_records(euler_characteristic(p).modes)
 
 
 def _weight(rec):

@@ -1,4 +1,4 @@
-"""CLI: flag validation, exit codes, serialization pass-through."""
+"""CLI: flag validation, exit codes, the output contract."""
 
 import json
 import math
@@ -6,14 +6,23 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import asdict
 
 import pytest
 
 import blochflow
-from blochflow import ModelParams, euler_characteristic
-from blochflow.chern import chern_json, chern_plaquette
-from blochflow.cli import main
-from blochflow.zeromode import zero_modes_json
+from blochflow import (
+    KPoint,
+    LoopSpec,
+    ModelParams,
+    SweepAxis,
+    chern_direct,
+    chern_plaquette,
+    euler_characteristic,
+    sweep_chern,
+    winding_hermitian,
+)
+from blochflow.cli import closed_zone_records, main
 
 
 def run(capsys, argv):
@@ -35,18 +44,12 @@ def test_zeros_reference(capsys):
     assert kinds.count("sink") == 1
 
 
-def test_zeros_matches_module_serialization(capsys):
-    rc, out, _ = run(capsys, ["zeros"])
-    body = "\n".join(out.splitlines()[:-1])
-    assert body == zero_modes_json(euler_characteristic(ModelParams(3, 1, 1)).modes)
-
-
 def test_zeros_out_file(tmp_path, capsys):
     out_path = tmp_path / "zeros.json"
     rc, out, _ = run(capsys, ["zeros", "--out", str(out_path)])
     assert rc == 0
     assert out == "chi 0\n"
-    assert out_path.read_text() == zero_modes_json(euler_characteristic(ModelParams(3, 1, 1)).modes)
+    assert json.loads(out_path.read_text()) == closed_zone_records(euler_characteristic(ModelParams(3, 1, 1)).modes)
 
 
 def test_zeros_degenerate_exit(capsys):
@@ -136,11 +139,6 @@ def test_chern_value(capsys):
     assert doc["value"] == 1
     assert abs(doc["raw"] - 1) <= 1e-9
     assert doc["method"] == "plaquette_solid_angle"
-
-
-def test_chern_matches_module_serialization(capsys):
-    rc, out, _ = run(capsys, ["chern", "--c", "3"])
-    assert out.rstrip("\n") == chern_json(chern_plaquette(ModelParams(3, 1, 3)))
 
 
 def test_chern_direct_method(capsys):
@@ -345,3 +343,99 @@ def test_unwritable_out_path_exit(tmp_path, capsys, argv):
 
 def test_unknown_command_exit(capsys):
     assert main(["frobnicate"]) == 1
+
+
+# The output contract, at (R, r, c) = (3, 1, 3): 8 zeros, all but (0, 0)
+# on the zone edge, and Chern number 1.
+P_OUT = ModelParams(3, 1, 3)
+CHERN_KEYS = ["raw", "value", "gap_min", "method", "grid_n"]
+
+
+def _zeros_expected(text):
+    records = json.loads(text)
+    # the copies at the canonical locations are the census modes, in order
+    canonical = [
+        (rec["kx"], rec["ky"], rec["det"], rec["trace"], rec["index"], rec["kind"])
+        for rec in records
+        if rec["kx"] < math.pi and rec["ky"] < math.pi
+    ]
+    modes = [
+        (z.location.kx, z.location.ky, z.det, z.trace, z.index, z.kind.value)
+        for z in euler_characteristic(P_OUT).modes
+    ]
+    assert canonical == modes
+    return {tuple(rec) for rec in records}, {("kx", "ky", "det", "trace", "index", "kind", "weight_num", "weight_den")}
+
+
+def _euler_expected(text):
+    doc = json.loads(text)
+    res = euler_characteristic(P_OUT)
+    # each zero is listed once per closed-zone copy: twice per coordinate at -pi
+    copies = sum((1 + (z.location.kx == -math.pi)) * (1 + (z.location.ky == -math.pi)) for z in res.modes)
+    assert doc == {"chi": res.chi, "zero_modes": copies}
+    return list(doc), ["chi", "zero_modes"]
+
+
+def _chern_expected(method):
+    def check(text):
+        doc = json.loads(text)
+        assert doc == asdict(method(P_OUT))
+        return list(doc), CHERN_KEYS
+
+    return check
+
+
+def _winding_expected(text):
+    doc = json.loads(text)
+    res = winding_hermitian(LoopSpec.circle(KPoint(0.0, 0.0), 0.3), P_OUT)
+    want = {"w": res.w, "total_angle": res.total_angle, "min_field_norm": res.min_field_norm, "samples_used": res.samples}
+    assert doc == want
+    return list(doc), ["w", "total_angle", "min_field_norm", "samples_used"]
+
+
+def _grid_expected(text):
+    header, *rows = text.splitlines()
+    grid = sweep_chern([SweepAxis("c", 0.5, 4.5, 9)], P_OUT)
+
+    def num(field, kind):
+        return None if field == "" else kind(field)
+
+    kinds = (float, float, float, int, int, float, str)
+    parsed = [tuple(num(f, k) for f, k in zip(row.split(","), kinds)) for row in rows]
+    assert parsed == [
+        (c.params.R, c.params.r, c.params.c, c.chern, c.chi, c.gap_min, c.status) for c in grid.cells
+    ]
+    return header, "R,r,c,chern,chi,gap_min,status"
+
+
+OUTPUTS = {
+    "zeros": _zeros_expected,
+    "euler": _euler_expected,
+    "chern": _chern_expected(chern_plaquette),
+    "chern --method direct": _chern_expected(chern_direct),
+    "winding --center 0,0 --radius 0.3": _winding_expected,
+    "phase-diagram --axis c:0.5:4.5:9": _grid_expected,
+}
+
+
+@pytest.mark.parametrize("command", OUTPUTS)
+def test_output_contract(tmp_path, capsys, command):
+    # key order (or CSV header) and values against the library result; one
+    # final newline; and --out gets the bytes stdout gets (zeros keeps its
+    # chi line on stdout)
+    argv = [*command.split(), "--R", "3", "--r", "1", "--c", "3"]
+    rc, out, _ = run(capsys, argv)
+    assert rc == 0
+    tail = ""
+    if argv[0] == "zeros":
+        tail = f"chi {euler_characteristic(P_OUT).chi}\n"
+        assert out.endswith("]\n" + tail)
+        out = out[: -len(tail)]
+    got, want = OUTPUTS[command](out)
+    assert got == want
+    assert out.endswith("\n") and not out.endswith("\n\n")
+
+    path = tmp_path / "out"
+    rc, rest, _ = run(capsys, [*argv, "--out", str(path)])
+    assert (rc, rest) == (0, tail)
+    assert path.read_bytes() == out.encode()

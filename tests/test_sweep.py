@@ -5,7 +5,8 @@ import math
 import pytest
 
 from blochflow import ModelParams, SweepAxis, sweep_chern, sweep_euler
-from blochflow.sweep import CSV_HEADER, GAPLESS_THRESHOLD, grid_to_csv
+from blochflow.cli import CSV_HEADER, grid_to_csv
+from blochflow.sweep import GAPLESS_THRESHOLD
 
 BASE = ModelParams(3, 1, 1)
 

@@ -1,6 +1,5 @@
 """Zero-mode census, classification, closed-zone weights, Euler characteristic."""
 
-import json
 import math
 from fractions import Fraction
 
@@ -17,6 +16,7 @@ from blochflow import (
     winding_hermitian,
 )
 import blochflow.zeromode
+from blochflow.cli import closed_zone_records
 from blochflow.errors import (
     DegenerateField,
     DegenerateZero,
@@ -31,7 +31,6 @@ from blochflow.zeromode import (
     classify,
     torus_distance,
     zero_bifurcations,
-    zero_modes_json,
 )
 
 from oracles import (
@@ -59,8 +58,8 @@ def _match(modes, kx, ky, tol=1e-9):
 
 
 def _closed_zone(p):
-    """The `zeros` JSON records of p: every closed-zone copy with its weight."""
-    return json.loads(zero_modes_json(euler_characteristic(p).modes))
+    """The `zeros` records of p: every closed-zone copy with its weight."""
+    return closed_zone_records(euler_characteristic(p).modes)
 
 
 def _weight(rec):
@@ -453,8 +452,7 @@ def test_degenerate_bifurcation_is_typed_error():
 
 
 def test_zero_modes_json_schema():
-    modes = euler_characteristic(P1).modes
-    records = json.loads(zero_modes_json(modes))
+    records = _closed_zone(P1)
     assert len(records) == 9
     for rec in records:
         assert set(rec) == {"kx", "ky", "det", "trace", "index", "kind", "weight_num", "weight_den"}
