@@ -12,12 +12,12 @@ lower band (-|h|) carries the opposite velocity and the negated Hessian,
 so zero locations and Hessian determinant signs (hence indexes) are band
 independent, while sinks and sources trade places.
 
-``velocity_and_gap`` and ``hessian`` both take (kx, ky, p), broadcast
-over arrays and evaluate the trig factors and rho once per call
-(``model._trig_rho``); the velocity formula is written once, in
-``_velocity``, and the Hessian builds on it.  NaN/inf propagate where
-|h| = 0: ``velocity_and_gap`` returns the gap so callers can mask, and
-callers that need a nonzero gap compare gap / R with ``EPS_GAP``.
+``velocity_and_gap`` and ``hessian`` take (kx, ky, p) and evaluate the
+trig factors and rho once per call (``model._trig_rho``); the velocity is
+written once, in ``_velocity``, and the Hessian builds on it.  On arrays
+NaN/inf propagate where |h| = 0, and callers mask by the returned gap or
+compare gap / R with ``EPS_GAP``; ``hessian(kx, ky, p, math)`` takes one
+point as floats, where a zero gap raises.
 """
 
 from __future__ import annotations
@@ -29,38 +29,43 @@ from .model import ModelParams, _bloch, _trig_rho
 EPS_GAP = 1e-9
 
 
-def _velocity(sx, cx, sy, cy, rho, p: ModelParams):
-    """(vx, vy, gap) from the ``_trig_rho`` factors; NaN/inf where |h| = 0."""
+def _velocity(sx, cx, sy, cy, rho, p: ModelParams, xp=np):
+    """(vx, vy, gap) from the ``_trig_rho`` factors; on arrays NaN/inf where |h| = 0."""
     hx, hy, hz = _bloch(sx, cx, sy, cy, rho, p)
-    gap = np.sqrt(hx * hx + hy * hy + hz * hz)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vx = -rho * p.c * sx / gap
-        vy = -(p.r * p.R / gap) * (1.0 + (p.c / rho) * cx - (p.r / p.R) * cy) * sy
+    gap = xp.sqrt(hx * hx + hy * hy + hz * hz)
+    vx = -rho * p.c * sx / gap
+    vy = -(p.r * p.R / gap) * (1.0 + (p.c / rho) * cx - (p.r / p.R) * cy) * sy
     # + 0.0 folds negative zeros into plain zeros for stable serialization
     return vx + 0.0, vy + 0.0, gap
 
 
 def velocity_and_gap(kx, ky, p: ModelParams):
-    """Closed-form velocity components and the local gap |h|, vectorized.
+    """(vx, vy, gap): the closed-form velocity and the local gap |h|, vectorized.
 
-    Returns (vx, vy, gap).  No gap checks are performed here: at a band
-    touching the division produces NaN/inf, which callers must mask using
-    the returned gap.
+    No gap checks: where the bands touch vx and vy are NaN/inf, for callers to mask by the gap.
     """
-    return _velocity(*_trig_rho(kx, ky, p), p)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _velocity(*_trig_rho(kx, ky, p), p)
 
 
-def hessian(kx, ky, p: ModelParams):
-    """Closed-form Hessian entries (hxx, hxy, hyy) of |h|, vectorized.
-
-    These are the velocity derivatives dvx/dkx, dvx/dky = dvy/dkx and
-    dvy/dky.  No gap checks; NaN/inf propagate where |h| = 0.
-    """
-    sx, cx, sy, cy, rho = _trig_rho(kx, ky, p)
-    vx, vy, gap = _velocity(sx, cx, sy, cy, rho, p)
+def _hessian(sx, cx, sy, cy, rho, p: ModelParams, xp):
+    """(hxx, hxy, hyy) from the ``_trig_rho`` factors."""
+    vx, vy, gap = _velocity(sx, cx, sy, cy, rho, p, xp)
     rr = p.r * p.R
     gxx = -p.c * rho * cx
     gxy = p.c * rr * sx * sy / rho
     gyy = -rr * cy - p.c * rr * cx * (cy / rho + rr * sy * sy / rho**3) + p.r**2 * (cy * cy - sy * sy)
+    return (gxx - vx * vx) / gap, (gxy - vx * vy) / gap, (gyy - vy * vy) / gap
+
+
+def hessian(kx, ky, p: ModelParams, xp=np):
+    """Closed-form Hessian entries (hxx, hxy, hyy) of |h|.
+
+    These are the velocity derivatives dvx/dkx, dvx/dky = dvy/dkx and
+    dvy/dky.  No gap checks: on arrays (``xp`` = ``np``) NaN/inf propagate
+    where |h| = 0; on floats (``xp`` = ``math``) ZeroDivisionError is raised.
+    """
+    if xp is not np:  # floats raise on a zero gap: no warning to silence
+        return _hessian(*_trig_rho(kx, ky, p, xp), p, xp)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return (gxx - vx * vx) / gap, (gxy - vx * vy) / gap, (gyy - vy * vy) / gap
+        return _hessian(*_trig_rho(kx, ky, p), p, np)

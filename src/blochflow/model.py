@@ -15,7 +15,7 @@ the one place that evaluates sin kx, cos kx, sin ky, cos ky and rho(ky),
 and ``_bloch`` the one place that assembles h from those factors; the
 Bloch vector (``bloch_components``), the velocity and its Hessian
 (``field``) and the Chern integrand (``chern``) are all written on them
-and broadcast over numpy arrays of kx and ky.
+and broadcast over numpy arrays of kx and ky, or take floats with ``math``.
 ``KPoint.canonical`` reduces a single point to the fundamental domain
 [-pi, pi)^2.
 
@@ -94,14 +94,14 @@ class KPoint:
         return KPoint(float(reduce_angle(self.kx)), float(reduce_angle(self.ky)))
 
 
-def _trig_rho(kx, ky, p: ModelParams):
-    """(sin kx, cos kx, sin ky, cos ky, rho(ky)), each evaluated once; broadcasts.
+def _trig_rho(kx, ky, p: ModelParams, xp=np):
+    """(sin kx, cos kx, sin ky, cos ky, rho(ky)), each once, on arrays (``xp`` = ``np``) or floats (``math``).
 
     rho(ky) = sqrt(r^2 sin^2 ky + (R + r cos ky)^2) is the distance of h(k)
     from the shifted symmetry axis, at least R - r > 0.
     """
-    sy, cy = np.sin(ky), np.cos(ky)
-    return np.sin(kx), np.cos(kx), sy, cy, np.sqrt((p.r * sy) ** 2 + (p.R + p.r * cy) ** 2)
+    sy, cy = xp.sin(ky), xp.cos(ky)
+    return xp.sin(kx), xp.cos(kx), sy, cy, xp.sqrt((p.r * sy) ** 2 + (p.R + p.r * cy) ** 2)
 
 
 def _bloch(sx, cx, sy, cy, rho, p: ModelParams):

@@ -19,8 +19,6 @@ import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .chern import chern_plaquette, gap_min
 from .errors import (
     DegenerateField,
@@ -58,8 +56,16 @@ class SweepAxis:
         if not self.start < self.stop:
             raise ValueError(f"axis needs start < stop, got [{self.start}, {self.stop}]")
 
-    def values(self) -> np.ndarray:
-        return np.linspace(self.start, self.stop, self.steps)
+    def values(self) -> list:
+        """``steps`` evenly spaced values from start to stop, bit for bit those of np.linspace."""
+        n = self.steps - 1
+        if n == 0:
+            return [self.start + 0.0]  # -0.0 becomes 0.0, as in np.linspace
+        delta = self.stop - self.start
+        step = delta / n
+        if step == 0.0:  # a subnormal width: np.linspace scales before it multiplies
+            return [self.start + i / n * delta for i in range(n)] + [self.stop]
+        return [self.start + i * step for i in range(n)] + [self.stop]
 
 
 @dataclass(frozen=True)

@@ -6,10 +6,10 @@ are (pi, -+arccos u) for each root u in (-1, 1) of the cubic that
 ``gap_min`` also solves (``model._kx_pi_roots``).  Within
 ``BIFURCATION_MARGIN`` R of the pitchfork c_p or the fold c_f
 (``model.zero_bifurcations``), where the count changes, the census raises
-NonIsolatedZero.  All zeros are then classified in one
-array pass over their velocity Jacobian, the closed-form Hessian of |h|:
-negative determinant is a saddle (index -1); positive determinant is a
-sink or source depending on the trace sign (index +1).
+NonIsolatedZero, as it does when two zeros on kx = pi crowd each other.
+Each zero is then classified by its velocity Jacobian, the closed-form
+Hessian of |h| there, in ``math``: negative determinant is a saddle
+(index -1); positive is a sink or source by the trace sign (index +1).
 
 The sum of the indexes is the Euler characteristic of the image surface:
 0 for every gapped, nondegenerate parameter set of the torus model,
@@ -26,11 +26,9 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .errors import DegenerateField, DegenerateZero, GaplessModel, NonIsolatedZero
 from .field import EPS_GAP, hessian
-from .model import KPoint, ModelParams, _kx_pi_roots, gapless_boundary, reduce_angle, zero_bifurcations
+from .model import TWO_PI, KPoint, ModelParams, _kx_pi_roots, gapless_boundary, reduce_angle, zero_bifurcations
 
 # The model is scale-covariant: scaling R, r and c by s scales h and c by s
 # and the Jacobian determinant by s^2, and leaves the zeros and their kinds
@@ -72,11 +70,6 @@ class EulerResult:
     modes: list
 
 
-def torus_distance(ax, ay, bx, by):
-    """Distance on the 2-torus: componentwise wrapped differences."""
-    return np.hypot(reduce_angle(ax - bx), reduce_angle(ay - by))
-
-
 def classify(det: float, trace: float, R: float) -> ZeroKind:
     """Saddle for det < 0; sink/source for det > 0 by the trace sign.
 
@@ -112,27 +105,25 @@ def _closed_form_census(p: ModelParams):
             f"c = {p.c} is within {BIFURCATION_MARGIN:.0e} R of the pitchfork c_p = {c_p} or the fold "
             f"c_f = {c_f}, where zeros on kx = pi are born or merge"
         )
-    points = [(-math.pi, -math.pi), (-math.pi, 0.0), (0.0, -math.pi), (0.0, 0.0)]
-    points += [(-math.pi, s * math.acos(u)) for u in _kx_pi_roots(p) for s in (-1.0, 1.0)]
-    _check_isolated(*zip(*points))
-    return sorted(points)
+    ky_pi = sorted([-math.pi, 0.0, *(s * math.acos(u) for u in _kx_pi_roots(p) for s in (-1.0, 1.0))])
+    _check_isolated(ky_pi)
+    return [(-math.pi, y) for y in ky_pi] + [(0.0, -math.pi), (0.0, 0.0)]
 
 
-def _check_isolated(reps_x, reps_y):
-    """Raise NonIsolatedZero for the first pair i < j closer than ISOLATION_RADIUS.
+def _check_isolated(ky):
+    """Raise NonIsolatedZero for the first neighbours on kx = pi closer than ISOLATION_RADIUS.
 
-    Distinct zeros must stay well separated for the index sum to be
-    meaningful.
+    ``ky`` holds the sorted ky values of the zeros on that line; the two on
+    kx = 0 are pi apart and at least pi from the line.  Each is compared
+    with the next, and the largest with the smallest plus 2 pi.  Distinct
+    zeros must stay well separated for the index sum to be meaningful.
     """
-    rx, ry = np.array(reps_x), np.array(reps_y)
-    d = torus_distance(rx[:, None], ry[:, None], rx[None, :], ry[None, :])
-    crowded = np.argwhere(np.triu(d < ISOLATION_RADIUS, k=1))
-    if crowded.size:
-        i, j = crowded[0]
-        raise NonIsolatedZero(
-            f"zeros at ({reps_x[i]:.6g}, {reps_y[i]:.6g}) and "
-            f"({reps_x[j]:.6g}, {reps_y[j]:.6g}) are only {float(d[i, j]):.3e} apart"
-        )
+    for a, b in zip(ky, ky[1:] + [ky[0] + TWO_PI]):
+        if b - a < ISOLATION_RADIUS:
+            raise NonIsolatedZero(
+                f"zeros at ({-math.pi:.6g}, {a:.6g}) and ({-math.pi:.6g}, {reduce_angle(b):.6g}) "
+                f"are only {b - a:.3e} apart"
+            )
 
 
 def euler_characteristic(p: ModelParams) -> EulerResult:
@@ -145,11 +136,9 @@ def euler_characteristic(p: ModelParams) -> EulerResult:
     determinant below threshold, NonIsolatedZero near a bifurcation or
     when two distinct zeros crowd each other.
     """
-    kx, ky = np.array(_closed_form_census(p)).T
-    hxx, hxy, hyy = hessian(kx, ky, p)
-    det, trace = hxx * hyy - hxy * hxy, hxx + hyy
-    modes = [
-        ZeroMode(KPoint(x, y), d, t, classify(d, t, p.R))
-        for x, y, d, t in zip(kx.tolist(), ky.tolist(), det.tolist(), trace.tolist())
-    ]
+    modes = []
+    for kx, ky in _closed_form_census(p):
+        hxx, hxy, hyy = hessian(kx, ky, p, math)
+        det, trace = hxx * hyy - hxy * hxy, hxx + hyy
+        modes.append(ZeroMode(KPoint(kx, ky), det, trace, classify(det, trace, p.R)))
     return EulerResult(sum(z.index for z in modes), modes)

@@ -8,10 +8,11 @@ by a sign-change scan plus MINPACK's hybrid solver on that projection
 (the library census solves a cubic), the minimum gap by dense 2-D scans
 (the library solves a cubic on kx = pi), windings by numpy's phase unwrapping,
 derivatives by plain central differences (the Chern integrand included),
-the isolation check by a pair-by-pair loop (the library builds a distance
-matrix), the roots of the kx = pi cubic by np.roots, the eigenvalues of
-its companion matrix (the library has them in closed form; both polish
-them by the same Newton step), the zero census by the paper's generic
+the isolation check by a pair-by-pair loop over torus distances in 2-D
+(the library compares neighbouring ky gaps on the line kx = pi), the
+roots of the kx = pi cubic by np.roots, the eigenvalues of its companion
+matrix (the library has them in closed form; both polish them by the
+same Newton step), the zero census by the paper's generic
 method, damped Newton from a seed grid with a greedy dedup (the library
 solves the model's cubic in closed form), the fold of that census by a
 dense scan, and the plaquette solid-angle sum by np.roll neighbours,
@@ -31,13 +32,7 @@ from scipy.optimize import fsolve
 from blochflow.errors import DegenerateField, GaplessModel, GaplessPoint, NonIsolatedZero
 from blochflow.field import EPS_GAP, hessian, velocity_and_gap
 from blochflow.model import TWO_PI, _kx_pi_cubic, bloch_components, reduce_angle
-from blochflow.zeromode import (
-    C_DEGENERATE,
-    ISOLATION_RADIUS,
-    _check_isolated,
-    torus_distance,
-    zero_bifurcations,
-)
+from blochflow.zeromode import C_DEGENERATE, ISOLATION_RADIUS, zero_bifurcations
 
 # The Newton census: damped Newton from every node of a 64 x 64 seed grid
 # until |v| (or the Newton step) is at most 1e-12, then a dedup of the
@@ -46,6 +41,11 @@ SEEDS_PER_AXIS = 64
 NEWTON_TOL = 1e-12
 MAX_ITER = 50
 DEDUP_RADIUS = 1e-6
+
+
+def torus_distance(ax, ay, bx, by):
+    """Distance on the 2-torus: componentwise wrapped differences; broadcasts."""
+    return np.hypot(reduce_angle(ax - bx), reduce_angle(ay - by))
 
 
 def axis_distance(ky, p):
@@ -301,42 +301,15 @@ def pairwise_isolation(reps_x, reps_y):
                 )
 
 
-@st.composite
-def converged_clouds(draw):
-    """Point clouds like the census's converged seeds: a few centres (some
-    right on either side of kx = -+pi), each with near-duplicates within
-    1e-7, 1e-6 or 3e-6 (around DEDUP_RADIUS) or within 2e-3 (crowding
-    ISOLATION_RADIUS), and |v| values with ties.  Returns (cx, cy, cn)
-    arrays with angles reduced to [-pi, pi)."""
-    edge = st.sampled_from((-math.pi, math.pi - 1e-8, -math.pi + 1e-8, math.pi - 5e-7))
-    xs, ys = [], []
-    for _ in range(draw(st.integers(1, 6))):
-        x = draw(st.one_of(st.floats(-math.pi, math.pi), edge))
-        y = draw(st.floats(-math.pi, math.pi))
-        scale = draw(st.sampled_from((1e-7, 1e-6, 3e-6, 2e-3)))
-        offsets = draw(st.lists(st.tuples(st.floats(-scale, scale), st.floats(-scale, scale)), max_size=8))
-        for dx, dy in [(0.0, 0.0)] + offsets:
-            xs.append(x + dx)
-            ys.append(y + dy)
-    norms = draw(
-        st.lists(
-            st.one_of(st.floats(0.0, 1e-12), st.sampled_from((0.0, 5e-13))),
-            min_size=len(xs),
-            max_size=len(xs),
-        )
-    )
-    return reduce_angle(np.array(xs)), reduce_angle(np.array(ys)), np.array(norms)
-
-
 def full_backtrack_census(p):
     """The paper's generic census: damped Newton from a uniform seed grid,
     with every active seed re-evaluated at every backtrack halving.
 
     A seed whose |v| did not grow is evaluated again at the same point
     until no seed is worse or 12 trials are spent.  Converged seeds are
-    merged by greedy_dedup; isolation is the library's check (tested
-    against pairwise_isolation on its own).  Returns the sorted canonical
-    zero list, or raises DegenerateField, GaplessModel or NonIsolatedZero.
+    merged by greedy_dedup, and checked pair by pair for isolation
+    (pairwise_isolation).  Returns the sorted canonical zero list, or
+    raises DegenerateField, GaplessModel or NonIsolatedZero.
     """
     if p.c / p.R <= C_DEGENERATE:
         raise DegenerateField(f"axis shift c = {p.c} makes the kx-velocity vanish identically")
@@ -391,7 +364,7 @@ def full_backtrack_census(p):
 
     keep = converged & alive
     reps_x, reps_y = greedy_dedup(reduce_angle(px[keep]), reduce_angle(py[keep]), vnorm[keep])
-    _check_isolated(reps_x, reps_y)
+    pairwise_isolation(reps_x, reps_y)
     return sorted(zip(reps_x, reps_y))
 
 

@@ -27,13 +27,13 @@ from blochflow import (
 from blochflow.cli import closed_zone_records
 from blochflow.errors import DegenerateField, GaplessModel
 from blochflow.field import velocity_and_gap
-from blochflow.zeromode import torus_distance
 
 from oracles import (
     brute_zero_census,
     fd_energy_gradient,
     generic_velocity_and_gap,
     random_gapped_params,
+    torus_distance,
 )
 
 P1 = ModelParams(3, 1, 1)

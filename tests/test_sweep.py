@@ -2,7 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from blochflow import ModelParams, SweepAxis, sweep_chern, sweep_euler
 from blochflow.cli import CSV_HEADER, grid_to_csv
@@ -23,6 +26,29 @@ def test_axis_validation():
             SweepAxis("c", start, stop, 3)
     assert list(SweepAxis("c", 0.5, 2.0, 1).values()) == [0.5]
     assert len(SweepAxis("c", 0.2, 5.8, 57).values()) == 57
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# widths of a few subnormal steps, where the step itself rounds to zero
+_SUBNORMAL_AXIS = st.tuples(st.floats(-1e-300, 1e-300), st.integers(1, 64)).map(lambda t: (t[0], t[0] + t[1] * 5e-324))
+
+
+@settings(max_examples=200)
+@given(st.one_of(st.tuples(_FINITE, _FINITE), _SUBNORMAL_AXIS), st.integers(1, 100))
+@example((-1e308, 1e308), 1)
+def test_axis_values_match_numpy_linspace(bounds, steps):
+    # the plain linspace gives np.linspace's values bit for bit (signed
+    # zeros included), down to subnormal widths and up to overflowing ones
+    start, stop = sorted(bounds)
+    assume(start < stop)
+    values = SweepAxis("c", start, stop, steps).values()
+    if steps == 1 and math.isinf(stop - start):
+        # np.linspace gives 0 * inf + start = NaN here, the plain linspace start
+        assert values == [start]
+        return
+    with np.errstate(all="ignore"):
+        want = np.linspace(start, stop, steps).tolist()
+    assert [float(v).hex() for v in values] == [v.hex() for v in want]
 
 
 def test_chern_sweep_phase_structure():

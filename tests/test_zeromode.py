@@ -1,11 +1,13 @@
 """Zero-mode census, classification, closed-zone weights, Euler characteristic."""
 
+import itertools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blochflow import (
@@ -28,8 +30,8 @@ from blochflow.field import hessian, velocity_and_gap
 from blochflow.zeromode import (
     BIFURCATION_MARGIN,
     _check_isolated,
+    _closed_form_census,
     classify,
-    torus_distance,
     zero_bifurcations,
 )
 
@@ -37,12 +39,11 @@ from oracles import (
     axis_distance,
     brute_zero_census,
     census_fold,
-    converged_clouds,
     full_backtrack_census,
-    greedy_dedup,
     pairwise_isolation,
     params_near_critical,
     random_gapped_params,
+    torus_distance,
 )
 
 P1 = ModelParams(3, 1, 1)
@@ -249,20 +250,76 @@ def test_census_completeness_against_sign_scan():
             assert float(torus_distance(a[0], a[1], b[0], b[1])) < 1e-6
 
 
+def _isolation_outcome(check, *args):
+    """The NonIsolatedZero message of check(*args), or None."""
+    try:
+        check(*args)
+    except NonIsolatedZero as e:
+        return str(e)
+    return None
+
+
+def _assert_isolation_matches_oracle(points, ky):
+    # the 1-D check on ``ky`` fires exactly when the pair-by-pair oracle
+    # fires on every zero, and the pair it names is one that the oracle
+    # finds crowded, in either order
+    got = _isolation_outcome(_check_isolated, ky)
+    crowded = {_isolation_outcome(pairwise_isolation, *zip(a, b)) for a, b in itertools.permutations(points, 2)}
+    crowded.discard(None)
+    assert (got is None) == (_isolation_outcome(pairwise_isolation, *zip(*points)) is None)
+    assert got is None or got in crowded
+    return got
+
+
+@st.composite
+def crowding_params(draw):
+    """(R, r, c) with r -> R and c near the pitchfork c_p or the fold c_f:
+    there zeros on kx = pi can crowd each other outside the bifurcation margin."""
+    R = 10.0 ** draw(st.floats(-3.0, 3.0))
+    r = R * (1.0 - 10.0 ** draw(st.floats(-8.0, -1.0)))
+    anchor = draw(st.sampled_from(zero_bifurcations(R, r)))
+    offset = draw(st.sampled_from((-1.0, 1.0))) * 10.0 ** draw(st.floats(-5.0, -2.0))
+    return R, r, abs(anchor + offset * R)
+
+
 @settings(max_examples=300)
-@given(converged_clouds())
-def test_isolation_check_matches_pairwise_oracle(cloud):
-    # the distance matrix reports the same first crowded pair as the double loop
-    reps = greedy_dedup(*cloud)
+@given(crowding_params())
+@example((1.0, 0.99, 0.019920000000000028))  # -pi crowded by -arccos u and, across the wrap, by +arccos u
+def test_isolation_check_matches_pairwise_oracle(params):
+    # the census's own candidate points: every zero it found, and the ky
+    # values on kx = pi that it hands to the 1-D check
+    p = ModelParams(*params)
+    seen = []
+    try:
+        with mock.patch.object(blochflow.zeromode, "_check_isolated", seen.append):
+            points = _closed_form_census(p)
+    except TopologyError:
+        return  # c ~ 0, a closed gap, or inside the bifurcation margin: no check runs
+    assert seen[0] == [y for x, y in points if x == -PI]
+    _assert_isolation_matches_oracle(points, seen[0])
 
-    def outcome(check):
-        try:
-            check(*reps)
-        except NonIsolatedZero as e:
-            return str(e)
-        return None
 
-    assert outcome(_check_isolated) == outcome(pairwise_isolation)
+def test_isolation_check_fires_on_census():
+    # r -> R just above c_p: the zero pair born at (pi, pi) crowds it
+    p = ModelParams(1.0, 0.99, 0.019920000000000028)
+    with pytest.raises(NonIsolatedZero) as err:
+        euler_characteristic(p)
+    assert str(err.value) == "zeros at (-3.14159, -3.14159) and (-3.14159, -3.14114) are only 4.507e-04 apart"
+
+
+@pytest.mark.parametrize(
+    "ky, want",
+    [
+        # crowded only across the wrap, from the largest ky to -pi
+        ([-PI, 0.0, 1.0, PI - 5e-4], "zeros at (-3.14159, 3.14109) and (-3.14159, -3.14159) are only 5.000e-04 apart"),
+        ([-PI, -2.0, -1e-4, 0.0, 1e-4, 2.0], "zeros at (-3.14159, -0.0001) and (-3.14159, 0) are only 1.000e-04 apart"),
+        ([-PI, -2.0, 0.0, 2.0, PI - 2e-3], None),  # 2e-3 across the wrap is isolated
+        ([-PI, -2.0, 0.0, 2.0], None),
+    ],
+)
+def test_isolation_check_wraps(ky, want):
+    points = [(-PI, y) for y in ky] + [(0.0, -PI), (0.0, 0.0)]
+    assert _assert_isolation_matches_oracle(points, ky) == want
 
 
 def _census_outcome(census, p):
@@ -304,22 +361,68 @@ def test_census_matches_full_backtrack_oracle(params):
 
 
 def test_census_kernel_work(monkeypatch):
-    # the closed form evaluates all its zeros in one hessian call, which
-    # evaluates the velocity itself: 4 or 8 points per census
-    calls = []
+    # the census evaluates the Hessian once per zero, on floats with math,
+    # and on nothing else: 4 or 8 points per census, no arrays
+    points = []
 
-    def counting(kernel):
-        def wrapped(kx, ky, *args):
-            calls.append((kernel.__name__, max(np.size(kx), np.size(ky))))
-            return kernel(kx, ky, *args)
+    def counting(kx, ky, p, xp):
+        assert xp is math and type(kx) is float and type(ky) is float
+        points.append((kx, ky))
+        return hessian(kx, ky, p, xp)
 
-        return wrapped
-
-    monkeypatch.setattr(blochflow.zeromode, "hessian", counting(hessian))
+    monkeypatch.setattr(blochflow.zeromode, "hessian", counting)
+    assert not hasattr(blochflow.zeromode, "np")
     for c, count in ((1.2, 4), (3.0, 8), (4.5, 4)):
-        calls.clear()
-        assert len(euler_characteristic(ModelParams(3, 1, c)).modes) == count
-        assert calls == [("hessian", count)]
+        points.clear()
+        modes = euler_characteristic(ModelParams(3, 1, c)).modes
+        assert len(points) == count
+        assert points == [(z.location.kx, z.location.ky) for z in modes]
+        assert all(type(z.det) is float and type(z.trace) is float for z in modes)
+
+
+def _kind(hxx, hxy, hyy, R):
+    """The zero kind of a Hessian, or DegenerateZero."""
+    try:
+        return classify(hxx * hyy - hxy * hxy, hxx + hyy, R)
+    except DegenerateZero:
+        return DegenerateZero
+
+
+@st.composite
+def hessian_params(draw):
+    """(R, r, c): R over six decades, r/R from 1e-8 to 1 - 1e-8, and c
+    anywhere up to 2.5 R or near c_p, c_f or R -+ r."""
+    R = 10.0 ** draw(st.floats(-3.0, 3.0))
+    ratio = draw(
+        st.one_of(
+            st.floats(1e-8, 1.0 - 1e-8),
+            st.floats(-8.0, -1.0).map(lambda e: 10.0**e),
+            st.floats(-8.0, -1.0).map(lambda e: 1.0 - 10.0**e),
+        )
+    )
+    r = R * ratio
+    anchor = draw(st.sampled_from((None, *zero_bifurcations(R, r), R - r, R + r)))
+    if anchor is None:
+        return R, r, R * draw(st.floats(0.0, 2.5))
+    return R, r, abs(anchor + R * draw(st.floats(-1e-2, 1e-2)))
+
+
+@settings(max_examples=300)
+@given(hessian_params())
+def test_float_hessian_matches_array_oracle(params):
+    # at every census zero the float Hessian (math) is the array one (the
+    # oracle, numpy) up to the last bits, and gives the same kind
+    p = ModelParams(*params)
+    try:
+        points = _closed_form_census(p)
+    except TopologyError:
+        return
+    for kx, ky in points:
+        got = hessian(kx, ky, p, math)
+        want = [float(h[0]) for h in hessian(np.array([kx]), np.array([ky]), p)]
+        scale = max(abs(h) for h in want)
+        assert all(abs(a - b) <= 1e-13 * scale for a, b in zip(got, want)), (got, want)
+        assert _kind(*got, p.R) is _kind(*want, p.R)
 
 
 @settings(max_examples=100)
