@@ -1,7 +1,13 @@
 """Chern number of the two-band map and the gap structure in parameter space.
 
 The invariant is the degree of the unit Bloch vector as a map from the
-zone torus to the sphere.  Two discretizations are provided:
+zone torus to the sphere: the signed count of the preimages of -x, which
+are (pi, 0) when c < R + r and (pi, pi) when c < R - r (the triple
+product there is r rho (rho - c) cos ky), so C = [c < R + r] - [c < R - r].
+``_chern_preimages`` counts them on floats, each signed by
+``_degree_integrand``, and the phase-diagram sweep uses it.  The ``chern``
+command reports one of two numerical discretizations of the degree, whose
+raw sum, grid size and method make up its JSON record (``ChernResult``):
 
 * ``chern_direct``: midpoint quadrature of the triple product
   hhat . (d hhat/dkx x d hhat/dky) / 4pi, evaluated in closed form as
@@ -22,7 +28,7 @@ Orientation convention: with (kx, ky) right-handed, the phase whose
 image surface encloses the origin (R - r < c < R + r) carries Chern
 number +1.
 
-The integrand blows up as the gap closes, so both methods refuse to run
+The integrand blows up as the gap closes, so all three refuse to run
 when gap / R drops to ``EPS_GAP_CHERN`` (scaling R, r and c together
 leaves the unit Bloch vector unchanged).  ``gap_min`` finds that gap in
 closed form: the minimum of |h| lies on the line kx = pi, where it is the
@@ -38,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateTriangle, GaplessModel, InsufficientSampling
-from .model import TWO_PI, ModelParams, _bloch, _kx_pi_roots, _trig_rho, bloch_components
+from .model import TWO_PI, ModelParams, _bloch, _kx_pi_roots, _trig_rho, bloch_components, gapless_boundary
 
 EPS_GAP_CHERN = 1e-6
 # chern_plaquette's nodes per axis.  It must be even, so that (pi, 0) and
@@ -61,8 +67,8 @@ class ChernResult:
     grid_n: int
 
 
-def _degree_integrand(kx, ky, p: ModelParams):
-    """hhat . (d hhat/dkx x d hhat/dky) in closed form, broadcast over arrays.
+def _degree_integrand(kx, ky, p: ModelParams, xp=np):
+    """hhat . (d hhat/dkx x d hhat/dky) in closed form, on arrays (``xp`` = ``np``) or floats (``math``).
 
     Differentiating the normalisation only adds multiples of hhat, which
     drop out of the triple product, so the integrand equals
@@ -70,7 +76,7 @@ def _degree_integrand(kx, ky, p: ModelParams):
     dh/dky = (rho' cos kx, rho' sin kx, r cos ky) and rho rho' = -r R sin ky,
     the triple product is r (rho (rho + c cos kx) cos ky + r R sin^2 ky).
     """
-    sx, cx, sy, cy, rho = _trig_rho(kx, ky, p)
+    sx, cx, sy, cy, rho = _trig_rho(kx, ky, p, xp)
     hx, hy, hz = _bloch(sx, cx, sy, cy, rho, p)
     return p.r * (rho * (rho + p.c * cx) * cy + p.r * p.R * sy * sy) / (hx * hx + hy * hy + hz * hz) ** 1.5
 
@@ -95,12 +101,27 @@ def gap_min(p: ModelParams) -> float:
     return math.sqrt(least)
 
 
-def _open_gap(p: ModelParams) -> float:
-    """gap_min(p), or GaplessModel when gap_min / R is at most EPS_GAP_CHERN."""
-    g = gap_min(p)
+def _open_gap(p: ModelParams, g: float) -> float:
+    """g, the gap_min of p, or GaplessModel when g / R is at most EPS_GAP_CHERN."""
     if g / p.R <= EPS_GAP_CHERN:
         raise GaplessModel(f"minimum gap / R = {g / p.R:.3e} <= {EPS_GAP_CHERN:.1e}; Chern number undefined")
     return g
+
+
+def _chern_preimages(p: ModelParams, g: float) -> int:
+    """C as the signed count of the preimages of -x, given g = gap_min(p); no arrays.
+
+    (pi, 0) counts when c < R + r and (pi, pi) when c < R - r, each with the
+    sign of ``_degree_integrand`` there, evaluated on floats.  The gate runs
+    first, so |h| > 0 at both points.
+    """
+    _open_gap(p, g)
+    lo, hi = gapless_boundary(p.R, p.r)
+    return sum(
+        1 if _degree_integrand(math.pi, ky, p, math) > 0.0 else -1
+        for ky, rho in ((0.0, hi), (math.pi, lo))
+        if p.c < rho
+    )
 
 
 def chern_direct(p: ModelParams) -> ChernResult:
@@ -115,7 +136,7 @@ def chern_direct(p: ModelParams) -> ChernResult:
     chern_plaquette counts the degree combinatorially and holds up much
     closer to a closing; prefer it there.
     """
-    g = _open_gap(p)
+    g = _open_gap(p, gap_min(p))
 
     step = TWO_PI / DIRECT_N
     ticks = -math.pi + (np.arange(DIRECT_N) + 0.5) * step
@@ -174,7 +195,7 @@ def chern_plaquette(p: ModelParams) -> ChernResult:
 
     Raises DegenerateTriangle if a plaquette triangle is too coarse to orient.
     """
-    g = _open_gap(p)
+    g = _open_gap(p, gap_min(p))
     total = _solid_angle_sum(_unit_grid(p, GRID_N))
     if math.isnan(total):
         raise DegenerateTriangle(

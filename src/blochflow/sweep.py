@@ -9,8 +9,10 @@ degenerates (c ~ 0, or a degenerate zero) are tagged "degenerate".  The
 threshold bounds the gap |h| itself, in parameter units, not a distance
 in c to a closing, and unlike the census thresholds it is absolute, not
 relative to R; it stays so until the benchmark's reference changes with
-it.  Identical sweep inputs give identical grids; ``cli`` writes them as
-CSV.
+it.  A Chern cell is the signed preimage count ``chern._chern_preimages``
+from the cell's one ``gap_min``, and also "gapless" where gap / R <=
+``EPS_GAP_CHERN``.  Identical sweep inputs give identical grids; ``cli``
+writes them as CSV.
 """
 
 from __future__ import annotations
@@ -19,14 +21,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .chern import chern_plaquette, gap_min
-from .errors import (
-    DegenerateField,
-    DegenerateTriangle,
-    DegenerateZero,
-    GaplessModel,
-    NonIsolatedZero,
-)
+from .chern import _chern_preimages, gap_min
+from .errors import DegenerateField, DegenerateZero, GaplessModel, NonIsolatedZero
 from .model import ModelParams
 from .zeromode import euler_characteristic
 
@@ -103,7 +99,7 @@ def _cell_param_sets(axes, base: ModelParams):
 
 
 def _sweep(axes, base: ModelParams, invariant) -> PhaseDiagramGrid:
-    """One cell per parameter set; ``invariant(params)`` returns (chern, chi)."""
+    """One cell per parameter set; ``invariant(params, gap_min)`` returns (chern, chi)."""
     cells = []
     for params in _cell_param_sets(axes, base):
         g = gap_min(params)
@@ -111,10 +107,10 @@ def _sweep(axes, base: ModelParams, invariant) -> PhaseDiagramGrid:
         status = STATUS_GAPLESS
         if not g < GAPLESS_THRESHOLD:
             try:
-                chern, chi = invariant(params)
+                chern, chi = invariant(params, g)
                 status = STATUS_OK
-            except (GaplessModel, DegenerateTriangle):
-                pass  # too close to a band touching for the method to resolve
+            except GaplessModel:
+                pass  # too close to a band touching for the invariant to be defined
             except (DegenerateField, DegenerateZero, NonIsolatedZero):
                 status = STATUS_DEGENERATE
         cells.append(SweepCell(params, chern, chi, g, status))
@@ -122,10 +118,10 @@ def _sweep(axes, base: ModelParams, invariant) -> PhaseDiagramGrid:
 
 
 def sweep_chern(axes, base: ModelParams) -> PhaseDiagramGrid:
-    """Chern number per cell by ``chern_plaquette`` (a fixed grid); gapless cells tagged."""
-    return _sweep(axes, base, lambda p: (chern_plaquette(p).value, None))
+    """Chern number per cell, the signed preimage count at (pi, 0) and (pi, pi); gapless cells tagged."""
+    return _sweep(axes, base, lambda p, g: (_chern_preimages(p, g), None))
 
 
 def sweep_euler(axes, base: ModelParams) -> PhaseDiagramGrid:
     """Euler characteristic per cell; degenerate/gapless cells carry tags."""
-    return _sweep(axes, base, lambda p: (None, euler_characteristic(p).chi))
+    return _sweep(axes, base, lambda p, g: (None, euler_characteristic(p).chi))

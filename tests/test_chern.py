@@ -19,6 +19,7 @@ from blochflow.chern import (
     DIRECT_N,
     EPS_GAP_CHERN,
     GRID_N,
+    _chern_preimages,
     _degree_integrand,
     _solid_angle_sum,
     _unit_grid,
@@ -146,8 +147,14 @@ def test_chern_is_scale_free(s):
     p = ModelParams(3 * s, 1 * s, 3 * s)
     assert chern_plaquette(p).value == 1
     assert chern_direct(p).value == 1
+    for c, value in ((1, 0), (3, 1), (5, 0)):
+        q = ModelParams(3 * s, 1 * s, c * s)
+        assert _chern_preimages(q, gap_min(q)) == value
+    gapless = ModelParams(3 * s, 1 * s, 2 * s)
     with pytest.raises(GaplessModel, match="gap / R"):
-        chern_plaquette(ModelParams(3 * s, 1 * s, 2 * s))
+        chern_plaquette(gapless)
+    with pytest.raises(GaplessModel, match="gap / R"):
+        _chern_preimages(gapless, gap_min(gapless))
 
 
 def test_chern_grid_stability():
@@ -181,26 +188,44 @@ def params_near_closing(draw):
 def test_even_grid_resolves_every_gapped_set(params):
     # (pi, 0) and (pi, pi), the preimages of -x and the only places the gap
     # can close, are nodes of the even GRID_N grid, so one pass orients
-    # every triangle and counts C = [c < R + r] - [c < R - r] exactly
+    # every triangle and counts C = [c < R + r] - [c < R - r] exactly; the
+    # signed preimage count gives the same C, and the same refusal
     R, r, c = params
     assume(c >= 0.0)
     p = ModelParams(R, r, c)
-    assume(gap_min(p) / R > EPS_GAP_CHERN)
+    g = gap_min(p)
+    if not g / R > EPS_GAP_CHERN:
+        with pytest.raises(GaplessModel):
+            _chern_preimages(p, g)
+        return
     raw = _solid_angle_sum(_unit_grid(p, GRID_N)) / (4.0 * math.pi)
     assert not math.isnan(raw)
     assert abs(raw - ((c < R + r) - (c < R - r))) <= 1e-9
+    assert _chern_preimages(p, g) == round(raw)
 
 
-def test_unorientable_grid_raises(monkeypatch, tmp_path):
+def test_preimage_count_reads_degree_integrand(monkeypatch):
+    # each present preimage is evaluated once, on floats, and signed by the
+    # integrand: negating the integrand negates C
+    seen = []
+
+    def recording(kx, ky, p, xp=np):
+        seen.append((kx, ky, xp))
+        return sign * _degree_integrand(kx, ky, p, xp)
+
+    monkeypatch.setattr(blochflow.chern, "_degree_integrand", recording)
+    for sign in (1.0, -1.0):
+        for c, value, kys in ((1.0, 0, [0.0, math.pi]), (3.0, 1, [0.0]), (5.0, 0, [])):
+            seen.clear()
+            p = ModelParams(3, 1, c)
+            assert _chern_preimages(p, gap_min(p)) == sign * value
+            assert seen == [(math.pi, ky, math) for ky in kys]
+
+
+def test_unorientable_grid_raises(monkeypatch):
     monkeypatch.setattr(blochflow.chern, "_solid_angle_sum", lambda u: math.nan)
     with pytest.raises(DegenerateTriangle):
         chern_plaquette(ModelParams(3, 1, 3))
-    # a sweep keeps every cell, with no Chern value
-    out = tmp_path / "pd.csv"
-    assert main(["phase-diagram", "--axis", "c:0.2:5.8:57", "--out", str(out)]) == 0
-    rows = out.read_text().splitlines()[1:]
-    assert len(rows) == 57
-    assert all(row.split(",")[3] == "" for row in rows)
 
 
 def _wrapped(u):
@@ -294,7 +319,7 @@ def test_methods_agree_on_random_parameters():
         p = ModelParams(R, r, c)
         d = chern_direct(p)
         q = chern_plaquette(p)
-        assert d.value == q.value
+        assert d.value == q.value == _chern_preimages(p, gap_min(p))
         assert abs(q.raw - q.value) <= 1e-9
         assert abs(d.raw - d.value) <= 1e-3
 

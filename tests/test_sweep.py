@@ -7,8 +7,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from blochflow import ModelParams, SweepAxis, sweep_chern, sweep_euler
+import blochflow.chern
+import blochflow.sweep
+from blochflow import ModelParams, SweepAxis, chern_plaquette, gap_min, sweep_chern, sweep_euler
+from blochflow.chern import EPS_GAP_CHERN
 from blochflow.cli import CSV_HEADER, grid_to_csv
+from blochflow.errors import GaplessModel
 from blochflow.sweep import GAPLESS_THRESHOLD
 
 BASE = ModelParams(3, 1, 1)
@@ -154,3 +158,57 @@ def test_no_silent_cells():
             assert cell.chern is not None
         else:
             assert cell.chern is None
+
+
+def test_chern_sweep_computes_gap_once_per_cell(monkeypatch):
+    calls = []
+
+    def counting(p):
+        calls.append(p)
+        return gap_min(p)
+
+    monkeypatch.setattr(blochflow.sweep, "gap_min", counting)
+    monkeypatch.setattr(blochflow.chern, "gap_min", counting)
+    grid = sweep_chern([SweepAxis("c", 0.2, 5.8, 57), SweepAxis("r", 0.5, 1.5, 5)], BASE)
+    assert [cell.params for cell in grid.cells] == calls
+
+
+def _recomputed(p):
+    """(status, chern, gap_min) of a Chern cell, recomputed with the plaquette sum."""
+    g = gap_min(p)
+    if g < GAPLESS_THRESHOLD:
+        return "gapless", None, g
+    try:
+        return "ok", chern_plaquette(p).value, g
+    except GaplessModel:
+        return "gapless", None, g
+
+
+@pytest.mark.parametrize("s", [1e-6, 1.0, 1e4])
+@pytest.mark.parametrize("closing", [2, 4])
+def test_chern_sweep_matches_plaquette_recomputation(s, closing):
+    # every cell of a c-by-r grid straddling R -+ r at R = 3s, cell by cell
+    # against gap_min and chern_plaquette; R = 3e-6 lies below the absolute
+    # GAPLESS_THRESHOLD throughout
+    c = closing * s
+    axes = [SweepAxis("c", c - 0.01 * s, c + 0.01 * s, 9), SweepAxis("r", 0.995 * s, 1.005 * s, 5)]
+    grid = sweep_chern(axes, ModelParams(3 * s, s, s))
+    assert len(grid.cells) == 45
+    for cell in grid.cells:
+        assert (cell.status, cell.chern, cell.gap_min) == _recomputed(cell.params)
+    if s == 1e-6:
+        assert {cell.status for cell in grid.cells} == {"gapless"}
+    else:
+        assert {cell.chern for cell in grid.cells} == {0, 1, None}
+
+
+def test_chern_sweep_relative_gap_gate():
+    # at R = 3e4 the cells 0.02 from c = R + r have a gap above the absolute
+    # GAPLESS_THRESHOLD but below EPS_GAP_CHERN R: gapless by the relative gate
+    grid = sweep_chern([SweepAxis("c", 39999.96, 40000.04, 5)], ModelParams(3e4, 1e4, 1))
+    assert [cell.status for cell in grid.cells] == ["ok", "gapless", "gapless", "gapless", "ok"]
+    assert [cell.chern for cell in grid.cells] == [1, None, None, None, 0]
+    for cell in grid.cells:
+        assert (cell.status, cell.chern, cell.gap_min) == _recomputed(cell.params)
+    near = (grid.cells[1], grid.cells[3])
+    assert all(GAPLESS_THRESHOLD < cell.gap_min <= EPS_GAP_CHERN * cell.params.R for cell in near)
