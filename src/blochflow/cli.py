@@ -15,7 +15,11 @@ on stdout; ``euler`` writes chi and the number of those records as
 JSON objects in field order (``samples`` as ``samples_used``);
 ``phase-diagram`` writes CSV (``grid_to_csv``: 17 significant digits,
 missing values empty, byte-identical for identical sweeps); ``field-dump``
-streams ``model.write_surface_csv``.
+streams ``model.write_surface_csv``, where one helper process formats the
+odd ky lines.  Its bytes and row order are those of one process, and each
+of the two processes holds one ky line at a time.  A failed helper prints
+its traceback on stderr, and the dump then raises ``RuntimeError``, which
+``main`` lets through: the command exits 1, never 0 with a truncated CSV.
 """
 
 from __future__ import annotations

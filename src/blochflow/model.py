@@ -31,7 +31,9 @@ The gap closes at c = R -+ r (``gapless_boundary``).
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 from dataclasses import dataclass
 from typing import TextIO
 
@@ -192,6 +194,56 @@ def bloch_components(kx, ky, p: ModelParams):
 SURFACE_CSV_HEADER = "kx,ky,hx,hy,hz,vx,vy"
 
 
+def _surface_line(p: ModelParams, ticks, kx_heads: list, y: float) -> str:
+    """The n rows of the dump at one ky, each ending in a newline."""
+    from .field import velocity_and_gap
+
+    ky = np.full(ticks.size, y)
+    hx, hy, hz = bloch_components(ticks, ky, p)
+    vx, vy, _ = velocity_and_gap(ticks, ky, p)
+    # ky and hz are constant along the line; %% leaves the per-node slots for the second pass
+    tail = ",%.17g,%%.17g,%%.17g,%.17g,%%.17g,%%.17g\n" % (y, hz[0])
+    return (tail.join(kx_heads) + tail) % tuple(np.stack([hx, hy, vx, vy], axis=-1).ravel().tolist())
+
+
+def _send_odd_lines(fd: int, p: ModelParams, ticks, kx_heads: list, ys: list) -> None:
+    """The helper process: send the odd ky lines through the pipe ``fd``, each after its length.
+
+    It leaves only through ``os._exit``, so it never flushes the stdio
+    buffers it inherited (the caller's unflushed header would be written
+    twice) and never runs the caller's ``atexit`` hooks.  It exits 0 once
+    every line is sent, and 1 otherwise: quietly when the caller has gone
+    (EPIPE) or on Ctrl-C, after printing the traceback on stderr for any
+    other error.
+    """
+    status = 1
+    try:
+        with open(fd, "wb") as pipe:
+            for y in ys[1::2]:
+                data = _surface_line(p, ticks, kx_heads, y).encode("ascii")
+                pipe.write(len(data).to_bytes(8, "little"))
+                pipe.write(data)
+        status = 0
+    except BrokenPipeError:
+        pass
+    except Exception:
+        import traceback
+
+        os.write(2, traceback.format_exc().encode())
+    finally:
+        os._exit(status)
+
+
+def _receive_line(pipe) -> str | None:
+    """The next line from the helper, or None if the helper ended before sending all of it."""
+    head = pipe.read(8)
+    if len(head) < 8:
+        return None
+    size = int.from_bytes(head, "little")
+    data = pipe.read(size)
+    return data.decode("ascii") if len(data) == size else None
+
+
 def write_surface_csv(p: ModelParams, n: int, fh: TextIO) -> None:
     """Write h and the velocity on an n x n uniform grid over [-pi, pi)^2 as CSV.
 
@@ -199,21 +251,61 @@ def write_surface_csv(p: ModelParams, n: int, fh: TextIO) -> None:
     17 significant digits.  At a k where the bands touch the velocity
     entries are NaN (valid gapped parameters never hit this).
 
-    Rows are streamed one ky line at a time, so memory does not grow with
+    Formatting the floats is nearly all the work, so it runs on two cores:
+    one helper process, forked after the header is written, formats the
+    odd ky lines and sends them through a pipe, while this process formats
+    the even ones and writes every line in ky order.  The bytes and the row
+    order are those of one process writing every line, which is what
+    happens where ``os.fork`` does not exist.  Each process holds one ky
+    line at a time and the pipe at most 1 MB, so memory does not grow with
     n^2.  The n kx strings are formatted once per dump and ky and hz once
     per line; only hx, hy, vx and vy are formatted per node.
+
+    The helper is reaped before this returns or raises; on an error here
+    (a closed stdout, a failed write, Ctrl-C) it is killed first.  If the
+    helper fails, it prints its traceback on stderr and this raises
+    RuntimeError, with the lines before the failure already written.
     """
     if n < 2:
         raise ValueError(f"grid size must be at least 2, got n={n}")
-    from .field import velocity_and_gap
-
     ticks = -math.pi + TWO_PI * np.arange(n) / n
     kx_heads = ["%.17g" % x for x in ticks.tolist()]
+    ys = ticks.tolist()
     fh.write(SURFACE_CSV_HEADER + "\n")
-    for y in ticks.tolist():
-        ky = np.full(n, y)
-        hx, hy, hz = bloch_components(ticks, ky, p)
-        vx, vy, _ = velocity_and_gap(ticks, ky, p)
-        # ky and hz are constant along the line; %% leaves the per-node slots for the second pass
-        tail = ",%.17g,%%.17g,%%.17g,%.17g,%%.17g,%%.17g\n" % (y, hz[0])
-        fh.write((tail.join(kx_heads) + tail) % tuple(np.stack([hx, hy, vx, vy], axis=-1).ravel().tolist()))
+    if not hasattr(os, "fork"):
+        for y in ys:
+            fh.write(_surface_line(p, ticks, kx_heads, y))
+        return
+    import fcntl
+
+    r, w = os.pipe()
+    # A pipe that holds several lines lets the helper run ahead instead of
+    # taking turns with this process.  1 MB is Linux's default limit without
+    # privileges; where the call is missing or refused, the dump is slower.
+    with contextlib.suppress(AttributeError, OSError):
+        fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, 1 << 20)
+    pid = os.fork()
+    if pid == 0:
+        os.close(r)
+        _send_odd_lines(w, p, ticks, kx_heads, ys)
+    os.close(w)
+    try:
+        with open(r, "rb") as pipe:
+            for i, y in enumerate(ys):
+                line = _surface_line(p, ticks, kx_heads, y) if i % 2 == 0 else _receive_line(pipe)
+                if line is None:
+                    break
+                fh.write(line)
+    except BaseException:
+        import signal
+
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        # after an early end of the pipe, the helper has closed it on its way out
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if line is None or status != 0:
+        raise RuntimeError(
+            f"the helper process that formats the odd ky lines exited with status {status}"
+            + (" before sending them all" if line is None else "")
+        )

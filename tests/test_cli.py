@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from dataclasses import asdict
 
@@ -22,7 +23,10 @@ from blochflow import (
     sweep_chern,
     winding_hermitian,
 )
+from blochflow import model
 from blochflow.cli import closed_zone_records, main
+
+from oracles import surface_csv_rows
 
 
 def run(capsys, argv):
@@ -261,6 +265,12 @@ def test_field_dump(capsys):
     assert float(row["vx"]) == 0.0 and float(row["vy"]) == 0.0
 
 
+def _blochflow(*argv, **popen_args):
+    """``python -m blochflow`` on the package under test, as a subprocess."""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(blochflow.__file__))}
+    return subprocess.Popen([sys.executable, "-m", "blochflow", *argv], env=env, **popen_args)
+
+
 @pytest.mark.parametrize(
     "argv, lines",
     [(["field-dump", "--grid-n", "256"], 1), (["zeros", "--c", "3"], 0)],
@@ -269,13 +279,10 @@ def test_closed_stdout_exits_quietly(argv, lines):
     # `blochflow ... | head -1`: the reader takes `lines` lines and closes
     # the pipe.  The zeros output fits in a pipe buffer, so there the reader
     # is gone before the process starts, or the write could win the race.
-    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(blochflow.__file__))}
     r, w = os.pipe()
     if not lines:
         os.close(r)
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "blochflow", *argv], stdout=w, stderr=subprocess.PIPE, env=env
-    )
+    proc = _blochflow(*argv, stdout=w, stderr=subprocess.PIPE)
     os.close(w)
     if lines:
         with os.fdopen(r) as out:
@@ -283,6 +290,69 @@ def test_closed_stdout_exits_quietly(argv, lines):
                 out.readline()
     _, err = proc.communicate(timeout=120)
     assert (proc.returncode, err) == (1, b"")
+
+
+def test_field_dump_stdout_and_out_get_the_same_bytes(tmp_path):
+    # both streams are block-buffered here and hold the header unflushed
+    # when the helper forks: a helper that flushed them would repeat it
+    proc = _blochflow("field-dump", "--grid-n", "33", stdout=subprocess.PIPE)
+    out, _ = proc.communicate(timeout=120)
+    path = tmp_path / "dump.csv"
+    assert (proc.returncode, _blochflow("field-dump", "--grid-n", "33", "--out", str(path)).wait(120)) == (0, 0)
+    assert path.read_bytes() == out
+    assert out.decode().splitlines() == ["kx,ky,hx,hy,hz,vx,vy", *surface_csv_rows(ModelParams(3, 1, 1), 33)]
+
+
+def _stat_fields(pid):
+    """The fields of /proc/PID/stat after the command name: state, ppid, ..."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            return fh.read().rpartition(")")[2].split()
+    except OSError:  # gone, or reaped
+        return None
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="finds the helper process through /proc")
+def test_field_dump_helper_exits_when_the_caller_dies(tmp_path):
+    # the helper's 1024 lines of 2048 nodes take seconds
+    proc = _blochflow("field-dump", "--grid-n", "2048", "--out", str(tmp_path / "dump.csv"))
+    deadline = time.monotonic() + 60
+    helpers = []
+    while not helpers:
+        assert proc.poll() is None and time.monotonic() < deadline, "the dump ended before its helper was seen"
+        pids = [int(name) for name in os.listdir("/proc") if name.isdigit()]
+        helpers = [pid for pid in pids if (_stat_fields(pid) or ["", ""])[1] == str(proc.pid)]
+    proc.kill()
+    proc.wait(timeout=60)
+    # the helper's next write into the pipe fails with EPIPE, and it exits
+    deadline = time.monotonic() + 2.0
+    while (_stat_fields(helpers[0]) or ["X"])[0] not in ("Z", "X"):
+        assert time.monotonic() < deadline, "the helper outlived its caller"
+        time.sleep(0.01)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_field_dump_out_write_error_reaps_the_helper(capsys):
+    rc, out, err = run(capsys, ["field-dump", "--grid-n", "64", "--out", "/dev/full"])
+    assert (rc, out) == (1, "")
+    assert err.startswith("blochflow field-dump: error: --out: ")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_field_dump_helper_failure_is_an_error(monkeypatch, tmp_path, capfd):
+    # never a truncated CSV with exit 0
+    caller, surface_line = os.getpid(), model._surface_line
+
+    def fails_in_the_helper(*args):
+        if os.getpid() != caller:
+            raise ZeroDivisionError("in the helper")
+        return surface_line(*args)
+
+    monkeypatch.setattr(model, "_surface_line", fails_in_the_helper)
+    with pytest.raises(RuntimeError, match="helper process"):
+        main(["field-dump", "--grid-n", "8", "--out", str(tmp_path / "dump.csv")])
+    assert "ZeroDivisionError: in the helper" in capfd.readouterr().err
 
 
 def test_field_dump_grid_validation(capsys):

@@ -1,7 +1,9 @@
 """Model layer: parameters, Bloch vector, tangent frame, CSV dump."""
 
+import errno
 import io
 import math
+import os
 import sys
 import tracemalloc
 
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from blochflow import KPoint, ModelParams, gap_min
+from blochflow import KPoint, ModelParams, gap_min, model
 from blochflow.model import (
     PARAM_MAX,
     PARAM_MIN,
@@ -202,6 +204,76 @@ def test_surface_csv_memory_independent_of_grid_area():
         tracemalloc.stop()
     assert sink.lines == 1 + 512 * 512
     assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 64])
+def test_surface_csv_without_fork_writes_the_same_bytes(monkeypatch, n):
+    # where os.fork does not exist, one process writes every line
+    p = ModelParams(3, 1, 2.9)
+    buf = io.StringIO()
+    write_surface_csv(p, n, buf)
+    monkeypatch.delattr(os, "fork")
+    alone = io.StringIO()
+    write_surface_csv(p, n, alone)
+    assert alone.getvalue() == buf.getvalue()
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class _SecondWriteFails(io.StringIO):
+    """A sink whose second write, the first after the helper is forked, raises ``error``."""
+
+    def __init__(self, error):
+        super().__init__()
+        self.error, self.writes = error, 0
+
+    def write(self, text):
+        self.writes += 1
+        if self.writes == 2:
+            raise self.error
+        return super().write(text)
+
+
+def test_surface_csv_reaps_the_helper():
+    buf = io.StringIO()
+    write_surface_csv(P1, 64, buf)
+    assert buf.getvalue().count("\n") == 1 + 64 * 64
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize(
+    "error",
+    # a closed stdout, Ctrl-C, and a failed --out write
+    [BrokenPipeError(errno.EPIPE, "Broken pipe"), KeyboardInterrupt(), OSError(errno.ENOSPC, "No space left")],
+    ids=["epipe", "interrupt", "enospc"],
+)
+def test_surface_csv_kills_and_reaps_the_helper_on_a_write_error(error):
+    sink = _SecondWriteFails(error)
+    with pytest.raises(type(error)):
+        write_surface_csv(P1, 64, sink)
+    _assert_no_child_left()
+    assert sink.getvalue() == SURFACE_CSV_HEADER + "\n"
+
+
+def test_surface_csv_raises_when_the_helper_fails(monkeypatch, capfd):
+    caller, surface_line = os.getpid(), model._surface_line
+
+    def fails_in_the_helper(*args):
+        if os.getpid() != caller:
+            raise ZeroDivisionError("in the helper")
+        return surface_line(*args)
+
+    monkeypatch.setattr(model, "_surface_line", fails_in_the_helper)
+    buf = io.StringIO()
+    with pytest.raises(RuntimeError, match="exited with status 1 before sending them all"):
+        write_surface_csv(P1, 64, buf)
+    _assert_no_child_left()
+    # the helper's traceback is on stderr, and the dump stops at the first odd line
+    assert "ZeroDivisionError: in the helper" in capfd.readouterr().err
+    assert buf.getvalue().count("\n") == 1 + 64
 
 
 def test_surface_csv_format():
