@@ -11,7 +11,10 @@ raw sum, grid size and method make up its JSON record (``ChernResult``):
 
 * ``chern_direct``: midpoint quadrature of the triple product
   hhat . (d hhat/dkx x d hhat/dky) / 4pi, evaluated in closed form as
-  r (rho (rho + c cos kx) cos ky + r R sin^2 ky) / (4pi |h|^3);
+  r (rho (rho + c cos kx) cos ky + r R sin^2 ky) / (4pi |h|^3).  On a ky
+  line this is (P + Q cos kx) / (A + B cos kx)^(3/2) with P, Q, A and B
+  fixed per line, even in kx and in ky, so the sum runs over one quadrant
+  of the symmetric midpoint grid (``_degree_integrand``);
 * ``chern_plaquette``: the sum of signed solid angles of the spherical
   triangles spanned by hhat over each grid plaquette, divided by 4pi.
   This counts the degree exactly, so the raw value lands within 1e-9 of
@@ -20,9 +23,11 @@ raw sum, grid size and method make up its JSON record (``ChernResult``):
   only points where the gap can close, and these are nodes of every even
   grid; so 16 nodes orient every triangle down to the smallest gap that
   is accepted, and a triangle the grid cannot orient raises
-  DegenerateTriangle.  hhat is three component arrays on a wrapped open
-  grid, and the two triangles of a plaquette share their links
-  (``_solid_angle_sum``).
+  DegenerateTriangle.  hhat is three component lists of ky lines on a
+  wrapped open grid, and the two triangles of a plaquette share their
+  links (``_solid_angle_sum``).
+
+Everything is computed on floats with ``math``, a ky line at a time.
 
 Orientation convention: with (kx, ky) right-handed, the phase whose
 image surface encloses the origin (R - r < c < R + r) carries Chern
@@ -41,10 +46,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DegenerateTriangle, GaplessModel, InsufficientSampling
-from .model import TWO_PI, ModelParams, _bloch, _kx_pi_roots, _trig_rho, bloch_components, gapless_boundary
+from .model import TWO_PI, ModelParams, _bloch, _kx_pi_roots, _kx_trig, _trig_rho, gapless_boundary
 
 EPS_GAP_CHERN = 1e-6
 # chern_plaquette's nodes per axis.  It must be even, so that (pi, 0) and
@@ -54,6 +57,7 @@ EPS_GAP_CHERN = 1e-6
 # saves little, its time being mostly per-call overhead.
 GRID_N = 16
 # chern_direct's nodes per axis, and the largest |raw - value| it reports.
+# It must be even, so that the midpoint grid is symmetric about 0 on each axis.
 DIRECT_N = 256
 DIRECT_TOL = 1e-2
 
@@ -67,18 +71,24 @@ class ChernResult:
     grid_n: int
 
 
-def _degree_integrand(kx, ky, p: ModelParams, xp=np):
-    """hhat . (d hhat/dkx x d hhat/dky) in closed form, on arrays (``xp`` = ``np``) or floats (``math``).
+def _degree_integrand(cx: list, ky: float, p: ModelParams) -> list:
+    """hhat . (d hhat/dkx x d hhat/dky) in closed form, at each cos kx of ``cx`` on the ky line ``ky``.
 
     Differentiating the normalisation only adds multiples of hhat, which
     drop out of the triple product, so the integrand equals
     h . (dh/dkx x dh/dky) / |h|^3.  With dh/dkx = rho (-sin kx, cos kx, 0),
     dh/dky = (rho' cos kx, rho' sin kx, r cos ky) and rho rho' = -r R sin ky,
-    the triple product is r (rho (rho + c cos kx) cos ky + r R sin^2 ky).
+    the triple product is r (rho (rho + c cos kx) cos ky + r R sin^2 ky)
+    = P + Q cos kx, and |h|^2 = A + B cos kx, with P, Q, A and B fixed by
+    ky.  Both are even in kx and in ky.
     """
-    sx, cx, sy, cy, rho = _trig_rho(kx, ky, p, xp)
-    hx, hy, hz = _bloch(sx, cx, sy, cy, rho, p)
-    return p.r * (rho * (rho + p.c * cx) * cy + p.r * p.R * sy * sy) / (hx * hx + hy * hy + hz * hz) ** 1.5
+    sy, cy, rho, hz, _, _, _ = _trig_rho(ky, p)
+    r, c = p.r, p.c
+    P = r * (rho * rho * cy + r * p.R * sy * sy)
+    Q = r * rho * c * cy
+    A = rho * rho + c * c + hz * hz
+    B = 2.0 * c * rho
+    return [(P + Q * x) / (A + B * x) ** 1.5 for x in cx]
 
 
 def gap_min(p: ModelParams) -> float:
@@ -112,13 +122,13 @@ def _chern_preimages(p: ModelParams, g: float) -> int:
     """C as the signed count of the preimages of -x, given g = gap_min(p); no arrays.
 
     (pi, 0) counts when c < R + r and (pi, pi) when c < R - r, each with the
-    sign of ``_degree_integrand`` there, evaluated on floats.  The gate runs
+    sign of ``_degree_integrand`` there, at cos kx = -1.  The gate runs
     first, so |h| > 0 at both points.
     """
     _open_gap(p, g)
     lo, hi = gapless_boundary(p.R, p.r)
     return sum(
-        1 if _degree_integrand(math.pi, ky, p, math) > 0.0 else -1
+        1 if _degree_integrand([-1.0], ky, p)[0] > 0.0 else -1
         for ky, rho in ((0.0, hi), (math.pi, lo))
         if p.c < rho
     )
@@ -139,8 +149,11 @@ def chern_direct(p: ModelParams) -> ChernResult:
     g = _open_gap(p, gap_min(p))
 
     step = TWO_PI / DIRECT_N
-    ticks = -math.pi + (np.arange(DIRECT_N) + 0.5) * step
-    raw = float(np.sum(_degree_integrand(ticks[:, None], ticks[None, :], p))) * step * step / (4.0 * math.pi)
+    # the integrand is even in kx and ky: four times the quadrant of positive ticks
+    ticks = [-math.pi + (i + 0.5) * step for i in range(DIRECT_N // 2, DIRECT_N)]
+    cx = _kx_trig(ticks)[1]
+    quadrant = sum(sum(_degree_integrand(cx, ky, p)) for ky in ticks)
+    raw = 4.0 * quadrant * step * step / (4.0 * math.pi)
     value = int(round(raw))
     if not abs(raw - value) <= DIRECT_TOL:
         raise InsufficientSampling(
@@ -151,42 +164,63 @@ def chern_direct(p: ModelParams) -> ChernResult:
 
 
 def _unit_grid(p: ModelParams, n: int) -> tuple:
-    """hhat's components on the n periodic ticks per axis plus the first again (axis 0 kx)."""
-    t = -math.pi + TWO_PI * (np.arange(n + 1) % n) / n
-    hx, hy, hz = bloch_components(t[:, None], t[None, :], p)
-    norm = np.sqrt(hx * hx + hy * hy + hz * hz)
-    return hx / norm, hy / norm, hz / norm
+    """hhat's components on the n periodic ticks per axis plus the first again.
+
+    Each component is a list of n + 1 ky lines (row j is ky = t_j), each
+    a list of its n + 1 kx nodes (column i is kx = t_i).
+    """
+    t = [-math.pi + TWO_PI * (i % n) / n for i in range(n + 1)]
+    kx_trig = _kx_trig(t)
+    x, y, z = [], [], []
+    for ky in t[:n]:
+        line = _trig_rho(ky, p)
+        hx, hy, _, _, norm = _bloch(kx_trig, [line] * (n + 1), p)
+        x.append([a / m for a, m in zip(hx, norm)])
+        y.append([b / m for b, m in zip(hy, norm)])
+        z.append([line[3] / m for m in norm])
+    for comp in (x, y, z):
+        comp.append(comp[0])
+    return x, y, z
 
 
 def _solid_angle_sum(u: tuple) -> float:
     """Signed solid angles of the two triangles of every plaquette, summed.
 
     ``u`` is the component triple of ``_unit_grid``.  Plaquette (i, j) has
-    corners a, b, c, d at (i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1) and
-    triangles (a, b, c), (a, c, d) of solid angle 2 atan2(t0 . (t1 x t2),
-    1 + t0 . t1 + t1 . t2 + t2 . t0).  Both triple products use e = a x c
-    (a . (b x c) = -b . e, a . (c x d) = d . e); both denominators slice the
-    kx links lx and the ky links ly.  NaN when a triangle cannot be oriented:
-    a denominator <= 0, or it and the numerator both within 1e-12 of zero.
+    corners a, b, c, d at (i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1),
+    i along kx and j along ky, and triangles (a, b, c), (a, c, d) of solid
+    angle 2 atan2(t0 . (t1 x t2), 1 + t0 . t1 + t1 . t2 + t2 . t0).  Both
+    triple products use e = a x c (a . (b x c) = -b . e, a . (c x d) =
+    d . e); both denominators reuse the dot products along the kx links
+    (a . b, d . c) and the ky links (a . d, b . c).  NaN when a triangle
+    cannot be oriented: a denominator <= 0, or it and the numerator both
+    within 1e-12 of zero.
     """
     x, y, z = u
-    lx = x[:-1] * x[1:] + y[:-1] * y[1:] + z[:-1] * z[1:]
-    ly = x[:, :-1] * x[:, 1:] + y[:, :-1] * y[:, 1:] + z[:, :-1] * z[:, 1:]
-    ax, ay, az = x[:-1, :-1], y[:-1, :-1], z[:-1, :-1]
-    cx, cy, cz = x[1:, 1:], y[1:, 1:], z[1:, 1:]
-    ex, ey, ez = ay * cz - az * cy, az * cx - ax * cz, ax * cy - ay * cx
-    ac = ax * cx + ay * cy + az * cz
+    atan2, hypot = math.atan2, math.hypot
+
+    def dots(xs, ys, zs, xt, yt, zt):
+        return [a * b + c * d + e * f for a, b, c, d, e, f in zip(xs, xt, ys, yt, zs, zt)]
 
     total = 0.0
-    for numer, denom in (
-        (-(x[1:, :-1] * ex + y[1:, :-1] * ey + z[1:, :-1] * ez), 1.0 + lx[:, :-1] + ly[1:] + ac),
-        (x[:-1, 1:] * ex + y[:-1, 1:] * ey + z[:-1, 1:] * ez, 1.0 + ac + lx[:, 1:] + ly[:-1]),
-    ):
-        # hypot(numer, denom) >= denom: only denom < 1e-12 (2e-12 for rounding) can trip it
-        low = denom.min()
-        if low <= 0.0 or (low < 2e-12 and np.any(np.hypot(numer, denom) < 1e-12)):
-            return math.nan
-        total += float(np.sum(np.arctan2(numer, denom)))
+    ab_row = dots(x[0], y[0], z[0], x[0][1:], y[0][1:], z[0][1:])
+    for x0, y0, z0, x1, y1, z1 in zip(x, y, z, x[1:], y[1:], z[1:]):
+        dc_row = dots(x1, y1, z1, x1[1:], y1[1:], z1[1:])
+        ad_row = dots(x0, y0, z0, x1, y1, z1)
+        for ax, ay, az, bx, by, bz, cx, cy, cz, dx, dy, dz, ab, dc, ad, bc in zip(
+            x0, y0, z0, x0[1:], y0[1:], z0[1:], x1[1:], y1[1:], z1[1:], x1, y1, z1, ab_row, dc_row, ad_row, ad_row[1:]
+        ):
+            ex, ey, ez = ay * cz - az * cy, az * cx - ax * cz, ax * cy - ay * cx
+            ac = ax * cx + ay * cy + az * cz
+            n1, d1 = -(bx * ex + by * ey + bz * ez), 1.0 + ab + bc + ac
+            n2, d2 = dx * ex + dy * ey + dz * ez, 1.0 + ac + dc + ad
+            # hypot(numer, denom) >= denom: only denom < 1e-12 can trip it
+            if (d1 < 1e-12 and (d1 <= 0.0 or hypot(n1, d1) < 1e-12)) or (
+                d2 < 1e-12 and (d2 <= 0.0 or hypot(n2, d2) < 1e-12)
+            ):
+                return math.nan
+            total += atan2(n1, d1) + atan2(n2, d2)
+        ab_row = dc_row
     return 2.0 * total
 
 

@@ -12,60 +12,41 @@ lower band (-|h|) carries the opposite velocity and the negated Hessian,
 so zero locations and Hessian determinant signs (hence indexes) are band
 independent, while sinks and sources trade places.
 
-``velocity_and_gap`` and ``hessian`` take (kx, ky, p) and evaluate the
-trig factors and rho once per call (``model._trig_rho``); the velocity is
-written once, in ``_velocity``, and the Hessian builds on it.  On arrays
-NaN/inf propagate where |h| = 0, and callers mask by the returned gap or
-compare gap / R with ``EPS_GAP``; ``hessian(kx, ky, p, math)`` takes one
-point as floats, where a zero gap raises.
+Everything is computed on floats with ``math``.  The velocity is written
+once, with h and |h|, in ``model._bloch``, which evaluates every node of
+one or many ky lines in one call: the field dump and the winding loops
+call it directly, and ``velocity_and_gap`` and ``hessian`` take one
+point, a line with one node.  None of them checks the gap: where |h| = 0
+they raise ZeroDivisionError, and callers compare gap / R with
+``EPS_GAP`` first.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from .model import ModelParams, _bloch, _trig_rho
+from .model import ModelParams, _bloch, _kx_trig, _trig_rho
 
 EPS_GAP = 1e-9
 
 
-def _velocity(sx, cx, sy, cy, rho, p: ModelParams, xp=np):
-    """(vx, vy, gap) from the ``_trig_rho`` factors; on arrays NaN/inf where |h| = 0."""
-    hx, hy, hz = _bloch(sx, cx, sy, cy, rho, p)
-    gap = xp.sqrt(hx * hx + hy * hy + hz * hz)
-    vx = -rho * p.c * sx / gap
-    vy = -(p.r * p.R / gap) * (1.0 + (p.c / rho) * cx - (p.r / p.R) * cy) * sy
-    # + 0.0 folds negative zeros into plain zeros for stable serialization
-    return vx + 0.0, vy + 0.0, gap
+def velocity_and_gap(kx: float, ky: float, p: ModelParams) -> tuple:
+    """(vx, vy, gap): the closed-form velocity and the local gap |h| at one point."""
+    _, _, (vx,), (vy,), (gap,) = _bloch(_kx_trig((kx,)), [_trig_rho(ky, p)], p)
+    return vx, vy, gap
 
 
-def velocity_and_gap(kx, ky, p: ModelParams):
-    """(vx, vy, gap): the closed-form velocity and the local gap |h|, vectorized.
+def hessian(kx: float, ky: float, p: ModelParams) -> tuple:
+    """Closed-form Hessian entries (hxx, hxy, hyy) of |h| at one point.
 
-    No gap checks: where the bands touch vx and vy are NaN/inf, for callers to mask by the gap.
+    These are the velocity derivatives dvx/dkx, dvx/dky = dvy/dkx and
+    dvy/dky.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return _velocity(*_trig_rho(kx, ky, p), p)
-
-
-def _hessian(sx, cx, sy, cy, rho, p: ModelParams, xp):
-    """(hxx, hxy, hyy) from the ``_trig_rho`` factors."""
-    vx, vy, gap = _velocity(sx, cx, sy, cy, rho, p, xp)
+    kx_trig = _kx_trig((kx,))
+    (sx,), (cx,) = kx_trig
+    line = _trig_rho(ky, p)
+    sy, cy, rho = line[:3]
+    _, _, (vx,), (vy,), (gap,) = _bloch(kx_trig, [line], p)
     rr = p.r * p.R
     gxx = -p.c * rho * cx
     gxy = p.c * rr * sx * sy / rho
     gyy = -rr * cy - p.c * rr * cx * (cy / rho + rr * sy * sy / rho**3) + p.r**2 * (cy * cy - sy * sy)
     return (gxx - vx * vx) / gap, (gxy - vx * vy) / gap, (gyy - vy * vy) / gap
-
-
-def hessian(kx, ky, p: ModelParams, xp=np):
-    """Closed-form Hessian entries (hxx, hxy, hyy) of |h|.
-
-    These are the velocity derivatives dvx/dkx, dvx/dky = dvy/dkx and
-    dvy/dky.  No gap checks: on arrays (``xp`` = ``np``) NaN/inf propagate
-    where |h| = 0; on floats (``xp`` = ``math``) ZeroDivisionError is raised.
-    """
-    if xp is not np:  # floats raise on a zero gap: no warning to silence
-        return _hessian(*_trig_rho(kx, ky, p, xp), p, xp)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return _hessian(*_trig_rho(kx, ky, p), p, np)

@@ -10,12 +10,16 @@ vertical axis through (c, 0, 0) oscillates between R - r and R + r, so
 the surface is an embedded (slightly sheared) torus shifted by c >= 0
 along the first axis.  The bands are E = +-|h(k)|.
 
-Everything is smooth and 2*pi-periodic in kx and ky.  ``_trig_rho`` is
-the one place that evaluates sin kx, cos kx, sin ky, cos ky and rho(ky),
-and ``_bloch`` the one place that assembles h from those factors; the
-Bloch vector (``bloch_components``), the velocity and its Hessian
-(``field``) and the Chern integrand (``chern``) are all written on them
-and broadcast over numpy arrays of kx and ky, or take floats with ``math``.
+Everything is smooth and 2*pi-periodic in kx and ky, and computed on
+floats with ``math``.  At a fixed ky, h and the band velocity need only
+(sin kx, cos kx) at each kx node and a few factors of ky, so the kernels
+work on ky lines: ``_kx_trig`` evaluates sin kx and cos kx once per grid,
+``_trig_rho`` the factors of ky once per line, and ``_bloch`` is the one
+place that assembles h, |h| and the velocity from them, at every node of
+one or many lines.  A point is a line with one node.  The Bloch vector
+(``bloch_components``), the velocity and its Hessian (``field``), the
+field dump (``write_surface_csv``) and the unit Bloch vector of the
+Chern sum (``chern``) are all written on ``_bloch``.
 ``KPoint.canonical`` reduces a single point to the fundamental domain
 [-pi, pi)^2.
 
@@ -36,8 +40,6 @@ import math
 import os
 from dataclasses import dataclass
 from typing import TextIO
-
-import numpy as np
 
 TWO_PI = 2.0 * math.pi
 # Largest accepted |R|, |r| and |c|.  |h|^2 and the Hessian determinant,
@@ -96,19 +98,54 @@ class KPoint:
         return KPoint(float(reduce_angle(self.kx)), float(reduce_angle(self.ky)))
 
 
-def _trig_rho(kx, ky, p: ModelParams, xp=np):
-    """(sin kx, cos kx, sin ky, cos ky, rho(ky)), each once, on arrays (``xp`` = ``np``) or floats (``math``).
+def _kx_trig(kx) -> tuple:
+    """The lists (sin kx, cos kx) over the kx nodes ``kx``: computed once per grid."""
+    return [math.sin(x) for x in kx], [math.cos(x) for x in kx]
+
+
+def _trig_rho(ky: float, p: ModelParams) -> tuple:
+    """The factors of one ky line, each computed once: (sin ky, cos ky, rho, hz, -c rho, c / rho, (r / R) cos ky).
 
     rho(ky) = sqrt(r^2 sin^2 ky + (R + r cos ky)^2) is the distance of h(k)
-    from the shifted symmetry axis, at least R - r > 0.
+    from the shifted symmetry axis, at least R - r > 0, and hz = r sin ky.
+    The last three are the velocity's factors of ky (``_bloch``).  rho's
+    squares are products, as numpy's are (``x**2`` on a float is libm's
+    pow), so that these floats carry the bits of the array forms in the
+    test oracles.
     """
-    sy, cy = xp.sin(ky), xp.cos(ky)
-    return xp.sin(kx), xp.cos(kx), sy, cy, xp.sqrt((p.r * sy) ** 2 + (p.R + p.r * cy) ** 2)
+    sy, cy = math.sin(ky), math.cos(ky)
+    a, b = p.r * sy, p.R + p.r * cy
+    rho = math.sqrt(a * a + b * b)
+    return sy, cy, rho, a, -rho * p.c, p.c / rho, (p.r / p.R) * cy
 
 
-def _bloch(sx, cx, sy, cy, rho, p: ModelParams):
-    """(hx, hy, hz) = (rho cos kx + c, rho sin kx, r sin ky) from the ``_trig_rho`` factors."""
-    return rho * cx + p.c, rho * sx, p.r * sy
+def _bloch(kx_trig: tuple, lines: list, p: ModelParams) -> tuple:
+    """h, the band velocity and the gap |h| at each node: the lists (hx, hy, vx, vy, gap).
+
+    ``kx_trig`` is ``_kx_trig`` of the nodes' kx and ``lines`` holds each
+    node's ky factors (``_trig_rho``): the nodes of one ky line share one
+    tuple, ``[_trig_rho(ky, p)] * n``, and hz = r sin ky is one of them.
+    h = (rho cos kx + c, rho sin kx, r sin ky), and the velocity, the
+    gradient of |h| (``field``), is
+
+        vx = -c rho sin kx / |h|,
+        vy = -(r R / |h|) (1 + (c / rho) cos kx - (r / R) cos ky) sin ky.
+
+    No gap check: where |h| = 0 this raises ZeroDivisionError.
+    """
+    sx, cx = kx_trig
+    c, b = p.c, -(p.r * p.R)
+    hx, hy, vx, vy, gap = [], [], [], [], []
+    for s, x, (sy, _, rho, z, a, k1, k2) in zip(sx, cx, lines):
+        u, w = rho * x + c, rho * s
+        g = math.sqrt(u * u + w * w + z * z)
+        hx.append(u)
+        hy.append(w)
+        # + 0.0 folds negative zeros into plain zeros for stable serialization
+        vx.append(a * s / g + 0.0)
+        vy.append(b / g * (1.0 + k1 * x - k2) * sy + 0.0)
+        gap.append(g)
+    return hx, hy, vx, vy, gap
 
 
 def zero_bifurcations(R: float, r: float) -> tuple:
@@ -186,27 +223,29 @@ def _kx_pi_roots(p: ModelParams) -> list:
     return roots
 
 
-def bloch_components(kx, ky, p: ModelParams):
-    """Components (hx, hy, hz) of the Bloch vector; broadcasts over arrays."""
-    return _bloch(*_trig_rho(kx, ky, p), p)
+def bloch_components(kx: float, ky: float, p: ModelParams) -> tuple:
+    """Components (hx, hy, hz) of the Bloch vector at one point."""
+    line = _trig_rho(ky, p)
+    (hx,), (hy,), _, _, _ = _bloch(_kx_trig((kx,)), [line], p)
+    return hx, hy, line[3]
 
 
 SURFACE_CSV_HEADER = "kx,ky,hx,hy,hz,vx,vy"
 
 
-def _surface_line(p: ModelParams, ticks, kx_heads: list, y: float) -> str:
+def _surface_line(p: ModelParams, kx_trig: tuple, kx_heads: list, y: float) -> str:
     """The n rows of the dump at one ky, each ending in a newline."""
-    from .field import velocity_and_gap
-
-    ky = np.full(ticks.size, y)
-    hx, hy, hz = bloch_components(ticks, ky, p)
-    vx, vy, _ = velocity_and_gap(ticks, ky, p)
+    n = len(kx_heads)
+    line = _trig_rho(y, p)
+    hx, hy, vx, vy, _ = _bloch(kx_trig, [line] * n, p)
+    values = [0.0] * (4 * n)
+    values[0::4], values[1::4], values[2::4], values[3::4] = hx, hy, vx, vy
     # ky and hz are constant along the line; %% leaves the per-node slots for the second pass
-    tail = ",%.17g,%%.17g,%%.17g,%.17g,%%.17g,%%.17g\n" % (y, hz[0])
-    return (tail.join(kx_heads) + tail) % tuple(np.stack([hx, hy, vx, vy], axis=-1).ravel().tolist())
+    tail = ",%.17g,%%.17g,%%.17g,%.17g,%%.17g,%%.17g\n" % (y, line[3])
+    return (tail.join(kx_heads) + tail) % tuple(values)
 
 
-def _send_odd_lines(fd: int, p: ModelParams, ticks, kx_heads: list, ys: list) -> None:
+def _send_odd_lines(fd: int, p: ModelParams, kx_trig: tuple, kx_heads: list, ys: list) -> None:
     """The helper process: send the odd ky lines through the pipe ``fd``, each after its length.
 
     It leaves only through ``os._exit``, so it never flushes the stdio
@@ -220,7 +259,7 @@ def _send_odd_lines(fd: int, p: ModelParams, ticks, kx_heads: list, ys: list) ->
     try:
         with open(fd, "wb") as pipe:
             for y in ys[1::2]:
-                data = _surface_line(p, ticks, kx_heads, y).encode("ascii")
+                data = _surface_line(p, kx_trig, kx_heads, y).encode("ascii")
                 pipe.write(len(data).to_bytes(8, "little"))
                 pipe.write(data)
         status = 0
@@ -248,8 +287,9 @@ def write_surface_csv(p: ModelParams, n: int, fh: TextIO) -> None:
     """Write h and the velocity on an n x n uniform grid over [-pi, pi)^2 as CSV.
 
     One row per node, ky the slow index and kx the fast one, floats with
-    17 significant digits.  At a k where the bands touch the velocity
-    entries are NaN (valid gapped parameters never hit this).
+    17 significant digits.  The velocity is defined at every node, even
+    when the gap closes between them: sin kx vanishes on the grid only at
+    kx = 0, where hx = rho + c > 0, so |h| > 0.
 
     Formatting the floats is nearly all the work, so it runs on two cores:
     one helper process, forked after the header is written, formats the
@@ -268,13 +308,13 @@ def write_surface_csv(p: ModelParams, n: int, fh: TextIO) -> None:
     """
     if n < 2:
         raise ValueError(f"grid size must be at least 2, got n={n}")
-    ticks = -math.pi + TWO_PI * np.arange(n) / n
-    kx_heads = ["%.17g" % x for x in ticks.tolist()]
-    ys = ticks.tolist()
+    ys = [-math.pi + TWO_PI * i / n for i in range(n)]
+    kx_trig = _kx_trig(ys)
+    kx_heads = ["%.17g" % x for x in ys]
     fh.write(SURFACE_CSV_HEADER + "\n")
     if not hasattr(os, "fork"):
         for y in ys:
-            fh.write(_surface_line(p, ticks, kx_heads, y))
+            fh.write(_surface_line(p, kx_trig, kx_heads, y))
         return
     import fcntl
 
@@ -287,12 +327,12 @@ def write_surface_csv(p: ModelParams, n: int, fh: TextIO) -> None:
     pid = os.fork()
     if pid == 0:
         os.close(r)
-        _send_odd_lines(w, p, ticks, kx_heads, ys)
+        _send_odd_lines(w, p, kx_trig, kx_heads, ys)
     os.close(w)
     try:
         with open(r, "rb") as pipe:
             for i, y in enumerate(ys):
-                line = _surface_line(p, ticks, kx_heads, y) if i % 2 == 0 else _receive_line(pipe)
+                line = _surface_line(p, kx_trig, kx_heads, y) if i % 2 == 0 else _receive_line(pipe)
                 if line is None:
                     break
                 fh.write(line)

@@ -8,6 +8,7 @@ or the sampling is declared too coarse.  The sample count is not a
 setting: the adapters here sample a circle at ``DEFAULT_SAMPLES`` points
 and double that until the increments are fine enough (up to
 ``MAX_SAMPLES``); a polyline is taken as given and never densified.
+Samples, fields and angles are lists of floats, computed with ``math``.
 
 Adapters:
 
@@ -25,11 +26,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from .errors import GaplessPoint, InsufficientSampling, ZeroOnLoop
-from .field import EPS_GAP, velocity_and_gap
-from .model import TWO_PI, KPoint, ModelParams, reduce_angle
+from .field import EPS_GAP
+from .model import TWO_PI, KPoint, ModelParams, _bloch, _kx_trig, _trig_rho, reduce_angle
 
 MIN_SAMPLES = 16
 DEFAULT_SAMPLES = 256
@@ -71,14 +70,15 @@ class LoopSpec:
             raise ValueError("polyline loop must be closed (first and last point coincide)")
         return cls(points=pts)
 
-    def sample_points(self, n: int):
-        """Loop sample coordinates as arrays (kx, ky), closure left implicit: n on a circle, a polyline's own."""
+    def sample_points(self, n: int) -> tuple:
+        """Loop sample coordinates as lists (kx, ky), closure left implicit: n on a circle, a polyline's own."""
         if self.points is not None:
-            kx = np.array([q.kx for q in self.points[:-1]])
-            ky = np.array([q.ky for q in self.points[:-1]])
-            return kx, ky
-        t = TWO_PI * np.arange(n) / n
-        return self.center.kx + self.radius * np.cos(t), self.center.ky + self.radius * np.sin(t)
+            return [q.kx for q in self.points[:-1]], [q.ky for q in self.points[:-1]]
+        t = [TWO_PI * i / n for i in range(n)]
+        return (
+            [self.center.kx + self.radius * math.cos(a) for a in t],
+            [self.center.ky + self.radius * math.sin(a) for a in t],
+        )
 
 
 @dataclass(frozen=True)
@@ -97,25 +97,24 @@ def winding_planar(field_samples) -> WindingResult:
     norm drops to ``NORM_FLOOR`` times the largest (a scale-free floor)
     and InsufficientSampling if any wrapped increment reaches pi/2.
     """
-    arr = np.asarray(field_samples, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 3:
+    samples = list(field_samples)
+    if len(samples) < 3 or any(len(s) != 2 for s in samples):
         raise ValueError("expected at least 3 samples of shape (N, 2)")
-    if not np.all(np.isfinite(arr)):
+    if not all(math.isfinite(a) and math.isfinite(b) for a, b in samples):
         raise ValueError("field samples must be finite")
-    a, b = arr[:, 0], arr[:, 1]
-    norms = np.hypot(a, b)
-    min_norm = float(np.min(norms))
-    if min_norm <= NORM_FLOOR * float(np.max(norms)):
+    norms = [math.hypot(a, b) for a, b in samples]
+    min_norm = min(norms)
+    if min_norm <= NORM_FLOOR * max(norms):
         raise ZeroOnLoop(f"field norm {min_norm:.3e} on the loop is at or below {NORM_FLOOR:.1e} times its largest")
-    angles = np.arctan2(b, a)
-    incr = reduce_angle(np.diff(angles, append=angles[:1]))
-    worst = float(np.max(np.abs(incr)))
+    angles = [math.atan2(b, a) for a, b in samples]
+    incr = [reduce_angle(b - a) for a, b in zip(angles, angles[1:] + angles[:1])]
+    worst = max(abs(d) for d in incr)
     if worst >= MAX_INCREMENT:
         raise InsufficientSampling(
             f"angle increment {worst:.3f} rad >= pi/2; sample the loop more densely"
         )
-    total = float(np.sum(incr))
-    return WindingResult(int(round(total / TWO_PI)), total, min_norm, arr.shape[0])
+    total = sum(incr)
+    return WindingResult(round(total / TWO_PI), total, min_norm, len(samples))
 
 
 def _with_densification(loop: LoopSpec, evaluate) -> WindingResult:
@@ -138,11 +137,12 @@ def winding_hermitian(loop: LoopSpec, p: ModelParams) -> WindingResult:
     """
 
     def evaluate(kx, ky):
-        vx, vy, gap = velocity_and_gap(kx, ky, p)
-        g = float(np.min(gap))
+        # every sample is a ky line with one node, all in one call
+        _, _, vx, vy, gap = _bloch(_kx_trig(kx), [_trig_rho(y, p) for y in ky], p)
+        g = min(gap)
         if g / p.R <= EPS_GAP:
             raise GaplessPoint(f"loop touches a gapless point (min |h| / R = {g / p.R:.3e} <= {EPS_GAP:.1e})")
-        return np.stack([vx, vy], axis=1)
+        return list(zip(vx, vy))
 
     return _with_densification(loop, evaluate)
 
@@ -164,15 +164,14 @@ def winding_nonhermitian(
         raise ValueError(f"component must be 'x' or 'y', got {component!r}")
 
     def evaluate(kx, ky):
-        out = np.empty((kx.size, 2))
-        for i in range(kx.size):
+        out = []
+        for x, y in zip(kx, ky):
             if component == "x":
-                d = band(kx[i] + FD_STEP, ky[i]) - band(kx[i] - FD_STEP, ky[i])
+                d = band(x + FD_STEP, y) - band(x - FD_STEP, y)
             else:
-                d = band(kx[i], ky[i] + FD_STEP) - band(kx[i], ky[i] - FD_STEP)
+                d = band(x, y + FD_STEP) - band(x, y - FD_STEP)
             d = complex(d) / (2.0 * FD_STEP)
-            out[i, 0] = d.real
-            out[i, 1] = d.imag
+            out.append((d.real, d.imag))
         return out
 
     return _with_densification(loop, evaluate)

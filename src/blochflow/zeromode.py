@@ -138,7 +138,7 @@ def euler_characteristic(p: ModelParams) -> EulerResult:
     """
     modes = []
     for kx, ky in _closed_form_census(p):
-        hxx, hxy, hyy = hessian(kx, ky, p, math)
+        hxx, hxy, hyy = hessian(kx, ky, p)
         det, trace = hxx * hyy - hxy * hxy, hxx + hyy
         modes.append(ZeroMode(KPoint(kx, ky), det, trace, classify(det, trace, p.R)))
     return EulerResult(sum(z.index for z in modes), modes)

@@ -1,5 +1,12 @@
 """Independent oracles used to cross-check the library's own algorithms.
 
+The library computes on floats with ``math``, a ky line or a point at a
+time; everything here is numpy arrays.  The array forms of the library's
+kernels (``array_trig_rho``, ``array_bloch_components``,
+``array_velocity_and_gap``, ``array_hessian``) are the same formulas
+broadcast over arrays, and ``pointwise`` evaluates a library kernel at
+every point of an array.
+
 Nothing here reuses the code path it is checking: velocities come from
 projecting the tangent frame onto the unit Bloch vector (the library
 differentiates |h| in closed form), the Chern integrand from the frame's
@@ -30,8 +37,8 @@ from scipy import ndimage
 from scipy.optimize import fsolve
 
 from blochflow.errors import DegenerateField, GaplessModel, GaplessPoint, NonIsolatedZero
-from blochflow.field import EPS_GAP, hessian, velocity_and_gap
-from blochflow.model import TWO_PI, _kx_pi_cubic, bloch_components, reduce_angle
+from blochflow.field import EPS_GAP
+from blochflow.model import TWO_PI, _kx_pi_cubic, reduce_angle
 from blochflow.zeromode import C_DEGENERATE, ISOLATION_RADIUS, zero_bifurcations
 
 # The Newton census: damped Newton from every node of a 64 x 64 seed grid
@@ -41,6 +48,55 @@ SEEDS_PER_AXIS = 64
 NEWTON_TOL = 1e-12
 MAX_ITER = 50
 DEDUP_RADIUS = 1e-6
+
+
+def pointwise(kernel, kx, ky, p):
+    """A library point kernel ``kernel(kx, ky, p) -> tuple`` at every point of
+    the broadcast arrays kx and ky, one float call each: a tuple of arrays."""
+    kx, ky = np.broadcast_arrays(np.asarray(kx, dtype=float), np.asarray(ky, dtype=float))
+    values = [kernel(a, b, p) for a, b in zip(kx.ravel().tolist(), ky.ravel().tolist())]
+    return tuple(np.array(col).reshape(kx.shape) for col in zip(*values))
+
+
+def array_trig_rho(kx, ky, p):
+    """(sin kx, cos kx, sin ky, cos ky, rho(ky)) on arrays, rho's squares by numpy's ``**``."""
+    sy, cy = np.sin(ky), np.cos(ky)
+    return np.sin(kx), np.cos(kx), sy, cy, np.sqrt((p.r * sy) ** 2 + (p.R + p.r * cy) ** 2)
+
+
+def _array_bloch(sx, cx, sy, cy, rho, p):
+    return rho * cx + p.c, rho * sx, p.r * sy
+
+
+def array_bloch_components(kx, ky, p):
+    """(hx, hy, hz) = (rho cos kx + c, rho sin kx, r sin ky), broadcast over arrays."""
+    return _array_bloch(*array_trig_rho(kx, ky, p), p)
+
+
+def _array_velocity(sx, cx, sy, cy, rho, p):
+    hx, hy, hz = _array_bloch(sx, cx, sy, cy, rho, p)
+    gap = np.sqrt(hx * hx + hy * hy + hz * hz)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vx = -rho * p.c * sx / gap
+        vy = -(p.r * p.R / gap) * (1.0 + (p.c / rho) * cx - (p.r / p.R) * cy) * sy
+    return vx + 0.0, vy + 0.0, gap
+
+
+def array_velocity_and_gap(kx, ky, p):
+    """(vx, vy, gap) of the closed-form velocity on arrays; NaN/inf where |h| = 0."""
+    return _array_velocity(*array_trig_rho(kx, ky, p), p)
+
+
+def array_hessian(kx, ky, p):
+    """(hxx, hxy, hyy), the closed-form Hessian of |h|, on arrays; NaN/inf where |h| = 0."""
+    sx, cx, sy, cy, rho = array_trig_rho(kx, ky, p)
+    vx, vy, gap = _array_velocity(sx, cx, sy, cy, rho, p)
+    rr = p.r * p.R
+    gxx = -p.c * rho * cx
+    gxy = p.c * rr * sx * sy / rho
+    gyy = -rr * cy - p.c * rr * cx * (cy / rho + rr * sy * sy / rho**3) + p.r**2 * (cy * cy - sy * sy)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (gxx - vx * vx) / gap, (gxy - vx * vy) / gap, (gyy - vy * vy) / gap
 
 
 def torus_distance(ax, ay, bx, by):
@@ -86,7 +142,7 @@ def frame_components(kx, ky, p):
 
 def frame_degree_integrand(kx, ky, p):
     """h . (dh/dkx x dh/dky) / |h|^3 with the cross product of the tangent frame."""
-    hx, hy, hz = bloch_components(kx, ky, p)
+    hx, hy, hz = array_bloch_components(kx, ky, p)
     ax, ay, az, bx, by, bz = frame_components(kx, ky, p)
     triple = hx * (ay * bz - az * by) + hy * (az * bx - ax * bz) + hz * (ax * by - ay * bx)
     return triple / (hx * hx + hy * hy + hz * hz) ** 1.5
@@ -104,7 +160,7 @@ def periodic_unit_grid(p, n):
     """Unit Bloch vectors on the periodic n x n node grid, shape (n, n, 3), axis 0 kx."""
     ticks = -math.pi + TWO_PI * np.arange(n) / n
     kx, ky = np.meshgrid(ticks, ticks, indexing="ij")
-    hx, hy, hz = bloch_components(kx, ky, p)
+    hx, hy, hz = array_bloch_components(kx, ky, p)
     norm = np.sqrt(hx * hx + hy * hy + hz * hz)
     return np.stack((hx / norm, hy / norm, hz / norm), axis=-1)
 
@@ -135,7 +191,7 @@ def roll_solid_angle_sum(u):
 
 def generic_velocity_and_gap(kx, ky, p):
     """Frame-projection velocity (hhat . dh/dk_i) and gap, vectorized."""
-    hx, hy, hz = bloch_components(kx, ky, p)
+    hx, hy, hz = array_bloch_components(kx, ky, p)
     ax, ay, az, bx, by, bz = frame_components(kx, ky, p)
     gap = np.sqrt(hx * hx + hy * hy + hz * hz)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -178,7 +234,7 @@ def scan_gap_min(p, n=256, levels=24):
     """
 
     def gap_sq(kx, ky):
-        hx, hy, hz = bloch_components(kx, ky, p)
+        hx, hy, hz = array_bloch_components(kx, ky, p)
         return hx * hx + hy * hy + hz * hz
 
     step = TWO_PI / n
@@ -222,11 +278,11 @@ def numpy_kx_pi_roots(p):
 
 
 def surface_csv_rows(p, n):
-    """The rows write_surface_csv should write, formatted one value at a time."""
+    """The rows write_surface_csv should write: the array kernels on the whole grid, formatted one value at a time."""
     ticks = -math.pi + TWO_PI * np.arange(n) / n
     ky, kx = np.meshgrid(ticks, ticks, indexing="ij")
-    hx, hy, hz = bloch_components(kx, ky, p)
-    vx, vy, _ = velocity_and_gap(kx, ky, p)
+    hx, hy, hz = array_bloch_components(kx, ky, p)
+    vx, vy, _ = array_velocity_and_gap(kx, ky, p)
     rows = []
     for i in range(n):
         for j in range(n):
@@ -237,11 +293,11 @@ def surface_csv_rows(p, n):
 
 def fd_bloch_frame(kx, ky, p, step=1e-5):
     """Central-difference tangent frame of the Bloch vector."""
-    hp = bloch_components(kx + step, ky, p)
-    hm = bloch_components(kx - step, ky, p)
+    hp = array_bloch_components(kx + step, ky, p)
+    hm = array_bloch_components(kx - step, ky, p)
     d_kx = [(a - b) / (2 * step) for a, b in zip(hp, hm)]
-    hp = bloch_components(kx, ky + step, p)
-    hm = bloch_components(kx, ky - step, p)
+    hp = array_bloch_components(kx, ky + step, p)
+    hm = array_bloch_components(kx, ky - step, p)
     d_ky = [(a - b) / (2 * step) for a, b in zip(hp, hm)]
     return d_kx, d_ky
 
@@ -250,7 +306,7 @@ def fd_energy_gradient(kx, ky, p, step=1e-4):
     """Central-difference gradient of the upper band energy |h|."""
 
     def energy(a, b):
-        hx, hy, hz = bloch_components(a, b, p)
+        hx, hy, hz = array_bloch_components(a, b, p)
         return np.sqrt(hx * hx + hy * hy + hz * hz)
 
     gx = (energy(kx + step, ky) - energy(kx - step, ky)) / (2 * step)
@@ -262,7 +318,7 @@ def fd_degree_integrand(kx, ky, p, step=1e-5):
     """hhat . (d hhat/dkx x d hhat/dky) with central differences of hhat."""
 
     def unit(a, b):
-        hx, hy, hz = bloch_components(a, b, p)
+        hx, hy, hz = array_bloch_components(a, b, p)
         norm = np.sqrt(hx * hx + hy * hy + hz * hz)
         return np.array([hx / norm, hy / norm, hz / norm])
 
@@ -318,7 +374,7 @@ def full_backtrack_census(p):
     px = gx.ravel().copy()
     py = gy.ravel().copy()
 
-    vx, vy, gap = velocity_and_gap(px, py, p)
+    vx, vy, gap = array_velocity_and_gap(px, py, p)
     min_gap = float(np.min(gap))
     if min_gap / p.R <= EPS_GAP:
         raise GaplessModel(
@@ -334,7 +390,7 @@ def full_backtrack_census(p):
         if active.size == 0:
             break
         x, y, va, vb = px[active], py[active], vx[active], vy[active]
-        hxx, hxy, hyy = hessian(x, y, p)
+        hxx, hxy, hyy = array_hessian(x, y, p)
         det = hxx * hyy - hxy * hxy
         ok = np.isfinite(det) & (np.abs(det) > 1e-300)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -346,7 +402,7 @@ def full_backtrack_census(p):
         for _bt in range(12):
             nx = reduce_angle(x + scale * sx)
             ny = reduce_angle(y + scale * sy)
-            nvx, nvy, ngap = velocity_and_gap(nx, ny, p)
+            nvx, nvy, ngap = array_velocity_and_gap(nx, ny, p)
             nnorm = np.hypot(nvx, nvy)
             worse = ~(nnorm <= base)
             if not np.any(worse):
@@ -414,7 +470,7 @@ def unwrap_winding(center, radius, p, n=4096):
     t = TWO_PI * np.arange(n + 1) / n
     kx = center[0] + radius * np.cos(t)
     ky = center[1] + radius * np.sin(t)
-    vx, vy, _ = velocity_and_gap(kx, ky, p)
+    vx, vy, _ = array_velocity_and_gap(kx, ky, p)
     angles = np.unwrap(np.arctan2(vy, vx))
     return (angles[-1] - angles[0]) / TWO_PI
 

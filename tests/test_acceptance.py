@@ -32,6 +32,7 @@ from oracles import (
     brute_zero_census,
     fd_energy_gradient,
     generic_velocity_and_gap,
+    pointwise,
     random_gapped_params,
     torus_distance,
 )
@@ -173,7 +174,7 @@ def test_criterion_3_chern_phase_structure():
 def test_criterion_4_velocity_equivalence():
     t = np.linspace(-PI, PI, 101)
     kx, ky = np.meshgrid(t, t, indexing="ij")
-    vx1, vy1, _ = velocity_and_gap(kx, ky, P1)
+    vx1, vy1, _ = pointwise(velocity_and_gap, kx, ky, P1)
     vx2, vy2, _ = generic_velocity_and_gap(kx, ky, P1)
     dual = max(float(np.max(np.abs(vx1 - vx2))), float(np.max(np.abs(vy1 - vy2))))
     gx, gy = fd_energy_gradient(kx, ky, P1, step=1e-4)

@@ -73,16 +73,16 @@ def test_gap_min_matches_scan_oracle(params):
 
 
 @settings(max_examples=150)
-@given(params_near_critical(), st.floats(-np.pi, np.pi), st.floats(-np.pi, np.pi))
+@given(params_near_critical(), st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi))
 def test_degree_integrand_matches_finite_differences(params, kx, ky):
     # the hand-worked r (rho (rho + c cos kx) cos ky + r R sin^2 ky) / |h|^3
     # against central differences of the unit Bloch vector, and against the
     # triple product of the tangent frame to rounding, up to the closings
     # and bifurcations
     p = ModelParams(*params)
-    gap = float(np.linalg.norm(bloch_components(kx, ky, p)))
+    gap = math.hypot(*bloch_components(kx, ky, p))
     assume(gap >= 0.05)
-    exact = float(_degree_integrand(kx, ky, p))
+    (exact,) = _degree_integrand([math.cos(kx)], ky, p)
     assert abs(exact - float(fd_degree_integrand(kx, ky, p))) <= 1e-6 * (1.0 + abs(exact))
     # near a closing the numerator cancels; both formulas round relative to
     # the size of its terms, not to the integrand
@@ -205,13 +205,13 @@ def test_even_grid_resolves_every_gapped_set(params):
 
 
 def test_preimage_count_reads_degree_integrand(monkeypatch):
-    # each present preimage is evaluated once, on floats, and signed by the
-    # integrand: negating the integrand negates C
+    # each present preimage is evaluated once, a ky line with the one node
+    # cos kx = -1, and signed by the integrand: negating it negates C
     seen = []
 
-    def recording(kx, ky, p, xp=np):
-        seen.append((kx, ky, xp))
-        return sign * _degree_integrand(kx, ky, p, xp)
+    def recording(cx, ky, p):
+        seen.append((cx, ky))
+        return [sign * v for v in _degree_integrand(cx, ky, p)]
 
     monkeypatch.setattr(blochflow.chern, "_degree_integrand", recording)
     for sign in (1.0, -1.0):
@@ -219,7 +219,7 @@ def test_preimage_count_reads_degree_integrand(monkeypatch):
             seen.clear()
             p = ModelParams(3, 1, c)
             assert _chern_preimages(p, gap_min(p)) == sign * value
-            assert seen == [(math.pi, ky, math) for ky in kys]
+            assert seen == [([math.cos(math.pi)], ky) for ky in kys]
 
 
 def test_unorientable_grid_raises(monkeypatch):
@@ -229,15 +229,23 @@ def test_unorientable_grid_raises(monkeypatch):
 
 
 def _wrapped(u):
-    """The component arrays of the open grid that wraps the periodic (n, n, 3) grid ``u``."""
-    return tuple(np.pad(u[..., k], ((0, 1), (0, 1)), mode="wrap") for k in range(3))
+    """The component lists of the open grid that wraps the periodic (n, n, 3) grid ``u``, axis 0 kx.
+
+    Each is a list of ky lines of kx nodes, as ``_unit_grid`` gives them.
+    """
+    return tuple(np.pad(u[..., k], ((0, 1), (0, 1)), mode="wrap").T.tolist() for k in range(3))
+
+
+def _periodic(grid):
+    """The periodic (n, n, 3) grid, axis 0 kx, that the component lists ``grid`` of ``_unit_grid`` wrap."""
+    return np.stack([np.array(comp)[:-1, :-1].T for comp in grid], axis=-1)
 
 
 def _assert_kernels_agree(p, n):
     grid = _unit_grid(p, n)
     # row and column n repeat row and column 0
     for comp in grid:
-        assert np.array_equal(comp[n], comp[0]) and np.array_equal(comp[:, n], comp[:, 0])
+        assert comp[n] == comp[0] and [row[n] for row in comp] == [row[0] for row in comp]
     new = _solid_angle_sum(grid)
     ref = roll_solid_angle_sum(periodic_unit_grid(p, n))
     assert math.isnan(new) == math.isnan(ref)
@@ -265,10 +273,11 @@ def test_solid_angle_sum_matches_roll_oracle_near_critical(params, n):
 
 
 def test_solid_angle_ambiguity_flag():
-    x, y, z = _unit_grid(ModelParams(3, 1, 1), 16)
-    assert not math.isnan(_solid_angle_sum((x, y, z)))
+    grid = _unit_grid(ModelParams(3, 1, 1), 16)
+    assert not math.isnan(_solid_angle_sum(grid))
     # antipodal neighbours make the half-angle denominator nonpositive
-    u = np.stack((x[:-1, :-1], y[:-1, :-1], z[:-1, :-1]), axis=-1)
+    u = _periodic(grid)
+    assert _wrapped(u) == grid
     u[0, 0] = (0.0, 0.0, 1.0)
     u[1, 0] = (0.0, 0.0, -1.0)
     assert math.isnan(_solid_angle_sum(_wrapped(u)))

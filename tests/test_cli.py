@@ -271,6 +271,42 @@ def _blochflow(*argv, **popen_args):
     return subprocess.Popen([sys.executable, "-m", "blochflow", *argv], env=env, **popen_args)
 
 
+# Every subcommand, run through cli.main in one process that cannot import
+# numpy: numpy is a test-only package.  The field dump forks its helper.
+_WITHOUT_NUMPY = """
+import json, sys
+sys.modules["numpy"] = None  # from here on, `import numpy` raises ImportError
+from blochflow.cli import main
+out, commands = sys.argv[1], json.loads(sys.argv[2])
+codes = [main([*argv, "--out", out]) for argv in commands]
+print(json.dumps(codes))
+"""
+
+
+def test_every_subcommand_runs_without_numpy(tmp_path):
+    commands = [
+        ["zeros", "--c", "3"],
+        ["euler", "--c", "3"],
+        ["chern", "--c", "3"],
+        ["chern", "--c", "3", "--method", "direct"],
+        ["winding", "--c", "3"],
+        ["phase-diagram", "--axis", "c:0.5:4.5:9", "--quantity", "chern"],
+        ["phase-diagram", "--axis", "c:0.5:4.5:9", "--quantity", "euler"],
+        ["field-dump", "--grid-n", "17"],
+    ]
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(blochflow.__file__))}
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_NUMPY, str(tmp_path / "out"), json.dumps(commands)],
+        env=env,
+        capture_output=True,
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0] * len(commands)
+    # the last one wrote the whole dump
+    assert (tmp_path / "out").read_text().count("\n") == 1 + 17 * 17
+
+
 @pytest.mark.parametrize(
     "argv, lines",
     [(["field-dump", "--grid-n", "256"], 1), (["zeros", "--c", "3"], 0)],

@@ -18,6 +18,7 @@ from oracles import (
     frame_components,
     generic_velocity_and_gap,
     params_near_critical,
+    pointwise,
     velocity_generic,
 )
 
@@ -25,8 +26,8 @@ P1 = ModelParams(3, 1, 1)
 
 
 def _hessian(kx, ky, p):
-    """(hxx, hxy, hyy, det, trace) from the array kernels."""
-    hxx, hxy, hyy = hessian(kx, ky, p)
+    """(hxx, hxy, hyy, det, trace) of the float Hessian at each point of kx, ky."""
+    hxx, hxy, hyy = pointwise(hessian, kx, ky, p)
     return hxx, hxy, hyy, hxx * hyy - hxy * hxy, hxx + hyy
 
 
@@ -46,8 +47,8 @@ def test_velocity_halfpi_value():
 
 
 def test_gapless_point_raises():
-    # the array kernel reports the closed gap for its callers to check;
-    # the frame-projection oracle raises at the point
+    # the kernel reports the closed gap for its callers to check; the
+    # frame-projection oracle raises at the point
     gapless = ModelParams(3, 1, 2)
     _, _, gap = velocity_and_gap(math.pi, math.pi, gapless)
     assert gap <= EPS_GAP
@@ -58,7 +59,7 @@ def test_gapless_point_raises():
 def test_dual_formula_agreement():
     t = np.linspace(-math.pi, math.pi, 101)
     kx, ky = np.meshgrid(t, t, indexing="ij")
-    vx1, vy1, gap = velocity_and_gap(kx, ky, P1)
+    vx1, vy1, gap = pointwise(velocity_and_gap, kx, ky, P1)
     vx2, vy2, _ = generic_velocity_and_gap(kx, ky, P1)
     assert np.min(gap) > 1e-6
     assert np.max(np.abs(vx1 - vx2)) <= 1e-10
@@ -68,7 +69,7 @@ def test_dual_formula_agreement():
 def test_velocity_is_energy_gradient():
     t = np.linspace(-math.pi, math.pi, 101)
     kx, ky = np.meshgrid(t, t, indexing="ij")
-    vx, vy, _ = velocity_and_gap(kx, ky, P1)
+    vx, vy, _ = pointwise(velocity_and_gap, kx, ky, P1)
     gx, gy = fd_energy_gradient(kx, ky, P1, step=1e-4)
     assert np.max(np.abs(vx - gx)) <= 1e-6
     assert np.max(np.abs(vy - gy)) <= 1e-6
@@ -79,7 +80,7 @@ def test_velocity_bounded_by_frame():
     rng = np.random.default_rng(5)
     kx = rng.uniform(-math.pi, math.pi, 500)
     ky = rng.uniform(-math.pi, math.pi, 500)
-    vx, vy, _ = velocity_and_gap(kx, ky, P1)
+    vx, vy, _ = pointwise(velocity_and_gap, kx, ky, P1)
     ax, ay, az, bx, by, bz = frame_components(kx, ky, P1)
     bound = np.sqrt(ax**2 + ay**2 + az**2) + np.sqrt(bx**2 + by**2 + bz**2)
     assert np.all(np.hypot(vx, vy) <= bound + 1e-12)
@@ -88,8 +89,8 @@ def test_velocity_bounded_by_frame():
 def test_velocity_periodicity():
     rng = np.random.default_rng(6)
     kx, ky = rng.uniform(-math.pi, math.pi, (2, 100))
-    a = np.array(velocity_and_gap(kx, ky, P1))
-    b = np.array(velocity_and_gap(kx + 2 * math.pi, ky + 2 * math.pi, P1))
+    a = np.array(pointwise(velocity_and_gap, kx, ky, P1))
+    b = np.array(pointwise(velocity_and_gap, kx + 2 * math.pi, ky + 2 * math.pi, P1))
     assert np.allclose(a, b, atol=1e-12)
 
 
@@ -115,11 +116,11 @@ def test_jacobian_symmetry():
     rng = np.random.default_rng(7)
     kx, ky = rng.uniform(-math.pi, math.pi, (2, 100))
     step = 1e-5
-    vxp, vyp, _ = velocity_and_gap(kx, ky + step, P1)
-    vxm, vym, _ = velocity_and_gap(kx, ky - step, P1)
+    vxp, vyp, _ = pointwise(velocity_and_gap, kx, ky + step, P1)
+    vxm, vym, _ = pointwise(velocity_and_gap, kx, ky - step, P1)
     dvx_dky = (vxp - vxm) / (2 * step)
-    vxp, vyp, _ = velocity_and_gap(kx + step, ky, P1)
-    vxm, vym, _ = velocity_and_gap(kx - step, ky, P1)
+    vxp, vyp, _ = pointwise(velocity_and_gap, kx + step, ky, P1)
+    vxm, vym, _ = pointwise(velocity_and_gap, kx - step, ky, P1)
     dvy_dkx = (vyp - vym) / (2 * step)
     hxy = _hessian(kx, ky, P1)[1]
     assert np.max(np.abs(dvx_dky - dvy_dkx)) <= 1e-6
@@ -134,7 +135,7 @@ def test_hessian_matches_finite_differences(params, kx, ky):
     p = ModelParams(*params)
     hx, hy, hz = bloch_components(kx, ky, p)
     assume(math.sqrt(hx * hx + hy * hy + hz * hz) >= 0.1)
-    hxx, hxy, hyy = (float(x) for x in hessian(kx, ky, p))
+    hxx, hxy, hyy = hessian(kx, ky, p)
     m00, m01, m10, m11 = (float(x) for x in fd_velocity_jacobian(kx, ky, p))
     scale = 1.0 + max(abs(hxx), abs(hxy), abs(hyy))
     for got, want in ((hxx, m00), (hxy, m01), (hxy, m10), (hyy, m11)):
@@ -146,7 +147,7 @@ def test_band_zero_sets_and_indexes_coincide():
     # and negating a 2x2 Jacobian keeps its determinant, so indexes match
     kx = np.array([0.0, math.pi, 0.0, math.pi])
     ky = np.array([0.0, 0.0, math.pi, math.pi])
-    vx, vy, _ = velocity_and_gap(kx, ky, P1)
+    vx, vy, _ = pointwise(velocity_and_gap, kx, ky, P1)
     assert np.all(np.hypot(vx, vy) <= 1e-12)
     hxx, hxy, hyy, det, trace = _hessian(kx, ky, P1)
     lower_det = (-hxx) * (-hyy) - (-hxy) * (-hxy)

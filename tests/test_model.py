@@ -13,24 +13,32 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from blochflow import KPoint, ModelParams, gap_min, model
+from blochflow.field import velocity_and_gap
 from blochflow.model import (
     PARAM_MAX,
     PARAM_MIN,
     SURFACE_CSV_HEADER,
+    _bloch,
     _kx_pi_cubic,
     _kx_pi_roots,
+    _kx_trig,
+    _trig_rho,
     bloch_components,
     write_surface_csv,
     zero_bifurcations,
 )
 
 from oracles import (
+    array_bloch_components,
+    array_trig_rho,
+    array_velocity_and_gap,
     axis_distance,
     fd_bloch_frame,
     frame_components,
     generic_velocity_and_gap,
     numpy_kx_pi_roots,
     params_near_critical,
+    pointwise,
     scan_gap_min,
     surface_csv_rows,
 )
@@ -100,9 +108,9 @@ def test_bloch_vector_values():
 def test_periodicity():
     rng = np.random.default_rng(3)
     kx, ky = rng.uniform(-math.pi, math.pi, (2, 100))
-    a = np.array(bloch_components(kx, ky, P1))
-    b = np.array(bloch_components(kx + 2 * math.pi, ky, P1))
-    c = np.array(bloch_components(kx, ky + 2 * math.pi, P1))
+    a = np.array(pointwise(bloch_components, kx, ky, P1))
+    b = np.array(pointwise(bloch_components, kx + 2 * math.pi, ky, P1))
+    c = np.array(pointwise(bloch_components, kx, ky + 2 * math.pi, P1))
     assert np.allclose(a, b, atol=1e-12)
     assert np.allclose(a, c, atol=1e-12)
 
@@ -295,11 +303,38 @@ def test_surface_csv_format():
             float(tok)
 
 
-def test_bloch_components_broadcast():
-    kx = np.linspace(-math.pi, math.pi, 7)
-    hx, hy, hz = bloch_components(kx, 0.0, P1)
-    assert hx.shape == kx.shape
-    assert np.allclose(hz, 0.0, atol=1e-15)
+def test_bloch_on_a_ky_line():
+    # one ky line of 7 kx nodes: one value per node, and the same floats as
+    # the points one at a time
+    kx = np.linspace(-math.pi, math.pi, 7).tolist()
+    hx, hy, vx, vy, gap = _bloch(_kx_trig(kx), [_trig_rho(0.0, P1)] * len(kx), P1)
+    assert len(hx) == len(hy) == len(vx) == len(vy) == len(gap) == len(kx)
+    assert [bloch_components(x, 0.0, P1) for x in kx] == [(a, b, 0.0) for a, b in zip(hx, hy)]
+    assert [velocity_and_gap(x, 0.0, P1) for x in kx] == list(zip(vx, vy, gap))
+
+
+@settings(max_examples=300)
+@given(
+    st.floats(-3.0, 3.0),
+    st.floats(1e-8, 1.0 - 1e-8),
+    st.floats(0.0, 2.5),
+    st.floats(-math.pi, math.pi),
+    st.floats(-math.pi, math.pi),
+)
+def test_float_kernels_match_array_oracle_bit_for_bit(log_R, ratio, shift, kx, ky):
+    # rho, h and v on floats (math, squares as products) against the array
+    # forms (numpy), with R over six decades: the same bits, so the field
+    # dump keeps its bytes
+    R = 10.0**log_R
+    p = ModelParams(R, R * ratio, R * shift)
+    want = array_trig_rho(np.array([kx]), np.array([ky]), p)
+    assert _trig_rho(ky, p)[:3] == tuple(float(x[0]) for x in want[2:])
+    assert bloch_components(kx, ky, p) == tuple(float(np.ravel(x)[0]) for x in array_bloch_components(kx, ky, p))
+    got = velocity_and_gap(kx, ky, p)
+    want = tuple(float(x[0]) for x in array_velocity_and_gap(np.array([kx]), np.array([ky]), p))
+    assert got == want
+    # and the signs of zeros, which the dump prints
+    assert [math.copysign(1.0, x) for x in got] == [math.copysign(1.0, x) for x in want]
 
 
 def _term_size(cubic, u):

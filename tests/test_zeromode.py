@@ -36,6 +36,7 @@ from blochflow.zeromode import (
 )
 
 from oracles import (
+    array_hessian,
     axis_distance,
     brute_zero_census,
     census_fold,
@@ -333,10 +334,9 @@ def _census_outcome(census, p):
 def _newton_zeros(p):
     """The Newton oracle's zeros, with the library's nondegeneracy check."""
     zeros = full_backtrack_census(p)
-    kx, ky = np.array(zeros).T
-    hxx, hxy, hyy = hessian(kx, ky, p)
-    for det, trace in zip((hxx * hyy - hxy * hxy).tolist(), (hxx + hyy).tolist()):
-        classify(det, trace, p.R)
+    for kx, ky in zeros:
+        hxx, hxy, hyy = hessian(kx, ky, p)
+        classify(hxx * hyy - hxy * hxy, hxx + hyy, p.R)
     return zeros
 
 
@@ -361,14 +361,14 @@ def test_census_matches_full_backtrack_oracle(params):
 
 
 def test_census_kernel_work(monkeypatch):
-    # the census evaluates the Hessian once per zero, on floats with math,
-    # and on nothing else: 4 or 8 points per census, no arrays
+    # the census evaluates the Hessian once per zero, on floats, and on
+    # nothing else: 4 or 8 points per census
     points = []
 
-    def counting(kx, ky, p, xp):
-        assert xp is math and type(kx) is float and type(ky) is float
+    def counting(kx, ky, p):
+        assert type(kx) is float and type(ky) is float
         points.append((kx, ky))
-        return hessian(kx, ky, p, xp)
+        return hessian(kx, ky, p)
 
     monkeypatch.setattr(blochflow.zeromode, "hessian", counting)
     assert not hasattr(blochflow.zeromode, "np")
@@ -411,15 +411,16 @@ def hessian_params(draw):
 @given(hessian_params())
 def test_float_hessian_matches_array_oracle(params):
     # at every census zero the float Hessian (math) is the array one (the
-    # oracle, numpy) up to the last bits, and gives the same kind
+    # oracle, numpy, whose rho**3 is its own power) up to the last bits, and
+    # gives the same kind
     p = ModelParams(*params)
     try:
         points = _closed_form_census(p)
     except TopologyError:
         return
     for kx, ky in points:
-        got = hessian(kx, ky, p, math)
-        want = [float(h[0]) for h in hessian(np.array([kx]), np.array([ky]), p)]
+        got = hessian(kx, ky, p)
+        want = [float(h[0]) for h in array_hessian(np.array([kx]), np.array([ky]), p)]
         scale = max(abs(h) for h in want)
         assert all(abs(a - b) <= 1e-13 * scale for a, b in zip(got, want)), (got, want)
         assert _kind(*got, p.R) is _kind(*want, p.R)
