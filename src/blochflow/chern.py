@@ -44,7 +44,7 @@ of a cubic in cos ky (``model._kx_pi_roots``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DegenerateTriangle, GaplessModel, InsufficientSampling
 from .model import TWO_PI, ModelParams, _bloch, _kx_pi_roots, _kx_trig, _trig_rho, gapless_boundary
@@ -62,8 +62,7 @@ DIRECT_N = 256
 DIRECT_TOL = 1e-2
 
 
-@dataclass(frozen=True)
-class ChernResult:
+class ChernResult(NamedTuple):
     raw: float
     value: int
     gap_min: float

@@ -29,7 +29,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
 
 from . import __version__
 from .chern import chern_direct, chern_plaquette
@@ -203,7 +202,7 @@ def _cmd_zeros(args) -> int:
 def _cmd_chern(args) -> int:
     p = _model_params(args)
     res = chern_plaquette(p) if args.method == "plaquette" else chern_direct(p)
-    _emit(_json(asdict(res)), args.out)
+    _emit(_json(res._asdict()), args.out)
     return 0
 
 
@@ -226,7 +225,7 @@ def _cmd_winding(args) -> int:
         loop = LoopSpec.circle(KPoint(cx, cy), args.radius)
     except ValueError as e:
         raise _UsageError(f"--radius: {e}") from e
-    doc = asdict(winding_hermitian(loop, p))
+    doc = winding_hermitian(loop, p)._asdict()
     doc["samples_used"] = doc.pop("samples")
     _emit(_json(doc), args.out)
     return 0

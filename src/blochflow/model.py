@@ -35,11 +35,11 @@ The gap closes at c = R -+ r (``gapless_boundary``).
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import math
 import os
-from dataclasses import dataclass
-from typing import TextIO
+from typing import NamedTuple, TextIO
 
 TWO_PI = 2.0 * math.pi
 # Largest accepted |R|, |r| and |c|.  |h|^2 and the Hessian determinant,
@@ -56,38 +56,40 @@ def reduce_angle(x):
     return (x + math.pi) % TWO_PI - math.pi
 
 
-@dataclass(frozen=True)
-class ModelParams:
-    """Torus parameters: major radius R, tube radius r, axis shift c.
+class ModelParams(collections.namedtuple("ModelParams", "R r c")):
+    """Torus parameters: major radius R, tube radius r, axis shift c (default 0.0).
 
     Requires R > r > 0 so the image surface is embedded (never touches its
     own axis) and c >= 0, all at most ``PARAM_MAX``, and r at least
     ``PARAM_MIN``.  c = 0 is a legal surface but makes the first velocity
-    component vanish identically; the zero-mode census rejects it.
+    component vanish identically; the zero-mode census rejects it.  An
+    immutable named tuple: construction, ``_make``, ``_replace`` and
+    unpickling (pickle protocol 2 and up) all run these checks.
     """
 
-    R: float
-    r: float
-    c: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not all(abs(x) <= PARAM_MAX for x in (self.R, self.r, self.c)) or 0.0 < self.r < PARAM_MIN:
+    def __new__(cls, R: float, r: float, c: float = 0.0):
+        if not all(abs(x) <= PARAM_MAX for x in (R, r, c)) or 0.0 < r < PARAM_MIN:
             raise ValueError(
                 f"parameters must be finite and at most {PARAM_MAX:.0e}, with r at least {PARAM_MIN:.0e}, "
-                f"got R={self.R}, r={self.r}, c={self.c}"
+                f"got R={R}, r={r}, c={c}"
             )
-        if not self.r > 0.0:
-            raise ValueError(f"tube radius r must be positive, got r={self.r}")
-        if not self.R > self.r:
-            raise ValueError(
-                f"major radius must exceed tube radius (R > r), got R={self.R}, r={self.r}"
-            )
-        if self.c < 0.0:
-            raise ValueError(f"axis shift c must be nonnegative, got c={self.c}")
+        if not r > 0.0:
+            raise ValueError(f"tube radius r must be positive, got r={r}")
+        if not R > r:
+            raise ValueError(f"major radius must exceed tube radius (R > r), got R={R}, r={r}")
+        if c < 0.0:
+            raise ValueError(f"axis shift c must be nonnegative, got c={c}")
+        return super().__new__(cls, R, r, c)
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's own _make, which _replace calls, bypasses __new__
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class KPoint:
+class KPoint(NamedTuple):
     """A crystal-momentum point, kx and ky in radians."""
 
     kx: float

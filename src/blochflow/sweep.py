@@ -17,9 +17,10 @@ writes them as CSV.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .chern import _chern_preimages, gap_min
 from .errors import DegenerateField, DegenerateZero, GaplessModel, NonIsolatedZero
@@ -35,22 +36,31 @@ STATUS_DEGENERATE = "degenerate"
 _AXIS_NAMES = ("R", "r", "c")
 
 
-@dataclass(frozen=True)
-class SweepAxis:
-    name: str
-    start: float
-    stop: float
-    steps: int
+class SweepAxis(collections.namedtuple("SweepAxis", "name start stop steps")):
+    """One uniform sweep axis: ``steps`` values of parameter ``name`` from start to stop.
 
-    def __post_init__(self):
-        if self.name not in _AXIS_NAMES:
-            raise ValueError(f"axis name must be one of {_AXIS_NAMES}, got {self.name!r}")
-        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
-            raise ValueError(f"axis bounds must be finite, got [{self.start}, {self.stop}]")
-        if self.steps < 1:
-            raise ValueError(f"axis needs steps >= 1, got {self.steps}")
-        if not self.start < self.stop:
-            raise ValueError(f"axis needs start < stop, got [{self.start}, {self.stop}]")
+    An immutable named tuple: construction, ``_make``, ``_replace`` and
+    unpickling (pickle protocol 2 and up) all check the name, the bounds
+    and the step count.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, start: float, stop: float, steps: int):
+        if name not in _AXIS_NAMES:
+            raise ValueError(f"axis name must be one of {_AXIS_NAMES}, got {name!r}")
+        if not (math.isfinite(start) and math.isfinite(stop)):
+            raise ValueError(f"axis bounds must be finite, got [{start}, {stop}]")
+        if steps < 1:
+            raise ValueError(f"axis needs steps >= 1, got {steps}")
+        if not start < stop:
+            raise ValueError(f"axis needs start < stop, got [{start}, {stop}]")
+        return super().__new__(cls, name, start, stop, steps)
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's own _make, which _replace calls, bypasses __new__
+        return cls(*iterable)
 
     def values(self) -> list:
         """``steps`` evenly spaced values from start to stop, bit for bit those of np.linspace."""
@@ -64,8 +74,7 @@ class SweepAxis:
         return [self.start + i * step for i in range(n)] + [self.stop]
 
 
-@dataclass(frozen=True)
-class SweepCell:
+class SweepCell(NamedTuple):
     params: ModelParams
     chern: int | None
     chi: int | None
@@ -73,8 +82,7 @@ class SweepCell:
     status: str
 
 
-@dataclass(frozen=True)
-class PhaseDiagramGrid:
+class PhaseDiagramGrid(NamedTuple):
     cells: tuple
 
 

@@ -23,8 +23,7 @@ Adapters:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import GaplessPoint, InsufficientSampling, ZeroOnLoop
 from .field import EPS_GAP
@@ -39,8 +38,7 @@ NORM_FLOOR = 1e-12
 FD_STEP = 1e-6
 
 
-@dataclass(frozen=True)
-class LoopSpec:
+class LoopSpec(NamedTuple):
     """A closed sampling loop in the zone: a circle or an explicit polyline."""
 
     center: KPoint | None = None
@@ -81,8 +79,7 @@ class LoopSpec:
         )
 
 
-@dataclass(frozen=True)
-class WindingResult:
+class WindingResult(NamedTuple):
     w: int
     total_angle: float
     min_field_norm: float

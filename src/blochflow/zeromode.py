@@ -23,8 +23,8 @@ output of ``cli`` lists its closed-zone copies with their weights.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import DegenerateField, DegenerateZero, GaplessModel, NonIsolatedZero
 from .field import EPS_GAP, hessian
@@ -49,8 +49,7 @@ class ZeroKind(Enum):
     SADDLE = "saddle"
 
 
-@dataclass(frozen=True, eq=False)
-class ZeroMode:
+class ZeroMode(NamedTuple):
     """A located, classified zero of the velocity field."""
 
     location: KPoint
@@ -64,8 +63,7 @@ class ZeroMode:
         return -1 if self.kind is ZeroKind.SADDLE else 1
 
 
-@dataclass(frozen=True, eq=False)
-class EulerResult:
+class EulerResult(NamedTuple):
     chi: int
     modes: list
 

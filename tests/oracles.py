@@ -266,9 +266,11 @@ def numpy_kx_pi_roots(p):
     4e-16 R^2 / (R - r) of c_p, where the root near u = 1 meets the one
     near u = R / r, np.roots resolves it only to about sqrt(eps) and one
     Newton step does not bring it back (at R = 144.68632625892462,
-    r = 144.6863240451086, c = 5.327264025252778e-06 it gives u = 0.887
-    where the closed form gives 0.9999999942).  Compare only outside
-    that band.
+    r = 144.6863240451086, c = 5.327264025252778e-06 it gives u = 0.887;
+    the closed form gives 0.99999999415 and the exact root of the cubic
+    on those floats is 0.99999999689, a set the census refuses, with
+    c / R = 3.7e-8).  Compare only outside that band; inside it the
+    closed form is checked against the exact cubic instead.
     """
     cubic = c3, c2, c1, c0 = _kx_pi_cubic(p)
     u = np.roots(cubic)

@@ -4,16 +4,19 @@ import errno
 import io
 import math
 import os
+import pickle
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from blochflow import KPoint, ModelParams, gap_min, model
+from blochflow import KPoint, ModelParams, SweepAxis, gap_min, model
 from blochflow.field import velocity_and_gap
+from blochflow.zeromode import BIFURCATION_MARGIN, C_DEGENERATE
 from blochflow.model import (
     PARAM_MAX,
     PARAM_MIN,
@@ -71,6 +74,36 @@ def test_params_validation():
     ModelParams(3, 1, 0)  # c = 0 is constructible (census rejects it later)
     ModelParams(PARAM_MAX, 1, PARAM_MAX)
     ModelParams(3 * PARAM_MIN, PARAM_MIN, 0)
+
+
+@pytest.mark.parametrize(
+    "cls, good, bad, message",
+    [
+        (ModelParams, (3.0, 1.0, 1.0), {"r": 5.0}, "must exceed tube radius"),
+        (ModelParams, (3.0, 1.0, 1.0), {"c": -1.0}, "must be nonnegative"),
+        (ModelParams, (3.0, 1.0, 1.0), {"R": math.inf}, "finite and at most"),
+        (SweepAxis, ("c", 0.0, 1.0, 3), {"name": "q"}, "axis name must be one of"),
+        (SweepAxis, ("c", 0.0, 1.0, 3), {"stop": math.nan}, "must be finite"),
+        (SweepAxis, ("c", 0.0, 1.0, 3), {"steps": 0}, "steps >= 1"),
+        (SweepAxis, ("c", 0.0, 1.0, 3), {"start": 2.0}, "start < stop"),
+    ],
+)
+def test_validated_records_check_every_constructor(cls, good, bad, message):
+    # the records are named tuples, whose _make and _replace build the tuple
+    # without calling __new__: each way in must still run the checks
+    record = cls(*good)
+    values = {**record._asdict(), **bad}
+    for build in (
+        lambda: cls(*values.values()),
+        lambda: cls(**values),
+        lambda: cls._make(values.values()),
+        lambda: record._replace(**bad),
+    ):
+        with pytest.raises(ValueError, match=message):
+            build()
+    again = pickle.loads(pickle.dumps(record))
+    assert (again, type(again)) == (record, cls)
+    assert record._replace() == record == good
 
 
 def test_kpoint_canonical():
@@ -383,6 +416,32 @@ def test_kx_pi_roots_match_numpy_oracle(params):
     g, scan = gap_min(p), scan_gap_min(p)
     assert g <= scan + 1e-12 * R
     assert abs(g - scan) <= 1e-9 * R
+
+
+def _exact_cubic(R, r, c, u):
+    """(R^2 + r^2 + 2 R r u)(R - r u)^2 - c^2 R^2, exactly, on Fractions."""
+    return (R * R + r * r + 2 * R * r * u) * (R - r * u) ** 2 - c * c * R * R
+
+
+@settings(max_examples=300)
+@given(st.floats(-3.0, 3.0), st.floats(-9.0, -1.0), st.floats(-5.0, -1.5))
+def test_kx_pi_roots_bracket_exact_roots_near_the_pitchfork(log_R, log_gap, log_offset):
+    # r -> R with c just above the pitchfork c_p, the band the numpy oracle
+    # cannot check: each closed-form root must sit within 2^20 ulp of a sign
+    # change of the exact cubic, on the floats R, r, c as given.  The band is
+    # where the census runs: c / R > C_DEGENERATE, and c more than
+    # BIFURCATION_MARGIN R from c_p and c_f.
+    R = 10.0**log_R
+    r = R * (1.0 - 10.0**log_gap)
+    c_p, c_f = zero_bifurcations(R, r)
+    c = c_p + R * 10.0**log_offset
+    assume(c / R > C_DEGENERATE and min(c - c_p, c_f - c) > BIFURCATION_MARGIN * R)
+    roots = _kx_pi_roots(ModelParams(R, r, c))
+    assert len(roots) == 2
+    exact = [Fraction(x) for x in (R, r, c)]
+    for u in roots:
+        d = Fraction(math.ulp(u)) * 2**20
+        assert _exact_cubic(*exact, Fraction(u) - d) * _exact_cubic(*exact, Fraction(u) + d) <= 0
 
 
 @pytest.mark.parametrize(
