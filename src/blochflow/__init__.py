@@ -27,7 +27,7 @@ from .zeromode import (
     euler_characteristic,
 )
 from .chern import ChernResult, chern_direct, chern_plaquette, gap_min
-from .winding import LoopSpec, WindingResult, winding_hermitian, winding_nonhermitian
+from .winding import LoopSpec, WindingResult, winding_hermitian
 from .sweep import PhaseDiagramGrid, SweepAxis, sweep_chern, sweep_euler
 
 __all__ = [
@@ -58,5 +58,4 @@ __all__ = [
     "sweep_chern",
     "sweep_euler",
     "winding_hermitian",
-    "winding_nonhermitian",
 ]

@@ -234,8 +234,6 @@ def _cmd_winding(args) -> int:
 def _cmd_phase_diagram(args) -> int:
     p = _model_params(args)
     axes = [_parse_axis(text) for text in args.axis]
-    if len(axes) > 2:
-        raise _UsageError(f"--axis: at most 2 axes, got {len(axes)}")
     try:
         if args.quantity == "chern":
             grid = sweep_chern(axes, p)

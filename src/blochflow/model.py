@@ -16,10 +16,10 @@ floats with ``math``.  At a fixed ky, h and the band velocity need only
 work on ky lines: ``_kx_trig`` evaluates sin kx and cos kx once per grid,
 ``_trig_rho`` the factors of ky once per line, and ``_bloch`` is the one
 place that assembles h, |h| and the velocity from them, at every node of
-one or many lines.  A point is a line with one node.  The Bloch vector
-(``bloch_components``), the velocity and its Hessian (``field``), the
-field dump (``write_surface_csv``) and the unit Bloch vector of the
-Chern sum (``chern``) are all written on ``_bloch``.
+one or many lines.  A point is a line with one node.  The field dump
+(``write_surface_csv``), the winding loops (``winding``), the Hessian of
+the zero census (``zeromode``) and the unit Bloch vector of the Chern
+sum (``chern``) are all written on ``_bloch``.
 ``KPoint.canonical`` reduces a single point to the fundamental domain
 [-pi, pi)^2.
 
@@ -49,10 +49,13 @@ PARAM_MAX = 1e50
 # Hessian determinant above about 1e-100, far from float underflow.  The
 # kx = pi cubic (``_kx_pi_cubic``) is scale-free and needs neither bound.
 PARAM_MIN = 1e-50
+# Largest gap / R at which a point counts as a band touching, where the
+# velocity is undefined: the winding loops and the census's fixed zeros.
+EPS_GAP = 1e-9
 
 
 def reduce_angle(x):
-    """Reduce an angle (scalar or array) into the half-open interval [-pi, pi)."""
+    """Reduce an angle into the half-open interval [-pi, pi)."""
     return (x + math.pi) % TWO_PI - math.pi
 
 
@@ -97,7 +100,7 @@ class KPoint(NamedTuple):
 
     def canonical(self) -> "KPoint":
         """Equivalent representative in the fundamental domain [-pi, pi)^2."""
-        return KPoint(float(reduce_angle(self.kx)), float(reduce_angle(self.ky)))
+        return KPoint(reduce_angle(self.kx), reduce_angle(self.ky))
 
 
 def _kx_trig(kx) -> tuple:
@@ -128,7 +131,7 @@ def _bloch(kx_trig: tuple, lines: list, p: ModelParams) -> tuple:
     node's ky factors (``_trig_rho``): the nodes of one ky line share one
     tuple, ``[_trig_rho(ky, p)] * n``, and hz = r sin ky is one of them.
     h = (rho cos kx + c, rho sin kx, r sin ky), and the velocity, the
-    gradient of |h| (``field``), is
+    gradient of |h|, is
 
         vx = -c rho sin kx / |h|,
         vy = -(r R / |h|) (1 + (c / rho) cos kx - (r / R) cos ky) sin ky.
@@ -223,13 +226,6 @@ def _kx_pi_roots(p: ModelParams) -> list:
         if abs(u) < 1.0:
             roots.append(u)
     return roots
-
-
-def bloch_components(kx: float, ky: float, p: ModelParams) -> tuple:
-    """Components (hx, hy, hz) of the Bloch vector at one point."""
-    line = _trig_rho(ky, p)
-    (hx,), (hy,), _, _, _ = _bloch(_kx_trig((kx,)), [line], p)
-    return hx, hy, line[3]
 
 
 SURFACE_CSV_HEADER = "kx,ky,hx,hy,hz,vx,vy"

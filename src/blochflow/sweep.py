@@ -98,7 +98,7 @@ def _cell_param_sets(axes, base: ModelParams):
     for combo in itertools.product(*(ax.values() for ax in axes)):
         kw = {"R": base.R, "r": base.r, "c": base.c}
         for name, value in zip(names, combo):
-            kw[name] = float(value)
+            kw[name] = value
         try:
             out.append(ModelParams(**kw))
         except ValueError as e:

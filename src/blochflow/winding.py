@@ -5,37 +5,36 @@ field along a closed loop, divided by 2*pi.  It is computed as the sum of
 wrapped angle increments between consecutive samples, closing the loop
 from the last sample back to the first; increments must stay below pi/2
 or the sampling is declared too coarse.  The sample count is not a
-setting: the adapters here sample a circle at ``DEFAULT_SAMPLES`` points
-and double that until the increments are fine enough (up to
+setting: ``winding`` samples a circle at ``DEFAULT_SAMPLES`` points and
+doubles that until the increments are fine enough (up to
 ``MAX_SAMPLES``); a polyline is taken as given and never densified.
 Samples, fields and angles are lists of floats, computed with ``math``.
 
-Adapters:
+``winding(loop, field)`` is the one definition, for any planar field:
 
-* Hermitian: the planar pair is the band velocity (vx, vy).  For a small
-  loop around a nondegenerate zero the winding equals the zero's Poincare
-  index (+1 sink/source, -1 saddle); a loop enclosing nothing gives 0.
-* Non-Hermitian: a complex band energy carries a complex velocity
+* Hermitian: the planar pair is the band velocity (vx, vy)
+  (``winding_hermitian``).  For a small loop around a nondegenerate zero
+  the winding equals the zero's Poincare index (+1 sink/source, -1
+  saddle); a loop enclosing nothing gives 0.
+* Non-Hermitian: a complex band energy E carries a complex velocity
   v = grad Re(E) + i grad Im(E).  Both parts are 2-vectors, so the planar
-  pair is chosen per axis: (Re dE/dk_axis, Im dE/dk_axis), x by default.
+  pair is taken along one axis, (Re dE/dkx, Im dE/dkx) for x, from the
+  caller's analytic derivative of E.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .errors import GaplessPoint, InsufficientSampling, ZeroOnLoop
-from .field import EPS_GAP
-from .model import TWO_PI, KPoint, ModelParams, _bloch, _kx_trig, _trig_rho, reduce_angle
+from .model import EPS_GAP, TWO_PI, KPoint, ModelParams, _bloch, _kx_trig, _trig_rho, reduce_angle
 
 MIN_SAMPLES = 16
 DEFAULT_SAMPLES = 256
 MAX_SAMPLES = 4096
 MAX_INCREMENT = math.pi / 2
 NORM_FLOOR = 1e-12
-# Central-difference step of winding_nonhermitian's band derivative.
-FD_STEP = 1e-6
 
 
 class LoopSpec(NamedTuple):
@@ -89,14 +88,14 @@ class WindingResult(NamedTuple):
 def winding_planar(field_samples) -> WindingResult:
     """Winding of a sampled planar field around its implicit closed loop.
 
-    ``field_samples`` is a sequence of (a, b) pairs or an (N, 2) array.
+    ``field_samples`` is a sequence of (a, b) pairs.
     Raises ValueError on a non-finite sample, ZeroOnLoop if any sample
     norm drops to ``NORM_FLOOR`` times the largest (a scale-free floor)
     and InsufficientSampling if any wrapped increment reaches pi/2.
     """
     samples = list(field_samples)
     if len(samples) < 3 or any(len(s) != 2 for s in samples):
-        raise ValueError("expected at least 3 samples of shape (N, 2)")
+        raise ValueError("expected at least 3 samples, each an (a, b) pair")
     if not all(math.isfinite(a) and math.isfinite(b) for a, b in samples):
         raise ValueError("field samples must be finite")
     norms = [math.hypot(a, b) for a, b in samples]
@@ -114,12 +113,26 @@ def winding_planar(field_samples) -> WindingResult:
     return WindingResult(round(total / TWO_PI), total, min_norm, len(samples))
 
 
-def _with_densification(loop: LoopSpec, evaluate) -> WindingResult:
-    """Run winding_planar on ``evaluate(kx, ky)`` of the loop samples, doubling a circle's as needed."""
+def winding(loop: LoopSpec, field) -> WindingResult:
+    """Winding of the planar field ``field`` along the loop, doubling a circle's samples as needed.
+
+    ``field(kx, ky)`` takes the lists of the loop's sample coordinates and
+    returns one (a, b) pair per sample.  For a complex band energy E, pass
+    (Re dE/dkx, Im dE/dkx) from E's analytic derivative, for example
+
+        def field(kx, ky):
+            return [(x - a, y - b) for x, y in zip(kx, ky)]
+
+    for E = (kx - a)^2 / 2 + i (ky - b) kx, whose dE/dkx is (kx - a) +
+    i (ky - b); (Re dE/dky, Im dE/dky) gives the y axis.  With a purely
+    real band the imaginary part vanishes identically and the angle is
+    only defined while the real part keeps its sign; loops crossing its
+    zero set raise ZeroOnLoop.
+    """
     n = DEFAULT_SAMPLES
     while True:
         try:
-            return winding_planar(evaluate(*loop.sample_points(n)))
+            return winding_planar(field(*loop.sample_points(n)))
         except InsufficientSampling:
             n *= 2
             if loop.points is not None or n > MAX_SAMPLES:
@@ -130,10 +143,10 @@ def winding_hermitian(loop: LoopSpec, p: ModelParams) -> WindingResult:
     """Winding of the band velocity along the loop.
 
     The loop must avoid zero modes (ZeroOnLoop otherwise) and band
-    touchings, gap / R at most ``field.EPS_GAP`` (GaplessPoint).
+    touchings, gap / R at most ``model.EPS_GAP`` (GaplessPoint).
     """
 
-    def evaluate(kx, ky):
+    def velocity(kx, ky):
         # every sample is a ky line with one node, all in one call
         _, _, vx, vy, gap = _bloch(_kx_trig(kx), [_trig_rho(y, p) for y in ky], p)
         g = min(gap)
@@ -141,34 +154,4 @@ def winding_hermitian(loop: LoopSpec, p: ModelParams) -> WindingResult:
             raise GaplessPoint(f"loop touches a gapless point (min |h| / R = {g / p.R:.3e} <= {EPS_GAP:.1e})")
         return list(zip(vx, vy))
 
-    return _with_densification(loop, evaluate)
-
-
-def winding_nonhermitian(
-    loop: LoopSpec,
-    band: Callable[[float, float], complex],
-    component: str = "x",
-) -> WindingResult:
-    """Winding of (Re dE/dk_axis, Im dE/dk_axis) for a complex band energy.
-
-    ``band`` maps (kx, ky) to a complex energy; the derivative along the
-    selected axis is taken by central differences of step ``FD_STEP``.
-    With a purely real band the imaginary part vanishes identically and
-    the angle is only defined while the real part keeps its sign; loops
-    crossing its zero set raise ZeroOnLoop.
-    """
-    if component not in ("x", "y"):
-        raise ValueError(f"component must be 'x' or 'y', got {component!r}")
-
-    def evaluate(kx, ky):
-        out = []
-        for x, y in zip(kx, ky):
-            if component == "x":
-                d = band(x + FD_STEP, y) - band(x - FD_STEP, y)
-            else:
-                d = band(x, y + FD_STEP) - band(x, y - FD_STEP)
-            d = complex(d) / (2.0 * FD_STEP)
-            out.append((d.real, d.imag))
-        return out
-
-    return _with_densification(loop, evaluate)
+    return winding(loop, velocity)

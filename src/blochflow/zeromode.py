@@ -8,8 +8,11 @@ are (pi, -+arccos u) for each root u in (-1, 1) of the cubic that
 (``model.zero_bifurcations``), where the count changes, the census raises
 NonIsolatedZero, as it does when two zeros on kx = pi crowd each other.
 Each zero is then classified by its velocity Jacobian, the closed-form
-Hessian of |h| there, in ``math``: negative determinant is a saddle
-(index -1); positive is a sink or source by the trace sign (index +1).
+Hessian of |h| there (``hessian``), in ``math``: negative determinant is
+a saddle (index -1); positive is a sink or source by the trace sign
+(index +1).  The velocity is that of the upper band +|h|; the lower band
+carries -v and the negated Hessian, so the zeros and their indexes are
+band independent, while sinks and sources trade places.
 
 The sum of the indexes is the Euler characteristic of the image surface:
 0 for every gapped, nondegenerate parameter set of the torus model,
@@ -27,8 +30,19 @@ from enum import Enum
 from typing import NamedTuple
 
 from .errors import DegenerateField, DegenerateZero, GaplessModel, NonIsolatedZero
-from .field import EPS_GAP, hessian
-from .model import TWO_PI, KPoint, ModelParams, _kx_pi_roots, gapless_boundary, reduce_angle, zero_bifurcations
+from .model import (
+    EPS_GAP,
+    TWO_PI,
+    KPoint,
+    ModelParams,
+    _bloch,
+    _kx_pi_roots,
+    _kx_trig,
+    _trig_rho,
+    gapless_boundary,
+    reduce_angle,
+    zero_bifurcations,
+)
 
 # The model is scale-covariant: scaling R, r and c by s scales h and c by s
 # and the Jacobian determinant by s^2, and leaves the zeros and their kinds
@@ -66,6 +80,27 @@ class ZeroMode(NamedTuple):
 class EulerResult(NamedTuple):
     chi: int
     modes: list
+
+
+def hessian(kx: float, ky: float, p: ModelParams) -> tuple:
+    """Closed-form Hessian entries (hxx, hxy, hyy) of |h| at one point.
+
+    These are the velocity derivatives dvx/dkx, dvx/dky = dvy/dkx and
+    dvy/dky.  With G = |h|^2 / 2 = (rho^2 + c^2 + r^2 sin^2 ky) / 2 +
+    c rho cos kx, the velocity is v_i = G_i / |h| and its Jacobian
+    (G_ij - v_i v_j) / |h|, exactly symmetric.  No gap check: where |h| = 0
+    this raises ZeroDivisionError.
+    """
+    kx_trig = _kx_trig((kx,))
+    (sx,), (cx,) = kx_trig
+    line = _trig_rho(ky, p)
+    sy, cy, rho = line[:3]
+    _, _, (vx,), (vy,), (gap,) = _bloch(kx_trig, [line], p)
+    rr = p.r * p.R
+    gxx = -p.c * rho * cx
+    gxy = p.c * rr * sx * sy / rho
+    gyy = -rr * cy - p.c * rr * cx * (cy / rho + rr * sy * sy / rho**3) + p.r**2 * (cy * cy - sy * sy)
+    return (gxx - vx * vx) / gap, (gxy - vx * vy) / gap, (gyy - vy * vy) / gap
 
 
 def classify(det: float, trace: float, R: float) -> ZeroKind:

@@ -5,7 +5,9 @@ time; everything here is numpy arrays.  The array forms of the library's
 kernels (``array_trig_rho``, ``array_bloch_components``,
 ``array_velocity_and_gap``, ``array_hessian``) are the same formulas
 broadcast over arrays, and ``pointwise`` evaluates a library kernel at
-every point of an array.
+every point of an array.  ``bloch_components`` and ``velocity_and_gap``
+are not oracles: they are the library's ``model._bloch`` at one point, a
+ky line with one node, for the tests that check it point by point.
 
 Nothing here reuses the code path it is checking: velocities come from
 projecting the tangent frame onto the unit Bloch vector (the library
@@ -37,8 +39,7 @@ from scipy import ndimage
 from scipy.optimize import fsolve
 
 from blochflow.errors import DegenerateField, GaplessModel, GaplessPoint, NonIsolatedZero
-from blochflow.field import EPS_GAP
-from blochflow.model import TWO_PI, _kx_pi_cubic, reduce_angle
+from blochflow.model import EPS_GAP, TWO_PI, _bloch, _kx_pi_cubic, _kx_trig, _trig_rho, reduce_angle
 from blochflow.zeromode import C_DEGENERATE, ISOLATION_RADIUS, zero_bifurcations
 
 # The Newton census: damped Newton from every node of a 64 x 64 seed grid
@@ -56,6 +57,19 @@ def pointwise(kernel, kx, ky, p):
     kx, ky = np.broadcast_arrays(np.asarray(kx, dtype=float), np.asarray(ky, dtype=float))
     values = [kernel(a, b, p) for a, b in zip(kx.ravel().tolist(), ky.ravel().tolist())]
     return tuple(np.array(col).reshape(kx.shape) for col in zip(*values))
+
+
+def bloch_components(kx, ky, p):
+    """(hx, hy, hz) of the library's ``_bloch`` at one point."""
+    line = _trig_rho(ky, p)
+    (hx,), (hy,), _, _, _ = _bloch(_kx_trig((kx,)), [line], p)
+    return hx, hy, line[3]
+
+
+def velocity_and_gap(kx, ky, p):
+    """(vx, vy, gap) of the library's ``_bloch`` at one point; no gap check."""
+    _, _, (vx,), (vy,), (gap,) = _bloch(_kx_trig((kx,)), [_trig_rho(ky, p)], p)
+    return vx, vy, gap
 
 
 def array_trig_rho(kx, ky, p):

@@ -26,7 +26,6 @@ from blochflow import (
 )
 from blochflow.cli import closed_zone_records
 from blochflow.errors import DegenerateField, GaplessModel
-from blochflow.field import velocity_and_gap
 
 from oracles import (
     brute_zero_census,
@@ -35,6 +34,7 @@ from oracles import (
     pointwise,
     random_gapped_params,
     torus_distance,
+    velocity_and_gap,
 )
 
 P1 = ModelParams(3, 1, 1)

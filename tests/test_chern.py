@@ -26,10 +26,10 @@ from blochflow.chern import (
 )
 from blochflow.cli import main
 from blochflow.errors import DegenerateTriangle, GaplessModel, InsufficientSampling
-from blochflow.model import bloch_components
 
 from oracles import (
     axis_distance,
+    bloch_components,
     fd_degree_integrand,
     frame_chern_direct,
     frame_degree_integrand,

@@ -250,6 +250,11 @@ def test_phase_diagram_bad_axis(capsys):
     assert "--axis" in err
     rc, _, err = run(capsys, ["phase-diagram", "--axis", "q:0:1:5"])
     assert rc == 1
+    # the sweep counts the axes, and the CLI names the flag
+    three = ["--axis", "c:0.2:5.8:3", "--axis", "r:0.5:1.5:2", "--axis", "R:3:4:2"]
+    rc, out, err = run(capsys, ["phase-diagram", *three])
+    assert rc == 1 and out == ""
+    assert err == "blochflow phase-diagram: error: --axis: sweeps take 1 or 2 axes, got 3\n"
 
 
 def test_field_dump(capsys):

@@ -1,4 +1,8 @@
-"""Velocity field: closed form vs frame projection, Hessian, band sign."""
+"""Velocity field: closed form vs frame projection, Hessian, band sign.
+
+The point kernels are ``model._bloch`` at one point (``oracles``) and
+``zeromode.hessian``.
+"""
 
 import math
 
@@ -9,16 +13,18 @@ from hypothesis import strategies as st
 
 from blochflow import KPoint, ModelParams
 from blochflow.errors import GaplessPoint
-from blochflow.field import EPS_GAP, hessian, velocity_and_gap
-from blochflow.model import bloch_components
+from blochflow.model import EPS_GAP
+from blochflow.zeromode import hessian
 
 from oracles import (
+    bloch_components,
     fd_energy_gradient,
     fd_velocity_jacobian,
     frame_components,
     generic_velocity_and_gap,
     params_near_critical,
     pointwise,
+    velocity_and_gap,
     velocity_generic,
 )
 

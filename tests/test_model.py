@@ -15,7 +15,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from blochflow import KPoint, ModelParams, SweepAxis, gap_min, model
-from blochflow.field import velocity_and_gap
 from blochflow.zeromode import BIFURCATION_MARGIN, C_DEGENERATE
 from blochflow.model import (
     PARAM_MAX,
@@ -26,7 +25,6 @@ from blochflow.model import (
     _kx_pi_roots,
     _kx_trig,
     _trig_rho,
-    bloch_components,
     write_surface_csv,
     zero_bifurcations,
 )
@@ -36,6 +34,7 @@ from oracles import (
     array_trig_rho,
     array_velocity_and_gap,
     axis_distance,
+    bloch_components,
     fd_bloch_frame,
     frame_components,
     generic_velocity_and_gap,
@@ -44,6 +43,7 @@ from oracles import (
     pointwise,
     scan_gap_min,
     surface_csv_rows,
+    velocity_and_gap,
 )
 
 P1 = ModelParams(3, 1, 1)

@@ -25,6 +25,12 @@ def test_library_sketch_runs():
     assert (ns["lo"], ns["hi"]) == (2, 4)
 
 
+def test_nonhermitian_example_runs():
+    ns = {}
+    exec(compile(_block("### Non-Hermitian winding", "python"), str(README), "exec"), ns)
+    assert (ns["w_in"], ns["w_out"]) == (1, 0)
+
+
 def test_cli_examples_run(tmp_path, capsys):
     lines = [line for line in _block("## CLI").splitlines() if line.startswith("blochflow ")]
     assert len(lines) >= 8

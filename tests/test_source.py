@@ -1,0 +1,67 @@
+"""The source under src/blochflow, read with ``ast``: no dead imports, no orphaned public functions."""
+
+import ast
+import re
+from pathlib import Path
+
+import blochflow
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "blochflow"
+README = ROOT / "README.md"
+
+
+def _modules():
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+
+
+def test_every_module_uses_what_it_imports():
+    # __init__ imports to re-export; every other module imports to use
+    unused = []
+    for name, tree in _modules().items():
+        if name == "__init__":
+            continue
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {a.asname or a.name.partition(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {a.asname or a.name for a in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{name}: {n}" for n in sorted(imported - used)]
+    assert unused == []
+
+
+def test_every_public_function_has_a_caller_or_is_documented():
+    # module-level functions without a leading underscore, called somewhere
+    # in src/ (by name or as an attribute) or named in the README
+    modules = _modules()
+    called = set()
+    for tree in modules.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                called.add(f.id if isinstance(f, ast.Name) else getattr(f, "attr", None))
+    readme = README.read_text(encoding="utf-8")
+    orphans = [
+        f"{name}.{node.name}"
+        for name, tree in modules.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and not node.name.startswith("_")
+        and node.name not in called
+        and not re.search(rf"\b{node.name}\b", readme)
+    ]
+    assert orphans == []
+
+
+def test_root_exports_match_the_readme():
+    # the names the library sketch imports, plus those its export
+    # paragraph lists in backticks
+    section = README.read_text(encoding="utf-8").split("## Library sketch", 1)[1]
+    sketch = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    imported = {a.name for node in ast.parse(sketch).body if isinstance(node, ast.ImportFrom) for a in node.names}
+    paragraph = re.search(r"\nThe package root exports (.*?)\n\n", section, re.S).group(1)
+    listed = re.findall(r"`(\w+)`", paragraph)
+    assert len(listed) == len(set(listed))
+    assert sorted(blochflow.__all__) == sorted(imported | set(listed))

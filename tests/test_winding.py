@@ -1,4 +1,8 @@
-"""Winding numbers: planar core, Hermitian and non-Hermitian adapters."""
+"""Winding numbers: planar core, the Hermitian velocity and non-Hermitian bands.
+
+A non-Hermitian band E enters ``winding`` as (Re dE/dk, Im dE/dk) along
+one axis, from E's analytic derivative.
+"""
 
 import math
 
@@ -11,16 +15,20 @@ from blochflow import (
     ModelParams,
     euler_characteristic,
     winding_hermitian,
-    winding_nonhermitian,
 )
 from blochflow.errors import GaplessPoint, InsufficientSampling, ZeroOnLoop
-from blochflow.model import bloch_components, reduce_angle
-from blochflow.winding import winding_planar
+from blochflow.model import reduce_angle
+from blochflow.winding import winding, winding_planar
 
-from oracles import unwrap_winding
+from oracles import unwrap_winding, velocity_and_gap
 
 P1 = ModelParams(3, 1, 1)
 PI = math.pi
+
+
+def band_derivative(d_e):
+    """The planar field (Re dE/dk, Im dE/dk) of a complex derivative ``d_e(kx, ky)``, for ``winding``."""
+    return lambda kx, ky: [(d.real, d.imag) for d in map(d_e, kx, ky)]
 
 
 def circle_samples(n, turns=1, reverse=False):
@@ -67,10 +75,10 @@ def test_planar_input_validation():
         samples[10, 1] = bad
         with pytest.raises(ValueError, match="finite"):
             winding_planar(samples)
-    # the adapters pass a band's non-finite derivative on to the same check
-    band = lambda kx, ky: complex(math.nan, 0.0) if ky > 0.25 else (1 + 1j) * kx
+    # winding passes a band's non-finite derivative on to the same check
+    d_e = lambda kx, ky: complex(math.nan, 0.0) if ky > 0.25 else 1 + 1j
     with pytest.raises(ValueError, match="finite"):
-        winding_nonhermitian(LoopSpec.circle(KPoint(0, 0), 0.3), band)
+        winding(LoopSpec.circle(KPoint(0, 0), 0.3), band_derivative(d_e))
 
 
 def test_loopspec_validation():
@@ -162,10 +170,11 @@ def test_winding_is_scale_free(s):
     assert res.w == ref.w == 1
     assert res.samples == ref.samples
     assert res.min_field_norm == pytest.approx(s * ref.min_field_norm, rel=1e-9)
-    # the non-Hermitian adapter has no R: dE/dkx = s ((kx - a) + i (ky - b))
+    # a non-Hermitian band has no R: E = s ((kx - a)^2 / 2 + i (ky - b) kx),
+    # dE/dkx = s ((kx - a) + i (ky - b))
     a, b = 1.0, 0.5
-    band = lambda kx, ky: s * (0.5 * (kx - a) ** 2 + 1j * ((ky - b) * kx))
-    res = winding_nonhermitian(LoopSpec.circle(KPoint(a, b), 0.4), band)
+    d_e = lambda kx, ky: s * ((kx - a) + 1j * (ky - b))
+    res = winding(LoopSpec.circle(KPoint(a, b), 0.4), band_derivative(d_e))
     assert res.w == 1
     assert res.min_field_norm == pytest.approx(s * 0.4, rel=1e-6)
 
@@ -202,52 +211,46 @@ def test_hermitian_gapless_loop():
 
 
 def test_nonhermitian_constant_pair():
-    band = lambda kx, ky: (kx - PI) + 1j * (ky - PI)
-    res = winding_nonhermitian(LoopSpec.circle(KPoint(PI, PI), 0.4), band, component="x")
-    assert res.w == 0  # dE/dkx = 1 + 0i is constant
+    # E = (kx - pi) + i (ky - pi): dE/dkx = 1 + 0i is constant
+    d_e = lambda kx, ky: 1.0 + 0j
+    res = winding(LoopSpec.circle(KPoint(PI, PI), 0.4), band_derivative(d_e))
+    assert res.w == 0
 
 
 def test_nonhermitian_enclosed_zero():
+    # E = (kx - a)^2 / 2 + i (ky - b) kx: dE/dkx = (kx - a) + i (ky - b)
     a, b = 1.0, 0.5
-    band = lambda kx, ky: 0.5 * (kx - a) ** 2 + 1j * ((ky - b) * kx)
-    inside = winding_nonhermitian(LoopSpec.circle(KPoint(a, b), 0.4), band)
-    outside = winding_nonhermitian(LoopSpec.circle(KPoint(a + 2.0, b), 0.4), band)
+    d_e = lambda kx, ky: (kx - a) + 1j * (ky - b)
+    inside = winding(LoopSpec.circle(KPoint(a, b), 0.4), band_derivative(d_e))
+    outside = winding(LoopSpec.circle(KPoint(a + 2.0, b), 0.4), band_derivative(d_e))
     assert inside.w == 1
     assert outside.w == 0
 
 
 def test_nonhermitian_autodensification():
-    # dE/dkx = ((kx-a) + i(ky-b))^64 winds 64 times; the circle's 256
-    # starting samples put the increments at exactly pi/2, so the adapter
-    # must densify
+    # E = ((kx-a) + i(ky-b))^65 / 65: dE/dkx = ((kx-a) + i(ky-b))^64 winds
+    # 64 times; the circle's 256 starting samples put the increments at
+    # exactly pi/2, so winding must densify
     a, b = 1.0, 1.0
-    band = lambda kx, ky: ((kx - a) + 1j * (ky - b)) ** 65 / 65.0
-    res = winding_nonhermitian(LoopSpec.circle(KPoint(a, b), 1.0), band)
+    d_e = lambda kx, ky: ((kx - a) + 1j * (ky - b)) ** 64
+    res = winding(LoopSpec.circle(KPoint(a, b), 1.0), band_derivative(d_e))
     assert res.w == 64
     assert res.samples == 512
 
 
 def test_nonhermitian_real_band_domain():
-    # a purely real band has no imaginary velocity; near a velocity zero
-    # the pair degenerates and the adapter must refuse
-    def real_band(kx, ky):
-        hx, hy, hz = bloch_components(kx, ky, P1)
-        return complex(math.sqrt(hx * hx + hy * hy + hz * hz))
-
+    # a purely real band E = |h| has no imaginary velocity: dE/dkx = vx.
+    # Near a velocity zero the pair degenerates and winding must refuse
+    d_e = lambda kx, ky: velocity_and_gap(kx, ky, P1)[0]
     with pytest.raises(ZeroOnLoop):
-        winding_nonhermitian(LoopSpec.circle(KPoint(0, 0), 0.3), real_band)
+        winding(LoopSpec.circle(KPoint(0, 0), 0.3), band_derivative(d_e))
 
 
-def test_nonhermitian_component_validation():
-    band = lambda kx, ky: kx + 1j * ky
-    with pytest.raises(ValueError):
-        winding_nonhermitian(LoopSpec.circle(KPoint(0, 0), 0.3), band, component="z")
-
-
-def test_component_selector_y_axis():
-    # dE/dky = (ky - b) + i(kx - a): the pair is the mirrored circle field,
-    # so the loop around (a, b) winds once with reversed orientation
+def test_nonhermitian_y_axis_pair():
+    # E = (ky - b)^2 / 2 + i (kx - a) ky: the y-axis pair (Re dE/dky,
+    # Im dE/dky) = ((ky - b), (kx - a)) is the mirrored circle field, so the
+    # loop around (a, b) winds once with reversed orientation
     a, b = 0.5, 1.0
-    band = lambda kx, ky: 0.5 * (ky - b) ** 2 + 1j * ((kx - a) * ky)
-    res = winding_nonhermitian(LoopSpec.circle(KPoint(a, b), 0.4), band, component="y")
+    d_e = lambda kx, ky: (ky - b) + 1j * (kx - a)
+    res = winding(LoopSpec.circle(KPoint(a, b), 0.4), band_derivative(d_e))
     assert res.w == -1

@@ -26,12 +26,12 @@ from blochflow.errors import (
     NonIsolatedZero,
     TopologyError,
 )
-from blochflow.field import hessian, velocity_and_gap
 from blochflow.zeromode import (
     BIFURCATION_MARGIN,
     _check_isolated,
     _closed_form_census,
     classify,
+    hessian,
     zero_bifurcations,
 )
 
@@ -45,6 +45,7 @@ from oracles import (
     params_near_critical,
     random_gapped_params,
     torus_distance,
+    velocity_and_gap,
 )
 
 P1 = ModelParams(3, 1, 1)
