@@ -6,6 +6,13 @@ including an --out path that cannot be written), 2 model or domain error
 samples refine themselves, so they are not options; ``field-dump
 --grid-n`` sets the size of the output.
 
+Flags come from one table, ``COMMANDS``: per subcommand its handler, help
+line and flags, each flag a (name, type or choices, default, help) tuple.
+``_parse`` walks it.  A flag takes ``--flag=value`` or the next token,
+even one that starts with ``-``; only whole names match, and the last value
+wins, except for ``--axis``.  ``--help`` prints the table, ``--version``
+the version; a usage error raises ``_UsageError``, which ``main`` reports.
+
 This is the one module that formats output.  Each subcommand serializes
 the record the library returns and writes the same bytes, ending in one
 newline, to stdout or to --out.  ``zeros`` writes the closed-zone records
@@ -24,11 +31,11 @@ its traceback on stderr, and the dump then raises ``RuntimeError``, which
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
 import sys
+from types import SimpleNamespace
 
 from . import __version__
 from .chern import chern_direct, chern_plaquette
@@ -37,61 +44,6 @@ from .model import TWO_PI, KPoint, ModelParams, write_surface_csv
 from .sweep import PhaseDiagramGrid, SweepAxis, sweep_chern, sweep_euler
 from .winding import LoopSpec, winding_hermitian
 from .zeromode import euler_characteristic
-
-
-class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on usage errors by default; the contract here is 1.
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="blochflow",
-        description="Topological invariants of the two-band quantum torus from its velocity field",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
-    )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, text):
-        sp = sub.add_parser(name, help=text, formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-        sp.add_argument("--R", type=float, default=3.0, help="torus major radius")
-        sp.add_argument("--r", type=float, default=1.0, help="torus tube radius")
-        sp.add_argument("--c", type=float, default=1.0, help="axis shift of the image surface")
-        return sp
-
-    command("zeros", "closed-zone copies of each zero with their weights, and the Euler characteristic")
-    sp = command("chern", "Chern number of the gapped model")
-    sp.add_argument(
-        "--method",
-        choices=["plaquette", "direct"],
-        default="plaquette",
-        help="solid-angle plaquette sum or direct quadrature",
-    )
-    command("euler", "Euler characteristic: the index sum of the zeros")
-    sp = command("winding", "winding of the velocity field along a circular loop")
-    sp.add_argument("--center", type=str, default="0,0", help="loop center as 'kx,ky'")
-    sp.add_argument("--radius", type=float, default=0.3, help="loop radius in radians")
-    sp = command("phase-diagram", "sweep parameters and write a phase-diagram grid")
-    sp.add_argument(
-        "--axis",
-        action="append",
-        required=True,
-        metavar="NAME:START:STOP:STEPS",
-        help="sweep axis, e.g. c:0.2:5.8:57 (repeat for a 2-D sweep)",
-    )
-    sp.add_argument("--quantity", choices=["chern", "euler"], default="chern")
-    sp = command("field-dump", "dump h and the velocity on a uniform grid as CSV")
-    sp.add_argument("--grid-n", type=int, default=64, help="grid nodes per axis")
-
-    for name, sp in sub.choices.items():
-        text = "write output to this path instead of stdout"
-        if name == "zeros":
-            text = "write the census JSON to this path; the 'chi N' line still goes to stdout"
-        sp.add_argument("--out", type=str, default=None, help=text)
-    return parser
 
 
 def _model_params(args) -> ModelParams:
@@ -257,24 +209,111 @@ def _cmd_field_dump(args) -> int:
     return 0
 
 
-_HANDLERS = {
-    "zeros": _cmd_zeros,
-    "chern": _cmd_chern,
-    "euler": _cmd_euler,
-    "winding": _cmd_winding,
-    "phase-diagram": _cmd_phase_diagram,
-    "field-dump": _cmd_field_dump,
+def _flags(*own, out="write output to this path instead of stdout"):
+    return (
+        ("--R", float, 3.0, "torus major radius"),
+        ("--r", float, 1.0, "torus tube radius"),
+        ("--c", float, 1.0, "axis shift of the image surface"),
+        *own,
+        ("--out", str, None, out),
+    )
+
+
+# In --help order.  The flag type `list` marks --axis: it collects every value and is required.
+COMMANDS = {
+    "zeros": (
+        _cmd_zeros,
+        "closed-zone copies of each zero with their weights, and the Euler characteristic",
+        _flags(out="write the census JSON to this path; the 'chi N' line still goes to stdout"),
+    ),
+    "chern": (
+        _cmd_chern,
+        "Chern number of the gapped model",
+        _flags(("--method", ("plaquette", "direct"), "plaquette", "solid-angle plaquette sum or direct quadrature")),
+    ),
+    "euler": (_cmd_euler, "Euler characteristic: the index sum of the zeros", _flags()),
+    "winding": (
+        _cmd_winding,
+        "winding of the velocity field along a circular loop",
+        _flags(("--center", str, "0,0", "loop center as 'kx,ky'"), ("--radius", float, 0.3, "loop radius in radians")),
+    ),
+    "phase-diagram": (
+        _cmd_phase_diagram,
+        "sweep parameters and write a phase-diagram grid",
+        _flags(
+            ("--axis", list, None, "sweep axis NAME:START:STOP:STEPS, e.g. c:0.2:5.8:57 (repeat for a 2-D sweep)"),
+            ("--quantity", ("chern", "euler"), "chern", "invariant of each cell"),
+        ),
+    ),
+    "field-dump": (
+        _cmd_field_dump,
+        "dump h and the velocity on a uniform grid as CSV",
+        _flags(("--grid-n", int, 64, "grid nodes per axis")),
+    ),
 }
 
 
+def _help(command=None) -> str:
+    """The top-level help, or one command's: its help line and each flag with its default."""
+    rows = [("-h, --help", "show this help message and exit")]
+    if command is None:
+        head = "[-h] [--version] COMMAND [--flag VALUE ...]\n\n"
+        head += "Topological invariants of the two-band quantum torus from its velocity field"
+        rows += [("--version", "show the version number and exit"), *((cmd, row[1]) for cmd, row in COMMANDS.items())]
+    else:
+        _, text, flags = COMMANDS[command]
+        head = f"{command} [-h] [--flag VALUE | --flag=VALUE ...]\n\n{text}"
+        for name, kind, default, what in flags:
+            metavar = "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else name[2:].upper().replace("-", "_")
+            rows.append((f"{name} {metavar}", f"{what} ({'required' if kind is list else f'default: {default}'})"))
+    width = max(len(left) for left, _ in rows)
+    return f"usage: blochflow {head}\n\n" + "".join(f"  {left:<{width}}  {right}\n" for left, right in rows)
+
+
+def _parse(argv):
+    """The arguments of a command line, or None once its help or version is printed."""
+    if not argv:
+        raise _UsageError("the following arguments are required: command")
+    if argv[0] in ("-h", "--help", "--version"):
+        sys.stdout.write(f"blochflow {__version__}\n" if argv[0] == "--version" else _help())
+        return None
+    if argv[0] not in COMMANDS:
+        raise _UsageError(f"argument command: invalid choice: {argv[0]!r} (choose from {str(list(COMMANDS))[1:-1]})")
+    command, tokens = argv[0], iter(argv[1:])
+    kinds = {name: kind for name, kind, _, _ in COMMANDS[command][2]}
+    args = {name: [] if kind is list else default for name, kind, default, _ in COMMANDS[command][2]}
+    for token in tokens:
+        if token in ("-h", "--help"):
+            sys.stdout.write(_help(command))
+            return None
+        name, eq, value = token.partition("=")
+        if name not in kinds:
+            raise _UsageError(f"unrecognized arguments: {token}")
+        if not eq and (value := next(tokens, None)) is None:
+            raise _UsageError(f"argument {name}: expected one argument")
+        kind = kinds[name]
+        if isinstance(kind, tuple):
+            if value not in kind:
+                raise _UsageError(f"argument {name}: invalid choice: {value!r} (choose from {str(list(kind))[1:-1]})")
+        elif kind is not list:
+            try:
+                value = kind(value)
+            except ValueError:
+                raise _UsageError(f"argument {name}: invalid {kind.__name__} value: {value!r}") from None
+        args[name] = [*args[name], value] if kind is list else value
+    missing = [name for name, kind in kinds.items() if kind is list and not args[name]]
+    if missing:
+        raise _UsageError(f"the following arguments are required: {', '.join(missing)}")
+    return SimpleNamespace(command=command, **{name[2:].replace("-", "_"): value for name, value in args.items()})
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    prog = f"blochflow {argv[0]}" if argv and argv[0] in COMMANDS else "blochflow"
+    args = None
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return int(e.code or 0)
-    try:
-        status = _HANDLERS[args.command](args)
+        args = _parse(argv)
+        status = 0 if args is None else COMMANDS[args.command][0](args)
         sys.stdout.flush()
         return status
     except BrokenPipeError:
@@ -283,15 +322,15 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     except _UsageError as e:
-        sys.stderr.write(f"blochflow {args.command}: error: {e}\n")
+        sys.stderr.write(f"{prog}: error: {e}\n")
         return 1
     except TopologyError as e:
-        sys.stderr.write(f"blochflow {args.command}: {type(e).__name__}: {e}\n")
+        sys.stderr.write(f"{prog}: {type(e).__name__}: {e}\n")
         return 2
     except OSError as e:
-        if args.out is None:
+        if args is None or args.out is None:
             raise
-        sys.stderr.write(f"blochflow {args.command}: error: --out: {e}\n")
+        sys.stderr.write(f"{prog}: error: --out: {e}\n")
         return 1
 
 

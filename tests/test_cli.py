@@ -23,7 +23,7 @@ from blochflow import (
     winding_hermitian,
 )
 from blochflow import model
-from blochflow.cli import closed_zone_records, main
+from blochflow.cli import COMMANDS, closed_zone_records, main
 
 from oracles import surface_csv_rows
 
@@ -275,18 +275,21 @@ def _blochflow(*argv, **popen_args):
     return subprocess.Popen([sys.executable, "-m", "blochflow", *argv], env=env, **popen_args)
 
 
-# Every subcommand, run through cli.main in one process that cannot import
-# numpy: numpy is a test-only package.  The field dump forks its helper.
+# Every subcommand, then --help and --version, run through cli.main in one
+# process that cannot import numpy: numpy is a test-only package.  The field
+# dump forks its helper.
 _WITHOUT_NUMPY = """
 import json, sys
 sys.modules["numpy"] = None  # from here on, `import numpy` raises ImportError
 from blochflow.cli import main
 out, commands = sys.argv[1], json.loads(sys.argv[2])
 codes = [main([*argv, "--out", out]) for argv in commands]
+codes += [main(argv) for argv in (["--help"], ["--version"], *([cmd, "--help"] for cmd, *_ in commands))]
 print(json.dumps(codes))
 # the modules that start-up must not pay for: dataclasses alone takes
-# inspect, ast, dis and tokenize with it
-print(json.dumps(sorted({"dataclasses", "inspect"} & set(sys.modules))))
+# inspect, ast, dis and tokenize with it, and argparse takes gettext and
+# then locale
+print(json.dumps(sorted({"dataclasses", "inspect", "argparse", "gettext", "locale"} & set(sys.modules))))
 """
 
 
@@ -310,7 +313,7 @@ def test_every_subcommand_runs_without_numpy(tmp_path):
     )
     assert (proc.returncode, proc.stderr) == (0, b"")
     codes, unwanted = proc.stdout.splitlines()[-2:]
-    assert json.loads(codes) == [0] * len(commands)
+    assert json.loads(codes) == [0] * (2 * len(commands) + 2)
     assert json.loads(unwanted) == []
     # the last one wrote the whole dump
     assert (tmp_path / "out").read_text().count("\n") == 1 + 17 * 17
@@ -458,6 +461,73 @@ def test_unwritable_out_path_exit(tmp_path, capsys, argv):
 
 def test_unknown_command_exit(capsys):
     assert main(["frobnicate"]) == 1
+
+
+_CHOICES = "'zeros', 'chern', 'euler', 'winding', 'phase-diagram', 'field-dump'"
+
+
+# argv -> the one stderr line, which names the command and the flag
+USAGE_ERRORS = {
+    "": "blochflow: error: the following arguments are required: command",
+    "frobnicate": f"blochflow: error: argument command: invalid choice: 'frobnicate' (choose from {_CHOICES})",
+    "euler --tol 1e-16": "blochflow euler: error: unrecognized arguments: --tol",
+    "euler --tol=1e-16": "blochflow euler: error: unrecognized arguments: --tol=1e-16",
+    "euler 3": "blochflow euler: error: unrecognized arguments: 3",
+    "zeros --R": "blochflow zeros: error: argument --R: expected one argument",
+    "zeros --R x": "blochflow zeros: error: argument --R: invalid float value: 'x'",
+    "zeros --R=": "blochflow zeros: error: argument --R: invalid float value: ''",
+    "field-dump --grid-n 2.5": "blochflow field-dump: error: argument --grid-n: invalid int value: '2.5'",
+    "chern --method foo": (
+        "blochflow chern: error: argument --method: invalid choice: 'foo' (choose from 'plaquette', 'direct')"
+    ),
+    "phase-diagram --axis c:0:1:3 --quantity foo": (
+        "blochflow phase-diagram: error: argument --quantity: invalid choice: 'foo' (choose from 'chern', 'euler')"
+    ),
+    "phase-diagram --quantity euler": "blochflow phase-diagram: error: the following arguments are required: --axis",
+    # a unique prefix is not the flag
+    "winding --rad 0.3": "blochflow winding: error: unrecognized arguments: --rad",
+}
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS)
+def test_usage_errors(capsys, argv):
+    assert run(capsys, argv.split()) == (1, "", USAGE_ERRORS[argv] + "\n")
+
+
+def test_flag_value_spellings(capsys):
+    # the token after a flag is its value, even when it starts with "-"
+    rc, out, err = run(capsys, ["winding", "--center", "-1.5,0.2"])
+    assert (rc, err) == (0, "")
+    assert run(capsys, ["winding", "--center=-1.5,0.2"]) == (0, out, "")
+    rc, out, err = run(capsys, ["euler", "--c", "-1"])
+    assert (rc, out) == (1, "")
+    assert err.startswith("blochflow euler: error: --R/--r/--c: ")
+    # the last value wins; --axis collects its values
+    assert run(capsys, ["euler", "--c", "5", "--c=3"]) == run(capsys, ["euler", "--c", "3"])
+    rc, out, _ = run(capsys, ["phase-diagram", "--axis", "c:1:2:2", "--axis=r:0.5:1:2"])
+    assert (rc, len(out.splitlines())) == (0, 1 + 2 * 2)
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_lists_every_flag(capsys, flag):
+    rc, out, err = run(capsys, [flag])
+    assert (rc, err) == (0, "")
+    assert all(f"  {command}  " in out for command in COMMANDS)
+    for command, (_, text, flags) in COMMANDS.items():
+        rc, out, err = run(capsys, [command, "--R", "3", flag])
+        assert (rc, err) == (0, "")
+        assert text in out
+        rows = {line.split()[0]: line for line in out.splitlines() if line.startswith("  --")}
+        assert list(rows) == [name for name, *_ in flags]
+        for name, kind, default, _ in flags:
+            assert rows[name].endswith("(required)" if kind is list else f"(default: {default})")
+
+
+def test_version(capsys):
+    version = f"blochflow {blochflow.__version__}\n"
+    assert run(capsys, ["--version"]) == (0, version, "")
+    proc = _blochflow("--version", stdout=subprocess.PIPE)
+    assert (proc.communicate(timeout=120)[0], proc.returncode) == (version.encode(), 0)
 
 
 # The output contract, at (R, r, c) = (3, 1, 3): 8 zeros, all but (0, 0)
