@@ -20,22 +20,17 @@ from .errors import (
     ZeroOnLoop,
 )
 from .model import KPoint, ModelParams, gapless_boundary
-from .zeromode import (
-    EulerResult,
-    ZeroKind,
-    ZeroMode,
-    euler_characteristic,
-)
-from .chern import ChernResult, chern_direct, chern_plaquette, gap_min
-from .winding import LoopSpec, WindingResult, winding_hermitian
-from .sweep import PhaseDiagramGrid, SweepAxis, sweep_chern, sweep_euler
+from .zeromode import euler_characteristic
+from .chern import chern_plaquette
+from .winding import LoopSpec, winding_hermitian
+from .sweep import SweepAxis, sweep_chern
 
+# The names that the README's library sketch imports, and the typed errors;
+# everything else is imported from its module.
 __all__ = [
-    "ChernResult",
     "DegenerateField",
     "DegenerateTriangle",
     "DegenerateZero",
-    "EulerResult",
     "GaplessModel",
     "GaplessPoint",
     "InsufficientSampling",
@@ -43,19 +38,12 @@ __all__ = [
     "LoopSpec",
     "ModelParams",
     "NonIsolatedZero",
-    "PhaseDiagramGrid",
     "SweepAxis",
     "TopologyError",
-    "WindingResult",
-    "ZeroKind",
-    "ZeroMode",
     "ZeroOnLoop",
-    "chern_direct",
     "chern_plaquette",
     "euler_characteristic",
-    "gap_min",
     "gapless_boundary",
     "sweep_chern",
-    "sweep_euler",
     "winding_hermitian",
 ]

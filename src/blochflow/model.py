@@ -17,9 +17,10 @@ work on ky lines: ``_kx_trig`` evaluates sin kx and cos kx once per grid,
 ``_trig_rho`` the factors of ky once per line, and ``_bloch`` is the one
 place that assembles h, |h| and the velocity from them, at every node of
 one or many lines.  A point is a line with one node.  The field dump
-(``write_surface_csv``), the winding loops (``winding``), the Hessian of
-the zero census (``zeromode``) and the unit Bloch vector of the Chern
-sum (``chern``) are all written on ``_bloch``.
+(``write_surface_csv``), the winding loops (``winding``) and the unit
+Bloch vector of the Chern sum (``chern``) are all written on ``_bloch``;
+the zero census (``zeromode``) needs only ``_trig_rho``, since its zeros
+lie where sin kx = 0.
 ``KPoint.canonical`` reduces a single point to the fundamental domain
 [-pi, pi)^2.
 

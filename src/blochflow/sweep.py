@@ -41,7 +41,7 @@ class SweepAxis(collections.namedtuple("SweepAxis", "name start stop steps")):
 
     An immutable named tuple: construction, ``_make``, ``_replace`` and
     unpickling (pickle protocol 2 and up) all check the name, the bounds
-    and the step count.
+    and the step count, an integer of at least 1.
     """
 
     __slots__ = ()
@@ -51,6 +51,8 @@ class SweepAxis(collections.namedtuple("SweepAxis", "name start stop steps")):
             raise ValueError(f"axis name must be one of {_AXIS_NAMES}, got {name!r}")
         if not (math.isfinite(start) and math.isfinite(stop)):
             raise ValueError(f"axis bounds must be finite, got [{start}, {stop}]")
+        if not hasattr(steps, "__index__"):
+            raise ValueError(f"axis steps must be an integer, got {steps!r}")
         if steps < 1:
             raise ValueError(f"axis needs steps >= 1, got {steps}")
         if not start < stop:

@@ -7,12 +7,13 @@ are (pi, -+arccos u) for each root u in (-1, 1) of the cubic that
 ``BIFURCATION_MARGIN`` R of the pitchfork c_p or the fold c_f
 (``model.zero_bifurcations``), where the count changes, the census raises
 NonIsolatedZero, as it does when two zeros on kx = pi crowd each other.
-Each zero is then classified by its velocity Jacobian, the closed-form
-Hessian of |h| there (``hessian``), in ``math``: negative determinant is
-a saddle (index -1); positive is a sink or source by the trace sign
-(index +1).  The velocity is that of the upper band +|h|; the lower band
-carries -v and the negated Hessian, so the zeros and their indexes are
-band independent, while sinks and sources trade places.
+Each zero is then classified by its velocity Jacobian, the Hessian of
+|h| there, in ``math``; on kx in {0, pi} it is diagonal (``_jacobian``).
+A negative determinant is a saddle (index -1); a positive one is a sink
+or source by the trace sign (index +1).  The velocity is that of the
+upper band +|h|; the lower band carries -v and the negated Hessian, so
+the zeros and their indexes are band independent, while sinks and
+sources trade places.
 
 The sum of the indexes is the Euler characteristic of the image surface:
 0 for every gapped, nondegenerate parameter set of the torus model,
@@ -35,9 +36,7 @@ from .model import (
     TWO_PI,
     KPoint,
     ModelParams,
-    _bloch,
     _kx_pi_roots,
-    _kx_trig,
     _trig_rho,
     gapless_boundary,
     reduce_angle,
@@ -82,25 +81,22 @@ class EulerResult(NamedTuple):
     modes: list
 
 
-def hessian(kx: float, ky: float, p: ModelParams) -> tuple:
-    """Closed-form Hessian entries (hxx, hxy, hyy) of |h| at one point.
+def _jacobian(kx: float, ky: float, p: ModelParams) -> tuple:
+    """The velocity Jacobian at a census zero, where kx is 0 or -+pi: its diagonal (hxx, hyy).
 
-    These are the velocity derivatives dvx/dkx, dvx/dky = dvy/dkx and
-    dvy/dky.  With G = |h|^2 / 2 = (rho^2 + c^2 + r^2 sin^2 ky) / 2 +
-    c rho cos kx, the velocity is v_i = G_i / |h| and its Jacobian
-    (G_ij - v_i v_j) / |h|, exactly symmetric.  No gap check: where |h| = 0
-    this raises ZeroDivisionError.
+    With G = |h|^2 / 2 = (rho^2 + c^2 + r^2 sin^2 ky) / 2 + c rho cos kx,
+    the velocity is v_i = G_i / |h| and its Jacobian (G_ij - v_i v_j) / |h|.
+    At a zero v = 0, and on kx in {0, pi} sin kx = 0, so G_xy = 0 and the
+    Jacobian is diag(G_xx, G_yy) / |h| with |h| = sqrt((rho cos kx + c)^2 +
+    hz^2).  No gap check: where |h| = 0 this raises ZeroDivisionError.
     """
-    kx_trig = _kx_trig((kx,))
-    (sx,), (cx,) = kx_trig
-    line = _trig_rho(ky, p)
-    sy, cy, rho = line[:3]
-    _, _, (vx,), (vy,), (gap,) = _bloch(kx_trig, [line], p)
+    cx = math.cos(kx)
+    sy, cy, rho, hz = _trig_rho(ky, p)[:4]
+    u = rho * cx + p.c
+    gap = math.sqrt(u * u + hz * hz)
     rr = p.r * p.R
-    gxx = -p.c * rho * cx
-    gxy = p.c * rr * sx * sy / rho
     gyy = -rr * cy - p.c * rr * cx * (cy / rho + rr * sy * sy / rho**3) + p.r**2 * (cy * cy - sy * sy)
-    return (gxx - vx * vx) / gap, (gxy - vx * vy) / gap, (gyy - vy * vy) / gap
+    return -p.c * rho * cx / gap, gyy / gap
 
 
 def classify(det: float, trace: float, R: float) -> ZeroKind:
@@ -171,7 +167,7 @@ def euler_characteristic(p: ModelParams) -> EulerResult:
     """
     modes = []
     for kx, ky in _closed_form_census(p):
-        hxx, hxy, hyy = hessian(kx, ky, p)
-        det, trace = hxx * hyy - hxy * hxy, hxx + hyy
+        hxx, hyy = _jacobian(kx, ky, p)
+        det, trace = hxx * hyy, hxx + hyy
         modes.append(ZeroMode(KPoint(kx, ky), det, trace, classify(det, trace, p.R)))
     return EulerResult(sum(z.index for z in modes), modes)

@@ -15,15 +15,14 @@ from blochflow import (
     LoopSpec,
     ModelParams,
     SweepAxis,
-    ZeroKind,
-    chern_direct,
     chern_plaquette,
     euler_characteristic,
-    gap_min,
     sweep_chern,
-    sweep_euler,
     winding_hermitian,
 )
+from blochflow.chern import chern_direct, gap_min
+from blochflow.sweep import sweep_euler
+from blochflow.zeromode import ZeroKind
 from blochflow.cli import closed_zone_records
 from blochflow.errors import DegenerateField, GaplessModel
 

@@ -8,13 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import blochflow.chern
-from blochflow import (
-    ModelParams,
-    chern_direct,
-    chern_plaquette,
-    gap_min,
-    gapless_boundary,
-)
+from blochflow import ModelParams, chern_plaquette, gapless_boundary
 from blochflow.chern import (
     DIRECT_N,
     EPS_GAP_CHERN,
@@ -23,6 +17,8 @@ from blochflow.chern import (
     _degree_integrand,
     _solid_angle_sum,
     _unit_grid,
+    chern_direct,
+    gap_min,
 )
 from blochflow.cli import main
 from blochflow.errors import DegenerateTriangle, GaplessModel, InsufficientSampling

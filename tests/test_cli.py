@@ -16,13 +16,13 @@ from blochflow import (
     LoopSpec,
     ModelParams,
     SweepAxis,
-    chern_direct,
     chern_plaquette,
     euler_characteristic,
     sweep_chern,
     winding_hermitian,
 )
 from blochflow import model
+from blochflow.chern import chern_direct
 from blochflow.cli import COMMANDS, closed_zone_records, main
 
 from oracles import surface_csv_rows

@@ -1,22 +1,23 @@
-"""Velocity field: closed form vs frame projection, Hessian, band sign.
+"""Velocity field: closed form vs frame projection, Jacobian at the zeros, band sign.
 
 The point kernels are ``model._bloch`` at one point (``oracles``) and
-``zeromode.hessian``.
+``zeromode._jacobian``, the diagonal velocity Jacobian at a census zero.
+The general-point Hessian is the oracle ``array_hessian``.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
+from hypothesis import given, settings
 
 from blochflow import KPoint, ModelParams
-from blochflow.errors import GaplessPoint
+from blochflow.errors import GaplessPoint, TopologyError
 from blochflow.model import EPS_GAP
-from blochflow.zeromode import hessian
+from blochflow.zeromode import _closed_form_census, _jacobian
 
 from oracles import (
+    array_hessian,
     bloch_components,
     fd_energy_gradient,
     fd_velocity_jacobian,
@@ -31,10 +32,10 @@ from oracles import (
 P1 = ModelParams(3, 1, 1)
 
 
-def _hessian(kx, ky, p):
-    """(hxx, hxy, hyy, det, trace) of the float Hessian at each point of kx, ky."""
-    hxx, hxy, hyy = pointwise(hessian, kx, ky, p)
-    return hxx, hxy, hyy, hxx * hyy - hxy * hxy, hxx + hyy
+def _zero_jacobian(kx, ky, p):
+    """(hxx, hyy, det, trace) of the census Jacobian at each zero of kx, ky."""
+    hxx, hyy = pointwise(_jacobian, kx, ky, p)
+    return hxx, hyy, hxx * hyy, hxx + hyy
 
 
 def test_velocity_at_origin_is_zero():
@@ -102,23 +103,23 @@ def test_velocity_periodicity():
 
 def test_jacobian_sink_at_origin():
     # analytic diagonal: dvx/dkx = -rho c/|h| = -4/5, dvy/dky = -(rR/|h|)(1 + c/rho - r/R)
-    hxx, hxy, hyy, det, trace = _hessian(0.0, 0.0, P1)
+    hxx, hyy, det, trace = _zero_jacobian(0.0, 0.0, P1)
     assert hxx == pytest.approx(-0.8, abs=1e-8)
     assert hyy == pytest.approx(-0.55, abs=1e-8)
-    assert hxy == 0.0
+    assert array_hessian(np.array([0.0]), np.array([0.0]), P1)[1][0] == 0.0
     assert det == pytest.approx(0.44, abs=1e-7)
     assert det > 0 and trace < 0  # sink
 
 
 def test_jacobian_saddle_on_edge():
-    _, _, _, det, _ = _hessian(math.pi, 0.0, P1)
+    _, _, det, _ = _zero_jacobian(-math.pi, 0.0, P1)
     assert det == pytest.approx(-5.0 / 9.0, abs=1e-7)
     assert det < 0  # saddle
 
 
 def test_jacobian_symmetry():
     # the closed-form velocity is a gradient: central differences of it
-    # give a symmetric Jacobian whose off-diagonal is the kernel's hxy
+    # give a symmetric Jacobian whose off-diagonal is the oracle's hxy
     rng = np.random.default_rng(7)
     kx, ky = rng.uniform(-math.pi, math.pi, (2, 100))
     step = 1e-5
@@ -128,24 +129,31 @@ def test_jacobian_symmetry():
     vxp, vyp, _ = pointwise(velocity_and_gap, kx + step, ky, P1)
     vxm, vym, _ = pointwise(velocity_and_gap, kx - step, ky, P1)
     dvy_dkx = (vyp - vym) / (2 * step)
-    hxy = _hessian(kx, ky, P1)[1]
+    hxy = array_hessian(kx, ky, P1)[1]
     assert np.max(np.abs(dvx_dky - dvy_dkx)) <= 1e-6
     assert np.max(np.abs(dvx_dky - hxy)) <= 1e-6
 
 
 @settings(max_examples=150)
-@given(params_near_critical(), st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi))
-def test_hessian_matches_finite_differences(params, kx, ky):
-    # the closed-form Hessian against central differences of the
-    # frame-projection velocity, at k where the gap is open
+@given(params_near_critical())
+def test_hessian_matches_finite_differences(params):
+    # the census Jacobian against central differences of the
+    # frame-projection velocity, at every census zero where the gap is
+    # open: the diagonal matches and the off-diagonal vanishes
     p = ModelParams(*params)
-    hx, hy, hz = bloch_components(kx, ky, p)
-    assume(math.sqrt(hx * hx + hy * hy + hz * hz) >= 0.1)
-    hxx, hxy, hyy = hessian(kx, ky, p)
-    m00, m01, m10, m11 = (float(x) for x in fd_velocity_jacobian(kx, ky, p))
-    scale = 1.0 + max(abs(hxx), abs(hxy), abs(hyy))
-    for got, want in ((hxx, m00), (hxy, m01), (hxy, m10), (hyy, m11)):
-        assert abs(got - want) <= 1e-6 * scale
+    try:
+        points = _closed_form_census(p)
+    except TopologyError:
+        return
+    for kx, ky in points:
+        hx, hy, hz = bloch_components(kx, ky, p)
+        if math.sqrt(hx * hx + hy * hy + hz * hz) < 0.1:
+            continue
+        hxx, hyy = _jacobian(kx, ky, p)
+        m00, m01, m10, m11 = (float(x) for x in fd_velocity_jacobian(kx, ky, p))
+        scale = 1.0 + max(abs(hxx), abs(hyy))
+        for got, want in ((hxx, m00), (0.0, m01), (0.0, m10), (hyy, m11)):
+            assert abs(got - want) <= 1e-6 * scale
 
 
 def test_band_zero_sets_and_indexes_coincide():
@@ -155,8 +163,8 @@ def test_band_zero_sets_and_indexes_coincide():
     ky = np.array([0.0, 0.0, math.pi, math.pi])
     vx, vy, _ = pointwise(velocity_and_gap, kx, ky, P1)
     assert np.all(np.hypot(vx, vy) <= 1e-12)
-    hxx, hxy, hyy, det, trace = _hessian(kx, ky, P1)
-    lower_det = (-hxx) * (-hyy) - (-hxy) * (-hxy)
+    hxx, hyy, det, trace = _zero_jacobian(kx, ky, P1)
+    lower_det = (-hxx) * (-hyy)
     assert np.all(np.sign(lower_det) == np.sign(det))
     assert np.all(np.abs(det) > 1e-8)
     assert np.all((-hxx) + (-hyy) == -trace)

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from blochflow import KPoint, ModelParams, SweepAxis, gap_min, model
+from blochflow import KPoint, ModelParams, SweepAxis, model
+from blochflow.chern import gap_min
 from blochflow.zeromode import BIFURCATION_MARGIN, C_DEGENERATE
 from blochflow.model import (
     PARAM_MAX,
@@ -86,6 +87,8 @@ def test_params_validation():
         (SweepAxis, ("c", 0.0, 1.0, 3), {"stop": math.nan}, "must be finite"),
         (SweepAxis, ("c", 0.0, 1.0, 3), {"steps": 0}, "steps >= 1"),
         (SweepAxis, ("c", 0.0, 1.0, 3), {"start": 2.0}, "start < stop"),
+        (SweepAxis, ("c", 0.0, 1.0, 3), {"steps": 2.5}, "steps must be an integer"),
+        (SweepAxis, ("c", 0.0, 1.0, 3), {"steps": 3.0}, "steps must be an integer"),
     ],
 )
 def test_validated_records_check_every_constructor(cls, good, bad, message):
@@ -104,6 +107,10 @@ def test_validated_records_check_every_constructor(cls, good, bad, message):
     again = pickle.loads(pickle.dumps(record))
     assert (again, type(again)) == (record, cls)
     assert record._replace() == record == good
+    # a pickle of a record with the bad values, built past the checks
+    forged = pickle.dumps(tuple.__new__(cls, values.values()))
+    with pytest.raises(ValueError, match=message):
+        pickle.loads(forged)
 
 
 def test_kpoint_canonical():

@@ -23,6 +23,7 @@ def test_library_sketch_runs():
     assert ns["C"] == 0
     assert ns["w"] == 1
     assert (ns["lo"], ns["hi"]) == (2, 4)
+    assert ns["cs"] == [0, None, 1, None, 0]
 
 
 def test_nonhermitian_example_runs():

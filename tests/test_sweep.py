@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 
 import blochflow.chern
 import blochflow.sweep
-from blochflow import ModelParams, SweepAxis, chern_plaquette, gap_min, sweep_chern, sweep_euler
-from blochflow.chern import EPS_GAP_CHERN
+from blochflow import ModelParams, SweepAxis, chern_plaquette, sweep_chern
+from blochflow.chern import EPS_GAP_CHERN, gap_min
 from blochflow.cli import CSV_HEADER, grid_to_csv
 from blochflow.errors import GaplessModel
-from blochflow.sweep import GAPLESS_THRESHOLD
+from blochflow.sweep import GAPLESS_THRESHOLD, sweep_euler
 
 BASE = ModelParams(3, 1, 1)
 

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from blochflow import (
     LoopSpec,
     ModelParams,
-    ZeroKind,
     euler_characteristic,
     winding_hermitian,
 )
@@ -30,8 +29,9 @@ from blochflow.zeromode import (
     BIFURCATION_MARGIN,
     _check_isolated,
     _closed_form_census,
+    ZeroKind,
+    _jacobian,
     classify,
-    hessian,
     zero_bifurcations,
 )
 
@@ -333,10 +333,10 @@ def _census_outcome(census, p):
 
 
 def _newton_zeros(p):
-    """The Newton oracle's zeros, with the library's nondegeneracy check."""
+    """The Newton oracle's zeros, with the library's nondegeneracy check on the oracle Hessian."""
     zeros = full_backtrack_census(p)
     for kx, ky in zeros:
-        hxx, hxy, hyy = hessian(kx, ky, p)
+        hxx, hxy, hyy = (float(h[0]) for h in array_hessian(np.array([kx]), np.array([ky]), p))
         classify(hxx * hyy - hxy * hxy, hxx + hyy, p.R)
     return zeros
 
@@ -362,16 +362,16 @@ def test_census_matches_full_backtrack_oracle(params):
 
 
 def test_census_kernel_work(monkeypatch):
-    # the census evaluates the Hessian once per zero, on floats, and on
+    # the census evaluates the Jacobian once per zero, on floats, and on
     # nothing else: 4 or 8 points per census
     points = []
 
     def counting(kx, ky, p):
         assert type(kx) is float and type(ky) is float
         points.append((kx, ky))
-        return hessian(kx, ky, p)
+        return _jacobian(kx, ky, p)
 
-    monkeypatch.setattr(blochflow.zeromode, "hessian", counting)
+    monkeypatch.setattr(blochflow.zeromode, "_jacobian", counting)
     assert not hasattr(blochflow.zeromode, "np")
     for c, count in ((1.2, 4), (3.0, 8), (4.5, 4)):
         points.clear()
@@ -411,18 +411,20 @@ def hessian_params(draw):
 @settings(max_examples=300)
 @given(hessian_params())
 def test_float_hessian_matches_array_oracle(params):
-    # at every census zero the float Hessian (math) is the array one (the
-    # oracle, numpy, whose rho**3 is its own power) up to the last bits, and
-    # gives the same kind
+    # at every census zero the diagonal Jacobian (math) is the general-point
+    # array Hessian (the oracle, numpy, whose rho**3 is its own power) up to
+    # the last bits, the oracle's hxy is rounding noise, and both give the
+    # same kind
     p = ModelParams(*params)
     try:
         points = _closed_form_census(p)
     except TopologyError:
         return
     for kx, ky in points:
-        got = hessian(kx, ky, p)
+        hxx, hyy = _jacobian(kx, ky, p)
         want = [float(h[0]) for h in array_hessian(np.array([kx]), np.array([ky]), p)]
         scale = max(abs(h) for h in want)
+        got = (hxx, 0.0, hyy)
         assert all(abs(a - b) <= 1e-13 * scale for a, b in zip(got, want)), (got, want)
         assert _kind(*got, p.R) is _kind(*want, p.R)
 
@@ -450,6 +452,72 @@ def test_bifurcation_margin(R, r):
             euler_characteristic(ModelParams(R, r, c))
     for c, count in ((c_p - 2 * margin, 4), (c_p + 2 * margin, 8), (c_f - 2 * margin, 8), (c_f + 2 * margin, 4)):
         assert len(_canonical_zeros(ModelParams(R, r, c))) == count
+
+
+def _exact_zero_count(R, r, c):
+    """The zero count on fractions: 8 for c_p < c < c_f, else 4; None at c_p or c_f itself.
+
+    c > c_p = (R^2 - r^2)/R is c R > R^2 - r^2, and c < c_f = (R^2 +
+    r^2/3)^(3/2) / R^2 is c^2 R^4 < (R^2 + r^2/3)^3, for c >= 0.
+    """
+    R, r, c = Fraction(R), Fraction(r), Fraction(c)
+    past_pitchfork = c * R - (R * R - r * r)
+    past_fold = c * c * R**4 - (R * R + r * r / 3) ** 3
+    if past_pitchfork == 0 or past_fold == 0:
+        return None
+    return 8 if past_pitchfork > 0 > past_fold else 4
+
+
+def _assert_exact_count_or_refused(p):
+    """The census either refuses with a typed error or counts the zeros exactly."""
+    try:
+        modes = euler_characteristic(p).modes
+    except TopologyError:
+        return
+    assert len(modes) == _exact_zero_count(*p), p
+
+
+def _bifurcation_probes(R, r):
+    """c within 64 ulps of c_p and of c_f, and c_p, c_f -+ R 10^(k/2) for k from -32 to -10."""
+    for anchor in zero_bifurcations(R, r):
+        below = above = anchor
+        yield anchor
+        for _ in range(64):
+            below, above = math.nextafter(below, 0.0), math.nextafter(above, math.inf)
+            yield below
+            yield above
+        for k in range(-32, -9):
+            yield anchor - R * 10.0 ** (k / 2)
+            yield anchor + R * 10.0 ** (k / 2)
+
+
+@settings(max_examples=40)
+@given(
+    st.floats(-2.0, 2.0).map(lambda e: 10.0**e),
+    st.one_of(st.floats(0.05, 0.95), st.floats(-6.0, -1.0).map(lambda e: 1.0 - 10.0**e)),
+)
+def test_census_near_bifurcations_has_the_exact_zero_count(R, ratio):
+    # every census answered within 64 ulps, or 1e-16 R to 1e-5 R, of the
+    # pitchfork or the fold has the zero count that exact arithmetic gives
+    r = R * ratio
+    for c in _bifurcation_probes(R, r):
+        if c >= 0.0:  # c_p is below 1e-5 R when r -> R
+            _assert_exact_count_or_refused(ModelParams(R, r, c))
+
+
+@pytest.mark.parametrize(
+    "R, r, c",
+    [
+        (2.3153344835519594, 0.32878778207253967, 2.3387183317975406),
+        (6.174753256309591, 1.22421071723912, 6.296506326970005),
+        (3.828670879763378, 0.2954808071287429, 3.8400785236814268),
+    ],
+)
+def test_census_refuses_just_inside_the_fold(R, r, c):
+    # within 2e-16 R inside the float c_f: 8 zeros, but the float cubic finds
+    # no root pair, so a census that answered here would count 4
+    assert _exact_zero_count(R, r, c) == 8
+    _assert_exact_count_or_refused(ModelParams(R, r, c))
 
 
 @pytest.mark.parametrize("s", [1e-50, 1e-6, 1e-4, 1e-3, 1.0, 1e3, 1e5])
@@ -546,7 +614,7 @@ def test_non_isolated_zero_near_fold():
     # just under the fold where the extra zero pair merges, the two zeros
     # crowd within the isolation radius
     with pytest.raises(NonIsolatedZero):
-        euler_characteristic(ModelParams(3, 1, 3.1682004804590176 - 1e-8))
+        euler_characteristic(ModelParams(3, 1, zero_bifurcations(3, 1)[1] - 1e-8))
 
 
 def test_degenerate_bifurcation_is_typed_error():
