@@ -26,7 +26,7 @@ class DegenerateZero(TopologyError):
 
 
 class NonIsolatedZero(TopologyError):
-    """Two zeros crowd each other, or c is so close to a bifurcation that they would."""
+    """Two zeros crowd each other, or c is within rounding of the fold, where the zero count is undecided."""
 
 
 class ZeroOnLoop(TopologyError):

@@ -3,10 +3,10 @@
 The zeros are known in closed form.  Since vx = -c rho sin kx / |h|, every
 zero lies on kx in {0, pi}.  Four are fixed, at ky in {0, pi}; the others
 are (pi, -+arccos u) for each root u in (-1, 1) of the cubic that
-``gap_min`` also solves (``model._kx_pi_roots``).  Within
-``BIFURCATION_MARGIN`` R of the pitchfork c_p or the fold c_f
-(``model.zero_bifurcations``), where the count changes, the census raises
-NonIsolatedZero, as it does when two zeros on kx = pi crowd each other.
+``gap_min`` also solves (``model._kx_pi_roots``).  Where the count changes,
+at the pitchfork c_p and the fold c_f (``model.zero_bifurcations``), the
+census refuses crowded zeros (NonIsolatedZero), singular Jacobians
+(DegenerateZero) and any c within rounding of the float c_f.
 Each zero is then classified by its velocity Jacobian, the Hessian of
 |h| there, in ``math``; on kx in {0, pi} it is diagonal (``_jacobian``).
 A negative determinant is a saddle (index -1); a positive one is a sink
@@ -46,11 +46,8 @@ from .model import (
 # The model is scale-covariant: scaling R, r and c by s scales h and c by s
 # and the Jacobian determinant by s^2, and leaves the zeros and their kinds
 # unchanged.  So the census thresholds bound scale-free quantities: c / R,
-# the fixed-zero gap / R, the distance in c to a bifurcation / R and
-# det J / R^2.  ISOLATION_RADIUS is a distance in k, scale-free already.
-# Within BIFURCATION_MARGIN R of a bifurcation, where zeros are born or
-# merge, the census raises instead of returning nearly singular Jacobians.
-BIFURCATION_MARGIN = 1e-5
+# the fixed-zero gap / R, det J / R^2 and ISOLATION_RADIUS, a distance in
+# k.  The last two refuse near the bifurcations, where zeros are born or merge.
 ISOLATION_RADIUS = 1e-3
 DET_EPS = 1e-8
 C_DEGENERATE = 1e-6
@@ -128,12 +125,15 @@ def _closed_form_census(p: ModelParams):
     gap = min(abs(p.c - b) for b in gapless_boundary(p.R, p.r))
     if gap / p.R <= EPS_GAP:
         raise GaplessModel(f"band gap closes at a fixed zero (|h| = {gap:.3e}); the velocity is undefined there")
-    c_p, c_f = zero_bifurcations(p.R, p.r)
-    if min(abs(p.c - c_p), abs(p.c - c_f)) / p.R <= BIFURCATION_MARGIN:
-        raise NonIsolatedZero(
-            f"c = {p.c} is within {BIFURCATION_MARGIN:.0e} R of the pitchfork c_p = {c_p} or the fold "
-            f"c_f = {c_f}, where zeros on kx = pi are born or merge"
-        )
+    # Just inside the fold, the float tests c < c_f and e > 0 of ``_kx_pi_roots``
+    # can miss a root pair that exact arithmetic has, and the census would count
+    # 4 zeros for 8.  With u = 2^-53, |fl(c_f) - c_f| <= (1.5 * 3 + 2 + 2) u c_f:
+    # the sum's 3u to the power 3/2, pow's ulp, R^2 and the /.  e > 0 decides
+    # c < c_f for a fold moved by g = c/R (u), s = r/R (3u/4) and the Horner error
+    # at the stationary u = -s/3 (2u).  So wrong counts lie within 12.25 u c_f.
+    c_f = zero_bifurcations(p.R, p.r)[1]
+    if abs(p.c - c_f) <= 16.0 * math.ulp(c_f):  # ulp(x) > u x
+        raise NonIsolatedZero(f"c = {p.c} is within rounding of the fold c_f = {c_f}: 8 zeros or 4")
     ky_pi = sorted([-math.pi, 0.0, *(s * math.acos(u) for u in _kx_pi_roots(p) for s in (-1.0, 1.0))])
     _check_isolated(ky_pi)
     return [(-math.pi, y) for y in ky_pi] + [(0.0, -math.pi), (0.0, 0.0)]
@@ -162,8 +162,8 @@ def euler_characteristic(p: ModelParams) -> EulerResult:
 
     Raises DegenerateField when c is (numerically) zero, GaplessModel when
     the gap closes at a fixed zero, DegenerateZero for a Jacobian
-    determinant below threshold, NonIsolatedZero near a bifurcation or
-    when two distinct zeros crowd each other.
+    determinant below threshold, NonIsolatedZero when two distinct zeros
+    crowd each other or c is within rounding of the fold.
     """
     modes = []
     for kx, ky in _closed_form_census(p):

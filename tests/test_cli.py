@@ -191,6 +191,27 @@ def test_euler_output(capsys):
     assert doc["zero_modes"] == 9
 
 
+@pytest.mark.parametrize(
+    "anchor, offset, zero_modes",
+    [(0, -1e-8, 9), (0, 1e-6, 17), (1, -1e-7, 17), (1, 1e-12, 9)],
+)
+def test_euler_answers_close_to_the_bifurcations(capsys, anchor, offset, zero_modes):
+    # at (3, 1), c_p - 1e-8 R, c_p + 1e-6 R, c_f - 1e-7 R and c_f + 1e-12 R:
+    # the census has no band around c_p or c_f
+    c = model.zero_bifurcations(3.0, 1.0)[anchor] + offset * 3.0
+    rc, out, err = run(capsys, ["euler", "--c", repr(c)])
+    assert (rc, err) == (0, "")
+    assert json.loads(out) == {"chi": 0, "zero_modes": zero_modes}
+
+
+def test_phase_diagram_euler_cell_close_to_the_pitchfork(capsys):
+    c = model.zero_bifurcations(3.0, 1.0)[0] + 1e-6 * 3.0
+    rc, out, _ = run(capsys, ["phase-diagram", "--axis", f"c:{c!r}:2.7:2", "--quantity", "euler"])
+    assert rc == 0
+    cell = out.splitlines()[1].split(",")
+    assert (cell[2], cell[4], cell[6]) == (repr(c), "0", "ok")
+
+
 def test_winding_output(capsys):
     rc, out, _ = run(capsys, ["winding", "--center", "0,0", "--radius", "0.3"])
     assert rc == 0
