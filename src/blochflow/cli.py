@@ -23,8 +23,10 @@ JSON objects in field order (``samples`` as ``samples_used``);
 ``phase-diagram`` writes CSV (``grid_to_csv``: 17 significant digits,
 missing values empty, byte-identical for identical sweeps); ``field-dump``
 streams ``model.write_surface_csv``, where one helper process formats the
-odd ky lines.  Its bytes and row order are those of one process, and each
-of the two processes holds one ky line at a time.  A failed helper prints
+odd ky lines and each pair of kx-mirrored nodes is formatted once, into
+``sys.stdout.buffer`` or a file opened "wb".  Its bytes and row order are
+those of one process formatting every node, and each of the two
+processes holds one ky line at a time.  A failed helper prints
 its traceback on stderr, and the dump then raises ``RuntimeError``, which
 ``main`` lets through: the command exits 1, never 0 with a truncated CSV.
 """
@@ -202,9 +204,10 @@ def _cmd_field_dump(args) -> int:
     if args.grid_n < 2:
         raise _UsageError(f"--grid-n: must be at least 2, got {args.grid_n}")
     if args.out is None:
-        write_surface_csv(p, args.grid_n, sys.stdout)
+        sys.stdout.flush()
+        write_surface_csv(p, args.grid_n, sys.stdout.buffer)
     else:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+        with open(args.out, "wb") as fh:
             write_surface_csv(p, args.grid_n, fh)
     return 0
 

@@ -20,7 +20,10 @@ one or many lines.  A point is a line with one node.  The field dump
 (``write_surface_csv``), the winding loops (``winding``) and the unit
 Bloch vector of the Chern sum (``chern``) are all written on ``_bloch``;
 the zero census (``zeromode``) needs only ``_trig_rho``, since its zeros
-lie where sin kx = 0.
+lie where sin kx = 0.  Node n - i of the dump's grid lies at -kx of
+node i, where h and the velocity mirror those of node i; the dump
+formats each pair whose sin kx and cos kx mirror bit for bit once
+(``_row_plan``), and writes bytes.
 ``KPoint.canonical`` reduces a single point to the fundamental domain
 [-pi, pi)^2.
 
@@ -40,7 +43,7 @@ import collections
 import contextlib
 import math
 import os
-from typing import NamedTuple, TextIO
+from typing import BinaryIO, NamedTuple
 
 TWO_PI = 2.0 * math.pi
 # Largest accepted |R|, |r| and |c|.  |h|^2 and the Hessian determinant,
@@ -232,22 +235,59 @@ def _kx_pi_roots(p: ModelParams) -> list:
 SURFACE_CSV_HEADER = "kx,ky,hx,hy,hz,vx,vy"
 
 
-def _surface_line(p: ModelParams, kx_trig: tuple, kx_heads: list, y: float) -> str:
-    """The n rows of the dump at one ky, each ending in a newline."""
+def _row_plan(kx_trig: tuple, kx_heads: list, mirror: dict) -> tuple:
+    """How ``_surface_line`` lays out a ky line from the pairs in ``mirror``: (kx_trig, half, gather, fill).
+
+    ``mirror`` maps node j of the second half to its partner n - j, whose
+    hx, hz and vy are the same and whose hy and vx are negated, so that
+    their strings differ by a sign.  A line computes and formats only the
+    first ``half`` nodes and then the unpaired ones, whose sin and cos the
+    returned ``kx_trig`` holds in that order.  A first-half row holds |hy|
+    and vx > 0 and leaves its head and both signs to ``fill``.  ``gather``
+    picks each node's row in kx order: its partner's row for a paired one.
+    With no pairs, half = 0 and every node is formatted as it is.
+    """
+    sx, cx = kx_trig
     n = len(kx_heads)
+    half = (n + 1) // 2 if mirror else 0
+    rest = [j for j in range(half, n) if j not in mirror]
+    rows = {j: half + k for k, j in enumerate(rest)} | mirror
+    gather = [*range(half), *(rows[j] for j in range(half, n))]
+    signs = [(b"-", b"")] * half + [(b"", b"-" if j in mirror else b"") for j in range(half, n)]
+    fill = tuple(x for head, sign in zip(kx_heads, signs) for x in (head, *sign))
+    nodes = [*range(half), *rest]
+    return ([sx[j] for j in nodes], [cx[j] for j in nodes]), half, gather, fill
+
+
+def _surface_line(p: ModelParams, plans: tuple, y: float) -> bytes:
+    """The n rows of the dump at one ky, each ending in a newline.
+
+    The first of the ``plans`` (``_row_plan``) whose first half has hy < 0
+    and vx > 0 lays out the line: the mirrored one, unless c = 0 or vx
+    underflows to 0 there, and otherwise the plain one, which has no first
+    half.
+    """
     line = _trig_rho(y, p)
-    hx, hy, vx, vy, _ = _bloch(kx_trig, [line] * n, p)
-    values = [0.0] * (4 * n)
+    for kx_trig, half, gather, fill in plans:
+        m = len(kx_trig[0])
+        hx, hy, vx, vy, _ = _bloch(kx_trig, [line] * m, p)
+        if max(hy[:half], default=-1.0) < 0.0 < min(vx[:half], default=1.0):
+            break
+    values = [0.0] * (4 * m)
     values[0::4], values[1::4], values[2::4], values[3::4] = hx, hy, vx, vy
-    # ky and hz are constant along the line; %% leaves the per-node slots for the second pass
-    tail = ",%.17g,%%.17g,%%.17g,%.17g,%%.17g,%%.17g\n" % (y, line[3])
-    return (tail.join(kx_heads) + tail) % tuple(values)
+    values[1 : 4 * half : 4] = [-w for w in hy[:half]]
+    # ky and hz are constant along the line; %% leaves the per-node values
+    # for the second pass, and %%%% the head and sign slots for the third
+    row = b"%%%%s,%.17g,%%.17g,%%%%s%%.17g,%.17g,%%%%s%%.17g,%%.17g\n" % (y, line[3])
+    rows = ((row * m) % tuple(values)).splitlines(True)
+    return b"".join([rows[g] for g in gather]) % fill
 
 
-def _send_odd_lines(fd: int, p: ModelParams, kx_trig: tuple, kx_heads: list, ys: list) -> None:
+def _send_odd_lines(fd: int, p: ModelParams, plans: tuple, ys: list) -> None:
     """The helper process: send the odd ky lines through the pipe ``fd``, each after its length.
 
-    It leaves only through ``os._exit``, so it never flushes the stdio
+    The lines go out as ``_surface_line`` returns them, already bytes.  It
+    leaves only through ``os._exit``, so it never flushes the stdio
     buffers it inherited (the caller's unflushed header would be written
     twice) and never runs the caller's ``atexit`` hooks.  It exits 0 once
     every line is sent, and 1 otherwise: quietly when the caller has gone
@@ -258,7 +298,7 @@ def _send_odd_lines(fd: int, p: ModelParams, kx_trig: tuple, kx_heads: list, ys:
     try:
         with open(fd, "wb") as pipe:
             for y in ys[1::2]:
-                data = _surface_line(p, kx_trig, kx_heads, y).encode("ascii")
+                data = _surface_line(p, plans, y)
                 pipe.write(len(data).to_bytes(8, "little"))
                 pipe.write(data)
         status = 0
@@ -272,18 +312,18 @@ def _send_odd_lines(fd: int, p: ModelParams, kx_trig: tuple, kx_heads: list, ys:
         os._exit(status)
 
 
-def _receive_line(pipe) -> str | None:
+def _receive_line(pipe) -> bytes | None:
     """The next line from the helper, or None if the helper ended before sending all of it."""
     head = pipe.read(8)
     if len(head) < 8:
         return None
     size = int.from_bytes(head, "little")
     data = pipe.read(size)
-    return data.decode("ascii") if len(data) == size else None
+    return data if len(data) == size else None
 
 
-def write_surface_csv(p: ModelParams, n: int, fh: TextIO) -> None:
-    """Write h and the velocity on an n x n uniform grid over [-pi, pi)^2 as CSV.
+def write_surface_csv(p: ModelParams, n: int, fh: BinaryIO) -> None:
+    """Write h and the velocity on an n x n uniform grid over [-pi, pi)^2 as CSV to the binary file ``fh``.
 
     One row per node, ky the slow index and kx the fast one, floats with
     17 significant digits.  The velocity is defined at every node, even
@@ -298,7 +338,9 @@ def write_surface_csv(p: ModelParams, n: int, fh: TextIO) -> None:
     happens where ``os.fork`` does not exist.  Each process holds one ky
     line at a time and the pipe at most 1 MB, so memory does not grow with
     n^2.  The n kx strings are formatted once per dump and ky and hz once
-    per line; only hx, hy, vx and vy are formatted per node.
+    per line; only hx, hy, vx and vy are formatted per node, and only once
+    per pair of nodes that mirror each other in kx (``_row_plan``).  The
+    lines stay bytes from the formatting to ``fh``.
 
     The helper is reaped before this returns or raises; on an error here
     (a closed stdout, a failed write, Ctrl-C) it is killed first.  If the
@@ -308,12 +350,18 @@ def write_surface_csv(p: ModelParams, n: int, fh: TextIO) -> None:
     if n < 2:
         raise ValueError(f"grid size must be at least 2, got n={n}")
     ys = [-math.pi + TWO_PI * i / n for i in range(n)]
-    kx_trig = _kx_trig(ys)
-    kx_heads = ["%.17g" % x for x in ys]
-    fh.write(SURFACE_CSV_HEADER + "\n")
+    kx_trig = sx, cx = _kx_trig(ys)
+    kx_heads = [b"%.17g" % x for x in ys]
+    # node n - i sits at -kx of node i where sin kx and cos kx say so bit for
+    # bit; the ticks are not exactly symmetric, so only some pairs do
+    mirror = {
+        n - i: i for i in range(1, (n + 1) // 2) if (-sx[i]).hex() == sx[n - i].hex() and cx[i].hex() == cx[n - i].hex()
+    }
+    plans = _row_plan(kx_trig, kx_heads, mirror), _row_plan(kx_trig, kx_heads, {})
+    fh.write(SURFACE_CSV_HEADER.encode() + b"\n")
     if not hasattr(os, "fork"):
         for y in ys:
-            fh.write(_surface_line(p, kx_trig, kx_heads, y))
+            fh.write(_surface_line(p, plans, y))
         return
     import fcntl
 
@@ -326,12 +374,12 @@ def write_surface_csv(p: ModelParams, n: int, fh: TextIO) -> None:
     pid = os.fork()
     if pid == 0:
         os.close(r)
-        _send_odd_lines(w, p, kx_trig, kx_heads, ys)
+        _send_odd_lines(w, p, plans, ys)
     os.close(w)
     try:
         with open(r, "rb") as pipe:
             for i, y in enumerate(ys):
-                line = _surface_line(p, kx_trig, kx_heads, y) if i % 2 == 0 else _receive_line(pipe)
+                line = _surface_line(p, plans, y) if i % 2 == 0 else _receive_line(pipe)
                 if line is None:
                     break
                 fh.write(line)

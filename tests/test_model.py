@@ -195,9 +195,9 @@ def test_frame_regularity():
 
 
 def _surface_csv(p, n):
-    buf = io.StringIO()
+    buf = io.BytesIO()
     write_surface_csv(p, n, buf)
-    return buf.getvalue().splitlines()
+    return buf.getvalue().decode("ascii").splitlines()
 
 
 def test_surface_csv_grid():
@@ -210,7 +210,7 @@ def test_surface_csv_grid():
     assert rows[3][5:] == pytest.approx([0.0, 0.0], abs=1e-15)
     for n in (0, 1):
         with pytest.raises(ValueError):
-            write_surface_csv(P1, n, io.StringIO())
+            write_surface_csv(P1, n, io.BytesIO())
 
 
 @settings(max_examples=40)
@@ -229,6 +229,20 @@ def test_surface_csv_matches_oracle_rows(params):
         assert np.max(np.abs(rows[ok, 6] - vy[ok]), initial=0.0) <= 1e-10
 
 
+@pytest.mark.parametrize(
+    "c, n",
+    [(0.0, 33), (0.0, 64), (5e-324, 64), (3e-308, 64), (1.0, 2), (1.0, 3), (1.0, 33), (1.0, 64), (1.0, 100), (1.0, 256)],
+)
+def test_surface_csv_mirror_pairs_match_oracle_rows(c, n):
+    # Node n - i mirrors node i in kx only where their sin kx and cos kx say
+    # so bit for bit: 6 of 16 pairs at n = 33, 20 of 31 at 64, none at 2 and 3.
+    # At c = 0, and at c = 5e-324 where vx underflows to 0, the signs of hy
+    # and vx do not tell the partners apart, and every line is formatted
+    # plainly; at c = 3e-308 that happens on 3 of the 64 lines.
+    p = ModelParams(3, 1, c)
+    assert _surface_csv(p, n)[1:] == surface_csv_rows(p, n)
+
+
 def test_surface_csv_memory_independent_of_grid_area():
     # rows are streamed one ky line at a time: one 512 x 512 float64 array
     # alone would take 2 MB
@@ -236,12 +250,12 @@ def test_surface_csv_memory_independent_of_grid_area():
         def __init__(self):
             self.lines = 0
 
-        def write(self, text):
-            self.lines += text.count("\n")
+        def write(self, data):
+            self.lines += data.count(b"\n")
 
         def writelines(self, lines):
-            for text in lines:
-                self.write(text)
+            for data in lines:
+                self.write(data)
 
     sink = CountingSink()
     tracemalloc.start()
@@ -258,10 +272,10 @@ def test_surface_csv_memory_independent_of_grid_area():
 def test_surface_csv_without_fork_writes_the_same_bytes(monkeypatch, n):
     # where os.fork does not exist, one process writes every line
     p = ModelParams(3, 1, 2.9)
-    buf = io.StringIO()
+    buf = io.BytesIO()
     write_surface_csv(p, n, buf)
     monkeypatch.delattr(os, "fork")
-    alone = io.StringIO()
+    alone = io.BytesIO()
     write_surface_csv(p, n, alone)
     assert alone.getvalue() == buf.getvalue()
 
@@ -271,24 +285,24 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-class _SecondWriteFails(io.StringIO):
+class _SecondWriteFails(io.BytesIO):
     """A sink whose second write, the first after the helper is forked, raises ``error``."""
 
     def __init__(self, error):
         super().__init__()
         self.error, self.writes = error, 0
 
-    def write(self, text):
+    def write(self, data):
         self.writes += 1
         if self.writes == 2:
             raise self.error
-        return super().write(text)
+        return super().write(data)
 
 
 def test_surface_csv_reaps_the_helper():
-    buf = io.StringIO()
+    buf = io.BytesIO()
     write_surface_csv(P1, 64, buf)
-    assert buf.getvalue().count("\n") == 1 + 64 * 64
+    assert buf.getvalue().count(b"\n") == 1 + 64 * 64
     _assert_no_child_left()
 
 
@@ -303,7 +317,7 @@ def test_surface_csv_kills_and_reaps_the_helper_on_a_write_error(error):
     with pytest.raises(type(error)):
         write_surface_csv(P1, 64, sink)
     _assert_no_child_left()
-    assert sink.getvalue() == SURFACE_CSV_HEADER + "\n"
+    assert sink.getvalue() == SURFACE_CSV_HEADER.encode() + b"\n"
 
 
 def test_surface_csv_raises_when_the_helper_fails(monkeypatch, capfd):
@@ -315,19 +329,19 @@ def test_surface_csv_raises_when_the_helper_fails(monkeypatch, capfd):
         return surface_line(*args)
 
     monkeypatch.setattr(model, "_surface_line", fails_in_the_helper)
-    buf = io.StringIO()
+    buf = io.BytesIO()
     with pytest.raises(RuntimeError, match="exited with status 1 before sending them all"):
         write_surface_csv(P1, 64, buf)
     _assert_no_child_left()
     # the helper's traceback is on stderr, and the dump stops at the first odd line
     assert "ZeroDivisionError: in the helper" in capfd.readouterr().err
-    assert buf.getvalue().count("\n") == 1 + 64
+    assert buf.getvalue().count(b"\n") == 1 + 64
 
 
 def test_surface_csv_format():
-    buf = io.StringIO()
+    buf = io.BytesIO()
     write_surface_csv(P1, 3, buf)
-    lines = buf.getvalue().splitlines()
+    lines = buf.getvalue().decode("ascii").splitlines()
     assert lines[0] == SURFACE_CSV_HEADER
     assert len(lines) == 1 + 9
     # ky is the slow index: first three rows share ky = -pi
