@@ -47,7 +47,7 @@ import math
 from typing import NamedTuple
 
 from .errors import DegenerateTriangle, GaplessModel, InsufficientSampling
-from .model import TWO_PI, ModelParams, _bloch, _kx_pi_roots, _kx_trig, _trig_rho, gapless_boundary
+from .model import TWO_PI, ModelParams, _bloch, _kx_pi_roots, _kx_trig, _trig_rho
 
 EPS_GAP_CHERN = 1e-6
 # chern_plaquette's nodes per axis.  It must be even, so that (pi, 0) and
@@ -99,14 +99,23 @@ def gap_min(p: ModelParams) -> float:
         |h|^2 = (rho - c)^2 + r^2 (1 - u^2),   rho^2 = R^2 + r^2 + 2 R r u,
 
     whose stationary points are u = -+1 and the roots in (-1, 1) of the
-    cubic ``model._kx_pi_cubic`` (``model._kx_pi_roots``).
+    cubic ``model._kx_pi_cubic`` (``model._kx_pi_roots``), of which there
+    are none for c <= c_p = (R^2 - r^2) / R.
     """
-    R, r, c = p.R, p.r, p.c
-    least = math.inf
-    for u in (-1.0, 1.0, *_kx_pi_roots(p)):
-        sin_sq = 1.0 - u * u
-        rho = math.sqrt((R + r * u) ** 2 + r * r * sin_sq)
-        least = min(least, (rho - c) ** 2 + r * r * sin_sq)
+    R, r, c = p
+    rr = r * r
+    # the ends u = -+1, where sin_sq = 0; r * 1.0 keeps the arithmetic of
+    # R + r u, in floats, also for integer R and r
+    least = (math.sqrt((R - r * 1.0) ** 2) - c) ** 2
+    end = (math.sqrt((R + r * 1.0) ** 2) - c) ** 2
+    if end < least:
+        least = end
+    if c > (R * R - rr) / R:
+        for u in _kx_pi_roots(p):
+            sin_sq = 1.0 - u * u
+            sq = (math.sqrt((R + r * u) ** 2 + rr * sin_sq) - c) ** 2 + rr * sin_sq
+            if sq < least:
+                least = sq
     return math.sqrt(least)
 
 
@@ -125,12 +134,13 @@ def _chern_preimages(p: ModelParams, g: float) -> int:
     first, so |h| > 0 at both points.
     """
     _open_gap(p, g)
-    lo, hi = gapless_boundary(p.R, p.r)
-    return sum(
-        1 if _degree_integrand([-1.0], ky, p)[0] > 0.0 else -1
-        for ky, rho in ((0.0, hi), (math.pi, lo))
-        if p.c < rho
-    )
+    R, r, c = p
+    count = 0
+    if c < R + r:
+        count += 1 if _degree_integrand([-1.0], 0.0, p)[0] > 0.0 else -1
+    if c < R - r:
+        count += 1 if _degree_integrand([-1.0], math.pi, p)[0] > 0.0 else -1
+    return count
 
 
 def chern_direct(p: ModelParams) -> ChernResult:

@@ -109,26 +109,12 @@ def closed_zone_records(modes) -> list:
 CSV_HEADER = "R,r,c,chern,chi,gap_min,status"
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
-
-
 def grid_to_csv(grid: PhaseDiagramGrid) -> str:
     lines = [CSV_HEADER]
-    for cell in grid.cells:
-        p = cell.params
+    for (R, r, c), chern, chi, g, status in grid.cells:
         lines.append(
-            ",".join(
-                (
-                    _fmt(p.R),
-                    _fmt(p.r),
-                    _fmt(p.c),
-                    "" if cell.chern is None else str(cell.chern),
-                    "" if cell.chi is None else str(cell.chi),
-                    _fmt(cell.gap_min),
-                    cell.status,
-                )
-            )
+            "%.17g,%.17g,%.17g,%s,%s,%.17g,%s"
+            % (R, r, c, "" if chern is None else chern, "" if chi is None else chi, g, status)
         )
     return "\n".join(lines) + "\n"
 

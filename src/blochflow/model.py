@@ -77,7 +77,7 @@ class ModelParams(collections.namedtuple("ModelParams", "R r c")):
     __slots__ = ()
 
     def __new__(cls, R: float, r: float, c: float = 0.0):
-        if not all(abs(x) <= PARAM_MAX for x in (R, r, c)) or 0.0 < r < PARAM_MIN:
+        if not (abs(R) <= PARAM_MAX and abs(r) <= PARAM_MAX and abs(c) <= PARAM_MAX) or 0.0 < r < PARAM_MIN:
             raise ValueError(
                 f"parameters must be finite and at most {PARAM_MAX:.0e}, with r at least {PARAM_MIN:.0e}, "
                 f"got R={R}, r={r}, c={c}"

@@ -96,15 +96,16 @@ def _cell_param_sets(axes, base: ModelParams):
     names = [ax.name for ax in axes]
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate sweep axis {names}")
+    slots = [_AXIS_NAMES.index(name) for name in names]
+    vals = list(base)  # [R, r, c], the swept slots overwritten per cell
     out = []
     for combo in itertools.product(*(ax.values() for ax in axes)):
-        kw = {"R": base.R, "r": base.r, "c": base.c}
-        for name, value in zip(names, combo):
-            kw[name] = value
+        for i, value in zip(slots, combo):
+            vals[i] = value
         try:
-            out.append(ModelParams(**kw))
+            out.append(ModelParams(*vals))
         except ValueError as e:
-            raise ValueError(f"sweep axis produces invalid parameters {kw}: {e}") from e
+            raise ValueError(f"sweep axis produces invalid parameters {dict(zip(_AXIS_NAMES, vals))}: {e}") from e
     return out
 
 

@@ -29,6 +29,13 @@ np.cross and einsum over an (n, n, 3) stack of unit vectors (the library
 slices three component arrays of a wrapped open grid and shares the cross
 product and the edge dot products between the two triangles of a
 plaquette).
+
+Three oracles are plainer forms of library code, which the library must
+match bit for bit and message for message: the phase-diagram CSV joined one
+formatted field at a time (``field_joined_csv``), ``gap_min`` as a loop
+over every stationary u with ``min`` (``loop_gap_min``), and the checks of
+``ModelParams`` with the range test as a generator under ``all``
+(``generator_params_error``).
 """
 
 import math
@@ -39,7 +46,18 @@ from scipy import ndimage
 from scipy.optimize import fsolve
 
 from blochflow.errors import DegenerateField, GaplessModel, GaplessPoint, NonIsolatedZero
-from blochflow.model import EPS_GAP, TWO_PI, _bloch, _kx_pi_cubic, _kx_trig, _trig_rho, reduce_angle
+from blochflow.model import (
+    EPS_GAP,
+    PARAM_MAX,
+    PARAM_MIN,
+    TWO_PI,
+    _bloch,
+    _kx_pi_cubic,
+    _kx_pi_roots,
+    _kx_trig,
+    _trig_rho,
+    reduce_angle,
+)
 from blochflow.zeromode import C_DEGENERATE, ISOLATION_RADIUS, zero_bifurcations
 
 # The Newton census: damped Newton from every node of a 64 x 64 seed grid
@@ -533,3 +551,52 @@ def params_near_critical(draw):
     if anchor is None:
         return R, r, draw(st.floats(0.0, R + r + 1.5))
     return R, r, critical_shifts(R, r)[anchor] + draw(st.floats(-1e-3, 1e-3))
+
+
+def field_joined_csv(cells):
+    """The phase-diagram CSV of ``cells``, each field formatted by itself and the fields joined."""
+
+    def fmt(x):
+        return format(x, ".17g")
+
+    lines = ["R,r,c,chern,chi,gap_min,status"]
+    for cell in cells:
+        p = cell.params
+        fields = (
+            fmt(p.R),
+            fmt(p.r),
+            fmt(p.c),
+            "" if cell.chern is None else str(cell.chern),
+            "" if cell.chi is None else str(cell.chi),
+            fmt(cell.gap_min),
+            cell.status,
+        )
+        lines.append(",".join(fields))
+    return "\n".join(lines) + "\n"
+
+
+def loop_gap_min(p):
+    """gap_min as the smallest |h| over u = -1, 1 and every root of ``_kx_pi_roots``, by ``min``."""
+    R, r, c = p.R, p.r, p.c
+    least = math.inf
+    for u in (-1.0, 1.0, *_kx_pi_roots(p)):
+        sin_sq = 1.0 - u * u
+        rho = math.sqrt((R + r * u) ** 2 + r * r * sin_sq)
+        least = min(least, (rho - c) ** 2 + r * r * sin_sq)
+    return math.sqrt(least)
+
+
+def generator_params_error(R, r, c):
+    """The message ModelParams(R, r, c) should raise, or None, with the range test as a generator."""
+    if not all(abs(x) <= PARAM_MAX for x in (R, r, c)) or 0.0 < r < PARAM_MIN:
+        return (
+            f"parameters must be finite and at most {PARAM_MAX:.0e}, with r at least {PARAM_MIN:.0e}, "
+            f"got R={R}, r={r}, c={c}"
+        )
+    if not r > 0.0:
+        return f"tube radius r must be positive, got r={r}"
+    if not R > r:
+        return f"major radius must exceed tube radius (R > r), got R={R}, r={r}"
+    if c < 0.0:
+        return f"axis shift c must be nonnegative, got c={c}"
+    return None

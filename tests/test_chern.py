@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import blochflow.chern
@@ -26,9 +26,11 @@ from blochflow.errors import DegenerateTriangle, GaplessModel, InsufficientSampl
 from oracles import (
     axis_distance,
     bloch_components,
+    critical_shifts,
     fd_degree_integrand,
     frame_chern_direct,
     frame_degree_integrand,
+    loop_gap_min,
     params_near_critical,
     periodic_unit_grid,
     random_gapped_params,
@@ -85,6 +87,43 @@ def test_degree_integrand_matches_finite_differences(params, kx, ky):
     rho = float(axis_distance(ky, p))
     size = p.r * (rho * (rho + p.c) + p.r * p.R) / gap**3
     assert abs(exact - float(frame_degree_integrand(kx, ky, p))) <= 1e-12 * size
+
+
+@st.composite
+def params_at_critical_shifts(draw):
+    """(R, r, c) with c at R - r, R + r, c_p or c_f exactly, a few ulps from one, or up to 1e-3 R from one.
+
+    R and r are floats over six decades, or integers up to 1e20, beyond
+    where every integer is a float."""
+    if draw(st.booleans()):
+        R = draw(st.integers(2, 10**20))
+        r = draw(st.integers(1, R - 1))
+    else:
+        R = 10.0 ** draw(st.floats(-3.0, 3.0))
+        r = R * draw(st.floats(1e-8, 1.0 - 1e-8))
+    c = draw(st.sampled_from(critical_shifts(R, r)))
+    how = draw(st.sampled_from(("at", "ulps", "offset")))
+    if how == "ulps":
+        toward = draw(st.sampled_from((0.0, math.inf)))
+        for _ in range(draw(st.integers(1, 64))):
+            c = math.nextafter(c, toward)
+    elif how == "offset":
+        c = max(0.0, c + R * draw(st.floats(-1e-3, 1e-3)))
+    return R, r, c
+
+
+@settings(max_examples=400)
+@given(params_at_critical_shifts())
+@example((3, 1, 2))
+@example((3, 1, 4))
+@example((3.0, 1.0, 8.0 / 3.0))
+@example((3.0, 1.0, critical_shifts(3.0, 1.0)[3]))
+@example((2**53 + 1, 1, 2**53))
+def test_gap_min_bits_match_the_loop(params):
+    # the unrolled ends and the skipped solver give the loop's bits, at and
+    # next to the closings and the bifurcations, for integer R and r too
+    p = ModelParams(*params)
+    assert gap_min(p).hex() == loop_gap_min(p).hex()
 
 
 def test_gap_min_matches_boundary_roots():

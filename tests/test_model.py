@@ -38,6 +38,7 @@ from oracles import (
     bloch_components,
     fd_bloch_frame,
     frame_components,
+    generator_params_error,
     generic_velocity_and_gap,
     numpy_kx_pi_roots,
     params_near_critical,
@@ -75,6 +76,62 @@ def test_params_validation():
     ModelParams(3, 1, 0)  # c = 0 is constructible (census rejects it later)
     ModelParams(PARAM_MAX, 1, PARAM_MAX)
     ModelParams(3 * PARAM_MIN, PARAM_MIN, 0)
+
+
+# NaN, -+inf, -+0.0, the bounds and their neighbours, integers (int(PARAM_MAX)
+# is the float's value, one more lies above it) and bools
+_PARAM_EDGES = (
+    math.nan,
+    math.inf,
+    -math.inf,
+    0.0,
+    -0.0,
+    PARAM_MAX,
+    -PARAM_MAX,
+    math.nextafter(PARAM_MAX, 0.0),
+    math.nextafter(PARAM_MAX, math.inf),
+    math.nextafter(-PARAM_MAX, -math.inf),
+    PARAM_MIN,
+    -PARAM_MIN,
+    math.nextafter(PARAM_MIN, 0.0),
+    math.nextafter(PARAM_MIN, 1.0),
+    3 * PARAM_MIN,
+    1.0,
+    3.0,
+    0,
+    1,
+    3,
+    -1,
+    int(PARAM_MAX),
+    int(PARAM_MAX) + 1,
+    True,
+    False,
+)
+
+
+def _params_error(R, r, c):
+    try:
+        ModelParams(R, r, c)
+    except ValueError as e:
+        return str(e)
+    return None
+
+
+def test_params_checks_match_the_generator_form_on_every_edge():
+    for R in _PARAM_EDGES:
+        for r in _PARAM_EDGES:
+            for c in _PARAM_EDGES:
+                assert _params_error(R, r, c) == generator_params_error(R, r, c), (R, r, c)
+
+
+_PARAM_VALUES = st.one_of(st.sampled_from(_PARAM_EDGES), st.floats(), st.integers(-(10**60), 10**60), st.booleans())
+
+
+@settings(max_examples=500)
+@given(_PARAM_VALUES, _PARAM_VALUES, _PARAM_VALUES)
+def test_params_checks_match_the_generator_form(R, r, c):
+    # the chained range test accepts and rejects what the generator did, with the same message
+    assert _params_error(R, r, c) == generator_params_error(R, r, c)
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Parameter sweeps: phase structure, tags, deterministic persistence."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +14,9 @@ from blochflow import ModelParams, SweepAxis, chern_plaquette, sweep_chern
 from blochflow.chern import EPS_GAP_CHERN, gap_min
 from blochflow.cli import CSV_HEADER, grid_to_csv
 from blochflow.errors import GaplessModel
-from blochflow.sweep import GAPLESS_THRESHOLD, sweep_euler
+from blochflow.sweep import GAPLESS_THRESHOLD, PhaseDiagramGrid, SweepCell, sweep_euler
+
+from oracles import field_joined_csv
 
 BASE = ModelParams(3, 1, 1)
 
@@ -123,7 +126,9 @@ def test_two_axis_sweep():
 
 
 def test_invalid_axis_combination_rejected():
-    with pytest.raises(ValueError):
+    # the message names the first invalid cell's values
+    message = "sweep axis produces invalid parameters {'R': 3, 'r': 3.0, 'c': 1}: major radius must exceed"
+    with pytest.raises(ValueError, match=re.escape(message)):
         sweep_chern([SweepAxis("r", 2.5, 3.5, 3)], BASE)  # r >= R cells
     with pytest.raises(ValueError):
         sweep_chern(
@@ -140,6 +145,65 @@ def test_csv_output_shape():
     assert len(lines) == 1 + 3
     assert all(len(line.split(",")) == 7 for line in lines[1:])
     assert all(line.endswith("ok") for line in lines[1:])
+
+
+# axis bounds on a coarse lattice, so that c = 0 and the closings c = R -+ r
+# (2 and 4 at R, r = 3, 1) often fall on the grid; every drawn cell has R > r
+_AXIS_DRAWS = {
+    "c": (st.sampled_from((0.0, 0.5, 1.0, 2.0)), st.sampled_from((1.0, 2.0, 4.0, 6.0))),
+    "r": (st.sampled_from((0.25, 0.5, 1.0)), st.sampled_from((0.5, 1.0, 1.5))),
+    "R": (st.sampled_from((1.5, 2.0, 3.0)), st.sampled_from((1.0, 2.0, 3.0))),
+}
+
+
+@st.composite
+def drawn_sweeps(draw):
+    """(quantity, axes, base): one or two axes of 1 to 9 steps around one of three bases."""
+    names = draw(st.sampled_from((("c",), ("r",), ("R",), ("c", "r"), ("r", "c"), ("R", "c"), ("c", "R"))))
+    axes = []
+    for name in names:
+        start, width = (draw(d) for d in _AXIS_DRAWS[name])
+        axes.append(SweepAxis(name, start, start + width, draw(st.integers(1, 9))))
+    base = draw(st.sampled_from((ModelParams(3, 1, 1), ModelParams(3.0, 1.0, 0.0), ModelParams(3.0, 0.1, 2.9))))
+    return draw(st.sampled_from(("chern", "euler"))), axes, base
+
+
+@settings(max_examples=150)
+@given(drawn_sweeps())
+@example(("euler", [SweepAxis("c", 0.0, 6.0, 7)], BASE))
+@example(("chern", [SweepAxis("c", 0.2, 5.8, 57), SweepAxis("r", 0.5, 1.5, 5)], BASE))
+def test_csv_matches_the_field_joined_oracle(sweep):
+    # one format per row gives the bytes of formatting and joining each field
+    quantity, axes, base = sweep
+    grid = (sweep_chern if quantity == "chern" else sweep_euler)(axes, base)
+    assert grid_to_csv(grid) == field_joined_csv(grid.cells)
+
+
+_CELL_PARAMS = st.builds(
+    lambda R, s, c: (R, R * s, c),
+    st.floats(1e-40, 1e40),
+    st.floats(1e-8, 1.0, exclude_max=True),
+    st.one_of(st.just(0), st.floats(0.0, 1e40)),
+)
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(
+        st.tuples(
+            _CELL_PARAMS,
+            st.one_of(st.none(), st.integers(-2, 2)),
+            st.one_of(st.none(), st.integers(-8, 8)),
+            st.floats(0.0, 1e300),
+            st.sampled_from(("ok", "gapless", "degenerate")),
+        ),
+        max_size=5,
+    )
+)
+def test_csv_matches_the_field_joined_oracle_on_any_cell(rows):
+    # subnormal and huge floats, integer c and negative invariants, outside any sweep's reach
+    cells = tuple(SweepCell(ModelParams(*p), chern, chi, g, status) for p, chern, chi, g, status in rows)
+    assert grid_to_csv(PhaseDiagramGrid(cells)) == field_joined_csv(cells)
 
 
 def test_output_determinism():
