@@ -4,10 +4,10 @@ The invariant is the degree of the unit Bloch vector as a map from the
 zone torus to the sphere: the signed count of the preimages of -x, which
 are (pi, 0) when c < R + r and (pi, pi) when c < R - r (the triple
 product there is r rho (rho - c) cos ky), so C = [c < R + r] - [c < R - r].
-``_chern_preimages`` counts them on floats, each signed by
-``_degree_integrand``, and the phase-diagram sweep uses it.  The ``chern``
-command reports one of two numerical discretizations of the degree, whose
-raw sum, grid size and method make up its JSON record (``ChernResult``):
+``_chern_preimages`` makes those two comparisons behind the gap gate,
+and the phase-diagram sweep uses it.  The ``chern`` command reports one
+of two numerical discretizations of the degree, whose raw sum, grid size
+and method make up its JSON record (``ChernResult``):
 
 * ``chern_direct``: midpoint quadrature of the triple product
   hhat . (d hhat/dkx x d hhat/dky) / 4pi, evaluated in closed form as
@@ -127,20 +127,16 @@ def _open_gap(p: ModelParams, g: float) -> float:
 
 
 def _chern_preimages(p: ModelParams, g: float) -> int:
-    """C as the signed count of the preimages of -x, given g = gap_min(p); no arrays.
+    """C as the signed count of the preimages of -x, given g = gap_min(p): an int.
 
-    (pi, 0) counts when c < R + r and (pi, pi) when c < R - r, each with the
-    sign of ``_degree_integrand`` there, at cos kx = -1.  The gate runs
-    first, so |h| > 0 at both points.
+    (pi, 0) counts when c < R + r and (pi, pi) when c < R - r.  The degree
+    integrand there has the sign of r rho (rho - c) cos ky, with rho = R + r
+    and R - r, so the first counts +1 and the second -1.  The gate runs
+    first: a gap above EPS_GAP_CHERN R keeps c that far from both rho.
     """
     _open_gap(p, g)
     R, r, c = p
-    count = 0
-    if c < R + r:
-        count += 1 if _degree_integrand([-1.0], 0.0, p)[0] > 0.0 else -1
-    if c < R - r:
-        count += 1 if _degree_integrand([-1.0], math.pi, p)[0] > 0.0 else -1
-    return count
+    return (c < R + r) - (c < R - r)
 
 
 def chern_direct(p: ModelParams) -> ChernResult:

@@ -21,7 +21,8 @@ on stdout; ``euler`` writes chi and the number of those records as
 ``zero_modes``; ``chern`` and ``winding`` write their result records as
 JSON objects in field order (``samples`` as ``samples_used``);
 ``phase-diagram`` writes CSV (``grid_to_csv``: 17 significant digits,
-missing values empty, byte-identical for identical sweeps); ``field-dump``
+each distinct axis value formatted once, missing values empty,
+byte-identical for identical sweeps); ``field-dump``
 streams ``model.write_surface_csv``, where one helper process formats the
 odd ky lines and each pair of kx-mirrored nodes is formatted once, into
 ``sys.stdout.buffer`` or a file opened "wb".  Its bytes and row order are
@@ -110,12 +111,14 @@ CSV_HEADER = "R,r,c,chern,chi,gap_min,status"
 
 
 def grid_to_csv(grid: PhaseDiagramGrid) -> str:
+    # Equal nonzero numbers print alike under %.17g, so each distinct R, r
+    # and c is formatted once per grid.  A zero is formatted on every row:
+    # 0.0 and -0.0 are one dict key, but they print as 0 and -0.
+    digits = {x: "%.17g" % x for x in {x for cell in grid.cells for x in cell.params} if x}
     lines = [CSV_HEADER]
     for (R, r, c), chern, chi, g, status in grid.cells:
-        lines.append(
-            "%.17g,%.17g,%.17g,%s,%s,%.17g,%s"
-            % (R, r, c, "" if chern is None else chern, "" if chi is None else chi, g, status)
-        )
+        R, r, c = digits[R] if R else "%.17g" % R, digits[r] if r else "%.17g" % r, digits[c] if c else "%.17g" % c
+        lines.append(f"{R},{r},{c},{'' if chern is None else chern},{'' if chi is None else chi},{g:.17g},{status}")
     return "\n".join(lines) + "\n"
 
 

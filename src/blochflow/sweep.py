@@ -9,10 +9,10 @@ degenerates (c ~ 0, or a degenerate zero) are tagged "degenerate".  The
 threshold bounds the gap |h| itself, in parameter units, not a distance
 in c to a closing, and unlike the census thresholds it is absolute, not
 relative to R; it stays so until the benchmark's reference changes with
-it.  A Chern cell is the signed preimage count ``chern._chern_preimages``
-from the cell's one ``gap_min``, and also "gapless" where gap / R <=
-``EPS_GAP_CHERN``.  Identical sweep inputs give identical grids; ``cli``
-writes them as CSV.
+it.  A Chern cell is C = [c < R + r] - [c < R - r], the two comparisons
+of ``chern._chern_preimages`` behind its gate on the cell's one
+``gap_min``, and also "gapless" where gap / R <= ``EPS_GAP_CHERN``.
+Identical sweep inputs give identical grids; ``cli`` writes them as CSV.
 """
 
 from __future__ import annotations
@@ -129,7 +129,7 @@ def _sweep(axes, base: ModelParams, invariant) -> PhaseDiagramGrid:
 
 
 def sweep_chern(axes, base: ModelParams) -> PhaseDiagramGrid:
-    """Chern number per cell, the signed preimage count at (pi, 0) and (pi, pi); gapless cells tagged."""
+    """Chern number per cell, [c < R + r] - [c < R - r] behind the gap gate; gapless cells tagged."""
     return _sweep(axes, base, lambda p, g: (_chern_preimages(p, g), None))
 
 

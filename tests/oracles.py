@@ -30,12 +30,15 @@ slices three component arrays of a wrapped open grid and shares the cross
 product and the edge dot products between the two triangles of a
 plaquette).
 
-Three oracles are plainer forms of library code, which the library must
+Four oracles are plainer forms of library code, which the library must
 match bit for bit and message for message: the phase-diagram CSV joined one
 formatted field at a time (``field_joined_csv``), ``gap_min`` as a loop
-over every stationary u with ``min`` (``loop_gap_min``), and the checks of
+over every stationary u with ``min`` (``loop_gap_min``), the checks of
 ``ModelParams`` with the range test as a generator under ``all``
-(``generator_params_error``).
+(``generator_params_error``), and the Chern preimage count with each
+preimage signed by the library's Chern integrand there
+(``integrand_preimage_count``; the library takes the signs from the two
+comparisons that decide which preimages there are).
 """
 
 import math
@@ -45,6 +48,7 @@ from hypothesis import strategies as st
 from scipy import ndimage
 from scipy.optimize import fsolve
 
+from blochflow.chern import _degree_integrand, _open_gap
 from blochflow.errors import DegenerateField, GaplessModel, GaplessPoint, NonIsolatedZero
 from blochflow.model import (
     EPS_GAP,
@@ -584,6 +588,23 @@ def loop_gap_min(p):
         rho = math.sqrt((R + r * u) ** 2 + r * r * sin_sq)
         least = min(least, (rho - c) ** 2 + r * r * sin_sq)
     return math.sqrt(least)
+
+
+def integrand_preimage_count(p, g):
+    """C as the signed count of the preimages of -x, given g = gap_min(p), each signed by the Chern integrand there.
+
+    (pi, 0) counts when c < R + r and (pi, pi) when c < R - r, each with the
+    sign of ``_degree_integrand`` there, at cos kx = -1.  The gate runs
+    first, so |h| > 0 at both points.
+    """
+    _open_gap(p, g)
+    R, r, c = p
+    count = 0
+    if c < R + r:
+        count += 1 if _degree_integrand([-1.0], 0.0, p)[0] > 0.0 else -1
+    if c < R - r:
+        count += 1 if _degree_integrand([-1.0], math.pi, p)[0] > 0.0 else -1
+    return count
 
 
 def generator_params_error(R, r, c):

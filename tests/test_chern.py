@@ -30,6 +30,7 @@ from oracles import (
     fd_degree_integrand,
     frame_chern_direct,
     frame_degree_integrand,
+    integrand_preimage_count,
     loop_gap_min,
     params_near_critical,
     periodic_unit_grid,
@@ -239,22 +240,70 @@ def test_even_grid_resolves_every_gapped_set(params):
     assert _chern_preimages(p, g) == round(raw)
 
 
-def test_preimage_count_reads_degree_integrand(monkeypatch):
-    # each present preimage is evaluated once, a ky line with the one node
-    # cos kx = -1, and signed by the integrand: negating it negates C
-    seen = []
+@st.composite
+def params_at_closings(draw):
+    """(R, r, c) with c at R - r or R + r exactly, 1 to 64 ulps from one, 1e-12 R to 1e-3 R from one, or anywhere.
 
-    def recording(cx, ky, p):
-        seen.append((cx, ky))
-        return [sign * v for v in _degree_integrand(cx, ky, p)]
+    R and r are floats over six decades with r / R up to 1 - 1e-12, or an
+    integer triple up to 1e20, beyond where every integer is a float."""
+    if draw(st.booleans()):
+        R = draw(st.integers(2, 10**20))
+        r = draw(st.integers(1, R - 1))
+        c = draw(st.sampled_from((R - r, R + r))) + draw(st.integers(-(R // 1000), R // 1000))
+        return R, r, max(0, c)
+    R = 10.0 ** draw(st.floats(-3.0, 3.0))
+    r = R * draw(st.floats(1e-12, 1.0 - 1e-12))
+    c = R + draw(st.sampled_from((-r, r)))
+    how = draw(st.sampled_from(("at", "ulps", "offset", "anywhere")))
+    if how == "ulps":
+        toward = draw(st.sampled_from((0.0, math.inf)))
+        for _ in range(draw(st.integers(1, 64))):
+            c = math.nextafter(c, toward)
+    elif how == "offset":
+        c += draw(st.sampled_from((-R, R))) * 10.0 ** draw(st.floats(-12.0, -3.0))
+    elif how == "anywhere":
+        c = draw(st.floats(0.0, 2.2 * (R + r)))
+    return R, r, max(0.0, c)
 
-    monkeypatch.setattr(blochflow.chern, "_degree_integrand", recording)
-    for sign in (1.0, -1.0):
-        for c, value, kys in ((1.0, 0, [0.0, math.pi]), (3.0, 1, [0.0]), (5.0, 0, [])):
-            seen.clear()
-            p = ModelParams(3, 1, c)
-            assert _chern_preimages(p, gap_min(p)) == sign * value
-            assert seen == [([math.cos(math.pi)], ky) for ky in kys]
+
+@settings(max_examples=500)
+@given(params_at_closings())
+@example((3, 1, 2))
+@example((3, 1, 4))
+@example((3, 1, 1))
+@example((3, 1, 3))
+@example((3, 1, 5))
+@example((2**53 + 1, 1, 2**53 + 2))
+def test_preimage_count_matches_the_integrand_signed_count(params):
+    # the two comparisons give the int that signing each preimage by the
+    # Chern integrand gives, or the same refusal, at and next to the closings
+    p = ModelParams(*params)
+    g = gap_min(p)
+    try:
+        want = integrand_preimage_count(p, g)
+    except GaplessModel as e:
+        with pytest.raises(GaplessModel) as info:
+            _chern_preimages(p, g)
+        assert str(info.value) == str(e)
+        return
+    got = _chern_preimages(p, g)
+    assert type(got) is int and got == want
+
+
+@settings(max_examples=500)
+@given(params_at_closings())
+@example((3, 1, 1))
+@example((3, 1, 3))
+@example((3, 1, 5))
+def test_integrand_sign_at_the_preimages_is_the_comparison(params):
+    # on gapped sets the integrand at (pi, 0) is positive exactly when
+    # c < R + r, and at (pi, pi) negative exactly when c < R - r: the sign
+    # of r rho (rho - c) cos ky, which the comparisons stand on
+    R, r, c = params
+    p = ModelParams(R, r, c)
+    assume(gap_min(p) / R > EPS_GAP_CHERN)
+    assert (_degree_integrand([-1.0], 0.0, p)[0] > 0.0) == (c < R + r)
+    assert (_degree_integrand([-1.0], math.pi, p)[0] < 0.0) == (c < R - r)
 
 
 def test_unorientable_grid_raises(monkeypatch):

@@ -206,6 +206,51 @@ def test_csv_matches_the_field_joined_oracle_on_any_cell(rows):
     assert grid_to_csv(PhaseDiagramGrid(cells)) == field_joined_csv(cells)
 
 
+@settings(max_examples=200)
+@given(st.lists(st.sampled_from((0.0, -0.0, 0, 1.0, 1, 3.0)), min_size=1, max_size=8))
+@example([0.0, -0.0])
+@example([-0.0, 0.0, -0.0])
+def test_csv_keeps_the_sign_of_each_zero(cs):
+    # 0.0 and -0.0 are one dict key but print as 0 and -0, and 1.0 is R's
+    # and r's value as well as c's
+    cells = tuple(SweepCell(ModelParams(3.0, 1.0, c), None, None, 0.5, "gapless") for c in cs)
+    assert grid_to_csv(PhaseDiagramGrid(cells)) == field_joined_csv(cells)
+
+
+@pytest.mark.parametrize("sweep", (sweep_chern, sweep_euler))
+def test_csv_of_a_negative_zero_base(sweep):
+    # a 2-D R x r sweep keeps the base's -0.0 in every row, as the field-joined CSV does
+    grid = sweep([SweepAxis("R", 3.0, 4.0, 2), SweepAxis("r", 0.1, 0.9, 3)], ModelParams(3, 1, -0.0))
+    text = grid_to_csv(grid)
+    assert text == field_joined_csv(grid.cells)
+    assert [line.split(",")[2] for line in text.splitlines()[1:]] == ["-0"] * 6
+
+
+def test_csv_of_one_float_in_two_columns():
+    # R's axis runs through the base's c, and c's axis through R and r
+    axes = [SweepAxis("R", 2.5, 3.5, 3), SweepAxis("c", 0.0, 3.0, 4)]
+    grid = sweep_chern(axes, ModelParams(3.0, 1.0, 3.0))
+    text = grid_to_csv(grid)
+    assert text == field_joined_csv(grid.cells)
+    assert "\n3,1,3," in text and "\n2.5,1,1," in text
+
+
+@pytest.mark.parametrize(
+    "axes",
+    (
+        [SweepAxis("c", 0, 6, 7)],
+        [SweepAxis("R", 2, 4, 3), SweepAxis("c", 0, 4, 5)],
+        [SweepAxis("r", 1, 2, 2), SweepAxis("R", 3, 4, 3)],
+    ),
+)
+def test_csv_of_integer_sweeps(axes):
+    # integer params and an integer axis stop, whose ints are the floats they equal
+    for sweep in (sweep_chern, sweep_euler):
+        grid = sweep(axes, ModelParams(3, 1, 1))
+        assert any(type(x) is int for cell in grid.cells for x in cell.params)
+        assert grid_to_csv(grid) == field_joined_csv(grid.cells)
+
+
 def test_output_determinism():
     axes = [SweepAxis("c", 1.5, 2.5, 5)]
     a = grid_to_csv(sweep_chern(axes, BASE))
