@@ -11,7 +11,8 @@ in c to a closing, and unlike the census thresholds it is absolute, not
 relative to R; it stays so until the benchmark's reference changes with
 it.  A Chern cell is C = [c < R + r] - [c < R - r], the two comparisons
 of ``chern._chern_preimages`` behind its gate on the cell's one
-``gap_min``, and also "gapless" where gap / R <= ``EPS_GAP_CHERN``.
+``gap_min``, and also "gapless" where gap / R <= ``EPS_GAP_CHERN``.  An
+Euler cell is the census kernel's index sum (``zeromode._chi``), no records.
 Identical sweep inputs give identical grids; ``cli`` writes them as CSV.
 """
 
@@ -25,7 +26,7 @@ from typing import NamedTuple
 from .chern import _chern_preimages, gap_min
 from .errors import DegenerateField, DegenerateZero, GaplessModel, NonIsolatedZero
 from .model import ModelParams
-from .zeromode import euler_characteristic
+from .zeromode import _chi
 
 GAPLESS_THRESHOLD = 1e-3
 
@@ -134,5 +135,5 @@ def sweep_chern(axes, base: ModelParams) -> PhaseDiagramGrid:
 
 
 def sweep_euler(axes, base: ModelParams) -> PhaseDiagramGrid:
-    """Euler characteristic per cell; degenerate/gapless cells carry tags."""
-    return _sweep(axes, base, lambda p, g: (None, euler_characteristic(p).chi))
+    """Euler characteristic per cell, the census kernel's index sum; degenerate/gapless cells carry tags."""
+    return _sweep(axes, base, lambda p, g: (None, _chi(p)))

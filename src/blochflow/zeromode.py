@@ -7,13 +7,13 @@ are (pi, -+arccos u) for each root u in (-1, 1) of the cubic that
 at the pitchfork c_p and the fold c_f (``model.zero_bifurcations``), the
 census refuses crowded zeros (NonIsolatedZero), singular Jacobians
 (DegenerateZero) and any c within rounding of the float c_f.
-Each zero is then classified by its velocity Jacobian, the Hessian of
-|h| there, in ``math``; on kx in {0, pi} it is diagonal (``_jacobian``).
-A negative determinant is a saddle (index -1); a positive one is a sink
-or source by the trace sign (index +1).  The velocity is that of the
-upper band +|h|; the lower band carries -v and the negated Hessian, so
-the zeros and their indexes are band independent, while sinks and
-sources trade places.
+Each zero is then classified by its velocity Jacobian, the Hessian of |h|
+there, in ``math``, diagonal on kx in {0, pi} and evaluated once per ky
+line (``_census_zeros``).  A negative determinant is a saddle (index -1), a
+positive one a sink or source by the trace sign (index +1); ``_index``
+holds this rule and the DegenerateZero threshold.  The velocity is that of
+the upper band +|h|; the lower band carries -v and the negated Hessian, so
+the zeros and indexes are band independent, while sinks and sources swap.
 
 The sum of the indexes is the Euler characteristic of the image surface:
 0 for every gapped, nondegenerate parameter set of the torus model,
@@ -31,17 +31,8 @@ from enum import Enum
 from typing import NamedTuple
 
 from .errors import DegenerateField, DegenerateZero, GaplessModel, NonIsolatedZero
-from .model import (
-    EPS_GAP,
-    TWO_PI,
-    KPoint,
-    ModelParams,
-    _kx_pi_roots,
-    _trig_rho,
-    gapless_boundary,
-    reduce_angle,
-    zero_bifurcations,
-)
+from .model import EPS_GAP, TWO_PI, KPoint, ModelParams, gapless_boundary, reduce_angle, zero_bifurcations
+from .model import _kx_pi_roots, _trig_rho
 
 # The model is scale-covariant: scaling R, r and c by s scales h and c by s
 # and the Jacobian determinant by s^2, and leaves the zeros and their kinds
@@ -78,33 +69,16 @@ class EulerResult(NamedTuple):
     modes: list
 
 
-def _jacobian(kx: float, ky: float, p: ModelParams) -> tuple:
-    """The velocity Jacobian at a census zero, where kx is 0 or -+pi: its diagonal (hxx, hyy).
-
-    With G = |h|^2 / 2 = (rho^2 + c^2 + r^2 sin^2 ky) / 2 + c rho cos kx,
-    the velocity is v_i = G_i / |h| and its Jacobian (G_ij - v_i v_j) / |h|.
-    At a zero v = 0, and on kx in {0, pi} sin kx = 0, so G_xy = 0 and the
-    Jacobian is diag(G_xx, G_yy) / |h| with |h| = sqrt((rho cos kx + c)^2 +
-    hz^2).  No gap check: where |h| = 0 this raises ZeroDivisionError.
-    """
-    cx = math.cos(kx)
-    sy, cy, rho, hz = _trig_rho(ky, p)[:4]
-    u = rho * cx + p.c
-    gap = math.sqrt(u * u + hz * hz)
-    rr = p.r * p.R
-    gyy = -rr * cy - p.c * rr * cx * (cy / rho + rr * sy * sy / rho**3) + p.r**2 * (cy * cy - sy * sy)
-    return -p.c * rho * cx / gap, gyy / gap
+def _index(det: float, R: float) -> int:
+    """Poincare index by det J: -1 for det < 0, else +1; DegenerateZero where |det| / R^2 <= DET_EPS."""
+    if abs(det) / (R * R) <= DET_EPS:
+        raise DegenerateZero(f"|det J| = {abs(det):.3e} <= {DET_EPS * R * R:.1e}")
+    return -1 if det < 0.0 else 1
 
 
 def classify(det: float, trace: float, R: float) -> ZeroKind:
-    """Saddle for det < 0; sink/source for det > 0 by the trace sign.
-
-    Raises DegenerateZero when |det| / R^2 <= DET_EPS, R being the major
-    radius of the model that the Jacobian belongs to.
-    """
-    if abs(det) / (R * R) <= DET_EPS:
-        raise DegenerateZero(f"|det J| = {abs(det):.3e} <= {DET_EPS * R * R:.1e}")
-    if det < 0.0:
+    """Saddle where the index is -1 (``_index``), else sink/source by the trace sign; may raise DegenerateZero."""
+    if _index(det, R) < 0:
         return ZeroKind.SADDLE
     return ZeroKind.SINK if trace < 0.0 else ZeroKind.SOURCE
 
@@ -134,7 +108,10 @@ def _closed_form_census(p: ModelParams):
     c_f = zero_bifurcations(p.R, p.r)[1]
     if abs(p.c - c_f) <= 16.0 * math.ulp(c_f):  # ulp(x) > u x
         raise NonIsolatedZero(f"c = {p.c} is within rounding of the fold c_f = {c_f}: 8 zeros or 4")
-    ky_pi = sorted([-math.pi, 0.0, *(s * math.acos(u) for u in _kx_pi_roots(p) for s in (-1.0, 1.0))])
+    roots = _kx_pi_roots(p)
+    if not roots:  # only the fixed zeros, pi apart: none crowds another
+        return [(-math.pi, -math.pi), (-math.pi, 0.0), (0.0, -math.pi), (0.0, 0.0)]
+    ky_pi = sorted([-math.pi, 0.0, *(s * math.acos(u) for u in roots for s in (-1.0, 1.0))])
     _check_isolated(ky_pi)
     return [(-math.pi, y) for y in ky_pi] + [(0.0, -math.pi), (0.0, 0.0)]
 
@@ -155,6 +132,46 @@ def _check_isolated(ky):
             )
 
 
+def _line_jacobians(ky: float, p: ModelParams) -> list:
+    """(det J, trace J) of the velocity Jacobian at (-pi, ky) and at (0, ky), from one ``_trig_rho``.
+
+    With G = |h|^2 / 2 = (rho^2 + c^2 + r^2 sin^2 ky) / 2 + c rho cos kx, v_i = G_i / |h|
+    and J = (G_ij - v_i v_j) / |h|: at a census zero, v = 0 = sin kx and J = diag(G_xx, G_yy) / |h|,
+    with cx = cos kx = -1.0 or 1.0 as math.cos gives it.  The terms free of cx (G_yy = a - c_rr cx b + d)
+    are rounded as in the whole expression; sin ky and hz enter only squared: -+ky give the same bits.
+    """
+    sy, cy, rho, hz = _trig_rho(ky, p)[:4]
+    rr = p.r * p.R
+    c_rho, c_rr, hz2 = -p.c * rho, p.c * rr, hz * hz
+    a, b, d = -rr * cy, cy / rho + rr * sy * sy / rho**3, p.r**2 * (cy * cy - sy * sy)
+    jacobians = []
+    for cx in (-1.0, 1.0):
+        u = rho * cx + p.c
+        gap = math.sqrt(u * u + hz2)
+        hxx, hyy = c_rho * cx / gap, (a - c_rr * cx * b + d) / gap
+        jacobians.append((hxx * hyy, hxx + hyy))
+    return jacobians
+
+
+def _census_zeros(p: ModelParams) -> list:
+    """(kx, ky, det J, trace J) of each census zero, in the order of ``_closed_form_census``.
+
+    The one census kernel: the fixed zeros share the lines ky = -pi and 0, and each pair
+    (pi, -+arccos u) one line, evaluated once (``_line_jacobians``).  Its consumers apply ``_index``.
+    """
+    lines, zeros = {}, []
+    for kx, ky in _closed_form_census(p):
+        if abs(ky) not in lines:
+            lines[abs(ky)] = _line_jacobians(ky, p)
+        zeros.append((kx, ky, *lines[abs(ky)][kx == 0.0]))
+    return zeros
+
+
+def _chi(p: ModelParams) -> int:
+    """``euler_characteristic(p).chi``, with the same refusals, from the kernel alone: no records."""
+    return sum([_index(z[2], p.R) for z in _census_zeros(p)])
+
+
 def euler_characteristic(p: ModelParams) -> EulerResult:
     """Locate, validate and classify every zero; chi is their index sum (Poincare-Hopf).
 
@@ -165,9 +182,5 @@ def euler_characteristic(p: ModelParams) -> EulerResult:
     determinant below threshold, NonIsolatedZero when two distinct zeros
     crowd each other or c is within rounding of the fold.
     """
-    modes = []
-    for kx, ky in _closed_form_census(p):
-        hxx, hyy = _jacobian(kx, ky, p)
-        det, trace = hxx * hyy, hxx + hyy
-        modes.append(ZeroMode(KPoint(kx, ky), det, trace, classify(det, trace, p.R)))
+    modes = [ZeroMode(KPoint(kx, ky), det, trace, classify(det, trace, p.R)) for kx, ky, det, trace in _census_zeros(p)]
     return EulerResult(sum(z.index for z in modes), modes)

@@ -30,8 +30,11 @@ slices three component arrays of a wrapped open grid and shares the cross
 product and the edge dot products between the two triangles of a
 plaquette).
 
-Four oracles are plainer forms of library code, which the library must
-match bit for bit and message for message: the phase-diagram CSV joined one
+Five oracles are plainer forms of library code, which the library must
+match bit for bit and message for message: the velocity Jacobian at one
+census zero, with its own ``math.cos kx`` and ``_trig_rho`` call
+(``census_jacobian``; the library's census kernel evaluates each ky line
+once for all the zeros on it), the phase-diagram CSV joined one
 formatted field at a time (``field_joined_csv``), ``gap_min`` as a loop
 over every stationary u with ``min`` (``loop_gap_min``), the checks of
 ``ModelParams`` with the range test as a generator under ``all``
@@ -133,6 +136,24 @@ def array_hessian(kx, ky, p):
     gyy = -rr * cy - p.c * rr * cx * (cy / rho + rr * sy * sy / rho**3) + p.r**2 * (cy * cy - sy * sy)
     with np.errstate(divide="ignore", invalid="ignore"):
         return (gxx - vx * vx) / gap, (gxy - vx * vy) / gap, (gyy - vy * vy) / gap
+
+
+def census_jacobian(kx: float, ky: float, p) -> tuple:
+    """The velocity Jacobian at a census zero, where kx is 0 or -+pi: its diagonal (hxx, hyy).
+
+    With G = |h|^2 / 2 = (rho^2 + c^2 + r^2 sin^2 ky) / 2 + c rho cos kx,
+    the velocity is v_i = G_i / |h| and its Jacobian (G_ij - v_i v_j) / |h|.
+    At a zero v = 0, and on kx in {0, pi} sin kx = 0, so G_xy = 0 and the
+    Jacobian is diag(G_xx, G_yy) / |h| with |h| = sqrt((rho cos kx + c)^2 +
+    hz^2).  No gap check: where |h| = 0 this raises ZeroDivisionError.
+    """
+    cx = math.cos(kx)
+    sy, cy, rho, hz = _trig_rho(ky, p)[:4]
+    u = rho * cx + p.c
+    gap = math.sqrt(u * u + hz * hz)
+    rr = p.r * p.R
+    gyy = -rr * cy - p.c * rr * cx * (cy / rho + rr * sy * sy / rho**3) + p.r**2 * (cy * cy - sy * sy)
+    return -p.c * rho * cx / gap, gyy / gap
 
 
 def torus_distance(ax, ay, bx, by):

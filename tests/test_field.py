@@ -1,8 +1,10 @@
 """Velocity field: closed form vs frame projection, Jacobian at the zeros, band sign.
 
-The point kernels are ``model._bloch`` at one point (``oracles``) and
-``zeromode._jacobian``, the diagonal velocity Jacobian at a census zero.
-The general-point Hessian is the oracle ``array_hessian``.
+The point kernel is ``model._bloch`` at one point (``oracles``).  The
+diagonal velocity Jacobian at a census zero is the oracle
+``census_jacobian``, which the census kernel matches bit for bit
+(``test_zeromode``); the general-point Hessian is the oracle
+``array_hessian``.
 """
 
 import math
@@ -14,10 +16,11 @@ from hypothesis import given, settings
 from blochflow import KPoint, ModelParams
 from blochflow.errors import GaplessPoint, TopologyError
 from blochflow.model import EPS_GAP
-from blochflow.zeromode import _closed_form_census, _jacobian
+from blochflow.zeromode import _closed_form_census
 
 from oracles import (
     array_hessian,
+    census_jacobian,
     bloch_components,
     fd_energy_gradient,
     fd_velocity_jacobian,
@@ -34,7 +37,7 @@ P1 = ModelParams(3, 1, 1)
 
 def _zero_jacobian(kx, ky, p):
     """(hxx, hyy, det, trace) of the census Jacobian at each zero of kx, ky."""
-    hxx, hyy = pointwise(_jacobian, kx, ky, p)
+    hxx, hyy = pointwise(census_jacobian, kx, ky, p)
     return hxx, hyy, hxx * hyy, hxx + hyy
 
 
@@ -149,7 +152,7 @@ def test_hessian_matches_finite_differences(params):
         hx, hy, hz = bloch_components(kx, ky, p)
         if math.sqrt(hx * hx + hy * hy + hz * hz) < 0.1:
             continue
-        hxx, hyy = _jacobian(kx, ky, p)
+        hxx, hyy = census_jacobian(kx, ky, p)
         m00, m01, m10, m11 = (float(x) for x in fd_velocity_jacobian(kx, ky, p))
         scale = 1.0 + max(abs(hxx), abs(hyy))
         for got, want in ((hxx, m00), (0.0, m01), (0.0, m10), (hyy, m11)):

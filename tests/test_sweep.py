@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 
 import blochflow.chern
 import blochflow.sweep
-from blochflow import ModelParams, SweepAxis, chern_plaquette, sweep_chern
+from blochflow import ModelParams, SweepAxis, chern_plaquette, euler_characteristic, sweep_chern
 from blochflow.chern import EPS_GAP_CHERN, gap_min
 from blochflow.cli import CSV_HEADER, grid_to_csv
-from blochflow.errors import GaplessModel
+from blochflow.errors import DegenerateField, DegenerateZero, GaplessModel, NonIsolatedZero
 from blochflow.sweep import GAPLESS_THRESHOLD, PhaseDiagramGrid, SweepCell, sweep_euler
+from blochflow.zeromode import zero_bifurcations
 
 from oracles import field_joined_csv
 
@@ -177,6 +178,49 @@ def test_csv_matches_the_field_joined_oracle(sweep):
     quantity, axes, base = sweep
     grid = (sweep_chern if quantity == "chern" else sweep_euler)(axes, base)
     assert grid_to_csv(grid) == field_joined_csv(grid.cells)
+
+
+def _euler_cell(p):
+    """(status, chi) of an Euler cell, recomputed with euler_characteristic."""
+    if gap_min(p) < GAPLESS_THRESHOLD:
+        return "gapless", None
+    try:
+        return "ok", euler_characteristic(p).chi
+    except GaplessModel:
+        return "gapless", None
+    except (DegenerateField, DegenerateZero, NonIsolatedZero):
+        return "degenerate", None
+
+
+@st.composite
+def euler_sweeps(draw):
+    """(axes, base): a c axis of 1 to 9 steps, coarse from 0 to 6 or zoomed
+    on c_p, c_f or R -+ r, and perhaps a narrow r axis before or after it."""
+    R, r = draw(st.sampled_from(((3.0, 1.0), (3, 1), (1.0, 0.99), (2.0, 1.5), (3.0, 0.1))))
+    anchor = draw(st.sampled_from((None, *zero_bifurcations(R, r), R - r, R + r)))
+    if anchor is None:
+        start, width = (draw(d) for d in _AXIS_DRAWS["c"])
+    else:
+        width = 2.0 * R * 10.0 ** draw(st.floats(-10.0, -2.0))
+        start = anchor - width / 2.0
+    axes = [SweepAxis("c", start, start + width, draw(st.integers(1, 9)))]
+    if draw(st.booleans()):
+        r_axis = SweepAxis("r", r * (1.0 - 1e-3), r * (1.0 + 1e-3), draw(st.integers(1, 4)))
+        axes.insert(draw(st.integers(0, 1)), r_axis)
+    return axes, ModelParams(R, r, 1.0)
+
+
+@settings(max_examples=100)
+@given(euler_sweeps())
+@example(([SweepAxis("c", 0.0199, 0.0201, 5)], ModelParams(1, 0.99, 1)))
+@example(([SweepAxis("c", 2.6, 3.3, 71)], BASE))
+def test_euler_sweep_cells_match_euler_characteristic(sweep):
+    # every cell's chi and status are those of euler_characteristic on its
+    # parameters, or the tag of its refusal
+    axes, base = sweep
+    grid = sweep_euler(axes, base)
+    assert [(cell.status, cell.chi) for cell in grid.cells] == [_euler_cell(cell.params) for cell in grid.cells]
+    assert all(cell.chern is None for cell in grid.cells)
 
 
 _CELL_PARAMS = st.builds(

@@ -25,11 +25,13 @@ from blochflow.errors import (
     NonIsolatedZero,
     TopologyError,
 )
+from blochflow.model import _kx_pi_roots, _trig_rho
 from blochflow.zeromode import (
+    _census_zeros,
     _check_isolated,
+    _chi,
     _closed_form_census,
     ZeroKind,
-    _jacobian,
     classify,
     zero_bifurcations,
 )
@@ -39,6 +41,7 @@ from oracles import (
     axis_distance,
     brute_zero_census,
     census_fold,
+    census_jacobian,
     full_backtrack_census,
     pairwise_isolation,
     params_near_critical,
@@ -306,8 +309,13 @@ def test_isolation_check_matches_pairwise_oracle(params):
             points = _closed_form_census(p)
     except TopologyError:
         return  # c ~ 0, a closed gap, or within rounding of the fold: no check runs
-    assert seen[0] == [y for x, y in points if x == -PI]
-    _assert_isolation_matches_oracle(points, seen[0])
+    ky = [y for x, y in points if x == -PI]
+    if _kx_pi_roots(p):
+        assert seen == [ky]
+    else:
+        # no root pair: the four fixed zeros, pi apart, need no check
+        assert seen == [] and points == FIXED_ZEROS
+    _assert_isolation_matches_oracle(points, ky)
 
 
 def test_isolation_check_fires_on_census():
@@ -373,23 +381,119 @@ def test_census_matches_full_backtrack_oracle(params):
 
 
 def test_census_kernel_work(monkeypatch):
-    # the census evaluates the Jacobian once per zero, on floats, and on
-    # nothing else: 4 or 8 points per census
-    points = []
+    # the census kernel evaluates the factors of each distinct |ky| once, on
+    # floats, and nothing else: the fixed zeros share the lines ky = -pi and
+    # 0, and each pair (pi, -+arccos u) one more, so 2 lines for 4 zeros and
+    # 4 for 8; every consumer of the kernel does the same work
+    lines = []
 
-    def counting(kx, ky, p):
-        assert type(kx) is float and type(ky) is float
-        points.append((kx, ky))
-        return _jacobian(kx, ky, p)
+    def counting(ky, p):
+        assert type(ky) is float
+        lines.append(ky)
+        return _trig_rho(ky, p)
 
-    monkeypatch.setattr(blochflow.zeromode, "_jacobian", counting)
+    monkeypatch.setattr(blochflow.zeromode, "_trig_rho", counting)
     assert not hasattr(blochflow.zeromode, "np")
-    for c, count in ((1.2, 4), (3.0, 8), (4.5, 4)):
-        points.clear()
-        modes = euler_characteristic(ModelParams(3, 1, c)).modes
-        assert len(points) == count
-        assert points == [(z.location.kx, z.location.ky) for z in modes]
-        assert all(type(z.det) is float and type(z.trace) is float for z in modes)
+    for c, count in ((1.2, 2), (3.0, 4), (4.5, 2)):
+        p = ModelParams(3, 1, c)
+        lines.clear()
+        zeros = _census_zeros(p)
+        assert len(zeros) == 2 * count
+        assert len(lines) == count
+        assert sorted(abs(y) for y in lines) == sorted({abs(ky) for _, ky, _, _ in zeros})
+        assert all(type(x) is float for z in zeros for x in z)
+        for consumer in (_chi, euler_characteristic):
+            lines.clear()
+            consumer(p)
+            assert len(lines) == count
+
+
+@settings(max_examples=300)
+@given(st.floats(-1.0, 1.0))
+@example(-1.0)
+@example(1.0)
+def test_libm_facts_of_the_census_kernel(u):
+    # the kernel takes cos kx as 1.0 at kx = 0 and -1.0 at -pi, and the pair
+    # (pi, -+arccos u) from the line of one of them: sin is odd and cos even
+    # bit for bit
+    assert math.cos(0.0) == 1.0
+    assert math.cos(-math.pi) == -1.0
+    ky = math.acos(u)
+    assert math.sin(-ky).hex() == (-math.sin(ky)).hex()
+    assert math.cos(-ky).hex() == math.cos(ky).hex()
+
+
+def _near(draw, anchor, scale):
+    """anchor itself, 1 to 64 ulps from it, or 1e-12 to 1e-3 times scale from it, either side."""
+    how = draw(st.sampled_from(("at", "ulps", "relative")))
+    if how == "at":
+        return anchor
+    if how == "ulps":
+        steps = draw(st.integers(-64, 64).filter(bool))
+        for _ in range(abs(steps)):
+            anchor = math.nextafter(anchor, math.inf if steps > 0 else -math.inf)
+        return anchor
+    return anchor + draw(st.sampled_from((-1.0, 1.0))) * scale * 10.0 ** draw(st.floats(-12.0, -3.0))
+
+
+@st.composite
+def kernel_params(draw):
+    """(R, r, c): R over six decades, r/R up to 1 - 1e-12, and c at, 1 to 64
+    ulps from, or 1e-12 R to 1e-3 R from c_p, c_f, R -+ r or 0; or an
+    integer triple."""
+    if draw(st.integers(0, 4)) == 0:
+        R = draw(st.integers(2, 12))
+        return R, draw(st.integers(1, R - 1)), draw(st.integers(0, 3 * R))
+    R = 10.0 ** draw(st.floats(-3.0, 3.0))
+    r = R * draw(st.one_of(st.floats(1e-3, 1.0 - 1e-3), st.floats(-12.0, -1.0).map(lambda e: 1.0 - 10.0**e)))
+    anchor = draw(st.sampled_from((0.0, *zero_bifurcations(R, r), R - r, R + r)))
+    return R, r, abs(_near(draw, anchor, R))
+
+
+def _refusal(census, p):
+    """census(p), or the class and message of its typed error."""
+    try:
+        return census(p)
+    except TopologyError as e:
+        return type(e), str(e)
+
+
+def _oracle_zeros(p):
+    """(kx, ky, det, trace) at each census point by the per-zero oracle Jacobian."""
+    zeros = []
+    for kx, ky in _closed_form_census(p):
+        hxx, hyy = census_jacobian(kx, ky, p)
+        zeros.append((kx, ky, hxx * hyy, hxx + hyy))
+    return zeros
+
+
+def _bits(zeros):
+    return [tuple(x.hex() for x in z) for z in zeros]
+
+
+@settings(max_examples=400)
+@given(kernel_params())
+@example((3, 1, 2))
+@example((2.0, 1.0, 1.5))
+@example((1.0, 0.99, 0.019920000000000028))
+def test_census_kernel_matches_the_per_zero_oracle(params):
+    # each kernel zero has the oracle's location, det and trace bit for bit;
+    # both consumers give classify's kinds and the index sum, or raise the
+    # oracle's error with the same message
+    p = ModelParams(*params)
+    want = _refusal(_oracle_zeros, p)
+    got, res, chi = _refusal(_census_zeros, p), _refusal(euler_characteristic, p), _refusal(_chi, p)
+    if not isinstance(want, list):
+        assert got == res == chi == want
+        return
+    assert _bits(got) == _bits(want)
+    kinds = _refusal(lambda p: [classify(det, trace, p.R) for _, _, det, trace in want], p)
+    if not isinstance(kinds, list):
+        assert res == chi == kinds
+        return
+    assert [(*z.location, z.det, z.trace, z.kind) for z in res.modes] == [(*z, k) for z, k in zip(want, kinds)]
+    assert chi == res.chi == sum(-1 if k is ZeroKind.SADDLE else 1 for k in kinds)
+    assert type(chi) is int
 
 
 def _kind(hxx, hxy, hyy, R):
@@ -432,7 +536,7 @@ def test_float_hessian_matches_array_oracle(params):
     except TopologyError:
         return
     for kx, ky in points:
-        hxx, hyy = _jacobian(kx, ky, p)
+        hxx, hyy = census_jacobian(kx, ky, p)
         want = [float(h[0]) for h in array_hessian(np.array([kx]), np.array([ky]), p)]
         scale = max(abs(h) for h in want)
         got = (hxx, 0.0, hyy)
