@@ -22,11 +22,11 @@ class DegenerateField(TopologyError):
 
 
 class DegenerateZero(TopologyError):
-    """The velocity Jacobian determinant at a zero is below the degeneracy threshold."""
+    """c is the pitchfork c_p or the fold c_f exactly, or a zero's float Jacobian does not show its exact kind."""
 
 
 class NonIsolatedZero(TopologyError):
-    """Two zeros crowd each other, or c is within rounding of the fold, where the zero count is undecided."""
+    """c lies between c_p and c_f, but the float cubic misses a root pair, so zeros cannot be placed apart."""
 
 
 class ZeroOnLoop(TopologyError):

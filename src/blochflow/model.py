@@ -33,7 +33,8 @@ stationary points of |h| are the roots u = cos ky in (-1, 1) of one cubic
 solves it in closed form with ``math`` and is the one solver that the gap
 minimum (``chern.gap_min``) and the zero census (``zeromode``) share.
 There are two such roots when c lies in the window c_p < c < c_f between
-the pitchfork and the fold (``zero_bifurcations``), and none otherwise.
+the pitchfork and the fold (``zero_bifurcations``), and none otherwise;
+``_phase`` decides where c lies against c_p and c_f exactly, on integers.
 The gap closes at c = R -+ r (``gapless_boundary``).
 """
 
@@ -166,6 +167,23 @@ def zero_bifurcations(R: float, r: float) -> tuple:
     the pairs merge again at the fold c_f, the maximum of g at u = -r/(3R).
     """
     return (R * R - r * r) / R, (R * R + r * r / 3.0) ** 1.5 / (R * R)
+
+
+def _phase(p: ModelParams) -> tuple:
+    """The exact signs, +1, 0 or -1, of c R - (R^2 - r^2) and (3 R^2 + r^2)^3 - 27 c^2 R^4.
+
+    They are the signs of c - c_p and c_f - c (``zero_bifurcations``), so
+    (1, 1) is c_p < c < c_f.  Each float is n / 2^k (``as_integer_ratio``):
+    over the largest denominator, R, r and c are integers, and Python ints
+    decide both signs exactly.
+    """
+    R, r, c = p
+    (R, a), (r, b), (c, d) = R.as_integer_ratio(), r.as_integer_ratio(), c.as_integer_ratio()
+    k = max(a, b, d)
+    R, r, c = R * (k // a), r * (k // b), c * (k // d)
+    RR, rr = R * R, r * r
+    past_pitchfork, below_fold = c * R - RR + rr, (3 * RR + rr) ** 3 - 27 * (c * RR) ** 2
+    return (past_pitchfork > 0) - (past_pitchfork < 0), (below_fold > 0) - (below_fold < 0)
 
 
 def gapless_boundary(R: float, r: float) -> tuple:

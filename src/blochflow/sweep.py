@@ -4,16 +4,18 @@ A sweep varies one or two of the model parameters (R, r, c) over uniform
 axes and records per cell either an invariant value or an explicit status
 tag; no cell is ever silently dropped.  Cells whose minimum gap
 ``gap_min`` is below ``GAPLESS_THRESHOLD`` are tagged "gapless" (the Chern
-number is ill-defined across a band touching); cells whose velocity field
-degenerates (c ~ 0, or a degenerate zero) are tagged "degenerate".  The
-threshold bounds the gap |h| itself, in parameter units, not a distance
-in c to a closing, and unlike the census thresholds it is absolute, not
-relative to R; it stays so until the benchmark's reference changes with
-it.  A Chern cell is C = [c < R + r] - [c < R - r], the two comparisons
-of ``chern._chern_preimages`` behind its gate on the cell's one
-``gap_min``, and also "gapless" where gap / R <= ``EPS_GAP_CHERN``.  An
-Euler cell is the census kernel's index sum (``zeromode._chi``), no records.
-Identical sweep inputs give identical grids; ``cli`` writes them as CSV.
+number is ill-defined across a band touching); cells where the census
+refuses (c ~ 0, c = c_p or c_f exactly, a float Jacobian that does not
+show a zero's exact kind, a root pair that the float cubic misses) are
+tagged "degenerate".  The threshold bounds the gap |h| itself, in
+parameter units, not a distance in c to a closing, and unlike the census
+thresholds it is absolute, not relative to R; it stays so until the
+benchmark's reference changes with it.  A Chern cell is C = [c < R + r] -
+[c < R - r], the two comparisons of ``chern._chern_preimages`` behind its
+gate on the cell's one ``gap_min``, and also "gapless" where gap / R <=
+``EPS_GAP_CHERN``.  An Euler cell is the index sum of the census kernel's
+exact kinds (``zeromode._chi``), no records.  Identical sweep inputs give
+identical grids; ``cli`` writes them as CSV.
 """
 
 from __future__ import annotations

@@ -3,17 +3,22 @@
 The zeros are known in closed form.  Since vx = -c rho sin kx / |h|, every
 zero lies on kx in {0, pi}.  Four are fixed, at ky in {0, pi}; the others
 are (pi, -+arccos u) for each root u in (-1, 1) of the cubic that
-``gap_min`` also solves (``model._kx_pi_roots``).  Where the count changes,
-at the pitchfork c_p and the fold c_f (``model.zero_bifurcations``), the
-census refuses crowded zeros (NonIsolatedZero), singular Jacobians
-(DegenerateZero) and any c within rounding of the float c_f.
-Each zero is then classified by its velocity Jacobian, the Hessian of |h|
-there, in ``math``, diagonal on kx in {0, pi} and evaluated once per ky
-line (``_census_zeros``).  A negative determinant is a saddle (index -1), a
-positive one a sink or source by the trace sign (index +1); ``_index``
-holds this rule and the DegenerateZero threshold.  The velocity is that of
-the upper band +|h|; the lower band carries -v and the negated Hessian, so
-the zeros and indexes are band independent, while sinks and sources swap.
+``gap_min`` also solves (``model._kx_pi_roots``): 8 zeros for c_p < c < c_f,
+between the pitchfork and the fold (``model.zero_bifurcations``), else 4.
+``model._phase`` places c exactly, on integers, and the kinds follow.  With
+G = |h|^2 / 2, g(u) = rho (1 - (r/R) u) and s = r/R, G_u = (r R / rho)
+(g(u) -+ c) on kx = pi / 0, g(-+1) = c_p, g'(u) = -3 R^2 s^2 (u + s/3) / rho,
+and hxx = -+c rho / |h| on kx = 0 / pi.  So (0, 0) is a sink and (0, pi) a
+saddle; (pi, 0) is a source and (pi, pi) a saddle for c > c_p, the reverse
+below; the smaller root u gives a source pair and the larger a saddle pair.
+A saddle has index -1, a sink or source +1.  The census refuses at c = c_p
+or c_f exactly, and wherever the float velocity Jacobian at a zero, the
+Hessian of |h| there, does not show the exact kind (DegenerateZero), or
+the float cubic misses the root pair (NonIsolatedZero).  The Jacobian is
+diagonal on kx in {0, pi}, in ``math``, and evaluated once per ky line
+(``_census_zeros``).  The velocity is that of the upper band +|h|; the
+lower band carries -v and the negated Hessian, so the zeros and indexes
+are band independent, while sinks and sources swap.
 
 The sum of the indexes is the Euler characteristic of the image surface:
 0 for every gapped, nondegenerate parameter set of the torus model,
@@ -31,16 +36,10 @@ from enum import Enum
 from typing import NamedTuple
 
 from .errors import DegenerateField, DegenerateZero, GaplessModel, NonIsolatedZero
-from .model import EPS_GAP, TWO_PI, KPoint, ModelParams, gapless_boundary, reduce_angle, zero_bifurcations
-from .model import _kx_pi_roots, _trig_rho
+from .model import EPS_GAP, KPoint, ModelParams, _kx_pi_roots, _phase, _trig_rho, gapless_boundary
 
-# The model is scale-covariant: scaling R, r and c by s scales h and c by s
-# and the Jacobian determinant by s^2, and leaves the zeros and their kinds
-# unchanged.  So the census thresholds bound scale-free quantities: c / R,
-# the fixed-zero gap / R, det J / R^2 and ISOLATION_RADIUS, a distance in
-# k.  The last two refuse near the bifurcations, where zeros are born or merge.
-ISOLATION_RADIUS = 1e-3
-DET_EPS = 1e-8
+# Scaling R, r and c together leaves the zeros and their kinds unchanged, so
+# the census thresholds bound c / R and the fixed-zero gap / R.
 C_DEGENERATE = 1e-6
 
 
@@ -48,6 +47,9 @@ class ZeroKind(Enum):
     SINK = "sink"
     SOURCE = "source"
     SADDLE = "saddle"
+
+
+SINK, SOURCE, SADDLE = ZeroKind
 
 
 class ZeroMode(NamedTuple):
@@ -61,7 +63,7 @@ class ZeroMode(NamedTuple):
     @property
     def index(self) -> int:
         """Poincare index: -1 for a saddle, +1 for a sink or source."""
-        return -1 if self.kind is ZeroKind.SADDLE else 1
+        return -1 if self.kind is SADDLE else 1
 
 
 class EulerResult(NamedTuple):
@@ -69,22 +71,8 @@ class EulerResult(NamedTuple):
     modes: list
 
 
-def _index(det: float, R: float) -> int:
-    """Poincare index by det J: -1 for det < 0, else +1; DegenerateZero where |det| / R^2 <= DET_EPS."""
-    if abs(det) / (R * R) <= DET_EPS:
-        raise DegenerateZero(f"|det J| = {abs(det):.3e} <= {DET_EPS * R * R:.1e}")
-    return -1 if det < 0.0 else 1
-
-
-def classify(det: float, trace: float, R: float) -> ZeroKind:
-    """Saddle where the index is -1 (``_index``), else sink/source by the trace sign; may raise DegenerateZero."""
-    if _index(det, R) < 0:
-        return ZeroKind.SADDLE
-    return ZeroKind.SINK if trace < 0.0 else ZeroKind.SOURCE
-
-
 def _closed_form_census(p: ModelParams):
-    """Canonical zero locations, sorted: the four fixed zeros and the cubic's."""
+    """Each zero as (kx, ky, kind), sorted by location: the four fixed zeros and the cubic's."""
     if p.c == 0.0:
         raise DegenerateField(
             f"axis shift c = {p.c} makes the kx-velocity vanish identically: "
@@ -99,37 +87,20 @@ def _closed_form_census(p: ModelParams):
     gap = min(abs(p.c - b) for b in gapless_boundary(p.R, p.r))
     if gap / p.R <= EPS_GAP:
         raise GaplessModel(f"band gap closes at a fixed zero (|h| = {gap:.3e}); the velocity is undefined there")
-    # Just inside the fold, the float tests c < c_f and e > 0 of ``_kx_pi_roots``
-    # can miss a root pair that exact arithmetic has, and the census would count
-    # 4 zeros for 8.  With u = 2^-53, |fl(c_f) - c_f| <= (1.5 * 3 + 2 + 2) u c_f:
-    # the sum's 3u to the power 3/2, pow's ulp, R^2 and the /.  e > 0 decides
-    # c < c_f for a fold moved by g = c/R (u), s = r/R (3u/4) and the Horner error
-    # at the stationary u = -s/3 (2u).  So wrong counts lie within 12.25 u c_f.
-    c_f = zero_bifurcations(p.R, p.r)[1]
-    if abs(p.c - c_f) <= 16.0 * math.ulp(c_f):  # ulp(x) > u x
-        raise NonIsolatedZero(f"c = {p.c} is within rounding of the fold c_f = {c_f}: 8 zeros or 4")
+    past_pitchfork, below_fold = _phase(p)
+    if not past_pitchfork * below_fold:
+        which = "pitchfork c_p" if not past_pitchfork else "fold c_f"
+        raise DegenerateZero(f"c = {p.c} is the {which} exactly, where zeros merge and det J = 0")
+    pi_0, pi_pi = (SOURCE, SADDLE) if past_pitchfork > 0 else (SADDLE, SOURCE)
+    kx_0 = [(0.0, -math.pi, SADDLE), (0.0, 0.0, SINK)]
+    if past_pitchfork < 0 or below_fold < 0:
+        return [(-math.pi, -math.pi, pi_pi), (-math.pi, 0.0, pi_0), *kx_0]
     roots = _kx_pi_roots(p)
-    if not roots:  # only the fixed zeros, pi apart: none crowds another
-        return [(-math.pi, -math.pi), (-math.pi, 0.0), (0.0, -math.pi), (0.0, 0.0)]
-    ky_pi = sorted([-math.pi, 0.0, *(s * math.acos(u) for u in roots for s in (-1.0, 1.0))])
-    _check_isolated(ky_pi)
-    return [(-math.pi, y) for y in ky_pi] + [(0.0, -math.pi), (0.0, 0.0)]
-
-
-def _check_isolated(ky):
-    """Raise NonIsolatedZero for the first neighbours on kx = pi closer than ISOLATION_RADIUS.
-
-    ``ky`` holds the sorted ky values of the zeros on that line; the two on
-    kx = 0 are pi apart and at least pi from the line.  Each is compared
-    with the next, and the largest with the smallest plus 2 pi.  Distinct
-    zeros must stay well separated for the index sum to be meaningful.
-    """
-    for a, b in zip(ky, ky[1:] + [ky[0] + TWO_PI]):
-        if b - a < ISOLATION_RADIUS:
-            raise NonIsolatedZero(
-                f"zeros at ({-math.pi:.6g}, {a:.6g}) and ({-math.pi:.6g}, {reduce_angle(b):.6g}) "
-                f"are only {b - a:.3e} apart"
-            )
+    if len(roots) != 2:
+        raise NonIsolatedZero(f"c = {p.c} lies between c_p and c_f, but the float cubic gives {len(roots)} of 2 roots")
+    source, saddle = (math.acos(u) for u in sorted(roots))
+    kx_pi = ((-math.pi, pi_pi), (-source, SOURCE), (-saddle, SADDLE), (0.0, pi_0), (saddle, SADDLE), (source, SOURCE))
+    return [(-math.pi, ky, kind) for ky, kind in kx_pi] + kx_0
 
 
 def _line_jacobians(ky: float, p: ModelParams) -> list:
@@ -154,33 +125,39 @@ def _line_jacobians(ky: float, p: ModelParams) -> list:
 
 
 def _census_zeros(p: ModelParams) -> list:
-    """(kx, ky, det J, trace J) of each census zero, in the order of ``_closed_form_census``.
+    """(kx, ky, det J, trace J, kind) of each census zero, in the order of ``_closed_form_census``.
 
     The one census kernel: the fixed zeros share the lines ky = -pi and 0, and each pair
-    (pi, -+arccos u) one line, evaluated once (``_line_jacobians``).  Its consumers apply ``_index``.
+    (pi, -+arccos u) one line, evaluated once (``_line_jacobians``).  The float det and trace
+    must show the exact kind: det < 0 for a saddle, det > 0 and the trace's sign otherwise.
     """
     lines, zeros = {}, []
-    for kx, ky in _closed_form_census(p):
+    for kx, ky, kind in _closed_form_census(p):
         if abs(ky) not in lines:
             lines[abs(ky)] = _line_jacobians(ky, p)
-        zeros.append((kx, ky, *lines[abs(ky)][kx == 0.0]))
+        det, trace = lines[abs(ky)][kx == 0.0]
+        if not (det < 0.0 if kind is SADDLE else det > 0.0 and (trace < 0.0) is (kind is SINK)):
+            raise DegenerateZero(
+                f"det J = {det:.3e} and trace J = {trace:.3e} at ({kx:.6g}, {ky:.6g}) do not show a {kind.value}"
+            )
+        zeros.append((kx, ky, det, trace, kind))
     return zeros
 
 
 def _chi(p: ModelParams) -> int:
     """``euler_characteristic(p).chi``, with the same refusals, from the kernel alone: no records."""
-    return sum([_index(z[2], p.R) for z in _census_zeros(p)])
+    return sum([-1 if z[4] is SADDLE else 1 for z in _census_zeros(p)])
 
 
 def euler_characteristic(p: ModelParams) -> EulerResult:
-    """Locate, validate and classify every zero; chi is their index sum (Poincare-Hopf).
+    """Locate and classify every zero; chi is their index sum (Poincare-Hopf).
 
     ``modes`` has one ZeroMode per canonical zero, sorted by location.
 
     Raises DegenerateField when c is (numerically) zero, GaplessModel when
-    the gap closes at a fixed zero, DegenerateZero for a Jacobian
-    determinant below threshold, NonIsolatedZero when two distinct zeros
-    crowd each other or c is within rounding of the fold.
+    the gap closes at a fixed zero, DegenerateZero when c is c_p or c_f
+    exactly or the float Jacobian at a zero does not show its kind, and
+    NonIsolatedZero when the float cubic misses a root pair.
     """
-    modes = [ZeroMode(KPoint(kx, ky), det, trace, classify(det, trace, p.R)) for kx, ky, det, trace in _census_zeros(p)]
+    modes = [ZeroMode(KPoint(kx, ky), det, trace, kind) for kx, ky, det, trace, kind in _census_zeros(p)]
     return EulerResult(sum(z.index for z in modes), modes)

@@ -17,13 +17,16 @@ by a sign-change scan plus MINPACK's hybrid solver on that projection
 (the library census solves a cubic), the minimum gap by dense 2-D scans
 (the library solves a cubic on kx = pi), windings by numpy's phase unwrapping,
 derivatives by plain central differences (the Chern integrand included),
-the isolation check by a pair-by-pair loop over torus distances in 2-D
-(the library compares neighbouring ky gaps on the line kx = pi), the
+the kind of a zero by the signs of its Jacobian's det and trace
+(``classify``; the library takes the kinds from the exact phase of c and
+only checks that its floats show them), the
 roots of the kx = pi cubic by np.roots, the eigenvalues of its companion
 matrix (the library has them in closed form; both polish them by the
 same Newton step), the zero census by the paper's generic
 method, damped Newton from a seed grid with a greedy dedup (the library
-solves the model's cubic in closed form), the fold of that census by a
+solves the model's cubic in closed form; the Newton census refuses two
+zeros closer than ``ISOLATION_RADIUS``, its own constant, pair by pair in
+2-D), the fold of that census by a
 dense scan, and the plaquette solid-angle sum by np.roll neighbours,
 np.cross and einsum over an (n, n, 3) stack of unit vectors (the library
 slices three component arrays of a wrapped open grid and shares the cross
@@ -52,7 +55,7 @@ from scipy import ndimage
 from scipy.optimize import fsolve
 
 from blochflow.chern import _degree_integrand, _open_gap
-from blochflow.errors import DegenerateField, GaplessModel, GaplessPoint, NonIsolatedZero
+from blochflow.errors import DegenerateField, DegenerateZero, GaplessModel, GaplessPoint, NonIsolatedZero
 from blochflow.model import (
     EPS_GAP,
     PARAM_MAX,
@@ -64,16 +67,19 @@ from blochflow.model import (
     _kx_trig,
     _trig_rho,
     reduce_angle,
+    zero_bifurcations,
 )
-from blochflow.zeromode import C_DEGENERATE, ISOLATION_RADIUS, zero_bifurcations
+from blochflow.zeromode import C_DEGENERATE, ZeroKind
 
 # The Newton census: damped Newton from every node of a 64 x 64 seed grid
 # until |v| (or the Newton step) is at most 1e-12, then a dedup of the
-# converged seeds within 1e-6 of each other.
+# converged seeds within 1e-6 of each other, and its refusal of two zeros
+# closer than 1e-3 on the torus (``pairwise_isolation``).
 SEEDS_PER_AXIS = 64
 NEWTON_TOL = 1e-12
 MAX_ITER = 50
 DEDUP_RADIUS = 1e-6
+ISOLATION_RADIUS = 1e-3
 
 
 def pointwise(kernel, kx, ky, p):
@@ -136,6 +142,16 @@ def array_hessian(kx, ky, p):
     gyy = -rr * cy - p.c * rr * cx * (cy / rho + rr * sy * sy / rho**3) + p.r**2 * (cy * cy - sy * sy)
     with np.errstate(divide="ignore", invalid="ignore"):
         return (gxx - vx * vx) / gap, (gxy - vx * vy) / gap, (gyy - vy * vy) / gap
+
+
+def classify(det: float, trace: float) -> ZeroKind:
+    """The kind that a Jacobian's (det, trace) shows: a saddle for det < 0, else a sink
+    or a source by the sign of the trace; DegenerateZero where det is 0 or NaN."""
+    if det < 0.0:
+        return ZeroKind.SADDLE
+    if not det > 0.0:
+        raise DegenerateZero(f"det J = {det}")
+    return ZeroKind.SINK if trace < 0.0 else ZeroKind.SOURCE
 
 
 def census_jacobian(kx: float, ky: float, p) -> tuple:

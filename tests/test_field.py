@@ -148,7 +148,7 @@ def test_hessian_matches_finite_differences(params):
         points = _closed_form_census(p)
     except TopologyError:
         return
-    for kx, ky in points:
+    for kx, ky, _ in points:
         hx, hy, hz = bloch_components(kx, ky, p)
         if math.sqrt(hx * hx + hy * hy + hz * hz) < 0.1:
             continue

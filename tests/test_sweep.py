@@ -14,8 +14,8 @@ from blochflow import ModelParams, SweepAxis, chern_plaquette, euler_characteris
 from blochflow.chern import EPS_GAP_CHERN, gap_min
 from blochflow.cli import CSV_HEADER, grid_to_csv
 from blochflow.errors import DegenerateField, DegenerateZero, GaplessModel, NonIsolatedZero
+from blochflow.model import zero_bifurcations
 from blochflow.sweep import GAPLESS_THRESHOLD, PhaseDiagramGrid, SweepCell, sweep_euler
-from blochflow.zeromode import zero_bifurcations
 
 from oracles import field_joined_csv
 

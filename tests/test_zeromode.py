@@ -1,9 +1,8 @@
 """Zero-mode census, classification, closed-zone weights, Euler characteristic."""
 
-import itertools
 import math
+import random
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,16 +24,8 @@ from blochflow.errors import (
     NonIsolatedZero,
     TopologyError,
 )
-from blochflow.model import _kx_pi_roots, _trig_rho
-from blochflow.zeromode import (
-    _census_zeros,
-    _check_isolated,
-    _chi,
-    _closed_form_census,
-    ZeroKind,
-    classify,
-    zero_bifurcations,
-)
+from blochflow.model import PARAM_MAX, PARAM_MIN, _phase, _trig_rho, zero_bifurcations
+from blochflow.zeromode import _census_zeros, _chi, _closed_form_census, ZeroKind
 
 from oracles import (
     array_hessian,
@@ -42,8 +33,8 @@ from oracles import (
     brute_zero_census,
     census_fold,
     census_jacobian,
+    classify,
     full_backtrack_census,
-    pairwise_isolation,
     params_near_critical,
     random_gapped_params,
     torus_distance,
@@ -111,7 +102,7 @@ def test_census_canonical_mode():
 # seeds where the census answers, and the loop of a quarter of the distance
 # to the nearest zero can run out of samples (InsufficientSampling).  This is
 # the oracles' limit, not the census's: on the params_near_critical draws the
-# census's structural checks refuse only well inside this band.
+# census's two float checks refuse only well inside this band.
 ORACLE_BAND = 1e-5
 
 
@@ -122,7 +113,7 @@ def _near_bifurcation(p):
 def _census_or_refused(p):
     """The canonical modes of p, or None where the census refuses as it may:
     DegenerateField or GaplessModel anywhere, and NonIsolatedZero or
-    DegenerateZero, its structural checks, near c_p or c_f."""
+    DegenerateZero, its two float checks, near c_p or c_f."""
     try:
         return euler_characteristic(p).modes
     except (DegenerateField, GaplessModel):
@@ -153,7 +144,8 @@ def test_census_zero_quality(params):
     # In every answered census, near the bifurcations too, the four fixed
     # zeros sit exactly on the symmetry points (there |v| evaluates to the
     # rounding floor of sin(pi) over |h|, above 1e-12 near a gap closing);
-    # every other zero is a root of v to 1e-12 with a nondegenerate Jacobian.
+    # every other zero is a root of v to 1e-12; each Jacobian shows its
+    # zero's kind (``classify``)
     p = ModelParams(*params)
     modes = _census_or_refused(p)
     if modes is None:
@@ -161,7 +153,7 @@ def test_census_zero_quality(params):
     points = [(z.location.kx, z.location.ky) for z in modes]
     assert [q for q in points if q in FIXED_ZEROS] == FIXED_ZEROS
     for z in modes:
-        assert abs(z.det) > 1e-8
+        assert classify(z.det, z.trace) is z.kind
         if (z.location.kx, z.location.ky) not in FIXED_ZEROS:
             vx, vy, _ = velocity_and_gap(z.location.kx, z.location.ky, p)
             assert math.hypot(float(vx), float(vy)) <= 1e-12
@@ -264,31 +256,10 @@ def test_census_completeness_against_sign_scan():
             assert float(torus_distance(a[0], a[1], b[0], b[1])) < 1e-6
 
 
-def _isolation_outcome(check, *args):
-    """The NonIsolatedZero message of check(*args), or None."""
-    try:
-        check(*args)
-    except NonIsolatedZero as e:
-        return str(e)
-    return None
-
-
-def _assert_isolation_matches_oracle(points, ky):
-    # the 1-D check on ``ky`` fires exactly when the pair-by-pair oracle
-    # fires on every zero, and the pair it names is one that the oracle
-    # finds crowded, in either order
-    got = _isolation_outcome(_check_isolated, ky)
-    crowded = {_isolation_outcome(pairwise_isolation, *zip(a, b)) for a, b in itertools.permutations(points, 2)}
-    crowded.discard(None)
-    assert (got is None) == (_isolation_outcome(pairwise_isolation, *zip(*points)) is None)
-    assert got is None or got in crowded
-    return got
-
-
 @st.composite
 def crowding_params(draw):
     """(R, r, c) with r -> R and c near the pitchfork c_p or the fold c_f:
-    there zeros on kx = pi can crowd each other."""
+    there zeros on kx = pi crowd each other."""
     R = 10.0 ** draw(st.floats(-3.0, 3.0))
     r = R * (1.0 - 10.0 ** draw(st.floats(-8.0, -1.0)))
     anchor = draw(st.sampled_from(zero_bifurcations(R, r)))
@@ -298,47 +269,30 @@ def crowding_params(draw):
 
 @settings(max_examples=300)
 @given(crowding_params())
-@example((1.0, 0.99, 0.019920000000000028))  # -pi crowded by -arccos u and, across the wrap, by +arccos u
-def test_isolation_check_matches_pairwise_oracle(params):
-    # the census's own candidate points: every zero it found, and the ky
-    # values on kx = pi that it hands to the 1-D check
+@example((1.0, 0.99, 0.019920000000000028))  # -pi, -arccos u and, across the wrap, +arccos u within 1e-3
+def test_crowded_census_is_exact(params):
+    # 1e-5 R to 1e-2 R from c_p or c_f as r -> R, the zeros on kx = pi can
+    # lie much closer than 1e-3 in ky: the census answers all the same,
+    # exactly, unless c / R is at most 1e-6 or the gap closes
     p = ModelParams(*params)
-    seen = []
     try:
-        with mock.patch.object(blochflow.zeromode, "_check_isolated", seen.append):
-            points = _closed_form_census(p)
-    except TopologyError:
-        return  # c ~ 0, a closed gap, or within rounding of the fold: no check runs
-    ky = [y for x, y in points if x == -PI]
-    if _kx_pi_roots(p):
-        assert seen == [ky]
-    else:
-        # no root pair: the four fixed zeros, pi apart, need no check
-        assert seen == [] and points == FIXED_ZEROS
-    _assert_isolation_matches_oracle(points, ky)
+        res = euler_characteristic(p)
+    except (DegenerateField, GaplessModel):
+        return
+    _assert_exact(res, p)
 
 
-def test_isolation_check_fires_on_census():
-    # r -> R just above c_p: the zero pair born at (pi, pi) crowds it
-    p = ModelParams(1.0, 0.99, 0.019920000000000028)
-    with pytest.raises(NonIsolatedZero) as err:
-        euler_characteristic(p)
-    assert str(err.value) == "zeros at (-3.14159, -3.14159) and (-3.14159, -3.14114) are only 4.507e-04 apart"
-
-
-@pytest.mark.parametrize(
-    "ky, want",
-    [
-        # crowded only across the wrap, from the largest ky to -pi
-        ([-PI, 0.0, 1.0, PI - 5e-4], "zeros at (-3.14159, 3.14109) and (-3.14159, -3.14159) are only 5.000e-04 apart"),
-        ([-PI, -2.0, -1e-4, 0.0, 1e-4, 2.0], "zeros at (-3.14159, -0.0001) and (-3.14159, 0) are only 1.000e-04 apart"),
-        ([-PI, -2.0, 0.0, 2.0, PI - 2e-3], None),  # 2e-3 across the wrap is isolated
-        ([-PI, -2.0, 0.0, 2.0], None),
-    ],
-)
-def test_isolation_check_wraps(ky, want):
-    points = [(-PI, y) for y in ky] + [(0.0, -PI), (0.0, 0.0)]
-    assert _assert_isolation_matches_oracle(points, ky) == want
+def test_census_answers_where_zeros_crowd():
+    # r / R = 0.99 just above c_p = 0.0199: the zero pair born at (pi, pi)
+    # lies within 1e-3 of it in ky, where a 1e-3 isolation radius refused
+    for c in (0.019920000000000028, 0.01995):
+        p = ModelParams(1.0, 0.99, c)
+        res = euler_characteristic(p)
+        assert min(PI - abs(z.location.ky) for z in res.modes if z.location.ky != -PI) < 1e-3
+        _assert_exact(res, p)
+    # at the float 0.0199, just below c_p, det J at (pi, 0) is 0.0 in floats
+    with pytest.raises(DegenerateZero, match=r"det J = 0\.000e\+00 and trace J = .* do not show a saddle"):
+        euler_characteristic(ModelParams(1.0, 0.99, 0.0199))
 
 
 def _census_outcome(census, p):
@@ -350,11 +304,11 @@ def _census_outcome(census, p):
 
 
 def _newton_zeros(p):
-    """The Newton oracle's zeros, with the library's nondegeneracy check on the oracle Hessian."""
+    """The Newton oracle's zeros, each with a kind that the oracle Hessian shows (``classify``)."""
     zeros = full_backtrack_census(p)
     for kx, ky in zeros:
         hxx, hxy, hyy = (float(h[0]) for h in array_hessian(np.array([kx]), np.array([ky]), p))
-        classify(hxx * hyy - hxy * hxy, hxx + hyy, p.R)
+        classify(hxx * hyy - hxy * hxy, hxx + hyy)
     return zeros
 
 
@@ -363,8 +317,8 @@ def _newton_zeros(p):
 def test_census_matches_full_backtrack_oracle(params):
     # the paper's generic Newton census certifies the closed form: outside
     # the oracle's band both find the same zeros or raise the same typed
-    # error; inside it the closed form answers exactly or refuses with a
-    # structural check
+    # error; inside it the closed form answers exactly or refuses with one
+    # of its two float checks
     p = ModelParams(*params)
     mine = _census_outcome(_canonical_zeros, p)
     if _near_bifurcation(p):
@@ -400,8 +354,9 @@ def test_census_kernel_work(monkeypatch):
         zeros = _census_zeros(p)
         assert len(zeros) == 2 * count
         assert len(lines) == count
-        assert sorted(abs(y) for y in lines) == sorted({abs(ky) for _, ky, _, _ in zeros})
-        assert all(type(x) is float for z in zeros for x in z)
+        assert sorted(abs(y) for y in lines) == sorted({abs(z[1]) for z in zeros})
+        assert all(type(x) is float for z in zeros for x in z[:4])
+        assert all(type(z[4]) is ZeroKind for z in zeros)
         for consumer in (_chi, euler_characteristic):
             lines.clear()
             consumer(p)
@@ -459,12 +414,20 @@ def _refusal(census, p):
 
 
 def _oracle_zeros(p):
-    """(kx, ky, det, trace) at each census point by the per-zero oracle Jacobian."""
+    """(kx, ky, det, trace, kind) at each census point: det and trace by the per-zero oracle Jacobian."""
     zeros = []
-    for kx, ky in _closed_form_census(p):
+    for kx, ky, kind in _closed_form_census(p):
         hxx, hyy = census_jacobian(kx, ky, p)
-        zeros.append((kx, ky, hxx * hyy, hxx + hyy))
+        zeros.append((kx, ky, hxx * hyy, hxx + hyy, kind))
     return zeros
+
+
+def _shown(det, trace):
+    """The kind that (det, trace) shows (``classify``), or None."""
+    try:
+        return classify(det, trace)
+    except DegenerateZero:
+        return None
 
 
 def _bits(zeros):
@@ -477,31 +440,25 @@ def _bits(zeros):
 @example((2.0, 1.0, 1.5))
 @example((1.0, 0.99, 0.019920000000000028))
 def test_census_kernel_matches_the_per_zero_oracle(params):
-    # each kernel zero has the oracle's location, det and trace bit for bit;
-    # both consumers give classify's kinds and the index sum, or raise the
-    # oracle's error with the same message
+    # each kernel zero has the oracle's location, det and trace bit for bit
+    # and the census's kind; both consumers answer where those floats show
+    # every kind (``classify``), exactly, and otherwise raise DegenerateZero;
+    # all three raise the census's error with the same message
     p = ModelParams(*params)
     want = _refusal(_oracle_zeros, p)
     got, res, chi = _refusal(_census_zeros, p), _refusal(euler_characteristic, p), _refusal(_chi, p)
     if not isinstance(want, list):
         assert got == res == chi == want
         return
-    assert _bits(got) == _bits(want)
-    kinds = _refusal(lambda p: [classify(det, trace, p.R) for _, _, det, trace in want], p)
-    if not isinstance(kinds, list):
-        assert res == chi == kinds
+    if any(_shown(det, trace) is not kind for _, _, det, trace, kind in want):
+        assert got == res == chi and got[0] is DegenerateZero
         return
-    assert [(*z.location, z.det, z.trace, z.kind) for z in res.modes] == [(*z, k) for z, k in zip(want, kinds)]
-    assert chi == res.chi == sum(-1 if k is ZeroKind.SADDLE else 1 for k in kinds)
+    assert _bits([z[:4] for z in got]) == _bits([z[:4] for z in want])
+    assert [z[4] for z in got] == [z[4] for z in want]
+    assert [(*z.location, z.det, z.trace, z.kind) for z in res.modes] == want
+    _assert_exact(res, p)
+    assert chi == res.chi == 0
     assert type(chi) is int
-
-
-def _kind(hxx, hxy, hyy, R):
-    """The zero kind of a Hessian, or DegenerateZero."""
-    try:
-        return classify(hxx * hyy - hxy * hxy, hxx + hyy, R)
-    except DegenerateZero:
-        return DegenerateZero
 
 
 @st.composite
@@ -528,20 +485,21 @@ def hessian_params(draw):
 def test_float_hessian_matches_array_oracle(params):
     # at every census zero the diagonal Jacobian (math) is the general-point
     # array Hessian (the oracle, numpy, whose rho**3 is its own power) up to
-    # the last bits, the oracle's hxy is rounding noise, and both give the
-    # same kind
+    # the last bits, the oracle's hxy is rounding noise, and both show the
+    # same kind wherever each diagonal entry is well above those bits
     p = ModelParams(*params)
     try:
         points = _closed_form_census(p)
     except TopologyError:
         return
-    for kx, ky in points:
+    for kx, ky, _ in points:
         hxx, hyy = census_jacobian(kx, ky, p)
         want = [float(h[0]) for h in array_hessian(np.array([kx]), np.array([ky]), p)]
         scale = max(abs(h) for h in want)
         got = (hxx, 0.0, hyy)
         assert all(abs(a - b) <= 1e-13 * scale for a, b in zip(got, want)), (got, want)
-        assert _kind(*got, p.R) is _kind(*want, p.R)
+        if min(abs(hxx), abs(hyy)) > 1e-12 * scale:
+            assert _shown(hxx * hyy, hxx + hyy) is _shown(want[0] * want[2] - want[1] ** 2, want[0] + want[2])
 
 
 @settings(max_examples=100)
@@ -584,10 +542,17 @@ def _exact_fixed_kinds(R, r, c):
 
 def _assert_exact(res, p):
     """An answered census has the zero count and the fixed-zero kinds on
-    kx = pi that exact arithmetic gives, and chi = 0."""
+    kx = pi that exact arithmetic gives, and chi = 0; (0, 0) is a sink and
+    (0, pi) a saddle; on kx = pi off ky in {0, pi}, the root pair nearer
+    ky = pi (the smaller u) is a source pair and the other a saddle pair;
+    and each zero's float det and trace show its kind (``classify``)."""
     assert len(res.modes) == _exact_zero_count(*p), p
     kinds = {(z.location.kx, z.location.ky): z.kind for z in res.modes}
     assert (kinds[(-PI, 0.0)], kinds[(-PI, -PI)]) == _exact_fixed_kinds(*p), p
+    assert (kinds[(0.0, 0.0)], kinds[(0.0, -PI)]) == (ZeroKind.SINK, ZeroKind.SADDLE), p
+    pairs = sorted((abs(ky), kind.value) for (kx, ky), kind in kinds.items() if kx == -PI and ky not in (-PI, 0.0))
+    assert [kind for _, kind in pairs] == (["saddle"] * 2 + ["source"] * 2 if pairs else []), p
+    assert all(classify(z.det, z.trace) is z.kind for z in res.modes), p
     assert res.chi == 0, p
 
 
@@ -643,33 +608,89 @@ def test_census_refuses_just_inside_the_fold(R, r, c):
     _assert_exact_count_or_refused(ModelParams(R, r, c))
 
 
+def test_census_answers_near_the_pitchfork():
+    # the bifurcation probes 1e-12 R to 1e-5 R from c_p, for 100 (R, r)
+    # pairs drawn as in test_census_near_bifurcations_has_the_exact_zero_count
+    # from a fixed seed: every answered census is exact, and at least 95 %
+    # are answered on each side of c_p
+    rng = random.Random(29)
+    answered = {-1: [], 1: []}
+    for i in range(100):
+        R = 10.0 ** rng.uniform(-2.0, 2.0)
+        r = R * (rng.uniform(0.05, 0.95) if i % 2 else 1.0 - 10.0 ** rng.uniform(-6.0, -1.0))
+        c_p = zero_bifurcations(R, r)[0]
+        for c in _bifurcation_probes(R, r):
+            if c < 0.0 or not 1e-12 <= abs(c - c_p) / R <= 1e-5:
+                continue
+            p = ModelParams(R, r, c)
+            try:
+                res = euler_characteristic(p)
+            except TopologyError:
+                res = None
+            else:
+                _assert_exact(res, p)
+            answered[1 if c > c_p else -1].append(res is not None)
+    for side in answered.values():
+        assert len(side) >= 1000 and sum(side) >= 0.95 * len(side)
+
+
+@st.composite
+def phase_params(draw):
+    """(R, r, c): R from about 1e-49 to 1e49, r/R from 1e-12 to 1 - 1e-12 but
+    r at least PARAM_MIN, and c anywhere up to 2 R or at, 1 to 64 ulps from,
+    or 1e-12 R to 1e-3 R from c_p or c_f; or an integer triple."""
+    if draw(st.integers(0, 4)) == 0:
+        R = draw(st.integers(2, 40))
+        return R, draw(st.integers(1, R - 1)), draw(st.integers(0, 3 * R))
+    R = 10.0 ** draw(st.floats(-49.0, 49.0))
+    ratio = draw(st.one_of(st.floats(1e-12, 1.0 - 1e-12), st.floats(-12.0, -1.0).map(lambda e: 1.0 - 10.0**e)))
+    r = max(PARAM_MIN, R * ratio)
+    anchor = draw(st.sampled_from((None, *zero_bifurcations(R, r))))
+    if anchor is None:
+        return R, r, R * draw(st.floats(0.0, 2.0))
+    return R, r, min(PARAM_MAX, abs(_near(draw, anchor, R)))
+
+
+@settings(max_examples=200)
+@given(phase_params())
+@example((2.0, 1.0, 1.5))  # c_p
+@example((1.0, 0.5, 0.75))  # c_p
+@example((12167, 11109, 17576))  # c_f: (23, 21, 26) times 529
+@example((3, 1, 3))
+@example((1e49, 1e-50, 1e49))
+def test_phase_matches_the_fraction_oracles(params):
+    # _phase's integer signs give the fractions oracles' zero count and
+    # fixed-zero kinds, c = c_p and c = c_f included; as c_p < c_f, only
+    # five sign pairs can occur
+    p = ModelParams(*params)
+    past_pitchfork, below_fold = _phase(p)
+    assert (past_pitchfork, below_fold) in {(-1, 1), (0, 1), (1, 1), (1, 0), (1, -1)}
+    assert (_exact_fixed_kinds(*p) == (ZeroKind.SOURCE, ZeroKind.SADDLE)) is (past_pitchfork > 0)
+    count = _exact_zero_count(*p)
+    if count is None:
+        assert 0 in (past_pitchfork, below_fold)
+    else:
+        assert 0 not in (past_pitchfork, below_fold)
+        assert (count == 8) is (past_pitchfork == below_fold == 1)
+
+
 # c_p - 1e-8 R, c_p + 1e-6 R, c_f - 1e-7 R and c_f + 1e-12 R, as (anchor, offset / R)
 BIFURCATION_OFFSETS = ((0, -1e-8), (0, 1e-6), (1, -1e-7), (1, 1e-12))
 
 
 @pytest.mark.parametrize(
-    "R, r, refusals",
-    [
-        (3.0, 1.0, (None, None, None, None)),
-        (4.0, 0.8, (None, None, None, None)),
-        # with r/R nearer 1, det J at (pi, 0) stays below 1e-8 R^2 at
-        # c_p - 1e-8 R, and the zero pair near (pi, pi) or the fold is
-        # closer than 1e-3 in ky: the structural checks refuse
-        (2.0, 1.5, (DegenerateZero, NonIsolatedZero, NonIsolatedZero, None)),
-        (1.2, 1.0, (DegenerateZero, NonIsolatedZero, NonIsolatedZero, None)),
-    ],
+    "R, r",
+    # with r/R nearer 1, det J at (pi, 0) is below 1e-8 R^2 at c_p - 1e-8 R,
+    # and the zero pair near (pi, pi) or the fold closer than 1e-3 in ky
+    [(3.0, 1.0), (4.0, 0.8), (2.0, 1.5), (1.2, 1.0)],
     ids=["3.0-1.0", "4.0-0.8", "2.0-1.5", "1.2-1.0"],
 )
-def test_census_answers_close_to_the_bifurcations(R, r, refusals):
-    # no band around c_p or c_f: the census answers up to its structural
-    # checks, and every answer is exact
-    for (anchor, offset), refusal in zip(BIFURCATION_OFFSETS, refusals):
+def test_census_answers_close_to_the_bifurcations(R, r):
+    # no band around c_p or c_f, no det threshold and no isolation radius:
+    # the census answers, and every answer is exact
+    for anchor, offset in BIFURCATION_OFFSETS:
         p = ModelParams(R, r, zero_bifurcations(R, r)[anchor] + offset * R)
-        if refusal is None:
-            _assert_exact(euler_characteristic(p), p)
-        else:
-            with pytest.raises(refusal):
-                euler_characteristic(p)
+        _assert_exact(euler_characteristic(p), p)
 
 
 @pytest.mark.parametrize("s", [1e-50, 1e-6, 1e-4, 1e-3, 1.0, 1e3, 1e5])
@@ -684,35 +705,47 @@ def test_census_is_scale_free(s):
 
 def test_pitchfork_end_roots_are_the_fixed_zeros():
     # at (R, r) = (2, 1) the cubic at c_p = 3/2 has the exact roots u = -+1,
-    # which are the fixed zeros (pi, pi) and (pi, 0), not new ones; their
-    # singular Jacobian is what raises
+    # which are the fixed zeros (pi, pi) and (pi, 0), not new ones; the
+    # census refuses c = c_p itself, before any float decides
     assert zero_bifurcations(2.0, 1.0)[0] == 1.5
-    with pytest.raises(DegenerateZero):
+    with pytest.raises(DegenerateZero, match="is the pitchfork c_p exactly"):
         euler_characteristic(ModelParams(2.0, 1.0, 1.5))
 
 
+@pytest.mark.parametrize(
+    "R, r, c, which",
+    # (23, 21, 26) times 529 at c_f: R^2 + r^2/3 = (26 * 529)^2
+    [(1.0, 0.5, 0.75, "pitchfork c_p"), (1.0, 0.75, 0.4375, "pitchfork c_p"), (12167, 11109, 17576, "fold c_f")],
+)
+def test_census_refuses_exactly_at_the_bifurcations(R, r, c, which):
+    # c is c_p or c_f in exact arithmetic: zeros merge there, and the census
+    # refuses by the exact phase, whatever the floats would show
+    assert _exact_zero_count(R, r, c) is None
+    with pytest.raises(DegenerateZero, match=f"is the {which} exactly"):
+        euler_characteristic(ModelParams(R, r, c))
+
+
 def test_classify_rules():
-    # (det, trace) of diag(-1, -2), diag(1, 2), diag(1, -2) and diag(1e-5, 1e-5)
-    assert classify(2.0, -3.0, 1.0) is ZeroKind.SINK
-    assert classify(2.0, 3.0, 1.0) is ZeroKind.SOURCE
-    assert classify(-2.0, -1.0, 1.0) is ZeroKind.SADDLE
-    with pytest.raises(DegenerateZero) as err:
-        classify(1e-10, 2e-5, 1.0)
-    assert str(err.value) == "|det J| = 1.000e-10 <= 1.0e-08"
-    with pytest.raises(DegenerateZero):
-        classify(-1e-9, 0.0, 1.0)
-    # the threshold is on det / R^2: det scales like the square of the parameters
-    assert classify(2e-8, 1.0, R=1e-2) is ZeroKind.SOURCE
-    with pytest.raises(DegenerateZero) as err:
-        classify(5e-8, 1.0, R=3.0)
-    assert str(err.value) == "|det J| = 5.000e-08 <= 9.0e-08"
+    # the kinds follow where c lies: (0, 0) is a sink and (0, pi) a saddle;
+    # (pi, 0) is a source and (pi, pi) a saddle above c_p = 8/3, the reverse
+    # below; between c_p and c_f = 3.1682, of the pair with the larger
+    # |ky| = arccos u (the smaller u) both are sources, of the other both
+    # saddles; and each float (det, trace) shows its kind (``classify``)
+    for c, pi_0, pi_pi in ((1.0, "saddle", "source"), (3.0, "source", "saddle"), (3.5, "source", "saddle")):
+        modes = euler_characteristic(ModelParams(3, 1, c)).modes
+        kinds = {(z.location.kx, z.location.ky): z.kind.value for z in modes}
+        assert kinds.pop((0.0, 0.0)) == "sink" and kinds.pop((0.0, -PI)) == "saddle"
+        assert (kinds.pop((-PI, 0.0)), kinds.pop((-PI, -PI))) == (pi_0, pi_pi)
+        ky = sorted(kinds, key=lambda k: abs(k[1]))
+        assert [kinds[k] for k in ky] == (["saddle"] * 2 + ["source"] * 2 if c == 3.0 else [])
+        assert all(classify(z.det, z.trace) is z.kind for z in modes)
 
 
 def test_index_rules():
     modes = euler_characteristic(P1).modes
     for z in modes:
         assert z.index == (1 if z.det > 0 else -1)
-        assert z.kind is classify(z.det, z.trace, P1.R)
+        assert z.kind is classify(z.det, z.trace)
 
 
 def test_euler_characteristic_reference():
@@ -758,14 +791,17 @@ def test_band_independent_census():
     swap = {ZeroKind.SINK: ZeroKind.SOURCE, ZeroKind.SOURCE: ZeroKind.SINK, ZeroKind.SADDLE: ZeroKind.SADDLE}
     modes = euler_characteristic(P1).modes
     for z in modes:
-        assert classify(z.det, -z.trace, P1.R) is swap[z.kind]
+        assert classify(z.det, -z.trace) is swap[z.kind]
 
 
-def test_non_isolated_zero_near_fold():
-    # just under the fold where the extra zero pair merges, the two zeros
-    # crowd within the isolation radius
-    with pytest.raises(NonIsolatedZero):
-        euler_characteristic(ModelParams(3, 1, zero_bifurcations(3, 1)[1] - 1e-8))
+def test_census_answers_just_below_the_fold():
+    # 1e-8 below the fold, where the two zero pairs merge, each source lies
+    # within 1e-3 of its saddle in ky: the census answers 8 zeros, exactly
+    p = ModelParams(3, 1, zero_bifurcations(3, 1)[1] - 1e-8)
+    res = euler_characteristic(p)
+    ky = sorted(z.location.ky for z in res.modes if z.location.kx == -PI)
+    assert min(b - a for a, b in zip(ky, ky[1:])) < 1e-3
+    _assert_exact(res, p)
 
 
 def test_degenerate_bifurcation_is_typed_error():
