@@ -23,11 +23,13 @@ JSON objects in field order (``samples`` as ``samples_used``);
 ``phase-diagram`` writes CSV (``grid_to_csv``: 17 significant digits,
 each distinct axis value formatted once, missing values empty,
 byte-identical for identical sweeps); ``field-dump``
-streams ``model.write_surface_csv``, where one helper process formats the
-odd ky lines and each pair of kx-mirrored nodes is formatted once, into
-``sys.stdout.buffer`` or a file opened "wb".  Its bytes and row order are
-those of one process formatting every node, and each of the two
-processes holds one ky line at a time.  A failed helper prints
+streams ``model.write_surface_csv``, where one helper process formats half
+of the ky lines and each pair of kx-mirrored nodes or ky-mirrored lines is
+formatted once, into ``sys.stdout.buffer`` or a file opened "wb".  Its
+bytes and row order are those of one process formatting every node.  Each
+of the two processes holds one pair of ky lines at a time, and keeps the
+second line of a pair in an unlinked temporary file in ``TMPDIR`` until
+its turn: about 11 MB at n = 512 across both.  A failed helper prints
 its traceback on stderr, and the dump then raises ``RuntimeError``, which
 ``main`` lets through: the command exits 1, never 0 with a truncated CSV.
 """

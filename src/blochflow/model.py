@@ -21,9 +21,11 @@ one or many lines.  A point is a line with one node.  The field dump
 Bloch vector of the Chern sum (``chern``) are all written on ``_bloch``;
 the zero census (``zeromode``) needs only ``_trig_rho``, since its zeros
 lie where sin kx = 0.  Node n - i of the dump's grid lies at -kx of
-node i, where h and the velocity mirror those of node i; the dump
-formats each pair whose sin kx and cos kx mirror bit for bit once
-(``_row_plan``), and writes bytes.
+node i, and ky line n - i at -ky of line i, where h and the velocity
+mirror those of their partner; the dump formats each pair of nodes
+(``_row_plan``) and each pair of lines (``_surface_line``) whose sin and
+cos mirror bit for bit once, and writes bytes.  The second line of a
+pair waits in an unlinked temporary file until its turn.
 ``KPoint.canonical`` reduces a single point to the fundamental domain
 [-pi, pi)^2.
 
@@ -44,7 +46,7 @@ import collections
 import contextlib
 import math
 import os
-from typing import BinaryIO, NamedTuple
+from typing import BinaryIO, Iterable, Iterator, NamedTuple
 
 TWO_PI = 2.0 * math.pi
 # Largest accepted |R|, |r| and |c|.  |h|^2 and the Hessian determinant,
@@ -277,13 +279,17 @@ def _row_plan(kx_trig: tuple, kx_heads: list, mirror: dict) -> tuple:
     return ([sx[j] for j in nodes], [cx[j] for j in nodes]), half, gather, fill
 
 
-def _surface_line(p: ModelParams, plans: tuple, y: float) -> bytes:
-    """The n rows of the dump at one ky, each ending in a newline.
+def _surface_line(p: ModelParams, plans: tuple, y: float, heads: tuple = ()) -> list:
+    """The n rows of the dump at ky = y, each ending in a newline: a list of one line, or of two with ``heads``.
 
     The first of the ``plans`` (``_row_plan``) whose first half has hy < 0
     and vx > 0 lays out the line: the mirrored one, unless c = 0 or vx
     underflows to 0 there, and otherwise the plain one, which has no first
-    half.
+    half.  ``heads`` holds the ky strings of this line and of its mirror
+    line at -ky, whose hx, hy and vx are the same and whose hz and vy are
+    negated.  Then the rows are formatted once, with |hz| and |vy|, into a
+    template that leaves ky, the sign of hz and the sign of each vy to the
+    fill, and the template is filled once per line.
     """
     line = _trig_rho(y, p)
     for kx_trig, half, gather, fill in plans:
@@ -294,29 +300,72 @@ def _surface_line(p: ModelParams, plans: tuple, y: float) -> bytes:
     values = [0.0] * (4 * m)
     values[0::4], values[1::4], values[2::4], values[3::4] = hx, hy, vx, vy
     values[1 : 4 * half : 4] = [-w for w in hy[:half]]
-    # ky and hz are constant along the line; %% leaves the per-node values
-    # for the second pass, and %%%% the head and sign slots for the third
-    row = b"%%%%s,%.17g,%%.17g,%%%%s%%.17g,%.17g,%%%%s%%.17g,%%.17g\n" % (y, line[3])
+    # %% leaves the per-node values for the second pass, and %%%% the head,
+    # ky and sign slots for the third
+    if heads:
+        values[3::4] = [abs(v) for v in vy]
+        row = b"%%%%s,%%%%s,%%.17g,%%%%s%%.17g,%%%%s%.17g,%%%%s%%.17g,%%%%s%%.17g\n" % abs(line[3])
+    else:
+        # ky and hz are constant along the line
+        row = b"%%%%s,%.17g,%%.17g,%%%%s%%.17g,%.17g,%%%%s%%.17g,%%.17g\n" % (y, line[3])
     rows = ((row * m) % tuple(values)).splitlines(True)
-    return b"".join([rows[g] for g in gather]) % fill
+    template = b"".join([rows[g] for g in gather])
+    if not heads:
+        return [template % fill]
+    n = len(gather)
+    slots = [b""] * (6 * n)
+    slots[0::6], slots[2::6], slots[4::6] = fill[0::3], fill[1::3], fill[2::3]
+    vy = [vy[g] for g in gather]
+    lines = []
+    for head, s in zip(heads, (1.0, -1.0)):
+        slots[1::6], slots[3::6] = [head] * n, [b"-" if s * line[3] < 0.0 else b""] * n
+        slots[5::6] = [b"-" if s * v < 0.0 else b"" for v in vy]
+        lines.append(template % tuple(slots))
+    return lines
 
 
-def _send_odd_lines(fd: int, p: ModelParams, plans: tuple, ys: list) -> None:
-    """The helper process: send the odd ky lines through the pipe ``fd``, each after its length.
+def _own_lines(p: ModelParams, plans: tuple, grid: tuple, spool: BinaryIO, js: Iterable[int]) -> Iterator[bytes]:
+    """Yield the ky lines ``js`` of the dump in order, each as bytes.
 
-    The lines go out as ``_surface_line`` returns them, already bytes.  It
-    leaves only through ``os._exit``, so it never flushes the stdio
-    buffers it inherited (the caller's unflushed header would be written
-    twice) and never runs the caller's ``atexit`` hooks.  It exits 0 once
-    every line is sent, and 1 otherwise: quietly when the caller has gone
-    (EPIPE) or on Ctrl-C, after printing the traceback on stderr for any
-    other error.
+    ``grid`` is (ys, heads, mirror): the ky values, their strings, and the
+    map from line n - i to its partner i at -ky (``write_surface_csv``).
+    The first line of a pair is formatted with its partner
+    (``_surface_line``), which is appended to the unlinked file ``spool``
+    and read back at its own turn, so ``js`` holds both lines of a pair or
+    neither, and one pair of lines is held at a time.
     """
+    ys, heads, mirror = grid
+    n, held = len(ys), {}
+    for j in js:
+        if j in mirror:
+            spool.flush()
+            yield os.pread(spool.fileno(), *held.pop(j))
+        elif n - j in mirror:
+            line, partner = _surface_line(p, plans, ys[j], (heads[j], heads[n - j]))
+            held[n - j] = len(partner), spool.tell()
+            spool.write(partner)
+            yield line
+        else:
+            yield from _surface_line(p, plans, ys[j])
+
+
+def _send_lines(fd: int, p: ModelParams, plans: tuple, grid: tuple, js: list) -> None:
+    """The helper process: send the ky lines ``js`` through the pipe ``fd``, each after its length.
+
+    The lines go out as ``_own_lines`` yields them, already bytes, from a
+    spool of its own.  It leaves only through ``os._exit``, so it never
+    flushes the stdio buffers it inherited (the caller's unflushed header
+    would be written twice) and never runs the caller's ``atexit`` hooks.
+    It exits 0 once every line is sent, and 1 otherwise: quietly when the
+    caller has gone (EPIPE) or on Ctrl-C, after printing the traceback on
+    stderr for any other error.
+    """
+    import tempfile
+
     status = 1
     try:
-        with open(fd, "wb") as pipe:
-            for y in ys[1::2]:
-                data = _surface_line(p, plans, y)
+        with open(fd, "wb") as pipe, tempfile.TemporaryFile() as spool:
+            for data in _own_lines(p, plans, grid, spool, js):
                 pipe.write(len(data).to_bytes(8, "little"))
                 pipe.write(data)
         status = 0
@@ -348,17 +397,24 @@ def write_surface_csv(p: ModelParams, n: int, fh: BinaryIO) -> None:
     when the gap closes between them: sin kx vanishes on the grid only at
     kx = 0, where hx = rho + c > 0, so |h| > 0.
 
-    Formatting the floats is nearly all the work, so it runs on two cores:
-    one helper process, forked after the header is written, formats the
-    odd ky lines and sends them through a pipe, while this process formats
-    the even ones and writes every line in ky order.  The bytes and the row
-    order are those of one process writing every line, which is what
-    happens where ``os.fork`` does not exist.  Each process holds one ky
-    line at a time and the pipe at most 1 MB, so memory does not grow with
-    n^2.  The n kx strings are formatted once per dump and ky and hz once
-    per line; only hx, hy, vx and vy are formatted per node, and only once
-    per pair of nodes that mirror each other in kx (``_row_plan``).  The
-    lines stay bytes from the formatting to ``fh``.
+    Formatting the floats is nearly all the work, and the grid's mirrors
+    save part of it.  Node n - i lies at -kx of node i, and line n - i at
+    -ky of line i; where their sin and cos say so bit for bit, a pair of
+    nodes is formatted once (``_row_plan``), and so is a pair of lines
+    (``_surface_line``).  The n kx strings are formatted once per dump,
+    and |hz| once per line or pair of lines.
+
+    The rest runs on two cores: one helper process, forked after the
+    header is written, formats the lines of one parity and sends them
+    through a pipe, while this process formats the others and writes every
+    line in ky order.  Both lines of a pair go to the process of the first
+    one, by its parity, which holds the second in an unlinked temporary
+    file of its own (``tempfile.TemporaryFile``, in ``TMPDIR``) until its
+    turn: about 11 MB across both at n = 512.  The bytes and the row order
+    are those of one process writing every line, which is what happens
+    where ``os.fork`` does not exist.  Each process holds one pair of lines
+    at a time and the pipe at most 1 MB, so memory does not grow with n^2.
+    The lines stay bytes from the formatting to ``fh``.
 
     The helper is reaped before this returns or raises; on an error here
     (a closed stdout, a failed write, Ctrl-C) it is killed first.  If the
@@ -367,19 +423,26 @@ def write_surface_csv(p: ModelParams, n: int, fh: BinaryIO) -> None:
     """
     if n < 2:
         raise ValueError(f"grid size must be at least 2, got n={n}")
+    import tempfile
+
     ys = [-math.pi + TWO_PI * i / n for i in range(n)]
     kx_trig = sx, cx = _kx_trig(ys)
-    kx_heads = [b"%.17g" % x for x in ys]
-    # node n - i sits at -kx of node i where sin kx and cos kx say so bit for
-    # bit; the ticks are not exactly symmetric, so only some pairs do
+    heads = [b"%.17g" % x for x in ys]
+    # node n - i sits at -kx of node i, and line n - i at -ky of line i,
+    # where sin and cos say so bit for bit; the ticks are not exactly
+    # symmetric, so only some pairs do
     mirror = {
         n - i: i for i in range(1, (n + 1) // 2) if (-sx[i]).hex() == sx[n - i].hex() and cx[i].hex() == cx[n - i].hex()
     }
-    plans = _row_plan(kx_trig, kx_heads, mirror), _row_plan(kx_trig, kx_heads, {})
+    plans = _row_plan(kx_trig, heads, mirror), _row_plan(kx_trig, heads, {})
+    grid = ys, heads, mirror
+    # 1 for the helper's lines: both lines of a pair go by the first one
+    helper = [mirror.get(j, j) % 2 for j in range(n)]
     fh.write(SURFACE_CSV_HEADER.encode() + b"\n")
     if not hasattr(os, "fork"):
-        for y in ys:
-            fh.write(_surface_line(p, plans, y))
+        with tempfile.TemporaryFile() as spool:
+            for line in _own_lines(p, plans, grid, spool, range(n)):
+                fh.write(line)
         return
     import fcntl
 
@@ -392,12 +455,13 @@ def write_surface_csv(p: ModelParams, n: int, fh: BinaryIO) -> None:
     pid = os.fork()
     if pid == 0:
         os.close(r)
-        _send_odd_lines(w, p, plans, ys)
+        _send_lines(w, p, plans, grid, [j for j in range(n) if helper[j]])
     os.close(w)
     try:
-        with open(r, "rb") as pipe:
-            for i, y in enumerate(ys):
-                line = _surface_line(p, plans, y) if i % 2 == 0 else _receive_line(pipe)
+        with open(r, "rb") as pipe, tempfile.TemporaryFile() as spool:
+            own = _own_lines(p, plans, grid, spool, [j for j in range(n) if not helper[j]])
+            for theirs in helper:
+                line = _receive_line(pipe) if theirs else next(own)
                 if line is None:
                     break
                 fh.write(line)
@@ -411,6 +475,6 @@ def write_surface_csv(p: ModelParams, n: int, fh: BinaryIO) -> None:
         status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     if line is None or status != 0:
         raise RuntimeError(
-            f"the helper process that formats the odd ky lines exited with status {status}"
+            f"the helper process that formats half of the ky lines exited with status {status}"
             + (" before sending them all" if line is None else "")
         )

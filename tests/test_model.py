@@ -1,11 +1,13 @@
 """Model layer: parameters, Bloch vector, tangent frame, CSV dump."""
 
+import contextlib
 import errno
 import io
 import math
 import os
 import pickle
 import sys
+import tempfile
 import tracemalloc
 from fractions import Fraction
 
@@ -288,16 +290,64 @@ def test_surface_csv_matches_oracle_rows(params):
 
 @pytest.mark.parametrize(
     "c, n",
-    [(0.0, 33), (0.0, 64), (5e-324, 64), (3e-308, 64), (1.0, 2), (1.0, 3), (1.0, 33), (1.0, 64), (1.0, 100), (1.0, 256)],
+    [
+        (0.0, 33),
+        (0.0, 64),
+        (5e-324, 64),
+        (3e-308, 64),
+        (1.0, 2),
+        (1.0, 3),
+        (1.0, 33),
+        (1.0, 64),
+        (1.0, 100),
+        (1.0, 256),
+        (1.3, 512),
+    ],
 )
 def test_surface_csv_mirror_pairs_match_oracle_rows(c, n):
-    # Node n - i mirrors node i in kx only where their sin kx and cos kx say
-    # so bit for bit: 6 of 16 pairs at n = 33, 20 of 31 at 64, none at 2 and 3.
-    # At c = 0, and at c = 5e-324 where vx underflows to 0, the signs of hy
-    # and vx do not tell the partners apart, and every line is formatted
-    # plainly; at c = 3e-308 that happens on 3 of the 64 lines.
+    # Node n - i mirrors node i in kx, and line n - i mirrors line i in ky,
+    # only where their sin and cos say so bit for bit: 6 of 16 pairs at
+    # n = 33, 20 of 31 at 64, 157 of 255 at 512, none at 2 and 3
+    # (test_surface_csv_mirror_pair_counts).  At c = 0, and at c = 5e-324
+    # where vx underflows to 0, the signs of hy and vx do not tell the kx
+    # partners apart, and every line is formatted node by node; at
+    # c = 3e-308 that happens on 3 of the 64 lines.  The ky mirror needs no
+    # such sign, so these cases take both mirrors, or the ky mirror alone;
+    # at odd n both lines of a pair go to the process of the first line.
     p = ModelParams(3, 1, c)
     assert _surface_csv(p, n)[1:] == surface_csv_rows(p, n)
+
+
+@pytest.mark.parametrize("n, pairs, of", [(33, 6, 16), (64, 20, 31), (100, 16, 49), (256, 77, 127), (512, 157, 255)])
+def test_surface_csv_mirror_pair_counts(monkeypatch, n, pairs, of):
+    # The share of the dump that the two mirrors save: ticks i and n - i
+    # whose sin and cos mirror bit for bit.  A tick formula that loses pairs
+    # fails here instead of making the dump slower.
+    ticks = [-math.pi + 2.0 * math.pi * i / n for i in range(n)]
+    mirrored = [
+        i
+        for i in range(1, (n + 1) // 2)
+        if (-math.sin(ticks[i])).hex() == math.sin(ticks[n - i]).hex()
+        and math.cos(ticks[i]).hex() == math.cos(ticks[n - i]).hex()
+    ]
+    assert (len(mirrored), (n - 1) // 2) == (pairs, of)
+    # and the dump formats each such pair of ky lines once, every other line
+    # alone, and no line twice
+    calls = []
+
+    def counting(p, plans, y, heads=()):
+        calls.append((y, heads))
+        return [b"%d\n" % len(calls)] * max(1, len(heads))
+
+    monkeypatch.setattr(model, "_surface_line", counting)
+    monkeypatch.delattr(os, "fork")
+    buf = io.BytesIO()
+    write_surface_csv(P1, n, buf)
+    assert [y for y, heads in calls if heads] == [ticks[i] for i in mirrored]
+    assert sorted(y for y, _ in calls) == [ticks[i] for i in range(n) if n - i not in mirrored]
+    # the second line of each pair is its partner's, read back at its own turn
+    lines = buf.getvalue().splitlines()[1:]
+    assert all(lines[n - i] == lines[i] for i in mirrored) and len(set(lines)) == n - pairs
 
 
 def test_surface_csv_memory_independent_of_grid_area():
@@ -325,7 +375,7 @@ def test_surface_csv_memory_independent_of_grid_area():
     assert peak < 1_000_000
 
 
-@pytest.mark.parametrize("n", [2, 3, 17, 64])
+@pytest.mark.parametrize("n", [2, 3, 17, 33, 64, 256])
 def test_surface_csv_without_fork_writes_the_same_bytes(monkeypatch, n):
     # where os.fork does not exist, one process writes every line
     p = ModelParams(3, 1, 2.9)
@@ -337,9 +387,32 @@ def test_surface_csv_without_fork_writes_the_same_bytes(monkeypatch, n):
     assert alone.getvalue() == buf.getvalue()
 
 
-def _assert_no_child_left():
+@pytest.fixture
+def spool_dir(monkeypatch, tmp_path):
+    """An empty directory where the dump's spools go, as they go to TMPDIR."""
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    return tmp_path
+
+
+def _open_files(spool_dir):
+    """The descriptors of this process open on files in ``spool_dir``, unlinked or not."""
+    where, fds = os.path.realpath(spool_dir), set()
+    if os.path.isdir("/proc/self/fd"):
+        for fd in os.listdir("/proc/self/fd"):
+            with contextlib.suppress(OSError):
+                if os.readlink(f"/proc/self/fd/{fd}").startswith(where + os.sep):
+                    fds.add(fd)
+    return fds
+
+
+def _assert_nothing_left(spool_dir, open_before):
+    # no child, no file in the spool directory, and no descriptor that the
+    # dump opened on one there, not even on an unlinked spool (capfd keeps
+    # files of its own there)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+    assert os.listdir(spool_dir) == []
+    assert _open_files(spool_dir) == open_before
 
 
 class _SecondWriteFails(io.BytesIO):
@@ -356,11 +429,11 @@ class _SecondWriteFails(io.BytesIO):
         return super().write(data)
 
 
-def test_surface_csv_reaps_the_helper():
-    buf = io.BytesIO()
+def test_surface_csv_reaps_the_helper(spool_dir):
+    buf, open_before = io.BytesIO(), _open_files(spool_dir)
     write_surface_csv(P1, 64, buf)
     assert buf.getvalue().count(b"\n") == 1 + 64 * 64
-    _assert_no_child_left()
+    _assert_nothing_left(spool_dir, open_before)
 
 
 @pytest.mark.parametrize(
@@ -369,15 +442,15 @@ def test_surface_csv_reaps_the_helper():
     [BrokenPipeError(errno.EPIPE, "Broken pipe"), KeyboardInterrupt(), OSError(errno.ENOSPC, "No space left")],
     ids=["epipe", "interrupt", "enospc"],
 )
-def test_surface_csv_kills_and_reaps_the_helper_on_a_write_error(error):
-    sink = _SecondWriteFails(error)
+def test_surface_csv_kills_and_reaps_the_helper_on_a_write_error(error, spool_dir):
+    sink, open_before = _SecondWriteFails(error), _open_files(spool_dir)
     with pytest.raises(type(error)):
         write_surface_csv(P1, 64, sink)
-    _assert_no_child_left()
+    _assert_nothing_left(spool_dir, open_before)
     assert sink.getvalue() == SURFACE_CSV_HEADER.encode() + b"\n"
 
 
-def test_surface_csv_raises_when_the_helper_fails(monkeypatch, capfd):
+def test_surface_csv_raises_when_the_helper_fails(monkeypatch, capfd, spool_dir):
     caller, surface_line = os.getpid(), model._surface_line
 
     def fails_in_the_helper(*args):
@@ -386,10 +459,10 @@ def test_surface_csv_raises_when_the_helper_fails(monkeypatch, capfd):
         return surface_line(*args)
 
     monkeypatch.setattr(model, "_surface_line", fails_in_the_helper)
-    buf = io.BytesIO()
+    buf, open_before = io.BytesIO(), _open_files(spool_dir)
     with pytest.raises(RuntimeError, match="exited with status 1 before sending them all"):
         write_surface_csv(P1, 64, buf)
-    _assert_no_child_left()
+    _assert_nothing_left(spool_dir, open_before)
     # the helper's traceback is on stderr, and the dump stops at the first odd line
     assert "ZeroDivisionError: in the helper" in capfd.readouterr().err
     assert buf.getvalue().count(b"\n") == 1 + 64
