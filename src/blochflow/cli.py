@@ -1,10 +1,10 @@
 """Command-line front end: census, invariants, windings, sweeps, dumps.
 
 Exit codes: 0 success, 1 usage/validation error (message names the flag,
-including an --out path that cannot be written), 2 model or domain error
-(gapless model, degenerate field, ...).  Chern grids are fixed and loop
-samples refine themselves, so they are not options; ``field-dump
---grid-n`` sets the size of the output.
+including an --out path that cannot be written) or a failed field-dump
+spool, 2 model or domain error (gapless model, degenerate field, ...).
+Chern grids are fixed and loop samples refine themselves, so they are
+not options; ``field-dump --grid-n`` sets the size of the output.
 
 Flags come from one table, ``COMMANDS``: per subcommand its handler, help
 line and flags, each flag a (name, type or choices, default, help) tuple.
@@ -23,15 +23,13 @@ JSON objects in field order (``samples`` as ``samples_used``);
 ``phase-diagram`` writes CSV (``grid_to_csv``: 17 significant digits,
 each distinct axis value formatted once, missing values empty,
 byte-identical for identical sweeps); ``field-dump``
-streams ``model.write_surface_csv``, where one helper process formats half
-of the ky lines and each pair of kx-mirrored nodes or ky-mirrored lines is
-formatted once, into ``sys.stdout.buffer`` or a file opened "wb".  Its
-bytes and row order are those of one process formatting every node.  Each
-of the two processes holds one pair of ky lines at a time, and keeps the
-second line of a pair in an unlinked temporary file in ``TMPDIR`` until
-its turn: about 11 MB at n = 512 across both.  A failed helper prints
-its traceback on stderr, and the dump then raises ``RuntimeError``, which
-``main`` lets through: the command exits 1, never 0 with a truncated CSV.
+streams ``model.write_surface_csv`` into ``sys.stdout.buffer`` or a file
+opened "wb": one process formats each pair of kx-mirrored nodes and
+ky-mirrored lines once, writes every line in order, and keeps the second
+line of a pair in an unlinked temporary file in ``TMPDIR`` until its
+turn, about 18 MB at n = 512.  A failed read or write of that file
+(``errors.SpoolError``) exits 1 with an error that names the spool and
+``TMPDIR``, not ``--out``.
 """
 
 from __future__ import annotations
@@ -44,7 +42,7 @@ from types import SimpleNamespace
 
 from . import __version__
 from .chern import chern_direct, chern_plaquette
-from .errors import TopologyError
+from .errors import SpoolError, TopologyError
 from .model import TWO_PI, KPoint, ModelParams, write_surface_csv
 from .sweep import PhaseDiagramGrid, SweepAxis, sweep_chern, sweep_euler
 from .winding import LoopSpec, winding_hermitian
@@ -321,6 +319,9 @@ def main(argv=None) -> int:
     except TopologyError as e:
         sys.stderr.write(f"{prog}: {type(e).__name__}: {e}\n")
         return 2
+    except SpoolError as e:
+        sys.stderr.write(f"{prog}: error: {e}\n")
+        return 1
     except OSError as e:
         if args is None or args.out is None:
             raise

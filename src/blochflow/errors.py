@@ -39,3 +39,7 @@ class InsufficientSampling(TopologyError):
 
 class DegenerateTriangle(TopologyError):
     """A unit-vector triple is too spread out or antipodal to orient its solid angle."""
+
+
+class SpoolError(OSError):
+    """The field dump's temporary file in TMPDIR failed: not the output's fault, and not a domain error."""

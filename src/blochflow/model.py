@@ -20,12 +20,13 @@ one or many lines.  A point is a line with one node.  The field dump
 (``write_surface_csv``), the winding loops (``winding``) and the unit
 Bloch vector of the Chern sum (``chern``) are all written on ``_bloch``;
 the zero census (``zeromode``) needs only ``_trig_rho``, since its zeros
-lie where sin kx = 0.  Node n - i of the dump's grid lies at -kx of
-node i, and ky line n - i at -ky of line i, where h and the velocity
-mirror those of their partner; the dump formats each pair of nodes
-(``_row_plan``) and each pair of lines (``_surface_line``) whose sin and
-cos mirror bit for bit once, and writes bytes.  The second line of a
-pair waits in an unlinked temporary file until its turn.
+lie where sin kx = 0.  The dump's ticks are exactly symmetric: node
+n - i of its grid lies at -kx of node i, and ky line n - i at -ky of
+line i, where h and the velocity mirror those of their partner.  One
+process formats each pair of nodes (``_row_plan``) and each pair of
+lines (``_surface_line``) whose sin and cos mirror bit for bit once, and
+writes bytes in order; the second line of a pair waits in an unlinked
+temporary file until its turn (``_ky_lines``).
 ``KPoint.canonical`` reduces a single point to the fundamental domain
 [-pi, pi)^2.
 
@@ -43,10 +44,10 @@ The gap closes at c = R -+ r (``gapless_boundary``).
 from __future__ import annotations
 
 import collections
-import contextlib
 import math
-import os
-from typing import BinaryIO, Iterable, Iterator, NamedTuple
+from typing import BinaryIO, Iterator, NamedTuple
+
+from .errors import SpoolError
 
 TWO_PI = 2.0 * math.pi
 # Largest accepted |R|, |r| and |c|.  |h|^2 and the Hessian determinant,
@@ -324,69 +325,37 @@ def _surface_line(p: ModelParams, plans: tuple, y: float, heads: tuple = ()) -> 
     return lines
 
 
-def _own_lines(p: ModelParams, plans: tuple, grid: tuple, spool: BinaryIO, js: Iterable[int]) -> Iterator[bytes]:
-    """Yield the ky lines ``js`` of the dump in order, each as bytes.
+def _ky_lines(p: ModelParams, plans: tuple, ys: list, heads: list, mirror: dict) -> Iterator[bytes]:
+    """Yield the ky lines of the dump in order, each as bytes.
 
-    ``grid`` is (ys, heads, mirror): the ky values, their strings, and the
-    map from line n - i to its partner i at -ky (``write_surface_csv``).
+    ``ys`` holds the ky values, ``heads`` their strings, and ``mirror`` maps
+    line n - i to its partner i at -ky (``write_surface_csv``).
     The first line of a pair is formatted with its partner
-    (``_surface_line``), which is appended to the unlinked file ``spool``
-    and read back at its own turn, so ``js`` holds both lines of a pair or
-    neither, and one pair of lines is held at a time.
-    """
-    ys, heads, mirror = grid
-    n, held = len(ys), {}
-    for j in js:
-        if j in mirror:
-            spool.flush()
-            yield os.pread(spool.fileno(), *held.pop(j))
-        elif n - j in mirror:
-            line, partner = _surface_line(p, plans, ys[j], (heads[j], heads[n - j]))
-            held[n - j] = len(partner), spool.tell()
-            spool.write(partner)
-            yield line
-        else:
-            yield from _surface_line(p, plans, ys[j])
-
-
-def _send_lines(fd: int, p: ModelParams, plans: tuple, grid: tuple, js: list) -> None:
-    """The helper process: send the ky lines ``js`` through the pipe ``fd``, each after its length.
-
-    The lines go out as ``_own_lines`` yields them, already bytes, from a
-    spool of its own.  It leaves only through ``os._exit``, so it never
-    flushes the stdio buffers it inherited (the caller's unflushed header
-    would be written twice) and never runs the caller's ``atexit`` hooks.
-    It exits 0 once every line is sent, and 1 otherwise: quietly when the
-    caller has gone (EPIPE) or on Ctrl-C, after printing the traceback on
-    stderr for any other error.
+    (``_surface_line``), which is appended to an unlinked temporary file,
+    the spool, and read back at its own turn.  Every first line comes
+    before every second one, so the spool is written, then read.  A failed
+    spool raises ``SpoolError``, since nothing else here does I/O.
     """
     import tempfile
 
-    status = 1
+    n, held = len(ys), {}
     try:
-        with open(fd, "wb") as pipe, tempfile.TemporaryFile() as spool:
-            for data in _own_lines(p, plans, grid, spool, js):
-                pipe.write(len(data).to_bytes(8, "little"))
-                pipe.write(data)
-        status = 0
-    except BrokenPipeError:
-        pass
-    except Exception:
-        import traceback
-
-        os.write(2, traceback.format_exc().encode())
-    finally:
-        os._exit(status)
-
-
-def _receive_line(pipe) -> bytes | None:
-    """The next line from the helper, or None if the helper ended before sending all of it."""
-    head = pipe.read(8)
-    if len(head) < 8:
-        return None
-    size = int.from_bytes(head, "little")
-    data = pipe.read(size)
-    return data if len(data) == size else None
+        with tempfile.TemporaryFile() as spool:
+            for j in range(n):
+                if j in mirror:
+                    offset, size = held.pop(j)
+                    spool.seek(offset)
+                    yield spool.read(size)
+                elif n - j in mirror:
+                    line, partner = _surface_line(p, plans, ys[j], (heads[j], heads[n - j]))
+                    held[n - j] = spool.tell(), len(partner)
+                    spool.write(partner)
+                    yield line
+                else:
+                    yield from _surface_line(p, plans, ys[j])
+    except OSError as e:
+        where = f" {tempfile.tempdir}" if tempfile.tempdir else ""
+        raise SpoolError(f"the field dump's spool in TMPDIR{where}: {e}") from e
 
 
 def write_surface_csv(p: ModelParams, n: int, fh: BinaryIO) -> None:
@@ -398,83 +367,38 @@ def write_surface_csv(p: ModelParams, n: int, fh: BinaryIO) -> None:
     kx = 0, where hx = rho + c > 0, so |h| > 0.
 
     Formatting the floats is nearly all the work, and the grid's mirrors
-    save part of it.  Node n - i lies at -kx of node i, and line n - i at
-    -ky of line i; where their sin and cos say so bit for bit, a pair of
-    nodes is formatted once (``_row_plan``), and so is a pair of lines
-    (``_surface_line``).  The n kx strings are formatted once per dump,
-    and |hz| once per line or pair of lines.
+    save most of it.  The ticks pi (2 i - n) / n are exactly symmetric:
+    node n - i lies at -kx of node i, and line n - i at -ky of line i.
+    Where their sin and cos say so bit for bit, which an odd sin and an
+    even cos do for every pair, a pair of nodes is formatted once
+    (``_row_plan``), and so is a pair of lines (``_surface_line``), so a
+    quarter of the grid is formatted.  The n kx strings are formatted once
+    per dump, and |hz| once per line or pair of lines.
 
-    The rest runs on two cores: one helper process, forked after the
-    header is written, formats the lines of one parity and sends them
-    through a pipe, while this process formats the others and writes every
-    line in ky order.  Both lines of a pair go to the process of the first
-    one, by its parity, which holds the second in an unlinked temporary
-    file of its own (``tempfile.TemporaryFile``, in ``TMPDIR``) until its
-    turn: about 11 MB across both at n = 512.  The bytes and the row order
-    are those of one process writing every line, which is what happens
-    where ``os.fork`` does not exist.  Each process holds one pair of lines
-    at a time and the pipe at most 1 MB, so memory does not grow with n^2.
-    The lines stay bytes from the formatting to ``fh``.
-
-    The helper is reaped before this returns or raises; on an error here
-    (a closed stdout, a failed write, Ctrl-C) it is killed first.  If the
-    helper fails, it prints its traceback on stderr and this raises
-    RuntimeError, with the lines before the failure already written.
+    The header and then every line go to ``fh`` in order, as bytes from
+    the formatting on.  The second line of each pair waits in an unlinked
+    temporary file (``tempfile.TemporaryFile``, in ``TMPDIR``) until its
+    turn: about half of the output, which the system frees when the dump
+    ends, however it ends.  Memory holds one pair of lines at a time, so
+    it does not grow with n^2.  A read or write of that file that fails
+    raises ``SpoolError``; a failed write to ``fh`` raises as it is.
     """
     if n < 2:
         raise ValueError(f"grid size must be at least 2, got n={n}")
-    import tempfile
-
-    ys = [-math.pi + TWO_PI * i / n for i in range(n)]
+    ys = [math.pi * (2 * i - n) / n for i in range(n)]
     kx_trig = sx, cx = _kx_trig(ys)
     heads = [b"%.17g" % x for x in ys]
     # node n - i sits at -kx of node i, and line n - i at -ky of line i,
-    # where sin and cos say so bit for bit; the ticks are not exactly
-    # symmetric, so only some pairs do
+    # where sin and cos say so bit for bit
     mirror = {
         n - i: i for i in range(1, (n + 1) // 2) if (-sx[i]).hex() == sx[n - i].hex() and cx[i].hex() == cx[n - i].hex()
     }
     plans = _row_plan(kx_trig, heads, mirror), _row_plan(kx_trig, heads, {})
-    grid = ys, heads, mirror
-    # 1 for the helper's lines: both lines of a pair go by the first one
-    helper = [mirror.get(j, j) % 2 for j in range(n)]
     fh.write(SURFACE_CSV_HEADER.encode() + b"\n")
-    if not hasattr(os, "fork"):
-        with tempfile.TemporaryFile() as spool:
-            for line in _own_lines(p, plans, grid, spool, range(n)):
-                fh.write(line)
-        return
-    import fcntl
-
-    r, w = os.pipe()
-    # A pipe that holds several lines lets the helper run ahead instead of
-    # taking turns with this process.  1 MB is Linux's default limit without
-    # privileges; where the call is missing or refused, the dump is slower.
-    with contextlib.suppress(AttributeError, OSError):
-        fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, 1 << 20)
-    pid = os.fork()
-    if pid == 0:
-        os.close(r)
-        _send_lines(w, p, plans, grid, [j for j in range(n) if helper[j]])
-    os.close(w)
+    lines = _ky_lines(p, plans, ys, heads, mirror)
     try:
-        with open(r, "rb") as pipe, tempfile.TemporaryFile() as spool:
-            own = _own_lines(p, plans, grid, spool, [j for j in range(n) if not helper[j]])
-            for theirs in helper:
-                line = _receive_line(pipe) if theirs else next(own)
-                if line is None:
-                    break
-                fh.write(line)
-    except BaseException:
-        import signal
-
-        os.kill(pid, signal.SIGKILL)
-        raise
+        for line in lines:
+            fh.write(line)
     finally:
-        # after an early end of the pipe, the helper has closed it on its way out
-        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if line is None or status != 0:
-        raise RuntimeError(
-            f"the helper process that formats half of the ky lines exited with status {status}"
-            + (" before sending them all" if line is None else "")
-        )
+        # closes the spool now, also when a write to fh fails
+        lines.close()

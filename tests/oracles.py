@@ -354,7 +354,8 @@ def numpy_kx_pi_roots(p):
 
 def surface_csv_rows(p, n):
     """The rows write_surface_csv should write: the array kernels on the whole grid, formatted one value at a time."""
-    ticks = -math.pi + TWO_PI * np.arange(n) / n
+    # the program's exactly symmetric ticks: tick n - i is -tick i
+    ticks = math.pi * (2 * np.arange(n) - n) / n
     ky, kx = np.meshgrid(ticks, ticks, indexing="ij")
     hx, hy, hz = array_bloch_components(kx, ky, p)
     vx, vy, _ = array_velocity_and_gap(kx, ky, p)

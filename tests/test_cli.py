@@ -5,7 +5,6 @@ import math
 import os
 import subprocess
 import sys
-import time
 import warnings
 
 import pytest
@@ -298,7 +297,7 @@ def _blochflow(*argv, **popen_args):
 
 # Every subcommand, then --help and --version, run through cli.main in one
 # process that cannot import numpy: numpy is a test-only package.  The field
-# dump forks its helper.
+# dump writes every line from this one process.
 _WITHOUT_NUMPY = """
 import json, sys
 sys.modules["numpy"] = None  # from here on, `import numpy` raises ImportError
@@ -362,8 +361,8 @@ def test_closed_stdout_exits_quietly(argv, lines):
 
 
 def test_field_dump_stdout_and_out_get_the_same_bytes(tmp_path):
-    # both streams are block-buffered here and hold the header unflushed
-    # when the helper forks: a helper that flushed them would repeat it
+    # both streams are block-buffered here; every pair of lines mirrors at
+    # n = 33, and the rows are those of the oracle on the same ticks
     proc = _blochflow("field-dump", "--grid-n", "33", stdout=subprocess.PIPE)
     out, _ = proc.communicate(timeout=120)
     path = tmp_path / "dump.csv"
@@ -372,56 +371,23 @@ def test_field_dump_stdout_and_out_get_the_same_bytes(tmp_path):
     assert out.decode().splitlines() == ["kx,ky,hx,hy,hz,vx,vy", *surface_csv_rows(ModelParams(3, 1, 1), 33)]
 
 
-def _stat_fields(pid):
-    """The fields of /proc/PID/stat after the command name: state, ppid, ..."""
-    try:
-        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
-            return fh.read().rpartition(")")[2].split()
-    except OSError:  # gone, or reaped
-        return None
-
-
-@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="finds the helper process through /proc")
-def test_field_dump_helper_exits_when_the_caller_dies(tmp_path):
-    # the helper's 1024 lines of 2048 nodes take seconds
-    proc = _blochflow("field-dump", "--grid-n", "2048", "--out", str(tmp_path / "dump.csv"))
-    deadline = time.monotonic() + 60
-    helpers = []
-    while not helpers:
-        assert proc.poll() is None and time.monotonic() < deadline, "the dump ended before its helper was seen"
-        pids = [int(name) for name in os.listdir("/proc") if name.isdigit()]
-        helpers = [pid for pid in pids if (_stat_fields(pid) or ["", ""])[1] == str(proc.pid)]
-    proc.kill()
-    proc.wait(timeout=60)
-    # the helper's next write into the pipe fails with EPIPE, and it exits
-    deadline = time.monotonic() + 2.0
-    while (_stat_fields(helpers[0]) or ["X"])[0] not in ("Z", "X"):
-        assert time.monotonic() < deadline, "the helper outlived its caller"
-        time.sleep(0.01)
-
-
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-def test_field_dump_out_write_error_reaps_the_helper(capsys):
+def test_field_dump_out_write_error_names_out(capsys, assert_nothing_left):
     rc, out, err = run(capsys, ["field-dump", "--grid-n", "64", "--out", "/dev/full"])
     assert (rc, out) == (1, "")
-    assert err.startswith("blochflow field-dump: error: --out: ")
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    assert err.startswith("blochflow field-dump: error: --out: [Errno 28] ")
+    assert_nothing_left()
 
 
-def test_field_dump_helper_failure_is_an_error(monkeypatch, tmp_path, capfd):
-    # never a truncated CSV with exit 0
-    caller, surface_line = os.getpid(), model._surface_line
-
-    def fails_in_the_helper(*args):
-        if os.getpid() != caller:
-            raise ZeroDivisionError("in the helper")
-        return surface_line(*args)
-
-    monkeypatch.setattr(model, "_surface_line", fails_in_the_helper)
-    with pytest.raises(RuntimeError, match="helper process"):
-        main(["field-dump", "--grid-n", "8", "--out", str(tmp_path / "dump.csv")])
-    assert "ZeroDivisionError: in the helper" in capfd.readouterr().err
+@pytest.mark.parametrize("out", [False, True], ids=["stdout", "out"])
+def test_field_dump_spool_error_names_the_spool(capsys, tmp_path, full_spool, spool_dir, assert_nothing_left, out):
+    # a full TMPDIR: one error line that names the spool, with --out or
+    # without, and exit 1
+    argv = ["field-dump", "--grid-n", "8", *(["--out", str(tmp_path / "dump.csv")] if out else [])]
+    rc, _, err = run(capsys, argv)
+    spool = f"the field dump's spool in TMPDIR {spool_dir}"
+    assert (rc, err) == (1, f"blochflow field-dump: error: {spool}: [Errno 28] No space left on device\n")
+    assert_nothing_left()
 
 
 def test_field_dump_grid_validation(capsys):

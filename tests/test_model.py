@@ -1,13 +1,10 @@
 """Model layer: parameters, Bloch vector, tangent frame, CSV dump."""
 
-import contextlib
 import errno
 import io
 import math
-import os
 import pickle
 import sys
-import tempfile
 import tracemalloc
 from fractions import Fraction
 
@@ -18,6 +15,7 @@ from hypothesis import strategies as st
 
 from blochflow import KPoint, ModelParams, SweepAxis, model
 from blochflow.chern import gap_min
+from blochflow.errors import SpoolError
 from blochflow.zeromode import C_DEGENERATE
 from blochflow.model import (
     PARAM_MAX,
@@ -305,34 +303,42 @@ def test_surface_csv_matches_oracle_rows(params):
     ],
 )
 def test_surface_csv_mirror_pairs_match_oracle_rows(c, n):
-    # Node n - i mirrors node i in kx, and line n - i mirrors line i in ky,
-    # only where their sin and cos say so bit for bit: 6 of 16 pairs at
-    # n = 33, 20 of 31 at 64, 157 of 255 at 512, none at 2 and 3
-    # (test_surface_csv_mirror_pair_counts).  At c = 0, and at c = 5e-324
-    # where vx underflows to 0, the signs of hy and vx do not tell the kx
-    # partners apart, and every line is formatted node by node; at
-    # c = 3e-308 that happens on 3 of the 64 lines.  The ky mirror needs no
-    # such sign, so these cases take both mirrors, or the ky mirror alone;
-    # at odd n both lines of a pair go to the process of the first line.
+    # Node n - i mirrors node i in kx, and line n - i mirrors line i in ky:
+    # every pair, on the exactly symmetric ticks
+    # (test_surface_csv_mirror_pair_counts), and none at n = 2.  At
+    # c = 0, and at c = 5e-324 where vx underflows to 0, the signs of hy and
+    # vx do not tell the kx partners apart, and every line is formatted node
+    # by node; at c = 3e-308 that happens on 3 of the 64 lines.  The ky
+    # mirror needs no such sign, so these cases take both mirrors, or the ky
+    # mirror alone.
     p = ModelParams(3, 1, c)
     assert _surface_csv(p, n)[1:] == surface_csv_rows(p, n)
 
 
-@pytest.mark.parametrize("n, pairs, of", [(33, 6, 16), (64, 20, 31), (100, 16, 49), (256, 77, 127), (512, 157, 255)])
-def test_surface_csv_mirror_pair_counts(monkeypatch, n, pairs, of):
-    # The share of the dump that the two mirrors save: ticks i and n - i
-    # whose sin and cos mirror bit for bit.  A tick formula that loses pairs
-    # fails here instead of making the dump slower.
-    ticks = [-math.pi + 2.0 * math.pi * i / n for i in range(n)]
-    mirrored = [
-        i
-        for i in range(1, (n + 1) // 2)
-        if (-math.sin(ticks[i])).hex() == math.sin(ticks[n - i]).hex()
-        and math.cos(ticks[i]).hex() == math.cos(ticks[n - i]).hex()
-    ]
-    assert (len(mirrored), (n - 1) // 2) == (pairs, of)
-    # and the dump formats each such pair of ky lines once, every other line
-    # alone, and no line twice
+def _ticks(n):
+    """The dump's ticks: exactly symmetric, tick n - i is -tick i."""
+    return [math.pi * (2 * i - n) / n for i in range(n)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 33, 64, 100, 256, 512, 1024, 4096])
+def test_libm_facts_of_the_dump_ticks(n):
+    # the dump mirrors node n - i from node i, and line n - i from line i,
+    # where sin is odd and cos even bit for bit on its ticks
+    ticks = _ticks(n)
+    assert ticks[0] == -math.pi
+    for i in range(1, (n + 1) // 2):
+        assert ticks[n - i] == -ticks[i]
+        assert math.sin(ticks[n - i]).hex() == (-math.sin(ticks[i])).hex()
+        assert math.cos(ticks[n - i]).hex() == math.cos(ticks[i]).hex()
+
+
+@pytest.mark.parametrize("n", [2, 3, 33, 64, 100, 256, 512])
+def test_surface_csv_mirror_pair_counts(monkeypatch, n):
+    # The share of the dump that the two mirrors save: every one of the
+    # (n - 1) // 2 pairs of ky lines is formatted once, every other line
+    # alone, and no line twice.  A tick formula that loses pairs fails here
+    # instead of making the dump slower.
+    ticks, pairs = _ticks(n), range(1, (n + 1) // 2)
     calls = []
 
     def counting(p, plans, y, heads=()):
@@ -340,14 +346,13 @@ def test_surface_csv_mirror_pair_counts(monkeypatch, n, pairs, of):
         return [b"%d\n" % len(calls)] * max(1, len(heads))
 
     monkeypatch.setattr(model, "_surface_line", counting)
-    monkeypatch.delattr(os, "fork")
     buf = io.BytesIO()
     write_surface_csv(P1, n, buf)
-    assert [y for y, heads in calls if heads] == [ticks[i] for i in mirrored]
-    assert sorted(y for y, _ in calls) == [ticks[i] for i in range(n) if n - i not in mirrored]
+    assert [y for y, heads in calls if heads] == [ticks[i] for i in pairs]
+    assert sorted(y for y, _ in calls) == ticks[: n // 2 + 1]
     # the second line of each pair is its partner's, read back at its own turn
     lines = buf.getvalue().splitlines()[1:]
-    assert all(lines[n - i] == lines[i] for i in mirrored) and len(set(lines)) == n - pairs
+    assert all(lines[n - i] == lines[i] for i in pairs) and len(set(lines)) == n - len(pairs)
 
 
 def test_surface_csv_memory_independent_of_grid_area():
@@ -375,48 +380,8 @@ def test_surface_csv_memory_independent_of_grid_area():
     assert peak < 1_000_000
 
 
-@pytest.mark.parametrize("n", [2, 3, 17, 33, 64, 256])
-def test_surface_csv_without_fork_writes_the_same_bytes(monkeypatch, n):
-    # where os.fork does not exist, one process writes every line
-    p = ModelParams(3, 1, 2.9)
-    buf = io.BytesIO()
-    write_surface_csv(p, n, buf)
-    monkeypatch.delattr(os, "fork")
-    alone = io.BytesIO()
-    write_surface_csv(p, n, alone)
-    assert alone.getvalue() == buf.getvalue()
-
-
-@pytest.fixture
-def spool_dir(monkeypatch, tmp_path):
-    """An empty directory where the dump's spools go, as they go to TMPDIR."""
-    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-    return tmp_path
-
-
-def _open_files(spool_dir):
-    """The descriptors of this process open on files in ``spool_dir``, unlinked or not."""
-    where, fds = os.path.realpath(spool_dir), set()
-    if os.path.isdir("/proc/self/fd"):
-        for fd in os.listdir("/proc/self/fd"):
-            with contextlib.suppress(OSError):
-                if os.readlink(f"/proc/self/fd/{fd}").startswith(where + os.sep):
-                    fds.add(fd)
-    return fds
-
-
-def _assert_nothing_left(spool_dir, open_before):
-    # no child, no file in the spool directory, and no descriptor that the
-    # dump opened on one there, not even on an unlinked spool (capfd keeps
-    # files of its own there)
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    assert os.listdir(spool_dir) == []
-    assert _open_files(spool_dir) == open_before
-
-
-class _SecondWriteFails(io.BytesIO):
-    """A sink whose second write, the first after the helper is forked, raises ``error``."""
+class _FailsAtTheFirstSpooledLine(io.BytesIO):
+    """A sink that raises ``error`` on the write of line 33 of 64, the first one read back from the spool."""
 
     def __init__(self, error):
         super().__init__()
@@ -424,16 +389,9 @@ class _SecondWriteFails(io.BytesIO):
 
     def write(self, data):
         self.writes += 1
-        if self.writes == 2:
+        if self.writes == 1 + 34:
             raise self.error
         return super().write(data)
-
-
-def test_surface_csv_reaps_the_helper(spool_dir):
-    buf, open_before = io.BytesIO(), _open_files(spool_dir)
-    write_surface_csv(P1, 64, buf)
-    assert buf.getvalue().count(b"\n") == 1 + 64 * 64
-    _assert_nothing_left(spool_dir, open_before)
 
 
 @pytest.mark.parametrize(
@@ -442,30 +400,23 @@ def test_surface_csv_reaps_the_helper(spool_dir):
     [BrokenPipeError(errno.EPIPE, "Broken pipe"), KeyboardInterrupt(), OSError(errno.ENOSPC, "No space left")],
     ids=["epipe", "interrupt", "enospc"],
 )
-def test_surface_csv_kills_and_reaps_the_helper_on_a_write_error(error, spool_dir):
-    sink, open_before = _SecondWriteFails(error), _open_files(spool_dir)
-    with pytest.raises(type(error)):
+def test_surface_csv_leaves_nothing_on_a_write_error(error, assert_nothing_left):
+    # the spool holds lines 33 to 63 when the write fails, and is closed
+    # before the error leaves the dump, even while the error is held
+    sink = _FailsAtTheFirstSpooledLine(error)
+    with pytest.raises(type(error)) as raised:
         write_surface_csv(P1, 64, sink)
-    _assert_nothing_left(spool_dir, open_before)
-    assert sink.getvalue() == SURFACE_CSV_HEADER.encode() + b"\n"
+    assert type(raised.value) is type(error)
+    assert_nothing_left()
+    assert sink.getvalue().count(b"\n") == 1 + 33 * 64
 
 
-def test_surface_csv_raises_when_the_helper_fails(monkeypatch, capfd, spool_dir):
-    caller, surface_line = os.getpid(), model._surface_line
-
-    def fails_in_the_helper(*args):
-        if os.getpid() != caller:
-            raise ZeroDivisionError("in the helper")
-        return surface_line(*args)
-
-    monkeypatch.setattr(model, "_surface_line", fails_in_the_helper)
-    buf, open_before = io.BytesIO(), _open_files(spool_dir)
-    with pytest.raises(RuntimeError, match="exited with status 1 before sending them all"):
-        write_surface_csv(P1, 64, buf)
-    _assert_nothing_left(spool_dir, open_before)
-    # the helper's traceback is on stderr, and the dump stops at the first odd line
-    assert "ZeroDivisionError: in the helper" in capfd.readouterr().err
-    assert buf.getvalue().count(b"\n") == 1 + 64
+def test_surface_csv_spool_error_names_the_spool(full_spool, spool_dir, assert_nothing_left):
+    # a full TMPDIR is the spool's failure, not the output's
+    with pytest.raises(SpoolError, match=f"^the field dump's spool in TMPDIR {spool_dir}: \\[Errno 28\\] ") as raised:
+        write_surface_csv(P1, 64, io.BytesIO())
+    assert isinstance(raised.value, OSError) and raised.value.__cause__.errno == errno.ENOSPC
+    assert_nothing_left()
 
 
 def test_surface_csv_format():
@@ -477,9 +428,8 @@ def test_surface_csv_format():
     # ky is the slow index: first three rows share ky = -pi
     first = [line.split(",") for line in lines[1:4]]
     assert all(row[1] == format(-math.pi, ".17g") for row in first)
-    assert [row[0] for row in first] == [
-        format(x, ".17g") for x in (-math.pi, -math.pi + 2 * math.pi / 3, -math.pi + 4 * math.pi / 3)
-    ]
+    # the ticks pi (2 i - n) / n, where tick n - i is -tick i exactly
+    assert [row[0] for row in first] == [format(x, ".17g") for x in (-math.pi, -math.pi / 3, math.pi / 3)]
     # every field parses back to a float
     for line in lines[1:]:
         assert len(line.split(",")) == 7
