@@ -32,13 +32,12 @@ temporary file until its turn (``_ky_lines``).
 
 On the line kx = pi, the velocity zeros off ky in {0, pi} and the
 stationary points of |h| are the roots u = cos ky in (-1, 1) of one cubic
-(``_kx_pi_cubic``), written on s = r/R and g = c/R.  ``_kx_pi_roots``
-solves it in closed form with ``math`` and is the one solver that the gap
-minimum (``chern.gap_min``) and the zero census (``zeromode``) share.
-There are two such roots when c lies in the window c_p < c < c_f between
-the pitchfork and the fold (``zero_bifurcations``), and none otherwise;
-``_phase`` decides where c lies against c_p and c_f exactly, on integers.
-The gap closes at c = R -+ r (``gapless_boundary``).
+(``_kx_pi_cubic``): two between the pitchfork c_p and the fold c_f
+(``zero_bifurcations``), else none.  The gap closes at c = R -+ r
+(``gapless_boundary``), and R - r < c_p < c_f < R + r.  ``_phase`` places c
+among these four exactly, as one of nine positions; C, the zero count and
+the kinds follow from it, and only at its position 4 is the cubic solved
+(``_kx_pi_roots``), once per sweep cell for ``chern.gap_min`` and ``zeromode``.
 """
 
 from __future__ import annotations
@@ -172,21 +171,31 @@ def zero_bifurcations(R: float, r: float) -> tuple:
     return (R * R - r * r) / R, (R * R + r * r / 3.0) ** 1.5 / (R * R)
 
 
-def _phase(p: ModelParams) -> tuple:
-    """The exact signs, +1, 0 or -1, of c R - (R^2 - r^2) and (3 R^2 + r^2)^3 - 27 c^2 R^4.
+def _phase(p: ModelParams) -> int:
+    """Where c lies among R - r < c_p < c_f < R + r, exactly: an int from 0 to 8.
 
-    They are the signs of c - c_p and c_f - c (``zero_bifurcations``), so
-    (1, 1) is c_p < c < c_f.  Each float is n / 2^k (``as_integer_ratio``):
-    over the largest denominator, R, r and c are integers, and Python ints
-    decide both signs exactly.
+    2 k lies strictly between the k-th critical value and the next (0 is
+    c < R - r, 4 is c_p < c < c_f, 8 is c > R + r), and 2 k + 1 at the next.
+    With R -+ r = s + t exactly (Fast TwoSum), the float (c - s) - t has the
+    sign of c - (R -+ r) (Sterbenz).  c R - R^2 + r^2 and (3 R^2 + r^2)^3 -
+    27 c^2 R^4 have the signs of c - c_p and c_f - c: in floats beyond 1e-14
+    times their terms, else on ints, as 2^1100 x is one for every float x.
     """
     R, r, c = p
-    (R, a), (r, b), (c, d) = R.as_integer_ratio(), r.as_integer_ratio(), c.as_integer_ratio()
-    k = max(a, b, d)
-    R, r, c = R * (k // a), r * (k // b), c * (k // d)
-    RR, rr = R * R, r * r
-    past_pitchfork, below_fold = c * R - RR + rr, (3 * RR + rr) ** 3 - 27 * (c * RR) ** 2
-    return (past_pitchfork > 0) - (past_pitchfork < 0), (below_fold > 0) - (below_fold < 0)
+    s, t = R - r, R + r
+    past_lo, past_hi = (c - s) + (r + (s - R)), (c - t) - (r - (t - R))
+    if not past_lo > 0.0 > past_hi:
+        return 1 - (past_lo < 0.0) if past_lo <= 0.0 else 7 + (past_hi > 0.0)
+    RR, rr, cR = R * R, r * r, c * R
+    pitchfork, bound = cR - RR + rr, 1e-14 * (cR + RR)
+    if pitchfork < -bound:
+        return 2
+    a, b = (3.0 * RR + rr) ** 3, 27.0 * (cR * R) ** 2
+    if pitchfork > bound and abs(a - b) > 1e-14 * (a + b):
+        return 4 if a > b else 6
+    R, r, c = (n * 2**1100 // d for n, d in (x.as_integer_ratio() for x in p))
+    pitchfork, a, b = c * R - R * R + r * r, (3 * R * R + r * r) ** 3, 27 * (c * R * R) ** 2
+    return 4 + (pitchfork > 0) - (pitchfork < 0) - (a > b) + (a < b)
 
 
 def gapless_boundary(R: float, r: float) -> tuple:
@@ -216,24 +225,21 @@ def _kx_pi_cubic(p: ModelParams) -> list:
 def _kx_pi_roots(p: ModelParams) -> list:
     """The roots u in (-1, 1) of ``_kx_pi_cubic`` in closed form, each polished by one Newton step.
 
-    There are two for c_p < c < c_f (``zero_bifurcations``) and none
-    otherwise.  With w = u + s/3 measured from the fold point, where the
+    It is called only for c_p < c < c_f, the phase 4 of ``_phase``, where
+    there are two.  With w = u + s/3 measured from the fold point, where the
     cubic's left side is stationary, the cubic reads
-    2 s^3 w^3 - s^2 (3 + s^2) w^2 + s^2 e = 0 with e > 0 inside the window,
+    2 s^3 w^3 - s^2 (3 + s^2) w^2 + s^2 e = 0 with e > 0 for c < c_f,
     and y = sqrt(e) / w turns it into the depressed y^3 - (3 + s^2) y +
     2 s sqrt(e) = 0.  Its three real roots (trigonometric form) are the two
     wanted ones, y_0 > 0 and y_2 < 0, and y_1 >= 0, which lies beyond
     u = 1/s.  Where rounding at r -> R, c -> c_p leaves one real root,
     Cardano gives it: y_2, near u = -1.
     """
-    c_p, c_f = zero_bifurcations(p.R, p.r)
-    if not c_p < p.c < c_f:
-        return []
     c3, c2, c1, c0 = _kx_pi_cubic(p)
     s = p.r / p.R
     u0 = -s / 3.0
     e = (((c3 * u0 + c2) * u0 + c1) * u0 + c0) / (s * s)
-    if not e > 0.0:  # c_f rounded up past the fold
+    if not e > 0.0:  # the float cubic lost the root pair, within rounding of c_f
         return []
     m, sqrt_e = math.sqrt(1.0 + s * s / 3.0), math.sqrt(e)
     h, q = m**3, s * sqrt_e  # y^3 - 3 m^2 y + 2 q = 0

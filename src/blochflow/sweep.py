@@ -10,12 +10,13 @@ show a zero's exact kind, a root pair that the float cubic misses) are
 tagged "degenerate".  The threshold bounds the gap |h| itself, in
 parameter units, not a distance in c to a closing, and unlike the census
 thresholds it is absolute, not relative to R; it stays so until the
-benchmark's reference changes with it.  A Chern cell is C = [c < R + r] -
-[c < R - r], the two comparisons of ``chern._chern_preimages`` behind its
-gate on the cell's one ``gap_min``, and also "gapless" where gap / R <=
-``EPS_GAP_CHERN``.  An Euler cell is the index sum of the census kernel's
-exact kinds (``zeromode._chi``), no records.  Identical sweep inputs give
-identical grids; ``cli`` writes them as CSV.
+benchmark's reference changes with it.  A cell places c once, exactly
+(``model._phase``), and solves the cubic only for c_p < c < c_f.  A Chern
+cell reads C from that phase behind its gap gate (``chern._chern_preimages``)
+and is also "gapless" where gap / R <= ``EPS_GAP_CHERN``.  An Euler cell is
+the index sum of the census kernel's exact kinds (``zeromode._chi``), no
+records.  Identical sweep inputs give identical grids; ``cli`` writes them
+as CSV.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ import itertools
 import math
 from typing import NamedTuple
 
-from .chern import _chern_preimages, gap_min
+from .chern import _chern_preimages, _gap_min
 from .errors import DegenerateField, DegenerateZero, GaplessModel, NonIsolatedZero
-from .model import ModelParams
+from .model import ModelParams, _kx_pi_roots, _phase
 from .zeromode import _chi
 
 GAPLESS_THRESHOLD = 1e-3
@@ -113,15 +114,17 @@ def _cell_param_sets(axes, base: ModelParams):
 
 
 def _sweep(axes, base: ModelParams, invariant) -> PhaseDiagramGrid:
-    """One cell per parameter set; ``invariant(params, gap_min)`` returns (chern, chi)."""
+    """One cell per parameter set; ``invariant(params, gap_min, phase, roots)`` returns (chern, chi)."""
     cells = []
     for params in _cell_param_sets(axes, base):
-        g = gap_min(params)
+        phase = _phase(params)
+        roots = _kx_pi_roots(params) if phase == 4 else []
+        g = _gap_min(params, roots)
         chern = chi = None
         status = STATUS_GAPLESS
         if not g < GAPLESS_THRESHOLD:
             try:
-                chern, chi = invariant(params, g)
+                chern, chi = invariant(params, g, phase, roots)
                 status = STATUS_OK
             except GaplessModel:
                 pass  # too close to a band touching for the invariant to be defined
@@ -132,10 +135,10 @@ def _sweep(axes, base: ModelParams, invariant) -> PhaseDiagramGrid:
 
 
 def sweep_chern(axes, base: ModelParams) -> PhaseDiagramGrid:
-    """Chern number per cell, [c < R + r] - [c < R - r] behind the gap gate; gapless cells tagged."""
-    return _sweep(axes, base, lambda p, g: (_chern_preimages(p, g), None))
+    """Chern number per cell, 1 between the closings and 0 outside, behind the gap gate; gapless cells tagged."""
+    return _sweep(axes, base, lambda p, g, phase, roots: (_chern_preimages(p, g, phase), None))
 
 
 def sweep_euler(axes, base: ModelParams) -> PhaseDiagramGrid:
     """Euler characteristic per cell, the census kernel's index sum; degenerate/gapless cells carry tags."""
-    return _sweep(axes, base, lambda p, g: (None, _chi(p)))
+    return _sweep(axes, base, lambda p, g, phase, roots: (None, _chi(p, phase, roots)))

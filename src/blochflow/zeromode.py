@@ -3,9 +3,8 @@
 The zeros are known in closed form.  Since vx = -c rho sin kx / |h|, every
 zero lies on kx in {0, pi}.  Four are fixed, at ky in {0, pi}; the others
 are (pi, -+arccos u) for each root u in (-1, 1) of the cubic that
-``gap_min`` also solves (``model._kx_pi_roots``): 8 zeros for c_p < c < c_f,
-between the pitchfork and the fold (``model.zero_bifurcations``), else 4.
-``model._phase`` places c exactly, on integers, and the kinds follow.  With
+``gap_min`` also solves: 8 zeros for c_p < c < c_f, between the pitchfork
+and the fold, else 4, as the exact phase of c says (``model._phase``).  With
 G = |h|^2 / 2, g(u) = rho (1 - (r/R) u) and s = r/R, G_u = (r R / rho)
 (g(u) -+ c) on kx = pi / 0, g(-+1) = c_p, g'(u) = -3 R^2 s^2 (u + s/3) / rho,
 and hxx = -+c rho / |h| on kx = 0 / pi.  So (0, 0) is a sink and (0, pi) a
@@ -71,8 +70,8 @@ class EulerResult(NamedTuple):
     modes: list
 
 
-def _closed_form_census(p: ModelParams):
-    """Each zero as (kx, ky, kind), sorted by location: the four fixed zeros and the cubic's."""
+def _closed_form_census(p: ModelParams, phase: int, roots: list):
+    """Each zero as (kx, ky, kind), sorted by location, given ``model._phase(p)`` and at phase 4 the cubic's roots."""
     if p.c == 0.0:
         raise DegenerateField(
             f"axis shift c = {p.c} makes the kx-velocity vanish identically: "
@@ -87,15 +86,13 @@ def _closed_form_census(p: ModelParams):
     gap = min(abs(p.c - b) for b in gapless_boundary(p.R, p.r))
     if gap / p.R <= EPS_GAP:
         raise GaplessModel(f"band gap closes at a fixed zero (|h| = {gap:.3e}); the velocity is undefined there")
-    past_pitchfork, below_fold = _phase(p)
-    if not past_pitchfork * below_fold:
-        which = "pitchfork c_p" if not past_pitchfork else "fold c_f"
+    if phase in (3, 5):
+        which = "pitchfork c_p" if phase == 3 else "fold c_f"
         raise DegenerateZero(f"c = {p.c} is the {which} exactly, where zeros merge and det J = 0")
-    pi_0, pi_pi = (SOURCE, SADDLE) if past_pitchfork > 0 else (SADDLE, SOURCE)
+    pi_0, pi_pi = (SOURCE, SADDLE) if phase > 3 else (SADDLE, SOURCE)
     kx_0 = [(0.0, -math.pi, SADDLE), (0.0, 0.0, SINK)]
-    if past_pitchfork < 0 or below_fold < 0:
+    if phase != 4:
         return [(-math.pi, -math.pi, pi_pi), (-math.pi, 0.0, pi_0), *kx_0]
-    roots = _kx_pi_roots(p)
     if len(roots) != 2:
         raise NonIsolatedZero(f"c = {p.c} lies between c_p and c_f, but the float cubic gives {len(roots)} of 2 roots")
     source, saddle = (math.acos(u) for u in sorted(roots))
@@ -124,7 +121,7 @@ def _line_jacobians(ky: float, p: ModelParams) -> list:
     return jacobians
 
 
-def _census_zeros(p: ModelParams) -> list:
+def _census_zeros(p: ModelParams, phase: int, roots: list) -> list:
     """(kx, ky, det J, trace J, kind) of each census zero, in the order of ``_closed_form_census``.
 
     The one census kernel: the fixed zeros share the lines ky = -pi and 0, and each pair
@@ -132,7 +129,7 @@ def _census_zeros(p: ModelParams) -> list:
     must show the exact kind: det < 0 for a saddle, det > 0 and the trace's sign otherwise.
     """
     lines, zeros = {}, []
-    for kx, ky, kind in _closed_form_census(p):
+    for kx, ky, kind in _closed_form_census(p, phase, roots):
         if abs(ky) not in lines:
             lines[abs(ky)] = _line_jacobians(ky, p)
         det, trace = lines[abs(ky)][kx == 0.0]
@@ -144,9 +141,9 @@ def _census_zeros(p: ModelParams) -> list:
     return zeros
 
 
-def _chi(p: ModelParams) -> int:
+def _chi(p: ModelParams, phase: int, roots: list) -> int:
     """``euler_characteristic(p).chi``, with the same refusals, from the kernel alone: no records."""
-    return sum([-1 if z[4] is SADDLE else 1 for z in _census_zeros(p)])
+    return sum([-1 if z[4] is SADDLE else 1 for z in _census_zeros(p, phase, roots)])
 
 
 def euler_characteristic(p: ModelParams) -> EulerResult:
@@ -159,5 +156,7 @@ def euler_characteristic(p: ModelParams) -> EulerResult:
     exactly or the float Jacobian at a zero does not show its kind, and
     NonIsolatedZero when the float cubic misses a root pair.
     """
-    modes = [ZeroMode(KPoint(kx, ky), det, trace, kind) for kx, ky, det, trace, kind in _census_zeros(p)]
+    phase = _phase(p)
+    zeros = _census_zeros(p, phase, _kx_pi_roots(p) if phase == 4 else [])
+    modes = [ZeroMode(KPoint(kx, ky), det, trace, kind) for kx, ky, det, trace, kind in zeros]
     return EulerResult(sum(z.index for z in modes), modes)

@@ -39,15 +39,21 @@ census zero, with its own ``math.cos kx`` and ``_trig_rho`` call
 (``census_jacobian``; the library's census kernel evaluates each ky line
 once for all the zeros on it), the phase-diagram CSV joined one
 formatted field at a time (``field_joined_csv``), ``gap_min`` as a loop
-over every stationary u with ``min`` (``loop_gap_min``), the checks of
+over every stationary u with ``min`` (``loop_gap_min``, which takes the
+window c_p < c < c_f from ``fraction_phase``, not from the library), the checks of
 ``ModelParams`` with the range test as a generator under ``all``
 (``generator_params_error``), and the Chern preimage count with each
 preimage signed by the library's Chern integrand there
 (``integrand_preimage_count``; the library takes the signs from the two
 comparisons that decide which preimages there are).
+
+Where c lies among the critical values R - r < c_p < c_f < R + r is
+decided on fractions (``fraction_phase``; the library's ``model._phase``
+takes float signs it proves exact and falls back to integers).
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import strategies as st
@@ -65,6 +71,7 @@ from blochflow.model import (
     _kx_pi_cubic,
     _kx_pi_roots,
     _kx_trig,
+    _phase,
     _trig_rho,
     reduce_angle,
     zero_bifurcations,
@@ -617,11 +624,32 @@ def field_joined_csv(cells):
     return "\n".join(lines) + "\n"
 
 
+def fraction_phase(R, r, c):
+    """Where c lies among R - r < c_p < c_f < R + r, on fractions: 0 to 8, as ``model._phase`` numbers it.
+
+    Each critical value passed adds 2 and one equalled adds 1.  c_f may be
+    irrational, so c is compared with it by c^2 R^4 against (R^2 + r^2/3)^3.
+    """
+    R, r, c = Fraction(R), Fraction(r), Fraction(c)
+    phase = 0
+    for past in (c - (R - r), c - (R * R - r * r) / R, c * c * R**4 - (R * R + r * r / 3) ** 3, c - (R + r)):
+        if past <= 0:
+            return phase + (past == 0)
+        phase += 2
+    return phase
+
+
+def placed(p):
+    """(phase, roots) as a sweep cell hands them on: ``_phase(p)``, and the roots of ``_kx_pi_roots`` at 4."""
+    phase = _phase(p)
+    return phase, _kx_pi_roots(p) if phase == 4 else []
+
+
 def loop_gap_min(p):
-    """gap_min as the smallest |h| over u = -1, 1 and every root of ``_kx_pi_roots``, by ``min``."""
+    """gap_min as the smallest |h| over u = -1, 1 and, for c_p < c < c_f on fractions, each root of ``_kx_pi_roots``."""
     R, r, c = p.R, p.r, p.c
     least = math.inf
-    for u in (-1.0, 1.0, *_kx_pi_roots(p)):
+    for u in (-1.0, 1.0, *(_kx_pi_roots(p) if fraction_phase(R, r, c) == 4 else ())):
         sin_sq = 1.0 - u * u
         rho = math.sqrt((R + r * u) ** 2 + r * r * sin_sq)
         least = min(least, (rho - c) ** 2 + r * r * sin_sq)

@@ -22,6 +22,7 @@ from blochflow.chern import (
 )
 from blochflow.cli import main
 from blochflow.errors import DegenerateTriangle, GaplessModel, InsufficientSampling
+from blochflow.model import _phase
 
 from oracles import (
     axis_distance,
@@ -185,12 +186,12 @@ def test_chern_is_scale_free(s):
     assert chern_direct(p).value == 1
     for c, value in ((1, 0), (3, 1), (5, 0)):
         q = ModelParams(3 * s, 1 * s, c * s)
-        assert _chern_preimages(q, gap_min(q)) == value
+        assert _chern_preimages(q, gap_min(q), _phase(q)) == value
     gapless = ModelParams(3 * s, 1 * s, 2 * s)
     with pytest.raises(GaplessModel, match="gap / R"):
         chern_plaquette(gapless)
     with pytest.raises(GaplessModel, match="gap / R"):
-        _chern_preimages(gapless, gap_min(gapless))
+        _chern_preimages(gapless, gap_min(gapless), _phase(gapless))
 
 
 def test_chern_grid_stability():
@@ -232,12 +233,12 @@ def test_even_grid_resolves_every_gapped_set(params):
     g = gap_min(p)
     if not g / R > EPS_GAP_CHERN:
         with pytest.raises(GaplessModel):
-            _chern_preimages(p, g)
+            _chern_preimages(p, g, _phase(p))
         return
     raw = _solid_angle_sum(_unit_grid(p, GRID_N)) / (4.0 * math.pi)
     assert not math.isnan(raw)
     assert abs(raw - ((c < R + r) - (c < R - r))) <= 1e-9
-    assert _chern_preimages(p, g) == round(raw)
+    assert _chern_preimages(p, g, _phase(p)) == round(raw)
 
 
 @st.composite
@@ -283,10 +284,10 @@ def test_preimage_count_matches_the_integrand_signed_count(params):
         want = integrand_preimage_count(p, g)
     except GaplessModel as e:
         with pytest.raises(GaplessModel) as info:
-            _chern_preimages(p, g)
+            _chern_preimages(p, g, _phase(p))
         assert str(info.value) == str(e)
         return
-    got = _chern_preimages(p, g)
+    got = _chern_preimages(p, g, _phase(p))
     assert type(got) is int and got == want
 
 
@@ -412,7 +413,7 @@ def test_methods_agree_on_random_parameters():
         p = ModelParams(R, r, c)
         d = chern_direct(p)
         q = chern_plaquette(p)
-        assert d.value == q.value == _chern_preimages(p, gap_min(p))
+        assert d.value == q.value == _chern_preimages(p, gap_min(p), _phase(p))
         assert abs(q.raw - q.value) <= 1e-9
         assert abs(d.raw - d.value) <= 1e-3
 

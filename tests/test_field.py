@@ -27,6 +27,7 @@ from oracles import (
     frame_components,
     generic_velocity_and_gap,
     params_near_critical,
+    placed,
     pointwise,
     velocity_and_gap,
     velocity_generic,
@@ -145,7 +146,7 @@ def test_hessian_matches_finite_differences(params):
     # open: the diagonal matches and the off-diagonal vanishes
     p = ModelParams(*params)
     try:
-        points = _closed_form_census(p)
+        points = _closed_form_census(p, *placed(p))
     except TopologyError:
         return
     for kx, ky, _ in points:

@@ -81,3 +81,16 @@ def test_root_exports_match_the_readme():
     typed_errors = {n for n, v in vars(errors).items() if isinstance(v, type) and issubclass(v, errors.TopologyError)}
     assert set(listed) == typed_errors
     assert sorted(blochflow.__all__) == sorted(imported | set(listed))
+
+
+def test_zero_bifurcations_has_no_caller_in_src():
+    # where c lies against c_p and c_f is decided by model._phase alone;
+    # zero_bifurcations stays public for the README and the tests
+    calls = [
+        name
+        for name, tree in _modules().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and "zero_bifurcations" in (getattr(node.func, a, None) for a in ("id", "attr"))
+    ]
+    assert calls == []
+    assert "zero_bifurcations" in blochflow.model.__dict__

@@ -10,14 +10,15 @@ from hypothesis import strategies as st
 
 import blochflow.chern
 import blochflow.sweep
+import blochflow.zeromode
 from blochflow import ModelParams, SweepAxis, chern_plaquette, euler_characteristic, sweep_chern
-from blochflow.chern import EPS_GAP_CHERN, gap_min
+from blochflow.chern import EPS_GAP_CHERN, _gap_min, gap_min
 from blochflow.cli import CSV_HEADER, grid_to_csv
 from blochflow.errors import DegenerateField, DegenerateZero, GaplessModel, NonIsolatedZero
-from blochflow.model import zero_bifurcations
+from blochflow.model import _kx_pi_roots, zero_bifurcations
 from blochflow.sweep import GAPLESS_THRESHOLD, PhaseDiagramGrid, SweepCell, sweep_euler
 
-from oracles import field_joined_csv
+from oracles import field_joined_csv, fraction_phase
 
 BASE = ModelParams(3, 1, 1)
 
@@ -316,14 +317,39 @@ def test_no_silent_cells():
 def test_chern_sweep_computes_gap_once_per_cell(monkeypatch):
     calls = []
 
-    def counting(p):
+    def counting(p, roots):
         calls.append(p)
-        return gap_min(p)
+        return _gap_min(p, roots)
 
-    monkeypatch.setattr(blochflow.sweep, "gap_min", counting)
-    monkeypatch.setattr(blochflow.chern, "gap_min", counting)
+    monkeypatch.setattr(blochflow.sweep, "_gap_min", counting)
+    monkeypatch.setattr(blochflow.chern, "_gap_min", counting)
     grid = sweep_chern([SweepAxis("c", 0.2, 5.8, 57), SweepAxis("r", 0.5, 1.5, 5)], BASE)
     assert [cell.params for cell in grid.cells] == calls
+
+
+@pytest.mark.parametrize(
+    "sweep, axes, solves",
+    [
+        (sweep_euler, [SweepAxis("c", 0.0, 5.8, 59)], 5),
+        (sweep_chern, [SweepAxis("c", 0.2, 5.8, 57), SweepAxis("r", 0.5, 1.5, 5)], 27),
+    ],
+    ids=["euler", "chern"],
+)
+def test_a_cell_solves_the_cubic_at_most_once(monkeypatch, sweep, axes, solves):
+    # phase-diagram --quantity euler --axis c:0:5.8:59, and the 57 x 5 Chern
+    # grid, at (3, 1): a cell solves the kx = pi cubic once for its gap_min
+    # and its census where c_p < c < c_f on fractions, and nowhere else
+    calls = []
+
+    def counting(p):
+        calls.append(p)
+        return _kx_pi_roots(p)
+
+    for module in (blochflow.sweep, blochflow.chern, blochflow.zeromode):
+        monkeypatch.setattr(module, "_kx_pi_roots", counting)
+    grid = sweep(axes, ModelParams(3.0, 1.0, 1.0))
+    assert calls == [cell.params for cell in grid.cells if fraction_phase(*cell.params) == 4]
+    assert len(calls) == solves
 
 
 def _recomputed(p):

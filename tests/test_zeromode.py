@@ -34,8 +34,10 @@ from oracles import (
     census_fold,
     census_jacobian,
     classify,
+    fraction_phase,
     full_backtrack_census,
     params_near_critical,
+    placed,
     random_gapped_params,
     torus_distance,
     velocity_and_gap,
@@ -351,13 +353,13 @@ def test_census_kernel_work(monkeypatch):
     for c, count in ((1.2, 2), (3.0, 4), (4.5, 2)):
         p = ModelParams(3, 1, c)
         lines.clear()
-        zeros = _census_zeros(p)
+        zeros = _census_zeros(p, *placed(p))
         assert len(zeros) == 2 * count
         assert len(lines) == count
         assert sorted(abs(y) for y in lines) == sorted({abs(z[1]) for z in zeros})
         assert all(type(x) is float for z in zeros for x in z[:4])
         assert all(type(z[4]) is ZeroKind for z in zeros)
-        for consumer in (_chi, euler_characteristic):
+        for consumer in (lambda p: _chi(p, *placed(p)), euler_characteristic):
             lines.clear()
             consumer(p)
             assert len(lines) == count
@@ -416,7 +418,7 @@ def _refusal(census, p):
 def _oracle_zeros(p):
     """(kx, ky, det, trace, kind) at each census point: det and trace by the per-zero oracle Jacobian."""
     zeros = []
-    for kx, ky, kind in _closed_form_census(p):
+    for kx, ky, kind in _closed_form_census(p, *placed(p)):
         hxx, hyy = census_jacobian(kx, ky, p)
         zeros.append((kx, ky, hxx * hyy, hxx + hyy, kind))
     return zeros
@@ -446,7 +448,8 @@ def test_census_kernel_matches_the_per_zero_oracle(params):
     # all three raise the census's error with the same message
     p = ModelParams(*params)
     want = _refusal(_oracle_zeros, p)
-    got, res, chi = _refusal(_census_zeros, p), _refusal(euler_characteristic, p), _refusal(_chi, p)
+    got, res = _refusal(lambda p: _census_zeros(p, *placed(p)), p), _refusal(euler_characteristic, p)
+    chi = _refusal(lambda p: _chi(p, *placed(p)), p)
     if not isinstance(want, list):
         assert got == res == chi == want
         return
@@ -489,7 +492,7 @@ def test_float_hessian_matches_array_oracle(params):
     # same kind wherever each diagonal entry is well above those bits
     p = ModelParams(*params)
     try:
-        points = _closed_form_census(p)
+        points = _closed_form_census(p, *placed(p))
     except TopologyError:
         return
     for kx, ky, _ in points:
@@ -637,41 +640,54 @@ def test_census_answers_near_the_pitchfork():
 @st.composite
 def phase_params(draw):
     """(R, r, c): R from about 1e-49 to 1e49, r/R from 1e-12 to 1 - 1e-12 but
-    r at least PARAM_MIN, and c anywhere up to 2 R or at, 1 to 64 ulps from,
-    or 1e-12 R to 1e-3 R from c_p or c_f; or an integer triple."""
+    r at least PARAM_MIN, and c = 0.0, -0.0, anywhere up to 2 R or at, 1 to 64
+    ulps from, or 1e-12 R to 1e-3 R from R - r, c_p, c_f or R + r; or an
+    integer triple."""
     if draw(st.integers(0, 4)) == 0:
         R = draw(st.integers(2, 40))
         return R, draw(st.integers(1, R - 1)), draw(st.integers(0, 3 * R))
     R = 10.0 ** draw(st.floats(-49.0, 49.0))
     ratio = draw(st.one_of(st.floats(1e-12, 1.0 - 1e-12), st.floats(-12.0, -1.0).map(lambda e: 1.0 - 10.0**e)))
     r = max(PARAM_MIN, R * ratio)
-    anchor = draw(st.sampled_from((None, *zero_bifurcations(R, r))))
+    anchor = draw(st.sampled_from((None, 0.0, -0.0, R - r, *zero_bifurcations(R, r), R + r)))
     if anchor is None:
         return R, r, R * draw(st.floats(0.0, 2.0))
+    if anchor == 0.0:
+        return R, r, anchor
     return R, r, min(PARAM_MAX, abs(_near(draw, anchor, R)))
 
 
-@settings(max_examples=200)
+def test_phase_numbers_the_nine_positions():
+    # at (3, 1): R - r = 2, c_p = 8/3, c_f = 3.1682..., R + r = 4; c_p is 1.5
+    # at (2, 1), and c_f is 17576 at (12167, 11109), (23, 21, 26) times 529
+    cases = [(3, 1, 1), (3, 1, 2), (3, 1, 2.5), (2, 1, 1.5), (3, 1, 3), (12167, 11109, 17576), (3, 1, 3.5), (3, 1, 4)]
+    assert [_phase(ModelParams(*p)) for p in [*cases, (3, 1, 5)]] == list(range(9))
+
+
+@settings(max_examples=400)
 @given(phase_params())
 @example((2.0, 1.0, 1.5))  # c_p
 @example((1.0, 0.5, 0.75))  # c_p
-@example((12167, 11109, 17576))  # c_f: (23, 21, 26) times 529
+@example((12167, 11109, 17576))  # c_f
 @example((3, 1, 3))
-@example((1e49, 1e-50, 1e49))
+@example((3.0, 1.0, 2.0))  # R - r
+@example((3.0, 1.0, 4.0))  # R + r
+@example((3.0, 1.0, -0.0))
+@example((1e49, 1e-50, 1e49))  # R -+ r round to R, c = R lies between them
+@example((2e-50, 1e-50, 1e-50))  # R - r at PARAM_MIN
+@example((1e49, 5e48, 5e48))  # R - r at 1e49
 def test_phase_matches_the_fraction_oracles(params):
-    # _phase's integer signs give the fractions oracles' zero count and
-    # fixed-zero kinds, c = c_p and c = c_f included; as c_p < c_f, only
-    # five sign pairs can occur
+    # _phase places c among R - r < c_p < c_f < R + r as the fractions
+    # oracle does, at each of the four and next to it; the zero count and
+    # the fixed-zero kinds read from it are the fractions oracles', c = c_p
+    # and c = c_f included
     p = ModelParams(*params)
-    past_pitchfork, below_fold = _phase(p)
-    assert (past_pitchfork, below_fold) in {(-1, 1), (0, 1), (1, 1), (1, 0), (1, -1)}
-    assert (_exact_fixed_kinds(*p) == (ZeroKind.SOURCE, ZeroKind.SADDLE)) is (past_pitchfork > 0)
+    phase = _phase(p)
+    assert type(phase) is int and phase == fraction_phase(*p)
+    assert (_exact_fixed_kinds(*p) == (ZeroKind.SOURCE, ZeroKind.SADDLE)) is (phase > 3)
     count = _exact_zero_count(*p)
-    if count is None:
-        assert 0 in (past_pitchfork, below_fold)
-    else:
-        assert 0 not in (past_pitchfork, below_fold)
-        assert (count == 8) is (past_pitchfork == below_fold == 1)
+    assert (count is None) is (phase in (3, 5))
+    assert (count == 8) is (phase == 4)
 
 
 # c_p - 1e-8 R, c_p + 1e-6 R, c_f - 1e-7 R and c_f + 1e-12 R, as (anchor, offset / R)
