@@ -22,11 +22,12 @@ Bloch vector of the Chern sum (``chern``) are all written on ``_bloch``;
 the zero census (``zeromode``) needs only ``_trig_rho``, since its zeros
 lie where sin kx = 0.  The dump's ticks are exactly symmetric: node
 n - i of its grid lies at -kx of node i, and ky line n - i at -ky of
-line i, where h and the velocity mirror those of their partner.  One
-process formats each pair of nodes (``_row_plan``) and each pair of
-lines (``_surface_line``) whose sin and cos mirror bit for bit once, and
-writes bytes in order; the second line of a pair waits in an unlinked
-temporary file until its turn (``_ky_lines``).
+line i, where h and the velocity mirror those of their partner.  So one
+layout, fixed by n, formats a quarter of the grid: a line computes and
+formats its nodes 0 to n // 2 into one template, filled for the line and
+for its mirror line (``_surface_line``).  One process writes bytes in
+order; the second line of a pair waits in an unlinked temporary file
+until its turn (``_ky_lines``).
 ``KPoint.canonical`` reduces a single point to the fundamental domain
 [-pi, pi)^2.
 
@@ -262,66 +263,33 @@ def _kx_pi_roots(p: ModelParams) -> list:
 SURFACE_CSV_HEADER = "kx,ky,hx,hy,hz,vx,vy"
 
 
-def _row_plan(kx_trig: tuple, kx_heads: list, mirror: dict) -> tuple:
-    """How ``_surface_line`` lays out a ky line from the pairs in ``mirror``: (kx_trig, half, gather, fill).
+def _surface_line(p: ModelParams, plan: tuple, y: float, heads: tuple) -> list:
+    """The n rows of the dump at ky = y, each ending in a newline, once per ky string in ``heads``.
 
-    ``mirror`` maps node j of the second half to its partner n - j, whose
-    hx, hz and vy are the same and whose hy and vx are negated, so that
-    their strings differ by a sign.  A line computes and formats only the
-    first ``half`` nodes and then the unpaired ones, whose sin and cos the
-    returned ``kx_trig`` holds in that order.  A first-half row holds |hy|
-    and vx > 0 and leaves its head and both signs to ``fill``.  ``gather``
-    picks each node's row in kx order: its partner's row for a paired one.
-    With no pairs, half = 0 and every node is formatted as it is.
+    ``plan`` (``write_surface_csv``) holds the sin and cos of the own nodes,
+    the own node whose row each node takes in kx order, and each node's kx
+    string and hy sign.  ``heads`` holds the ky string of this line and,
+    for a pair, of its mirror line at -ky, whose hx, hy and vx are the same
+    and whose hz and vy are negated.  The own rows are formatted once, with
+    |hy|, |hz| and |vy|, into a template that leaves both heads and the
+    signs of hy, hz, vx and vy to the fill, and the template is filled once
+    per head.
     """
-    sx, cx = kx_trig
-    n = len(kx_heads)
-    half = (n + 1) // 2 if mirror else 0
-    rest = [j for j in range(half, n) if j not in mirror]
-    rows = {j: half + k for k, j in enumerate(rest)} | mirror
-    gather = [*range(half), *(rows[j] for j in range(half, n))]
-    signs = [(b"-", b"")] * half + [(b"", b"-" if j in mirror else b"") for j in range(half, n)]
-    fill = tuple(x for head, sign in zip(kx_heads, signs) for x in (head, *sign))
-    nodes = [*range(half), *rest]
-    return ([sx[j] for j in nodes], [cx[j] for j in nodes]), half, gather, fill
-
-
-def _surface_line(p: ModelParams, plans: tuple, y: float, heads: tuple = ()) -> list:
-    """The n rows of the dump at ky = y, each ending in a newline: a list of one line, or of two with ``heads``.
-
-    The first of the ``plans`` (``_row_plan``) whose first half has hy < 0
-    and vx > 0 lays out the line: the mirrored one, unless c = 0 or vx
-    underflows to 0 there, and otherwise the plain one, which has no first
-    half.  ``heads`` holds the ky strings of this line and of its mirror
-    line at -ky, whose hx, hy and vx are the same and whose hz and vy are
-    negated.  Then the rows are formatted once, with |hz| and |vy|, into a
-    template that leaves ky, the sign of hz and the sign of each vy to the
-    fill, and the template is filled once per line.
-    """
+    kx_trig, gather, kx_slots = plan
     line = _trig_rho(y, p)
-    for kx_trig, half, gather, fill in plans:
-        m = len(kx_trig[0])
-        hx, hy, vx, vy, _ = _bloch(kx_trig, [line] * m, p)
-        if max(hy[:half], default=-1.0) < 0.0 < min(vx[:half], default=1.0):
-            break
+    m, n = len(kx_trig[0]), len(gather)
+    hx, hy, vx, vy, _ = _bloch(kx_trig, [line] * m, p)
     values = [0.0] * (4 * m)
-    values[0::4], values[1::4], values[2::4], values[3::4] = hx, hy, vx, vy
-    values[1 : 4 * half : 4] = [-w for w in hy[:half]]
+    values[0::4], values[1::4], values[2::4], values[3::4] = hx, [abs(w) for w in hy], vx, [abs(v) for v in vy]
     # %% leaves the per-node values for the second pass, and %%%% the head,
     # ky and sign slots for the third
-    if heads:
-        values[3::4] = [abs(v) for v in vy]
-        row = b"%%%%s,%%%%s,%%.17g,%%%%s%%.17g,%%%%s%.17g,%%%%s%%.17g,%%%%s%%.17g\n" % abs(line[3])
-    else:
-        # ky and hz are constant along the line
-        row = b"%%%%s,%.17g,%%.17g,%%%%s%%.17g,%.17g,%%%%s%%.17g,%%.17g\n" % (y, line[3])
+    row = b"%%%%s,%%%%s,%%.17g,%%%%s%%.17g,%%%%s%.17g,%%%%s%%.17g,%%%%s%%.17g\n" % abs(line[3])
     rows = ((row * m) % tuple(values)).splitlines(True)
     template = b"".join([rows[g] for g in gather])
-    if not heads:
-        return [template % fill]
-    n = len(gather)
     slots = [b""] * (6 * n)
-    slots[0::6], slots[2::6], slots[4::6] = fill[0::3], fill[1::3], fill[2::3]
+    slots[0::6], slots[2::6] = kx_slots
+    # a partner's vx is its own node's, which is >= 0, negated; 0 keeps no sign
+    slots[6 * m + 4 :: 6] = [b"-" if vx[g] > 0.0 else b"" for g in gather[m:]]
     vy = [vy[g] for g in gather]
     lines = []
     for head, s in zip(heads, (1.0, -1.0)):
@@ -331,34 +299,35 @@ def _surface_line(p: ModelParams, plans: tuple, y: float, heads: tuple = ()) -> 
     return lines
 
 
-def _ky_lines(p: ModelParams, plans: tuple, ys: list, heads: list, mirror: dict) -> Iterator[bytes]:
+def _ky_lines(p: ModelParams, plan: tuple, ys: list, heads: list) -> Iterator[bytes]:
     """Yield the ky lines of the dump in order, each as bytes.
 
-    ``ys`` holds the ky values, ``heads`` their strings, and ``mirror`` maps
-    line n - i to its partner i at -ky (``write_surface_csv``).
-    The first line of a pair is formatted with its partner
+    ``ys`` holds the ky values and ``heads`` their strings.  Line j, for
+    0 < j < n - j, is formatted with its partner n - j at -ky
     (``_surface_line``), which is appended to an unlinked temporary file,
-    the spool, and read back at its own turn.  Every first line comes
-    before every second one, so the spool is written, then read.  A failed
-    spool raises ``SpoolError``, since nothing else here does I/O.
+    the spool, and read back at its own turn; lines 0 and n / 2 stand
+    alone.  Every first line comes before every second one, and the second
+    lines come back in the reverse order of their writes, so the spool is
+    written, then read, and its offsets are a stack.  A failed spool raises
+    ``SpoolError``, since nothing else here does I/O.
     """
     import tempfile
 
-    n, held = len(ys), {}
+    n, held = len(ys), []
     try:
         with tempfile.TemporaryFile() as spool:
             for j in range(n):
-                if j in mirror:
-                    offset, size = held.pop(j)
+                if j > n // 2:
+                    offset, size = held.pop()
                     spool.seek(offset)
                     yield spool.read(size)
-                elif n - j in mirror:
-                    line, partner = _surface_line(p, plans, ys[j], (heads[j], heads[n - j]))
-                    held[n - j] = spool.tell(), len(partner)
+                elif 0 < j < n - j:
+                    line, partner = _surface_line(p, plan, ys[j], (heads[j], heads[n - j]))
+                    held.append((spool.tell(), len(partner)))
                     spool.write(partner)
                     yield line
                 else:
-                    yield from _surface_line(p, plans, ys[j])
+                    yield from _surface_line(p, plan, ys[j], (heads[j],))
     except OSError as e:
         where = f" {tempfile.tempdir}" if tempfile.tempdir else ""
         raise SpoolError(f"the field dump's spool in TMPDIR{where}: {e}") from e
@@ -374,12 +343,11 @@ def write_surface_csv(p: ModelParams, n: int, fh: BinaryIO) -> None:
 
     Formatting the floats is nearly all the work, and the grid's mirrors
     save most of it.  The ticks pi (2 i - n) / n are exactly symmetric:
-    node n - i lies at -kx of node i, and line n - i at -ky of line i.
-    Where their sin and cos say so bit for bit, which an odd sin and an
-    even cos do for every pair, a pair of nodes is formatted once
-    (``_row_plan``), and so is a pair of lines (``_surface_line``), so a
-    quarter of the grid is formatted.  The n kx strings are formatted once
-    per dump, and |hz| once per line or pair of lines.
+    node n - i lies at -kx of node i, and line n - i at -ky of line i, and
+    sin is odd and cos even on them bit for bit.  So at every n a pair of
+    nodes is computed and formatted once, and so is a pair of lines
+    (``_surface_line``): a quarter of the grid.  The n kx strings are
+    formatted once per dump, and |hz| once per line or pair of lines.
 
     The header and then every line go to ``fh`` in order, as bytes from
     the formatting on.  The second line of each pair waits in an unlinked
@@ -392,16 +360,18 @@ def write_surface_csv(p: ModelParams, n: int, fh: BinaryIO) -> None:
     if n < 2:
         raise ValueError(f"grid size must be at least 2, got n={n}")
     ys = [math.pi * (2 * i - n) / n for i in range(n)]
-    kx_trig = sx, cx = _kx_trig(ys)
     heads = [b"%.17g" % x for x in ys]
-    # node n - i sits at -kx of node i, and line n - i at -ky of line i,
-    # where sin and cos say so bit for bit
-    mirror = {
-        n - i: i for i in range(1, (n + 1) // 2) if (-sx[i]).hex() == sx[n - i].hex() and cx[i].hex() == cx[n - i].hex()
-    }
-    plans = _row_plan(kx_trig, heads, mirror), _row_plan(kx_trig, heads, {})
+    # The own nodes are 0 to n // 2, where kx is in [-pi, 0], and node n - i
+    # is node i mirrored for 0 < i < n - i.  Those nodes have hy < 0 and
+    # vx >= 0 by construction: sin kx < 0 on (-pi, 0), and -c rho <= 0 as
+    # rho >= R - r > 0.  Node 0 has no partner and may lie just below -pi,
+    # where sin kx > 0, so each own node takes its hy sign from its sin.
+    m = n // 2 + 1
+    kx_trig = _kx_trig(ys[:m])
+    gather = [*range(m), *range(n - m, 0, -1)]
+    hy_signs = [b"-" if s < 0.0 else b"" for s in kx_trig[0]] + [b""] * (n - m)
     fh.write(SURFACE_CSV_HEADER.encode() + b"\n")
-    lines = _ky_lines(p, plans, ys, heads, mirror)
+    lines = _ky_lines(p, (kx_trig, gather, (heads, hy_signs)), ys, heads)
     try:
         for line in lines:
             fh.write(line)

@@ -295,9 +295,13 @@ def test_surface_csv_matches_oracle_rows(params):
         (3e-308, 64),
         (1.0, 2),
         (1.0, 3),
+        (1.0, 26),
         (1.0, 33),
+        (1.0, 47),
+        (0.0, 47),
         (1.0, 64),
         (1.0, 100),
+        (3e-308, 104),
         (1.0, 256),
         (1.3, 512),
     ],
@@ -305,12 +309,12 @@ def test_surface_csv_matches_oracle_rows(params):
 def test_surface_csv_mirror_pairs_match_oracle_rows(c, n):
     # Node n - i mirrors node i in kx, and line n - i mirrors line i in ky:
     # every pair, on the exactly symmetric ticks
-    # (test_surface_csv_mirror_pair_counts), and none at n = 2.  At
-    # c = 0, and at c = 5e-324 where vx underflows to 0, the signs of hy and
-    # vx do not tell the kx partners apart, and every line is formatted node
-    # by node; at c = 3e-308 that happens on 3 of the 64 lines.  The ky
-    # mirror needs no such sign, so these cases take both mirrors, or the ky
-    # mirror alone.
+    # (test_surface_csv_formats_a_quarter_of_the_grid), and none at n = 2.
+    # A partner's vx takes its sign from its own node's vx, which is 0 at
+    # c = 0 and where it underflows (c = 5e-324).  At c = 3e-308 node 0's
+    # vx underflows to 0 on 3 of the 64 lines.  At n = 26, 47 and 104 tick
+    # 0 lies just below -pi, where sin kx > 0, and node 0's hy and vx
+    # change sign.
     p = ModelParams(3, 1, c)
     assert _surface_csv(p, n)[1:] == surface_csv_rows(p, n)
 
@@ -320,39 +324,54 @@ def _ticks(n):
     return [math.pi * (2 * i - n) / n for i in range(n)]
 
 
-@pytest.mark.parametrize("n", [2, 3, 33, 64, 100, 256, 512, 1024, 4096])
+@pytest.mark.parametrize("n", [2, 3, 26, 33, 47, 64, 100, 256, 512, 1024, 4096])
 def test_libm_facts_of_the_dump_ticks(n):
     # the dump mirrors node n - i from node i, and line n - i from line i,
-    # where sin is odd and cos even bit for bit on its ticks
+    # where sin is odd and cos even bit for bit on its ticks; at 268 of the
+    # sizes from 2 to 4096, 26 and 47 among them, tick 0 rounds to the float
+    # below -pi, where sin > 0, so node 0 takes its hy sign from its own sin
     ticks = _ticks(n)
-    assert ticks[0] == -math.pi
+    if n in (26, 47):
+        assert ticks[0] == math.nextafter(-math.pi, -math.inf) and math.sin(ticks[0]) > 0.0
+    else:
+        assert ticks[0] == -math.pi
     for i in range(1, (n + 1) // 2):
         assert ticks[n - i] == -ticks[i]
         assert math.sin(ticks[n - i]).hex() == (-math.sin(ticks[i])).hex()
         assert math.cos(ticks[n - i]).hex() == math.cos(ticks[i]).hex()
 
 
-@pytest.mark.parametrize("n", [2, 3, 33, 64, 100, 256, 512])
-def test_surface_csv_mirror_pair_counts(monkeypatch, n):
-    # The share of the dump that the two mirrors save: every one of the
-    # (n - 1) // 2 pairs of ky lines is formatted once, every other line
-    # alone, and no line twice.  A tick formula that loses pairs fails here
-    # instead of making the dump slower.
-    ticks, pairs = _ticks(n), range(1, (n + 1) // 2)
-    calls = []
+def _negated(tok):
+    """The CSV string of -x, from that of x."""
+    return tok if tok == "0" else tok[1:] if tok[0] == "-" else "-" + tok
 
-    def counting(p, plans, y, heads=()):
-        calls.append((y, heads))
-        return [b"%d\n" % len(calls)] * max(1, len(heads))
 
-    monkeypatch.setattr(model, "_surface_line", counting)
-    buf = io.BytesIO()
-    write_surface_csv(P1, n, buf)
-    assert [y for y, heads in calls if heads] == [ticks[i] for i in pairs]
-    assert sorted(y for y, _ in calls) == ticks[: n // 2 + 1]
-    # the second line of each pair is its partner's, read back at its own turn
-    lines = buf.getvalue().splitlines()[1:]
-    assert all(lines[n - i] == lines[i] for i in pairs) and len(set(lines)) == n - len(pairs)
+@pytest.mark.parametrize("c", [1.3, 0.0, 5e-324])
+def test_surface_csv_formats_a_quarter_of_the_grid(monkeypatch, c):
+    # The share of the dump that the two mirrors save, at every size: each
+    # of the (n - 1) // 2 pairs of ky lines is formatted once, every other
+    # line alone, and each formatted line evaluates h at nodes 0 to n // 2
+    # alone.  That holds at c = 0, where vx underflows to 0 (c = 5e-324),
+    # and at n = 13, 26, 47, ..., where tick 0 lies just below -pi.  A
+    # layout that loses pairs fails here instead of making the dump slower.
+    p, bloch, nodes = ModelParams(3, 1, c), model._bloch, []
+
+    def counting(kx_trig, lines, p):
+        nodes.append(len(lines))
+        return bloch(kx_trig, lines, p)
+
+    monkeypatch.setattr(model, "_bloch", counting)
+    for n in range(2, 131):
+        nodes.clear()
+        rows = [line.split(",") for line in _surface_csv(p, n)[1:]]
+        assert nodes == [n // 2 + 1] * (n // 2 + 1), n
+        # the second line of each pair is its partner's at -ky, read back
+        # at its own turn: kx, hx, hy and vx repeat, and ky, hz and vy flip
+        columns = [list(zip(*rows[j * n : (j + 1) * n])) for j in range(n)]
+        for i in range(1, (n + 1) // 2):
+            a, b = columns[i], columns[n - i]
+            assert [b[0], b[2], b[3], b[5]] == [a[0], a[2], a[3], a[5]]
+            assert [b[1], b[4], b[6]] == [tuple(map(_negated, a[k])) for k in (1, 4, 6)]
 
 
 def test_surface_csv_memory_independent_of_grid_area():
