@@ -341,6 +341,29 @@ def test_libm_facts_of_the_dump_ticks(n):
         assert math.cos(ticks[n - i]).hex() == math.cos(ticks[i]).hex()
 
 
+@pytest.mark.parametrize("n", [2, 3, 33, 64, 100, 256, 512])
+def test_surface_csv_mirror_pair_counts(monkeypatch, n):
+    # The share of the dump that the two mirrors save: every one of the
+    # (n - 1) // 2 pairs of ky lines is formatted once, every other line
+    # alone, and no line twice.  A tick formula that loses pairs fails here
+    # instead of making the dump slower.
+    ticks, pairs = _ticks(n), range(1, (n + 1) // 2)
+    calls = []
+
+    def counting(p, plan, y, heads):
+        calls.append((y, heads))
+        return [b"%d\n" % len(calls)] * len(heads)
+
+    monkeypatch.setattr(model, "_surface_line", counting)
+    buf = io.BytesIO()
+    write_surface_csv(P1, n, buf)
+    assert [y for y, heads in calls if len(heads) == 2] == [ticks[i] for i in pairs]
+    assert sorted(y for y, _ in calls) == ticks[: n // 2 + 1]
+    # the second line of each pair is its partner's, read back at its own turn
+    lines = buf.getvalue().splitlines()[1:]
+    assert all(lines[n - i] == lines[i] for i in pairs) and len(set(lines)) == n - len(pairs)
+
+
 def _negated(tok):
     """The CSV string of -x, from that of x."""
     return tok if tok == "0" else tok[1:] if tok[0] == "-" else "-" + tok
