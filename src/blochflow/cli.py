@@ -25,11 +25,12 @@ each distinct axis value formatted once, missing values empty,
 byte-identical for identical sweeps); ``field-dump``
 streams ``model.write_surface_csv`` into ``sys.stdout.buffer`` or a file
 opened "wb": one process formats each pair of kx-mirrored nodes and
-ky-mirrored lines once, a quarter of the grid at every n, writes every
-line in order, and keeps the second line of a pair in an unlinked
-temporary file in ``TMPDIR`` until its turn, about 18 MB at n = 512.  A
-failed read or write of that file (``errors.SpoolError``) exits 1 with an
-error that names the spool and ``TMPDIR``, not ``--out``.
+ky-mirrored lines once, a quarter of the grid at every n, joins each
+line from those strings, writes every line in order, and keeps the
+second line of a pair in an unlinked temporary file in ``TMPDIR`` until
+its turn, about 18 MB at n = 512.  A failed read or write of that file
+(``errors.SpoolError``) exits 1 with an error that names the spool and
+``TMPDIR``, not ``--out``.
 """
 
 from __future__ import annotations

@@ -24,9 +24,9 @@ lie where sin kx = 0.  The dump's ticks are exactly symmetric: node
 n - i of its grid lies at -kx of node i, and ky line n - i at -ky of
 line i, where h and the velocity mirror those of their partner.  So one
 layout, fixed by n, formats a quarter of the grid: a line computes and
-formats its nodes 0 to n // 2 into one template, filled for the line and
-for its mirror line (``_surface_line``).  One process writes bytes in
-order; the second line of a pair waits in an unlinked temporary file
+formats its nodes 0 to n // 2 once, and it and its mirror line are each
+one join of those strings (``_surface_line``).  One process writes bytes
+in order; the second line of a pair waits in an unlinked temporary file
 until its turn (``_ky_lines``).
 ``KPoint.canonical`` reduces a single point to the fundamental domain
 [-pi, pi)^2.
@@ -266,47 +266,45 @@ SURFACE_CSV_HEADER = "kx,ky,hx,hy,hz,vx,vy"
 def _surface_line(p: ModelParams, plan: tuple, y: float, heads: tuple) -> list:
     """The n rows of the dump at ky = y, each ending in a newline, once per ky string in ``heads``.
 
-    ``plan`` (``write_surface_csv``) holds the sin and cos of the own nodes,
-    the own node whose row each node takes in kx order, and each node's kx
-    string and hy sign.  ``heads`` holds the ky string of this line and,
+    ``plan`` (``write_surface_csv``) holds the sin and cos of the own nodes
+    and the dump's list of 10 pieces per row, whose kx strings and hy signs
+    are set once per dump.  ``heads`` holds the ky string of this line and,
     for a pair, of its mirror line at -ky, whose hx, hy and vx are the same
-    and whose hz and vy are negated.  The own rows are formatted once, with
-    |hy|, |hz| and |vy|, into a template that leaves both heads and the
-    signs of hy, hz, vx and vy to the fill, and the template is filled once
-    per head.
+    and whose hz and vy are negated.  hx, |hy|, vx and |vy| of the own nodes
+    are formatted once, with one % per field split into per-node strings;
+    the mirrored nodes' rows take them by list slicing.  Each line is one
+    join of the pieces, and the mirror line re-places only its ky, hz and
+    vy sign pieces.
     """
-    kx_trig, gather, kx_slots = plan
+    kx_trig, rows = plan
     line = _trig_rho(y, p)
-    m, n = len(kx_trig[0]), len(gather)
+    m, n = len(kx_trig[0]), len(rows) // 10
     hx, hy, vx, vy, _ = _bloch(kx_trig, [line] * m, p)
-    values = [0.0] * (4 * m)
-    values[0::4], values[1::4], values[2::4], values[3::4] = hx, [abs(w) for w in hy], vx, [abs(v) for v in vy]
-    # %% leaves the per-node values for the second pass, and %%%% the head,
-    # ky and sign slots for the third
-    row = b"%%%%s,%%%%s,%%.17g,%%%%s%%.17g,%%%%s%.17g,%%%%s%%.17g,%%%%s%%.17g\n" % abs(line[3])
-    rows = ((row * m) % tuple(values)).splitlines(True)
-    template = b"".join([rows[g] for g in gather])
-    slots = [b""] * (6 * n)
-    slots[0::6], slots[2::6] = kx_slots
+    for k, field in ((2, hx), (4, map(abs, hy)), (7, vx)):
+        own = (b"%.17g,\n" * m % tuple(field)).splitlines()
+        rows[k::10] = own + own[n - m : 0 : -1]
+    own = (b"%.17g\n" * m % tuple(map(abs, vy))).splitlines(True)
+    rows[9::10] = own + own[n - m : 0 : -1]
     # a partner's vx is its own node's, which is >= 0, negated; 0 keeps no sign
-    slots[6 * m + 4 :: 6] = [b"-" if vx[g] > 0.0 else b"" for g in gather[m:]]
-    vy = [vy[g] for g in gather]
+    rows[10 * m + 6 :: 10] = [b"-" if v > 0.0 else b"" for v in vx[n - m : 0 : -1]]
+    hz = b"%.17g," % abs(line[3])
     lines = []
     for head, s in zip(heads, (1.0, -1.0)):
-        slots[1::6], slots[3::6] = [head] * n, [b"-" if s * line[3] < 0.0 else b""] * n
-        slots[5::6] = [b"-" if s * v < 0.0 else b"" for v in vy]
-        lines.append(template % tuple(slots))
+        signs = [b"-" if s * v < 0.0 else b"" for v in vy]
+        rows[1::10], rows[5::10] = [head] * n, [(b"-" if s * line[3] < 0.0 else b"") + hz] * n
+        rows[8::10] = signs + signs[n - m : 0 : -1]
+        lines.append(b"".join(rows))
     return lines
 
 
 def _ky_lines(p: ModelParams, plan: tuple, ys: list, heads: list) -> Iterator[bytes]:
     """Yield the ky lines of the dump in order, each as bytes.
 
-    ``ys`` holds the ky values and ``heads`` their strings.  Line j, for
-    0 < j < n - j, is formatted with its partner n - j at -ky
-    (``_surface_line``), which is appended to an unlinked temporary file,
-    the spool, and read back at its own turn; lines 0 and n / 2 stand
-    alone.  Every first line comes before every second one, and the second
+    ``ys`` holds the ky values and ``heads`` their strings, each with its
+    comma.  Line j, for 0 < j < n - j, is formatted with its partner n - j
+    at -ky (``_surface_line``), which is appended to an unlinked temporary
+    file, the spool, and read back at its own turn; lines 0 and n / 2
+    stand alone.  Every first line comes before every second one, and the second
     lines come back in the reverse order of their writes, so the spool is
     written, then read, and its offsets are a stack.  A failed spool raises
     ``SpoolError``, since nothing else here does I/O.
@@ -346,21 +344,24 @@ def write_surface_csv(p: ModelParams, n: int, fh: BinaryIO) -> None:
     node n - i lies at -kx of node i, and line n - i at -ky of line i, and
     sin is odd and cos even on them bit for bit.  So at every n a pair of
     nodes is computed and formatted once, and so is a pair of lines
-    (``_surface_line``): a quarter of the grid.  The n kx strings are
-    formatted once per dump, and |hz| once per line or pair of lines.
+    (``_surface_line``): a quarter of the grid.  The n kx strings and the
+    hy signs are placed once per dump, and |hz| formatted once per line or
+    pair of lines.
 
     The header and then every line go to ``fh`` in order, as bytes from
     the formatting on.  The second line of each pair waits in an unlinked
     temporary file (``tempfile.TemporaryFile``, in ``TMPDIR``) until its
     turn: about half of the output, which the system frees when the dump
-    ends, however it ends.  Memory holds one pair of lines at a time, so
-    it does not grow with n^2.  A read or write of that file that fails
-    raises ``SpoolError``; a failed write to ``fh`` raises as it is.
+    ends, however it ends.  Memory holds one pair of lines at a time: the
+    two lines, the own nodes' strings and the list of 10 n pieces they are
+    joined from, so it grows with n and not with n^2.  A read or write of
+    that file that fails raises ``SpoolError``; a failed write to ``fh``
+    raises as it is.
     """
     if n < 2:
         raise ValueError(f"grid size must be at least 2, got n={n}")
     ys = [math.pi * (2 * i - n) / n for i in range(n)]
-    heads = [b"%.17g" % x for x in ys]
+    heads = [b"%.17g," % x for x in ys]
     # The own nodes are 0 to n // 2, where kx is in [-pi, 0], and node n - i
     # is node i mirrored for 0 < i < n - i.  Those nodes have hy < 0 and
     # vx >= 0 by construction: sin kx < 0 on (-pi, 0), and -c rho <= 0 as
@@ -368,10 +369,12 @@ def write_surface_csv(p: ModelParams, n: int, fh: BinaryIO) -> None:
     # where sin kx > 0, so each own node takes its hy sign from its sin.
     m = n // 2 + 1
     kx_trig = _kx_trig(ys[:m])
-    gather = [*range(m), *range(n - m, 0, -1)]
-    hy_signs = [b"-" if s < 0.0 else b"" for s in kx_trig[0]] + [b""] * (n - m)
+    # a row's 10 pieces, each value with the comma or newline after it:
+    # kx, ky, hx, hy sign, |hy|, hz, vx sign, vx, vy sign, |vy|
+    rows = [b""] * (10 * n)
+    rows[0::10], rows[3 : 10 * m : 10] = heads, [b"-" if s < 0.0 else b"" for s in kx_trig[0]]
     fh.write(SURFACE_CSV_HEADER.encode() + b"\n")
-    lines = _ky_lines(p, (kx_trig, gather, (heads, hy_signs)), ys, heads)
+    lines = _ky_lines(p, (kx_trig, rows), ys, heads)
     try:
         for line in lines:
             fh.write(line)

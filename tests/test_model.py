@@ -291,6 +291,8 @@ def test_surface_csv_matches_oracle_rows(params):
     [
         (0.0, 33),
         (0.0, 64),
+        (5e-324, 13),
+        (5e-324, 47),
         (5e-324, 64),
         (3e-308, 64),
         (1.0, 2),
@@ -312,9 +314,10 @@ def test_surface_csv_mirror_pairs_match_oracle_rows(c, n):
     # (test_surface_csv_formats_a_quarter_of_the_grid), and none at n = 2.
     # A partner's vx takes its sign from its own node's vx, which is 0 at
     # c = 0 and where it underflows (c = 5e-324).  At c = 3e-308 node 0's
-    # vx underflows to 0 on 3 of the 64 lines.  At n = 26, 47 and 104 tick
-    # 0 lies just below -pi, where sin kx > 0, and node 0's hy and vx
-    # change sign.
+    # vx underflows to 0 on 3 of the 64 lines.  At n = 13, 26, 47 and 104
+    # tick 0 lies just below -pi, where sin kx > 0, and node 0's hy and vx
+    # change sign; at the odd n = 13 and 47 with c = 5e-324 that meets
+    # partner rows whose vx underflows and keeps no sign.
     p = ModelParams(3, 1, c)
     assert _surface_csv(p, n)[1:] == surface_csv_rows(p, n)
 
