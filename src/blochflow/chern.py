@@ -23,9 +23,8 @@ and method make up its JSON record (``ChernResult``):
   only points where the gap can close, and these are nodes of every even
   grid; so 16 nodes orient every triangle down to the smallest gap that
   is accepted, and a triangle the grid cannot orient raises
-  DegenerateTriangle.  hhat is three component lists of ky lines on a
-  wrapped open grid, and the two triangles of a plaquette share their
-  links (``_solid_angle_sum``).
+  DegenerateTriangle.  hhat is a wrapped grid of unit-vector tuples,
+  summed one plaquette at a time (``_solid_angle_sum``).
 
 Everything is computed on floats with ``math``, a ky line at a time.
 
@@ -170,64 +169,53 @@ def chern_direct(p: ModelParams) -> ChernResult:
     return ChernResult(raw, value, g, "direct_quadrature", DIRECT_N)
 
 
-def _unit_grid(p: ModelParams, n: int) -> tuple:
-    """hhat's components on the n periodic ticks per axis plus the first again.
+def _unit_grid(p: ModelParams) -> list:
+    """hhat on the GRID_N periodic ticks per axis plus the first again.
 
-    Each component is a list of n + 1 ky lines (row j is ky = t_j), each
-    a list of its n + 1 kx nodes (column i is kx = t_i).
+    GRID_N + 1 ky lines (row j is ky = t_j), each of GRID_N + 1 (x, y, z)
+    tuples (column i is kx = t_i); row and column GRID_N repeat row and
+    column 0.
     """
-    t = [-math.pi + TWO_PI * (i % n) / n for i in range(n + 1)]
+    t = [-math.pi + TWO_PI * i / GRID_N for i in range(GRID_N)]
     kx_trig = _kx_trig(t)
-    x, y, z = [], [], []
-    for ky in t[:n]:
+    grid = []
+    for ky in t:
         line = _trig_rho(ky, p)
-        hx, hy, _, _, norm = _bloch(kx_trig, [line] * (n + 1), p)
-        x.append([a / m for a, m in zip(hx, norm)])
-        y.append([b / m for b, m in zip(hy, norm)])
-        z.append([line[3] / m for m in norm])
-    for comp in (x, y, z):
-        comp.append(comp[0])
-    return x, y, z
+        hx, hy, _, _, norm = _bloch(kx_trig, [line] * GRID_N, p)
+        row = [(a / m, b / m, line[3] / m) for a, b, m in zip(hx, hy, norm)]
+        grid.append(row + row[:1])
+    return grid + grid[:1]
 
 
-def _solid_angle_sum(u: tuple) -> float:
+def _solid_angle_sum(grid: list) -> float:
     """Signed solid angles of the two triangles of every plaquette, summed.
 
-    ``u`` is the component triple of ``_unit_grid``.  Plaquette (i, j) has
-    corners a, b, c, d at (i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1),
-    i along kx and j along ky, and triangles (a, b, c), (a, c, d) of solid
-    angle 2 atan2(t0 . (t1 x t2), 1 + t0 . t1 + t1 . t2 + t2 . t0).  Both
-    triple products use e = a x c (a . (b x c) = -b . e, a . (c x d) =
-    d . e); both denominators reuse the dot products along the kx links
-    (a . b, d . c) and the ky links (a . d, b . c).  NaN when a triangle
-    cannot be oriented: a denominator <= 0, or it and the numerator both
-    within 1e-12 of zero.
+    ``grid`` is a list of wrapped ky lines of unit vectors, as
+    ``_unit_grid`` gives it.  Plaquette (i, j) has corners a, b, c, d at
+    (i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1), i along kx and j along
+    ky, and triangles (a, b, c), (a, c, d) of solid angle
+    2 atan2(t0 . (t1 x t2), 1 + t0 . t1 + t1 . t2 + t2 . t0).  Both triple
+    products use e = a x c (a . (b x c) = -b . e, a . (c x d) = d . e) and
+    both denominators the diagonal a . c.  NaN when a triangle cannot be
+    oriented: a denominator <= 0, or it and the numerator both within
+    1e-12 of zero.
     """
-    x, y, z = u
     atan2, hypot = math.atan2, math.hypot
-
-    def dots(xs, ys, zs, xt, yt, zt):
-        return [a * b + c * d + e * f for a, b, c, d, e, f in zip(xs, xt, ys, yt, zs, zt)]
-
     total = 0.0
-    ab_row = dots(x[0], y[0], z[0], x[0][1:], y[0][1:], z[0][1:])
-    for x0, y0, z0, x1, y1, z1 in zip(x, y, z, x[1:], y[1:], z[1:]):
-        dc_row = dots(x1, y1, z1, x1[1:], y1[1:], z1[1:])
-        ad_row = dots(x0, y0, z0, x1, y1, z1)
-        for ax, ay, az, bx, by, bz, cx, cy, cz, dx, dy, dz, ab, dc, ad, bc in zip(
-            x0, y0, z0, x0[1:], y0[1:], z0[1:], x1[1:], y1[1:], z1[1:], x1, y1, z1, ab_row, dc_row, ad_row, ad_row[1:]
-        ):
+    for lower, upper in zip(grid, grid[1:]):
+        for (ax, ay, az), (bx, by, bz), (cx, cy, cz), (dx, dy, dz) in zip(lower, lower[1:], upper[1:], upper):
             ex, ey, ez = ay * cz - az * cy, az * cx - ax * cz, ax * cy - ay * cx
             ac = ax * cx + ay * cy + az * cz
-            n1, d1 = -(bx * ex + by * ey + bz * ez), 1.0 + ab + bc + ac
-            n2, d2 = dx * ex + dy * ey + dz * ez, 1.0 + ac + dc + ad
+            n1 = -(bx * ex + by * ey + bz * ez)
+            d1 = 1.0 + (ax * bx + ay * by + az * bz) + (bx * cx + by * cy + bz * cz) + ac
+            n2 = dx * ex + dy * ey + dz * ez
+            d2 = 1.0 + ac + (dx * cx + dy * cy + dz * cz) + (ax * dx + ay * dy + az * dz)
             # hypot(numer, denom) >= denom: only denom < 1e-12 can trip it
             if (d1 < 1e-12 and (d1 <= 0.0 or hypot(n1, d1) < 1e-12)) or (
                 d2 < 1e-12 and (d2 <= 0.0 or hypot(n2, d2) < 1e-12)
             ):
                 return math.nan
             total += atan2(n1, d1) + atan2(n2, d2)
-        ab_row = dc_row
     return 2.0 * total
 
 
@@ -237,7 +225,7 @@ def chern_plaquette(p: ModelParams) -> ChernResult:
     Raises DegenerateTriangle if a plaquette triangle is too coarse to orient.
     """
     g = _open_gap(p, gap_min(p))
-    total = _solid_angle_sum(_unit_grid(p, GRID_N))
+    total = _solid_angle_sum(_unit_grid(p))
     if math.isnan(total):
         raise DegenerateTriangle(
             f"plaquette triangles are ambiguous at n = {GRID_N}; "

@@ -50,6 +50,9 @@ class LoopSpec(NamedTuple):
             raise ValueError(f"loop center must be finite, got ({center.kx}, {center.ky})")
         if not 0.0 < radius < math.inf:
             raise ValueError(f"loop radius must be positive and finite, got {radius}")
+        # center +- radius rounding back to the center would put every sample on one kx or one ky
+        if any(x + radius == x or x - radius == x for x in center):
+            raise ValueError(f"loop radius {radius!r} is too small to move center {tuple(center)} in floats")
         return cls(center=center, radius=radius)
 
     @classmethod

@@ -235,7 +235,7 @@ def test_even_grid_resolves_every_gapped_set(params):
         with pytest.raises(GaplessModel):
             _chern_preimages(p, g, _phase(p))
         return
-    raw = _solid_angle_sum(_unit_grid(p, GRID_N)) / (4.0 * math.pi)
+    raw = _solid_angle_sum(_unit_grid(p)) / (4.0 * math.pi)
     assert not math.isnan(raw)
     assert abs(raw - ((c < R + r) - (c < R - r))) <= 1e-9
     assert _chern_preimages(p, g, _phase(p)) == round(raw)
@@ -314,25 +314,35 @@ def test_unorientable_grid_raises(monkeypatch):
 
 
 def _wrapped(u):
-    """The component lists of the open grid that wraps the periodic (n, n, 3) grid ``u``, axis 0 kx.
+    """The wrapped grid of ``_unit_grid``'s layout for the periodic (n, n, 3) grid ``u``, axis 0 kx.
 
-    Each is a list of ky lines of kx nodes, as ``_unit_grid`` gives them.
+    n + 1 ky lines, each of n + 1 (x, y, z) tuples; row and column n repeat
+    row and column 0.
     """
-    return tuple(np.pad(u[..., k], ((0, 1), (0, 1)), mode="wrap").T.tolist() for k in range(3))
+    x, y, z = (np.pad(u[..., k], ((0, 1), (0, 1)), mode="wrap").T.tolist() for k in range(3))
+    return [list(zip(*line)) for line in zip(x, y, z)]
 
 
 def _periodic(grid):
-    """The periodic (n, n, 3) grid, axis 0 kx, that the component lists ``grid`` of ``_unit_grid`` wrap."""
-    return np.stack([np.array(comp)[:-1, :-1].T for comp in grid], axis=-1)
+    """The periodic (n, n, 3) grid, axis 0 kx, that the wrapped grid ``grid`` of ``_unit_grid`` wraps."""
+    return np.array(grid)[:-1, :-1].transpose(1, 0, 2)
+
+
+def test_unit_grid_matches_the_array_grid():
+    # node by node, as tuples, the bits of the oracles' numpy grid, wrapped
+    for R, r, c in random_gapped_params(np.random.default_rng(16), 20, avoid=0.01):
+        p = ModelParams(R, r, c)
+        assert _unit_grid(p) == _wrapped(periodic_unit_grid(p, GRID_N))
 
 
 def _assert_kernels_agree(p, n):
-    grid = _unit_grid(p, n)
+    u = periodic_unit_grid(p, n)
+    # the program's grid at GRID_N, the oracle's wrapped into its layout at other n
+    grid = _unit_grid(p) if n == GRID_N else _wrapped(u)
     # row and column n repeat row and column 0
-    for comp in grid:
-        assert comp[n] == comp[0] and [row[n] for row in comp] == [row[0] for row in comp]
+    assert grid[n] == grid[0] and [line[n] for line in grid] == [line[0] for line in grid]
     new = _solid_angle_sum(grid)
-    ref = roll_solid_angle_sum(periodic_unit_grid(p, n))
+    ref = roll_solid_angle_sum(u)
     assert math.isnan(new) == math.isnan(ref)
     if not math.isnan(ref):
         assert abs(new - ref) / (4.0 * math.pi) <= 1e-12
@@ -358,7 +368,7 @@ def test_solid_angle_sum_matches_roll_oracle_near_critical(params, n):
 
 
 def test_solid_angle_ambiguity_flag():
-    grid = _unit_grid(ModelParams(3, 1, 1), 16)
+    grid = _unit_grid(ModelParams(3, 1, 1))
     assert not math.isnan(_solid_angle_sum(grid))
     # antipodal neighbours make the half-angle denominator nonpositive
     u = _periodic(grid)

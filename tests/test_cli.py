@@ -230,11 +230,49 @@ def test_winding_bad_center(capsys):
 
 
 def test_winding_bad_radius(capsys):
-    for radius in ("-1", "nan", "inf"):
-        rc, out, err = run(capsys, ["winding", "--radius", radius])
+    # the last two circles: center +- radius rounds back to the center's kx,
+    # so every sample would share one kx, and the first holds a source
+    for flags in (
+        ["--radius", "-1"],
+        ["--radius", "nan"],
+        ["--radius", "inf"],
+        ["--c", "3", "--center", "3.141592653589793,0", "--radius", "1.5e-16"],
+        ["--c", "3", "--center", "1e300,0", "--radius", "0.3"],
+    ):
+        rc, out, err = run(capsys, ["winding", *flags])
         assert rc == 1
         assert out == ""
-        assert err.startswith("blochflow winding: error: --radius: ")
+        assert err.startswith("blochflow winding: error: --radius: ") and err.count("\n") == 1
+
+
+# (c, --center) of the README's and CI's winding loops and of the benchmark's
+# point queries for seeds 1 to 10, all of radius 0.3 at (R, r) = (3, 1)
+DRAWN_LOOPS = [(1.0, "0,0"), (3.0, "0,0")] + [
+    (c, center)
+    for c, ky, nx, ny in (
+        (1.243019, 0.0, 1, -0.499178),
+        (4.150123, math.pi, -1, -0.841958),
+        (3.465341, math.pi, 1, 1.250859),
+        (0.591156, 0.0, 1, -0.22357),
+        (3.851172, math.pi, 1, 2.080813),
+        (4.394312, math.pi, 1, -2.55808),
+        (4.956312, math.pi, -1, -2.417874),
+        (1.408676, math.pi, -1, 1.234905),
+        (1.144495, math.pi, -1, -0.586872),
+        (4.284061, math.pi, -1, -0.96592),
+    )
+    for center in (f"0,{ky!r}", f"{nx * math.pi / 2!r},{ny!r}")
+]
+
+
+def test_winding_keeps_the_bytes_of_drawn_circles(capsys):
+    # the refusal passes these loops through: each prints the record of the
+    # circle built without it
+    for c, center in DRAWN_LOOPS:
+        rc, out, err = run(capsys, ["winding", "--c", repr(c), "--center", center, "--radius", "0.3"])
+        doc = winding_hermitian(LoopSpec(KPoint(*map(float, center.split(","))), 0.3), ModelParams(3, 1, c))._asdict()
+        doc["samples_used"] = doc.pop("samples")
+        assert (rc, out, err) == (0, json.dumps(doc, indent=2) + "\n", "")
 
 
 def test_phase_diagram_csv(tmp_path, capsys):

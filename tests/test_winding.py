@@ -88,6 +88,16 @@ def test_loopspec_validation():
     for center, radius in bad:
         with pytest.raises(ValueError, match="finite"):
             LoopSpec.circle(center, radius)
+    # center +- radius rounds back to a center coordinate, so every sample
+    # would share one kx or one ky: (pi, 0) lies 1.22e-16 from the float pi,
+    # inside the first circle, whose answer is the source's +1
+    for (kx, ky), radius in (((PI, 0.0), 1.5e-16), ((1e300, 0.0), 0.3)):
+        for center in (KPoint(kx, ky), KPoint(ky, kx)):
+            with pytest.raises(ValueError, match="too small to move center"):
+                LoopSpec.circle(center, radius)
+    # a radius a few ulps wide is drawn: too coarse to wind, not refused
+    with pytest.raises(InsufficientSampling):
+        winding_hermitian(LoopSpec.circle(KPoint(PI, 0.0), 3e-16), ModelParams(3, 1, 3))
     with pytest.raises(ValueError):
         LoopSpec.polyline([KPoint(0, 0), KPoint(1, 0), KPoint(0, 0)])
     open_pts = [KPoint(0.3 * math.cos(u), 0.3 * math.sin(u)) for u in np.linspace(0, 5.0, 40)]
