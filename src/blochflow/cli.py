@@ -1,8 +1,10 @@
 """Command-line front end: census, invariants, windings, sweeps, dumps.
 
 Exit codes: 0 success, 1 usage/validation error (message names the flag,
-including an --out path that cannot be written) or a failed field-dump
-spool, 2 model or domain error (gapless model, degenerate field, ...).
+including an --out path that cannot be written), a failed field-dump
+spool or a failed write to stdout (one line that names stdout; a reader
+that closed it early gets none), 2 model or domain error (gapless model,
+degenerate field, ...).
 Chern grids are fixed and loop samples refine themselves, so they are
 not options; ``field-dump --grid-n`` sets the size of the output.
 
@@ -127,12 +129,22 @@ def _json(doc) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _write_out(path: str, write) -> None:
+    """Call ``write`` on ``path`` opened "wb"; an OSError of that file, not of the spool, names --out."""
+    try:
+        with open(path, "wb") as fh:
+            write(fh)
+    except SpoolError:
+        raise
+    except OSError as e:
+        raise _UsageError(f"--out: {e}") from e
+
+
 def _emit(text: str, out_path) -> None:
     if out_path is None:
         sys.stdout.write(text)
     else:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        _write_out(out_path, lambda fh: fh.write(text.encode()))
 
 
 def _cmd_zeros(args) -> int:
@@ -197,8 +209,7 @@ def _cmd_field_dump(args) -> int:
         sys.stdout.flush()
         write_surface_csv(p, args.grid_n, sys.stdout.buffer)
     else:
-        with open(args.out, "wb") as fh:
-            write_surface_csv(p, args.grid_n, fh)
+        _write_out(args.out, lambda fh: write_surface_csv(p, args.grid_n, fh))
     return 0
 
 
@@ -303,30 +314,23 @@ def _parse(argv):
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     prog = f"blochflow {argv[0]}" if argv and argv[0] in COMMANDS else "blochflow"
-    args = None
     try:
         args = _parse(argv)
         status = 0 if args is None else COMMANDS[args.command][0](args)
         sys.stdout.flush()
         return status
-    except BrokenPipeError:
-        # The reader closed stdout early (`| head`): exit quietly, and point
-        # stdout at devnull so the interpreter's final flush does not fail.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
-    except _UsageError as e:
+    except (_UsageError, SpoolError) as e:
         sys.stderr.write(f"{prog}: error: {e}\n")
         return 1
     except TopologyError as e:
         sys.stderr.write(f"{prog}: {type(e).__name__}: {e}\n")
         return 2
-    except SpoolError as e:
-        sys.stderr.write(f"{prog}: error: {e}\n")
-        return 1
     except OSError as e:
-        if args is None or args.out is None:
-            raise
-        sys.stderr.write(f"{prog}: error: --out: {e}\n")
+        # Only stdout is left to fail, as --out and the spool raise their own errors; a reader that closed it
+        # (`| head`) gets a quiet exit.  Point stdout at devnull, so that the interpreter's final flush passes.
+        if not isinstance(e, BrokenPipeError):
+            sys.stderr.write(f"{prog}: error: stdout: {e}\n")
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -57,8 +57,8 @@ PARAM_MAX = 1e50
 # Hessian determinant above about 1e-100, far from float underflow.  The
 # kx = pi cubic (``_kx_pi_cubic``) is scale-free and needs neither bound.
 PARAM_MIN = 1e-50
-# Largest gap / R at which a point counts as a band touching, where the
-# velocity is undefined: the winding loops and the census's fixed zeros.
+# Largest gap / R at which a point of a winding loop counts as a band
+# touching, where the velocity is undefined.  The census needs no such band.
 EPS_GAP = 1e-9
 
 

@@ -5,11 +5,11 @@ axes and records per cell either an invariant value or an explicit status
 tag; no cell is ever silently dropped.  Cells whose minimum gap
 ``gap_min`` is below ``GAPLESS_THRESHOLD`` are tagged "gapless" (the Chern
 number is ill-defined across a band touching); cells where the census
-refuses (c ~ 0, c = c_p or c_f exactly, a float Jacobian that does not
+refuses (c = 0, c = c_p or c_f exactly, a float Jacobian that does not
 show a zero's exact kind, a root pair that the float cubic misses) are
 tagged "degenerate".  The threshold bounds the gap |h| itself, in
-parameter units, not a distance in c to a closing, and unlike the census
-thresholds it is absolute, not relative to R; it stays so until the
+parameter units, not a distance in c to a closing, and unlike
+``EPS_GAP_CHERN`` it is absolute, not relative to R; it stays so until the
 benchmark's reference changes with it.  A cell places c once, exactly
 (``model._phase``), and solves the cubic only for c_p < c < c_f.  A Chern
 cell reads C from that phase behind its gap gate (``chern._chern_preimages``)

@@ -10,14 +10,17 @@ G = |h|^2 / 2, g(u) = rho (1 - (r/R) u) and s = r/R, G_u = (r R / rho)
 and hxx = -+c rho / |h| on kx = 0 / pi.  So (0, 0) is a sink and (0, pi) a
 saddle; (pi, 0) is a source and (pi, pi) a saddle for c > c_p, the reverse
 below; the smaller root u gives a source pair and the larger a saddle pair.
-A saddle has index -1, a sink or source +1.  The census refuses at c = c_p
-or c_f exactly, and wherever the float velocity Jacobian at a zero, the
-Hessian of |h| there, does not show the exact kind (DegenerateZero), or
-the float cubic misses the root pair (NonIsolatedZero).  The Jacobian is
-diagonal on kx in {0, pi}, in ``math``, and evaluated once per ky line
-(``_census_zeros``).  The velocity is that of the upper band +|h|; the
-lower band carries -v and the negated Hessian, so the zeros and indexes
-are band independent, while sinks and sources swap.
+A saddle has index -1, a sink or source +1.  No threshold decides a
+refusal: the census refuses c = 0, where vx vanishes identically
+(DegenerateField), c = R -+ r exactly (GaplessModel), c = c_p or c_f
+exactly, or a float velocity Jacobian at a zero, the Hessian of |h| there,
+that does not show the exact kind (DegenerateZero), and a root pair that
+the float cubic misses (NonIsolatedZero).  The Jacobian is diagonal on kx
+in {0, pi}, in ``math``, evaluated once per ky line (``_census_zeros``),
+with |h| = |c - (R +- r)| rounded once at (pi, 0) and (pi, pi).  The
+velocity is that of the upper band +|h|; the lower band carries -v and
+the negated Hessian, so the zeros and indexes are band independent,
+while sinks and sources swap.
 
 The sum of the indexes is the Euler characteristic of the image surface:
 0 for every gapped, nondegenerate parameter set of the torus model,
@@ -35,11 +38,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .errors import DegenerateField, DegenerateZero, GaplessModel, NonIsolatedZero
-from .model import EPS_GAP, KPoint, ModelParams, _kx_pi_roots, _phase, _trig_rho, gapless_boundary
-
-# Scaling R, r and c together leaves the zeros and their kinds unchanged, so
-# the census thresholds bound c / R and the fixed-zero gap / R.
-C_DEGENERATE = 1e-6
+from .model import KPoint, ModelParams, _kx_pi_roots, _phase, _trig_rho
 
 
 class ZeroKind(Enum):
@@ -77,15 +76,8 @@ def _closed_form_census(p: ModelParams, phase: int, roots: list):
             f"axis shift c = {p.c} makes the kx-velocity vanish identically: "
             "the zero set consists of curves, not isolated points"
         )
-    if p.c / p.R <= C_DEGENERATE:
-        raise DegenerateField(
-            f"axis shift c / R = {p.c / p.R:.3e} <= {C_DEGENERATE:.0e}: the kx-velocity, "
-            "proportional to c, is too weak to isolate and classify the zeros"
-        )
-    # |h| at (pi, pi) and (pi, 0), the only points where the gap can close
-    gap = min(abs(p.c - b) for b in gapless_boundary(p.R, p.r))
-    if gap / p.R <= EPS_GAP:
-        raise GaplessModel(f"band gap closes at a fixed zero (|h| = {gap:.3e}); the velocity is undefined there")
+    if phase in (1, 7):
+        raise GaplessModel(f"c = {p.c} is R {'-+'[phase == 7]} r exactly, where the band gap closes at a fixed zero")
     if phase in (3, 5):
         which = "pitchfork c_p" if phase == 3 else "fold c_f"
         raise DegenerateZero(f"c = {p.c} is the {which} exactly, where zeros merge and det J = 0")
@@ -107,15 +99,17 @@ def _line_jacobians(ky: float, p: ModelParams) -> list:
     and J = (G_ij - v_i v_j) / |h|: at a census zero, v = 0 = sin kx and J = diag(G_xx, G_yy) / |h|,
     with cx = cos kx = -1.0 or 1.0 as math.cos gives it.  The terms free of cx (G_yy = a - c_rr cx b + d)
     are rounded as in the whole expression; sin ky and hz enter only squared: -+ky give the same bits.
+    At (pi, 0) and (pi, pi), |h| = |c - (R +- r)| rounded once keeps its digits next to a closing,
+    where fl(c - fl(R +- r)) loses them or is 0.0; it is 0.0 only at c = R -+ r, which the census refuses.
     """
     sy, cy, rho, hz = _trig_rho(ky, p)[:4]
     rr = p.r * p.R
     c_rho, c_rr, hz2 = -p.c * rho, p.c * rr, hz * hz
     a, b, d = -rr * cy, cy / rho + rr * sy * sy / rho**3, p.r**2 * (cy * cy - sy * sy)
-    jacobians = []
+    jacobians, fixed = [], ky in (0.0, -math.pi)
     for cx in (-1.0, 1.0):
         u = rho * cx + p.c
-        gap = math.sqrt(u * u + hz2)
+        gap = abs(math.fsum((p.c, -p.R, -p.r * cy))) if cx < 0.0 and fixed else math.sqrt(u * u + hz2)
         hxx, hyy = c_rho * cx / gap, (a - c_rr * cx * b + d) / gap
         jacobians.append((hxx * hyy, hxx + hyy))
     return jacobians
@@ -151,10 +145,10 @@ def euler_characteristic(p: ModelParams) -> EulerResult:
 
     ``modes`` has one ZeroMode per canonical zero, sorted by location.
 
-    Raises DegenerateField when c is (numerically) zero, GaplessModel when
-    the gap closes at a fixed zero, DegenerateZero when c is c_p or c_f
-    exactly or the float Jacobian at a zero does not show its kind, and
-    NonIsolatedZero when the float cubic misses a root pair.
+    Raises DegenerateField when c is 0, GaplessModel when c is R -+ r
+    exactly, DegenerateZero when c is c_p or c_f exactly or the float
+    Jacobian at a zero does not show its kind, and NonIsolatedZero when
+    the float cubic misses a root pair.
     """
     phase = _phase(p)
     zeros = _census_zeros(p, phase, _kx_pi_roots(p) if phase == 4 else [])

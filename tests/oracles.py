@@ -76,17 +76,22 @@ from blochflow.model import (
     reduce_angle,
     zero_bifurcations,
 )
-from blochflow.zeromode import C_DEGENERATE, ZeroKind
+from blochflow.zeromode import ZeroKind
 
 # The Newton census: damped Newton from every node of a 64 x 64 seed grid
 # until |v| (or the Newton step) is at most 1e-12, then a dedup of the
 # converged seeds within 1e-6 of each other, and its refusal of two zeros
-# closer than 1e-3 on the torus (``pairwise_isolation``).
+# closer than 1e-3 on the torus (``pairwise_isolation``).  It refuses
+# c / R <= SMALL_C_LIMIT as DegenerateField: vx, proportional to c, is then
+# too weak against vy for its seeds and tolerances, as it is for a small
+# loop's winding against ``winding.NORM_FLOOR`` (ZeroOnLoop).  That is the
+# oracles' limit: the census answers there.
 SEEDS_PER_AXIS = 64
 NEWTON_TOL = 1e-12
 MAX_ITER = 50
 DEDUP_RADIUS = 1e-6
 ISOLATION_RADIUS = 1e-3
+SMALL_C_LIMIT = 1e-6
 
 
 def pointwise(kernel, kx, ky, p):
@@ -161,6 +166,11 @@ def classify(det: float, trace: float) -> ZeroKind:
     return ZeroKind.SINK if trace < 0.0 else ZeroKind.SOURCE
 
 
+def census_gap(p, ky: float) -> float:
+    """|h| at (pi, ky) for ky = 0 or -pi, |c - (R +- r)|, on fractions and rounded once."""
+    return float(abs(Fraction(p.c) - Fraction(p.R) - Fraction(p.r) * (1 if ky == 0.0 else -1)))
+
+
 def census_jacobian(kx: float, ky: float, p) -> tuple:
     """The velocity Jacobian at a census zero, where kx is 0 or -+pi: its diagonal (hxx, hyy).
 
@@ -168,12 +178,14 @@ def census_jacobian(kx: float, ky: float, p) -> tuple:
     the velocity is v_i = G_i / |h| and its Jacobian (G_ij - v_i v_j) / |h|.
     At a zero v = 0, and on kx in {0, pi} sin kx = 0, so G_xy = 0 and the
     Jacobian is diag(G_xx, G_yy) / |h| with |h| = sqrt((rho cos kx + c)^2 +
-    hz^2).  No gap check: where |h| = 0 this raises ZeroDivisionError.
+    hz^2), except at (pi, 0) and (pi, pi), where |h| is |c - (R +- r)| on
+    fractions, rounded once.  No gap check: where |h| = 0 this raises
+    ZeroDivisionError.
     """
     cx = math.cos(kx)
     sy, cy, rho, hz = _trig_rho(ky, p)[:4]
     u = rho * cx + p.c
-    gap = math.sqrt(u * u + hz * hz)
+    gap = census_gap(p, ky) if cx == -1.0 and ky in (0.0, -math.pi) else math.sqrt(u * u + hz * hz)
     rr = p.r * p.R
     gyy = -rr * cy - p.c * rr * cx * (cy / rho + rr * sy * sy / rho**3) + p.r**2 * (cy * cy - sy * sy)
     return -p.c * rho * cx / gap, gyy / gap
@@ -450,7 +462,7 @@ def full_backtrack_census(p):
     (pairwise_isolation).  Returns the sorted canonical zero list, or
     raises DegenerateField, GaplessModel or NonIsolatedZero.
     """
-    if p.c / p.R <= C_DEGENERATE:
+    if p.c / p.R <= SMALL_C_LIMIT:
         raise DegenerateField(f"axis shift c = {p.c} makes the kx-velocity vanish identically")
     ticks = -math.pi + TWO_PI * np.arange(SEEDS_PER_AXIS) / SEEDS_PER_AXIS
     gx, gy = np.meshgrid(ticks, ticks, indexing="ij")

@@ -61,16 +61,17 @@ def test_zeros_degenerate_exit(capsys):
     assert out == ""
 
 
-@pytest.mark.parametrize("c, ratio_shown", [("2e-6", True), ("0", False)])
-def test_zeros_small_axis_shift_message(capsys, c, ratio_shown):
-    # 0 < c <= 1e-6 R does not make the kx-velocity vanish identically; the
-    # message gives c / R and the threshold instead
+@pytest.mark.parametrize("c, answered", [("2e-6", True), ("0", False)])
+def test_zeros_small_axis_shift_message(capsys, c, answered):
+    # only c = 0 makes the kx-velocity vanish identically; a small c > 0, as
+    # c = 2e-6 / 3 R, is answered: 4 zeros and chi 0
     rc, out, err = run(capsys, ["zeros", "--R", "3", "--r", "1", "--c", c])
-    assert rc == 2
-    assert out == ""
-    assert "DegenerateField" in err
-    assert ("c / R" in err) is ratio_shown
-    assert ("vanish identically" in err) is not ratio_shown
+    if answered:
+        assert (rc, err) == (0, "")
+        assert out.endswith("]\nchi 0\n") and len(json.loads(out[: -len("chi 0\n")])) == 9
+    else:
+        assert (rc, out) == (2, "")
+        assert err.startswith("blochflow zeros: DegenerateField: ") and "vanish identically" in err
 
 
 def test_zeros_gapless_exit(capsys):
@@ -201,6 +202,25 @@ def test_euler_answers_close_to_the_bifurcations(capsys, anchor, offset, zero_mo
     rc, out, err = run(capsys, ["euler", "--c", repr(c)])
     assert (rc, err) == (0, "")
     assert json.loads(out) == {"chi": 0, "zero_modes": zero_modes}
+
+
+@pytest.mark.parametrize(
+    "args, closing",
+    [("--c 3e-7", None), ("--R 3e6 --r 1e6 --c 4000000.001", None), ("--R 1 --r 0.1 --c 1.1", None),
+     ("--c 2", "R - r"), ("--c 4", "R + r")],
+)
+def test_euler_next_to_zero_and_the_closings(capsys, args, closing):
+    # the census has no band around c = 0 or R -+ r: it refuses only c = R -+ r
+    # exactly, with one GaplessModel line; the float 1.1 lies just above the exact 1 + 0.1
+    rc, out, err = run(capsys, ["euler", *args.split()])
+    if closing is None:
+        assert (rc, err, json.loads(out)) == (0, "", {"chi": 0, "zero_modes": 9})
+    else:
+        assert (rc, out) == (2, "")
+        assert err == (
+            f"blochflow euler: GaplessModel: c = {args.split()[-1]}.0 is {closing} exactly, "
+            "where the band gap closes at a fixed zero\n"
+        )
 
 
 def test_phase_diagram_euler_cell_close_to_the_pitchfork(capsys):
@@ -396,6 +416,41 @@ def test_closed_stdout_exits_quietly(argv, lines):
                 out.readline()
     _, err = proc.communicate(timeout=120)
     assert (proc.returncode, err) == (1, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *(cmd.split() for cmd in (
+            "zeros --c 3", "euler --c 3", "chern --c 3", "chern --c 3 --method direct", "winding --c 3",
+            "phase-diagram --axis c:0.5:4.5:9", "phase-diagram --axis c:0.5:4.5:9 --quantity euler", "field-dump",
+        )),
+        *([cmd, "--help"] for cmd in COMMANDS),
+        ["--help"],
+        ["--version"],
+    ],
+    ids=" ".join,
+)
+def test_full_stdout_is_one_error_line(argv):
+    # a failed write to stdout is one line that names stdout, exit 1, and no
+    # traceback, also from the interpreter's last flush
+    with open("/dev/full", "wb") as full:
+        proc = _blochflow(*argv, stdout=full, stderr=subprocess.PIPE)
+        _, err = proc.communicate(timeout=120)
+    prog = "blochflow" if argv[0].startswith("-") else f"blochflow {argv[0]}"
+    assert (proc.returncode, err.decode()) == (1, f"{prog}: error: stdout: [Errno 28] No space left on device\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_zeros_out_with_a_full_stdout_names_stdout(tmp_path):
+    # the census JSON goes to --out, and only the chi line to the full stdout
+    path = tmp_path / "zeros.json"
+    with open("/dev/full", "wb") as full:
+        proc = _blochflow("zeros", "--c", "3", "--out", str(path), stdout=full, stderr=subprocess.PIPE)
+        _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (1, b"blochflow zeros: error: stdout: [Errno 28] No space left on device\n")
+    assert json.loads(path.read_text()) == closed_zone_records(euler_characteristic(ModelParams(3, 1, 3)).modes)
 
 
 def test_field_dump_stdout_and_out_get_the_same_bytes(tmp_path):

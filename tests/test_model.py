@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from blochflow import KPoint, ModelParams, SweepAxis, model
 from blochflow.chern import gap_min
 from blochflow.errors import SpoolError
-from blochflow.zeromode import C_DEGENERATE
 from blochflow.model import (
     PARAM_MAX,
     PARAM_MIN,
@@ -575,13 +574,13 @@ def test_kx_pi_roots_bracket_exact_roots_near_the_pitchfork(log_R, log_gap, log_
     # r -> R with c just above the pitchfork c_p, the band the numpy oracle
     # cannot check: each closed-form root must sit within 2^20 ulp of a sign
     # change of the exact cubic, on the floats R, r, c as given.  The draws
-    # keep c / R > C_DEGENERATE and c more than 1e-5 R from c_p and c_f: how
-    # close to c_p the roots stay this accurate is not settled here.
+    # keep c more than 1e-5 R from c_p and c_f, so c / R > 1e-5: how close
+    # to c_p the roots stay this accurate is not settled here.
     R = 10.0**log_R
     r = R * (1.0 - 10.0**log_gap)
     c_p, c_f = zero_bifurcations(R, r)
     c = c_p + R * 10.0**log_offset
-    assume(c / R > C_DEGENERATE and min(c - c_p, c_f - c) > 1e-5 * R)
+    assume(min(c - c_p, c_f - c) > 1e-5 * R)
     roots = _kx_pi_roots(ModelParams(R, r, c))
     assert len(roots) == 2
     exact = [Fraction(x) for x in (R, r, c)]
