@@ -4,7 +4,7 @@ The invariant is the degree of the unit Bloch vector as a map from the
 zone torus to the sphere: the signed count of the preimages of -x, which
 are (pi, 0) when c < R + r and (pi, pi) when c < R - r (the triple
 product there is r rho (rho - c) cos ky): C is 1 between R - r and R + r.
-``_chern_preimages`` reads it from the exact phase ``model._phase``
+``_chern_preimages`` reads it from the exact phase of ``model._placed``
 behind the gap gate, for the sweep.  The ``chern`` command reports one
 of two numerical discretizations of the degree, whose raw sum, grid size
 and method make up its JSON record (``ChernResult``):
@@ -35,9 +35,7 @@ number +1.
 The integrand blows up as the gap closes, so all three refuse to run
 when gap / R drops to ``EPS_GAP_CHERN`` (scaling R, r and c together
 leaves the unit Bloch vector unchanged).  ``gap_min`` finds that gap in
-closed form: the minimum of |h| lies on the line kx = pi, where it is the
-smallest value of |h| over the ends ky = 0, pi and the roots in (-1, 1)
-of a cubic in cos ky, solved only for c_p < c < c_f (``model._phase``).
+closed form, on the line kx = pi.
 """
 
 from __future__ import annotations
@@ -46,7 +44,7 @@ import math
 from typing import NamedTuple
 
 from .errors import DegenerateTriangle, GaplessModel, InsufficientSampling
-from .model import TWO_PI, ModelParams, _bloch, _kx_pi_roots, _kx_trig, _phase, _trig_rho
+from .model import TWO_PI, ModelParams, _bloch, _kx_trig, _past_closings, _placed, _trig_rho
 
 EPS_GAP_CHERN = 1e-6
 # chern_plaquette's nodes per axis.  It must be even, so that (pi, 0) and
@@ -97,29 +95,21 @@ def gap_min(p: ModelParams) -> float:
 
         |h|^2 = (rho - c)^2 + r^2 (1 - u^2),   rho^2 = R^2 + r^2 + 2 R r u,
 
-    whose stationary points are u = -+1 and the roots in (-1, 1) of the
-    cubic ``model._kx_pi_cubic``, of which there are two for c_p < c < c_f
-    and none otherwise: it is solved only at the phase 4 (``model._phase``).
+    whose stationary points are u = -+1, where |h| = |c - (R -+ r)| (``model._past_closings``),
+    and the roots in (-1, 1) of the cubic ``model._kx_pi_cubic`` that ``model._placed`` hands on.
     """
-    return _gap_min(p, _kx_pi_roots(p) if _phase(p) == 4 else [])
+    return _gap_min(p, _placed(p)[1])
 
 
 def _gap_min(p: ModelParams, roots: list) -> float:
     """``gap_min`` over the ends and the given ``roots`` of the cubic: a sweep cell shares its one solve."""
     R, r, c = p
-    rr = r * r
-    # the ends u = -+1, where sin_sq = 0; r * 1.0 keeps the arithmetic of
-    # R + r u, in floats, also for integer R and r
-    least = (math.sqrt((R - r * 1.0) ** 2) - c) ** 2
-    end = (math.sqrt((R + r * 1.0) ** 2) - c) ** 2
-    if end < least:
-        least = end
+    rr, (lo, hi) = r * r, _past_closings(p)
+    least = min(abs(lo), abs(hi))
     for u in roots:
         sin_sq = 1.0 - u * u
-        sq = (math.sqrt((R + r * u) ** 2 + rr * sin_sq) - c) ** 2 + rr * sin_sq
-        if sq < least:
-            least = sq
-    return math.sqrt(least)
+        least = min(least, math.sqrt((math.sqrt((R + r * u) ** 2 + rr * sin_sq) - c) ** 2 + rr * sin_sq))
+    return least
 
 
 def _open_gap(p: ModelParams, g: float) -> float:
@@ -130,7 +120,7 @@ def _open_gap(p: ModelParams, g: float) -> float:
 
 
 def _chern_preimages(p: ModelParams, g: float, phase: int) -> int:
-    """C as the signed count of the preimages of -x, given g = gap_min(p) and phase = model._phase(p): an int.
+    """C as the signed count of the preimages of -x, given g = gap_min(p) and the phase of ``model._placed``: an int.
 
     (pi, 0) counts +1 when c < R + r and (pi, pi) -1 when c < R - r: the
     degree integrand there has the sign of r rho (rho - c) cos ky.  So C is

@@ -17,17 +17,10 @@ work on ky lines: ``_kx_trig`` evaluates sin kx and cos kx once per grid,
 ``_trig_rho`` the factors of ky once per line, and ``_bloch`` is the one
 place that assembles h, |h| and the velocity from them, at every node of
 one or many lines.  A point is a line with one node.  The field dump
-(``write_surface_csv``), the winding loops (``winding``) and the unit
-Bloch vector of the Chern sum (``chern``) are all written on ``_bloch``;
-the zero census (``zeromode``) needs only ``_trig_rho``, since its zeros
-lie where sin kx = 0.  The dump's ticks are exactly symmetric: node
-n - i of its grid lies at -kx of node i, and ky line n - i at -ky of
-line i, where h and the velocity mirror those of their partner.  So one
-layout, fixed by n, formats a quarter of the grid: a line computes and
-formats its nodes 0 to n // 2 once, and it and its mirror line are each
-one join of those strings (``_surface_line``).  One process writes bytes
-in order; the second line of a pair waits in an unlinked temporary file
-until its turn (``_ky_lines``).
+(``write_surface_csv``, a quarter of its grid by its mirrors), the winding
+loops (``winding``) and the unit Bloch vector of the Chern sum (``chern``)
+are all written on ``_bloch``; the zero census (``zeromode``) needs only
+``_trig_rho`` off ky in {0, pi}, since its zeros lie where sin kx = 0.
 ``KPoint.canonical`` reduces a single point to the fundamental domain
 [-pi, pi)^2.
 
@@ -35,10 +28,11 @@ On the line kx = pi, the velocity zeros off ky in {0, pi} and the
 stationary points of |h| are the roots u = cos ky in (-1, 1) of one cubic
 (``_kx_pi_cubic``): two between the pitchfork c_p and the fold c_f
 (``zero_bifurcations``), else none.  The gap closes at c = R -+ r
-(``gapless_boundary``), and R - r < c_p < c_f < R + r.  ``_phase`` places c
-among these four exactly, as one of nine positions; C, the zero count and
-the kinds follow from it, and only at its position 4 is the cubic solved
-(``_kx_pi_roots``), once per sweep cell for ``chern.gap_min`` and ``zeromode``.
+(``gapless_boundary``), where c - (R -+ r) (``_past_closings``) is the
+signed gap at (pi, pi) and (pi, 0), and R - r < c_p < c_f < R + r.
+``_placed`` places c among these four exactly, once per query or sweep
+cell, and hands its position and the cubic's roots to ``chern.gap_min``
+and ``zeromode``: C, the zero count and the kinds follow from it.
 """
 
 from __future__ import annotations
@@ -172,21 +166,35 @@ def zero_bifurcations(R: float, r: float) -> tuple:
     return (R * R - r * r) / R, (R * R + r * r / 3.0) ** 1.5 / (R * R)
 
 
+def _past_closings(p: ModelParams) -> tuple:
+    """(c - (R - r), c - (R + r)), the signed gaps at (pi, pi) and (pi, 0), each with its exact sign.
+
+    Fast TwoSum writes R -+ r as a float s plus its exact error t (R >= r), and each value is (c - s) - t:
+    c - (R -+ r) rounded once where c lies within a factor 2 of s, as c - s is exact there (Sterbenz),
+    else within 1 ulp of it, with the sign of c - s.  Non-floats, such as integers past 2^53, go through
+    exact ints, as in ``_phase``.
+    """
+    R, r, c = p
+    if type(R) is type(r) is type(c) is float:
+        s, t = R - r, R + r
+        return (c - s) + (r + (s - R)), (c - t) - (r - (t - R))
+    R, r, c = (n * 2**1100 // d for n, d in (x.as_integer_ratio() for x in p))
+    return (c - R + r) / 2**1100, (c - R - r) / 2**1100
+
+
 def _phase(p: ModelParams) -> int:
     """Where c lies among R - r < c_p < c_f < R + r, exactly: an int from 0 to 8.
 
-    2 k lies strictly between the k-th critical value and the next (0 is
-    c < R - r, 4 is c_p < c < c_f, 8 is c > R + r), and 2 k + 1 at the next.
-    With R -+ r = s + t exactly (Fast TwoSum), the float (c - s) - t has the
-    sign of c - (R -+ r) (Sterbenz).  c R - R^2 + r^2 and (3 R^2 + r^2)^3 -
-    27 c^2 R^4 have the signs of c - c_p and c_f - c: in floats beyond 1e-14
-    times their terms, else on ints, as 2^1100 x is one for every float x.
+    2 k lies strictly between the k-th critical value and the next (0 is c < R - r, 4 is
+    c_p < c < c_f, 8 is c > R + r), and 2 k + 1 at the next.
+    The signs of c - (R -+ r) are exact (``_past_closings``).  c R - R^2 + r^2 and (3 R^2 + r^2)^3 -
+    27 c^2 R^4 have the signs of c - c_p and c_f - c: in floats beyond 1e-14 times their terms, else
+    on ints, as 2^1100 x is one for every float x.
     """
-    R, r, c = p
-    s, t = R - r, R + r
-    past_lo, past_hi = (c - s) + (r + (s - R)), (c - t) - (r - (t - R))
+    past_lo, past_hi = _past_closings(p)
     if not past_lo > 0.0 > past_hi:
         return 1 - (past_lo < 0.0) if past_lo <= 0.0 else 7 + (past_hi > 0.0)
+    R, r, c = p
     RR, rr, cR = R * R, r * r, c * R
     pitchfork, bound = cR - RR + rr, 1e-14 * (cR + RR)
     if pitchfork < -bound:
@@ -197,6 +205,12 @@ def _phase(p: ModelParams) -> int:
     R, r, c = (n * 2**1100 // d for n, d in (x.as_integer_ratio() for x in p))
     pitchfork, a, b = c * R - R * R + r * r, (3 * R * R + r * r) ** 3, 27 * (c * R * R) ** 2
     return 4 + (pitchfork > 0) - (pitchfork < 0) - (a > b) + (a < b)
+
+
+def _placed(p: ModelParams) -> tuple:
+    """(``_phase(p)``, the roots of ``_kx_pi_cubic`` in (-1, 1)): solved only at phase 4, c_p < c < c_f."""
+    phase = _phase(p)
+    return phase, _kx_pi_roots(p) if phase == 4 else []
 
 
 def gapless_boundary(R: float, r: float) -> tuple:
@@ -224,17 +238,13 @@ def _kx_pi_cubic(p: ModelParams) -> list:
 
 
 def _kx_pi_roots(p: ModelParams) -> list:
-    """The roots u in (-1, 1) of ``_kx_pi_cubic`` in closed form, each polished by one Newton step.
+    """The roots u in (-1, 1) of ``_kx_pi_cubic``, two at phase 4 (``_placed``): closed form, one Newton step each.
 
-    It is called only for c_p < c < c_f, the phase 4 of ``_phase``, where
-    there are two.  With w = u + s/3 measured from the fold point, where the
-    cubic's left side is stationary, the cubic reads
-    2 s^3 w^3 - s^2 (3 + s^2) w^2 + s^2 e = 0 with e > 0 for c < c_f,
-    and y = sqrt(e) / w turns it into the depressed y^3 - (3 + s^2) y +
-    2 s sqrt(e) = 0.  Its three real roots (trigonometric form) are the two
-    wanted ones, y_0 > 0 and y_2 < 0, and y_1 >= 0, which lies beyond
-    u = 1/s.  Where rounding at r -> R, c -> c_p leaves one real root,
-    Cardano gives it: y_2, near u = -1.
+    With w = u + s/3 measured from the fold point, where the cubic's left side is stationary, the cubic
+    reads 2 s^3 w^3 - s^2 (3 + s^2) w^2 + s^2 e = 0 with e > 0 for c < c_f, and y = sqrt(e) / w turns it
+    into the depressed y^3 - (3 + s^2) y + 2 s sqrt(e) = 0.  Its three real roots (trigonometric form)
+    are the two wanted ones, y_0 > 0 and y_2 < 0, and y_1 >= 0, which lies beyond u = 1/s.  Where
+    rounding at r -> R, c -> c_p leaves one real root, Cardano gives it: y_2, near u = -1.
     """
     c3, c2, c1, c0 = _kx_pi_cubic(p)
     s = p.r / p.R

@@ -10,13 +10,12 @@ show a zero's exact kind, a root pair that the float cubic misses) are
 tagged "degenerate".  The threshold bounds the gap |h| itself, in
 parameter units, not a distance in c to a closing, and unlike
 ``EPS_GAP_CHERN`` it is absolute, not relative to R; it stays so until the
-benchmark's reference changes with it.  A cell places c once, exactly
-(``model._phase``), and solves the cubic only for c_p < c < c_f.  A Chern
-cell reads C from that phase behind its gap gate (``chern._chern_preimages``)
-and is also "gapless" where gap / R <= ``EPS_GAP_CHERN``.  An Euler cell is
-the index sum of the census kernel's exact kinds (``zeromode._chi``), no
-records.  Identical sweep inputs give identical grids; ``cli`` writes them
-as CSV.
+benchmark's reference changes with it.  A cell places c once, exactly,
+with the cubic's roots (``model._placed``).  A Chern cell reads C from that
+phase behind its gap gate (``chern._chern_preimages``) and is also
+"gapless" where gap / R <= ``EPS_GAP_CHERN``.  An Euler cell is the index
+sum of the census kernel's exact kinds (``zeromode._chi``), no records.
+Identical sweep inputs give identical grids; ``cli`` writes them as CSV.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from typing import NamedTuple
 
 from .chern import _chern_preimages, _gap_min
 from .errors import DegenerateField, DegenerateZero, GaplessModel, NonIsolatedZero
-from .model import ModelParams, _kx_pi_roots, _phase
+from .model import ModelParams, _placed
 from .zeromode import _chi
 
 GAPLESS_THRESHOLD = 1e-3
@@ -117,8 +116,7 @@ def _sweep(axes, base: ModelParams, invariant) -> PhaseDiagramGrid:
     """One cell per parameter set; ``invariant(params, gap_min, phase, roots)`` returns (chern, chi)."""
     cells = []
     for params in _cell_param_sets(axes, base):
-        phase = _phase(params)
-        roots = _kx_pi_roots(params) if phase == 4 else []
+        phase, roots = _placed(params)
         g = _gap_min(params, roots)
         chern = chi = None
         status = STATUS_GAPLESS

@@ -3,8 +3,8 @@
 The zeros are known in closed form.  Since vx = -c rho sin kx / |h|, every
 zero lies on kx in {0, pi}.  Four are fixed, at ky in {0, pi}; the others
 are (pi, -+arccos u) for each root u in (-1, 1) of the cubic that
-``gap_min`` also solves: 8 zeros for c_p < c < c_f, between the pitchfork
-and the fold, else 4, as the exact phase of c says (``model._phase``).  With
+``gap_min`` also takes: 8 zeros for c_p < c < c_f, between the pitchfork
+and the fold, else 4, as the exact phase of c says (``model._placed``).  With
 G = |h|^2 / 2, g(u) = rho (1 - (r/R) u) and s = r/R, G_u = (r R / rho)
 (g(u) -+ c) on kx = pi / 0, g(-+1) = c_p, g'(u) = -3 R^2 s^2 (u + s/3) / rho,
 and hxx = -+c rho / |h| on kx = 0 / pi.  So (0, 0) is a sink and (0, pi) a
@@ -38,7 +38,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .errors import DegenerateField, DegenerateZero, GaplessModel, NonIsolatedZero
-from .model import KPoint, ModelParams, _kx_pi_roots, _phase, _trig_rho
+from .model import KPoint, ModelParams, _placed, _trig_rho
 
 
 class ZeroKind(Enum):
@@ -70,7 +70,7 @@ class EulerResult(NamedTuple):
 
 
 def _closed_form_census(p: ModelParams, phase: int, roots: list):
-    """Each zero as (kx, ky, kind), sorted by location, given ``model._phase(p)`` and at phase 4 the cubic's roots."""
+    """Each zero as (kx, ky, kind), sorted by location, given c's phase and the cubic's roots (``model._placed``)."""
     if p.c == 0.0:
         raise DegenerateField(
             f"axis shift c = {p.c} makes the kx-velocity vanish identically: "
@@ -93,20 +93,22 @@ def _closed_form_census(p: ModelParams, phase: int, roots: list):
 
 
 def _line_jacobians(ky: float, p: ModelParams) -> list:
-    """(det J, trace J) of the velocity Jacobian at (-pi, ky) and at (0, ky), from one ``_trig_rho``.
+    """(det J, trace J) of the velocity Jacobian at (-pi, ky) and at (0, ky), from the line's factors once.
 
     With G = |h|^2 / 2 = (rho^2 + c^2 + r^2 sin^2 ky) / 2 + c rho cos kx, v_i = G_i / |h|
     and J = (G_ij - v_i v_j) / |h|: at a census zero, v = 0 = sin kx and J = diag(G_xx, G_yy) / |h|,
     with cx = cos kx = -1.0 or 1.0 as math.cos gives it.  The terms free of cx (G_yy = a - c_rr cx b + d)
     are rounded as in the whole expression; sin ky and hz enter only squared: -+ky give the same bits.
-    At (pi, 0) and (pi, pi), |h| = |c - (R +- r)| rounded once keeps its digits next to a closing,
-    where fl(c - fl(R +- r)) loses them or is 0.0; it is 0.0 only at c = R -+ r, which the census refuses.
+    The fixed lines ky = 0, -pi take sin ky = 0 and rho = R +- r, not ``_trig_rho``'s float sin(-pi),
+    and at (pi, 0) and (pi, pi) |h| = |c - (R +- r)| rounded once, which keeps its digits next to a
+    closing, where fl(c - fl(R +- r)) loses them; it is 0.0 only at c = R -+ r, which the census refuses.
     """
-    sy, cy, rho, hz = _trig_rho(ky, p)[:4]
+    fixed = ky in (0.0, -math.pi)
+    sy, cy, rho, hz = (0.0, math.cos(ky), p.R + p.r * math.cos(ky), 0.0) if fixed else _trig_rho(ky, p)[:4]
     rr = p.r * p.R
     c_rho, c_rr, hz2 = -p.c * rho, p.c * rr, hz * hz
     a, b, d = -rr * cy, cy / rho + rr * sy * sy / rho**3, p.r**2 * (cy * cy - sy * sy)
-    jacobians, fixed = [], ky in (0.0, -math.pi)
+    jacobians = []
     for cx in (-1.0, 1.0):
         u = rho * cx + p.c
         gap = abs(math.fsum((p.c, -p.R, -p.r * cy))) if cx < 0.0 and fixed else math.sqrt(u * u + hz2)
@@ -150,7 +152,6 @@ def euler_characteristic(p: ModelParams) -> EulerResult:
     Jacobian at a zero does not show its kind, and NonIsolatedZero when
     the float cubic misses a root pair.
     """
-    phase = _phase(p)
-    zeros = _census_zeros(p, phase, _kx_pi_roots(p) if phase == 4 else [])
+    zeros = _census_zeros(p, *_placed(p))
     modes = [ZeroMode(KPoint(kx, ky), det, trace, kind) for kx, ky, det, trace, kind in zeros]
     return EulerResult(sum(z.index for z in modes), modes)

@@ -38,9 +38,10 @@ match bit for bit and message for message: the velocity Jacobian at one
 census zero, with its own ``math.cos kx`` and ``_trig_rho`` call
 (``census_jacobian``; the library's census kernel evaluates each ky line
 once for all the zeros on it), the phase-diagram CSV joined one
-formatted field at a time (``field_joined_csv``), ``gap_min`` as a loop
-over every stationary u with ``min`` (``loop_gap_min``, which takes the
-window c_p < c < c_f from ``fraction_phase``, not from the library), the checks of
+formatted field at a time (``field_joined_csv``), ``gap_min`` at the
+roots of the cubic as a loop with ``min`` (``loop_root_gap``, which takes
+the window c_p < c < c_f from ``fraction_phase``, not from the library;
+``gap_min``'s ends are checked on fractions in ``test_chern``), the checks of
 ``ModelParams`` with the range test as a generator under ``all``
 (``generator_params_error``), and the Chern preimage count with each
 preimage signed by the library's Chern integrand there
@@ -71,7 +72,6 @@ from blochflow.model import (
     _kx_pi_cubic,
     _kx_pi_roots,
     _kx_trig,
-    _phase,
     _trig_rho,
     reduce_angle,
     zero_bifurcations,
@@ -179,11 +179,16 @@ def census_jacobian(kx: float, ky: float, p) -> tuple:
     At a zero v = 0, and on kx in {0, pi} sin kx = 0, so G_xy = 0 and the
     Jacobian is diag(G_xx, G_yy) / |h| with |h| = sqrt((rho cos kx + c)^2 +
     hz^2), except at (pi, 0) and (pi, pi), where |h| is |c - (R +- r)| on
-    fractions, rounded once.  No gap check: where |h| = 0 this raises
-    ZeroDivisionError.
+    fractions, rounded once.  On ky = 0 and -pi, sin ky is 0 and rho is
+    R +- r, in place of the float sin(-pi).  No gap check: where |h| = 0
+    this raises ZeroDivisionError.
     """
     cx = math.cos(kx)
-    sy, cy, rho, hz = _trig_rho(ky, p)[:4]
+    if ky in (0.0, -math.pi):
+        sy, cy, hz = 0.0, math.cos(ky), 0.0
+        rho = p.R + p.r * cy
+    else:
+        sy, cy, rho, hz = _trig_rho(ky, p)[:4]
     u = rho * cx + p.c
     gap = census_gap(p, ky) if cx == -1.0 and ky in (0.0, -math.pi) else math.sqrt(u * u + hz * hz)
     rr = p.r * p.R
@@ -651,21 +656,15 @@ def fraction_phase(R, r, c):
     return phase
 
 
-def placed(p):
-    """(phase, roots) as a sweep cell hands them on: ``_phase(p)``, and the roots of ``_kx_pi_roots`` at 4."""
-    phase = _phase(p)
-    return phase, _kx_pi_roots(p) if phase == 4 else []
-
-
-def loop_gap_min(p):
-    """gap_min as the smallest |h| over u = -1, 1 and, for c_p < c < c_f on fractions, each root of ``_kx_pi_roots``."""
+def loop_root_gap(p):
+    """The smallest |h| over each root of ``_kx_pi_roots`` for c_p < c < c_f on fractions, else inf: a loop with ``min``."""
     R, r, c = p.R, p.r, p.c
     least = math.inf
-    for u in (-1.0, 1.0, *(_kx_pi_roots(p) if fraction_phase(R, r, c) == 4 else ())):
+    for u in _kx_pi_roots(p) if fraction_phase(R, r, c) == 4 else ():
         sin_sq = 1.0 - u * u
         rho = math.sqrt((R + r * u) ** 2 + r * r * sin_sq)
-        least = min(least, (rho - c) ** 2 + r * r * sin_sq)
-    return math.sqrt(least)
+        least = min(least, math.sqrt((rho - c) ** 2 + r * r * sin_sq))
+    return least
 
 
 def integrand_preimage_count(p, g):

@@ -1,6 +1,7 @@
 """Chern number: dual discretizations, gap structure, phase boundaries."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from oracles import (
     frame_chern_direct,
     frame_degree_integrand,
     integrand_preimage_count,
-    loop_gap_min,
+    loop_root_gap,
     params_near_critical,
     periodic_unit_grid,
     random_gapped_params,
@@ -114,6 +115,26 @@ def params_at_critical_shifts(draw):
     return R, r, c
 
 
+def _end_gaps(p):
+    """For u = -1 and 1, the floats that gap_min may read for |c - (R -+ r)|, on fractions.
+
+    That is the value rounded once where c lies within a factor 2 of the
+    float R -+ r, where c - (R -+ r) needs one rounding only, and any float
+    within 1 ulp of it elsewhere.
+    """
+    R, r, c = p
+    ends = []
+    for sign in (-1, 1):
+        exact = abs(Fraction(c) - Fraction(R) - sign * Fraction(r))
+        near = float(exact)
+        if (R + sign * r) / 2 <= c <= 2 * (R + sign * r):
+            ends.append({near})
+        else:
+            floats = (math.nextafter(near, -math.inf), near, math.nextafter(near, math.inf))
+            ends.append({x for x in floats if abs(Fraction(x) - exact) <= Fraction(math.ulp(near))})
+    return ends
+
+
 @settings(max_examples=400)
 @given(params_at_critical_shifts())
 @example((3, 1, 2))
@@ -121,11 +142,18 @@ def params_at_critical_shifts(draw):
 @example((3.0, 1.0, 8.0 / 3.0))
 @example((3.0, 1.0, critical_shifts(3.0, 1.0)[3]))
 @example((2**53 + 1, 1, 2**53))
+@example((1.0, 0.1, 1.1))
+@example((1e-30, 1e-50, 1e-30))
 def test_gap_min_bits_match_the_loop(params):
-    # the unrolled ends and the skipped solver give the loop's bits, at and
-    # next to the closings and the bifurcations, for integer R and r too
+    # gap_min is the least of |c - (R -+ r)| at the ends u = -+1 and of |h|
+    # at the roots of the cubic: the roots give the loop's bits, at and next
+    # to the closings and the bifurcations, for integer R and r too, and the
+    # ends |c - (R -+ r)| on fractions, which fl(c - fl(R -+ r)) misses next
+    # to a closing: at (1, 0.1, 1.1) it is 8.3e-17, not 0
     p = ModelParams(*params)
-    assert gap_min(p).hex() == loop_gap_min(p).hex()
+    got, at_roots, ends = gap_min(p), loop_root_gap(p), _end_gaps(p)
+    assert got <= at_roots and all(got <= max(end) for end in ends)
+    assert got == at_roots or any(got in end for end in ends)
 
 
 def test_gap_min_matches_boundary_roots():

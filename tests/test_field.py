@@ -15,7 +15,7 @@ from hypothesis import given, settings
 
 from blochflow import KPoint, ModelParams
 from blochflow.errors import GaplessPoint, TopologyError
-from blochflow.model import EPS_GAP
+from blochflow.model import EPS_GAP, _placed
 from blochflow.zeromode import _closed_form_census
 
 from oracles import (
@@ -27,7 +27,6 @@ from oracles import (
     frame_components,
     generic_velocity_and_gap,
     params_near_critical,
-    placed,
     pointwise,
     velocity_and_gap,
     velocity_generic,
@@ -146,7 +145,7 @@ def test_hessian_matches_finite_differences(params):
     # open: the diagonal matches and the off-diagonal vanishes
     p = ModelParams(*params)
     try:
-        points = _closed_form_census(p, *placed(p))
+        points = _closed_form_census(p, *_placed(p))
     except TopologyError:
         return
     for kx, ky, _ in points:

@@ -94,3 +94,18 @@ def test_zero_bifurcations_has_no_caller_in_src():
     ]
     assert calls == []
     assert "zero_bifurcations" in blochflow.model.__dict__
+
+
+def test_the_phase_and_the_roots_have_one_caller_in_src():
+    # c is placed once: model._placed calls _phase and, at its position 4,
+    # _kx_pi_roots, and every other function takes both from it
+    for name in ("_phase", "_kx_pi_roots"):
+        callers = [
+            (module, function.name)
+            for module, tree in _modules().items()
+            for function in ast.walk(tree)
+            if isinstance(function, ast.FunctionDef)
+            for node in ast.walk(function)
+            if isinstance(node, ast.Call) and name in (getattr(node.func, a, None) for a in ("id", "attr"))
+        ]
+        assert callers == [("model", "_placed")]

@@ -9,8 +9,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import blochflow.chern
+import blochflow.model
 import blochflow.sweep
-import blochflow.zeromode
 from blochflow import ModelParams, SweepAxis, chern_plaquette, euler_characteristic, sweep_chern
 from blochflow.chern import EPS_GAP_CHERN, _gap_min, gap_min
 from blochflow.cli import CSV_HEADER, grid_to_csv
@@ -337,16 +337,16 @@ def test_chern_sweep_computes_gap_once_per_cell(monkeypatch):
 )
 def test_a_cell_solves_the_cubic_at_most_once(monkeypatch, sweep, axes, solves):
     # phase-diagram --quantity euler --axis c:0:5.8:59, and the 57 x 5 Chern
-    # grid, at (3, 1): a cell solves the kx = pi cubic once for its gap_min
-    # and its census where c_p < c < c_f on fractions, and nowhere else
+    # grid, at (3, 1): a cell solves the kx = pi cubic once, in model._placed,
+    # for its gap_min and its census where c_p < c < c_f on fractions, and
+    # nowhere else
     calls = []
 
     def counting(p):
         calls.append(p)
         return _kx_pi_roots(p)
 
-    for module in (blochflow.sweep, blochflow.chern, blochflow.zeromode):
-        monkeypatch.setattr(module, "_kx_pi_roots", counting)
+    monkeypatch.setattr(blochflow.model, "_kx_pi_roots", counting)
     grid = sweep(axes, ModelParams(3.0, 1.0, 1.0))
     assert calls == [cell.params for cell in grid.cells if fraction_phase(*cell.params) == 4]
     assert len(calls) == solves

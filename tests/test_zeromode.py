@@ -25,23 +25,20 @@ from blochflow.errors import (
     NonIsolatedZero,
     TopologyError,
 )
-from blochflow.model import PARAM_MAX, PARAM_MIN, _phase, _trig_rho, zero_bifurcations
+from blochflow.model import PARAM_MAX, PARAM_MIN, _phase, _placed, _trig_rho, zero_bifurcations
 from blochflow.zeromode import _census_zeros, _chi, _closed_form_census, _line_jacobians, ZeroKind
 
 from oracles import (
     SMALL_C_LIMIT,
     array_hessian,
-    array_velocity_and_gap,
     axis_distance,
     brute_zero_census,
     census_fold,
-    census_gap,
     census_jacobian,
     classify,
     fraction_phase,
     full_backtrack_census,
     params_near_critical,
-    placed,
     random_gapped_params,
     torus_distance,
     velocity_and_gap,
@@ -359,32 +356,41 @@ def test_census_matches_full_backtrack_oracle(params):
 
 
 def test_census_kernel_work(monkeypatch):
-    # the census kernel evaluates the factors of each distinct |ky| once, on
-    # floats, and nothing else: the fixed zeros share the lines ky = -pi and
-    # 0, and each pair (pi, -+arccos u) one more, so 2 lines for 4 zeros and
-    # 4 for 8; every consumer of the kernel does the same work
-    lines = []
+    # the census kernel evaluates each distinct |ky| line once, on floats,
+    # and nothing else: the fixed zeros share the lines ky = -pi and 0, and
+    # each pair (pi, -+arccos u) one more, so 2 lines for 4 zeros and 4 for
+    # 8.  The fixed lines take sin ky = 0 and rho = R +- r, so only a pair's
+    # line calls _trig_rho.  Every consumer of the kernel does the same work
+    lines, trig = [], []
 
-    def counting(ky, p):
+    def counting_lines(ky, p):
         assert type(ky) is float
         lines.append(ky)
+        return _line_jacobians(ky, p)
+
+    def counting_trig(ky, p):
+        trig.append(ky)
         return _trig_rho(ky, p)
 
-    monkeypatch.setattr(blochflow.zeromode, "_trig_rho", counting)
+    monkeypatch.setattr(blochflow.zeromode, "_line_jacobians", counting_lines)
+    monkeypatch.setattr(blochflow.zeromode, "_trig_rho", counting_trig)
     assert not hasattr(blochflow.zeromode, "np")
     for c, count in ((1.2, 2), (3.0, 4), (4.5, 2)):
         p = ModelParams(3, 1, c)
         lines.clear()
-        zeros = _census_zeros(p, *placed(p))
+        trig.clear()
+        zeros = _census_zeros(p, *_placed(p))
         assert len(zeros) == 2 * count
-        assert len(lines) == count
+        assert len(lines) == count and len(trig) == count - 2
         assert sorted(abs(y) for y in lines) == sorted({abs(z[1]) for z in zeros})
+        assert all(abs(y) not in (0.0, PI) for y in trig)
         assert all(type(x) is float for z in zeros for x in z[:4])
         assert all(type(z[4]) is ZeroKind for z in zeros)
-        for consumer in (lambda p: _chi(p, *placed(p)), euler_characteristic):
+        for consumer in (lambda p: _chi(p, *_placed(p)), euler_characteristic):
             lines.clear()
+            trig.clear()
             consumer(p)
-            assert len(lines) == count
+            assert len(lines) == count and len(trig) == count - 2
 
 
 @settings(max_examples=300)
@@ -440,7 +446,7 @@ def _refusal(census, p):
 def _oracle_zeros(p):
     """(kx, ky, det, trace, kind) at each census point: det and trace by the per-zero oracle Jacobian."""
     zeros = []
-    for kx, ky, kind in _closed_form_census(p, *placed(p)):
+    for kx, ky, kind in _closed_form_census(p, *_placed(p)):
         hxx, hyy = census_jacobian(kx, ky, p)
         zeros.append((kx, ky, hxx * hyy, hxx + hyy, kind))
     return zeros
@@ -470,8 +476,8 @@ def test_census_kernel_matches_the_per_zero_oracle(params):
     # all three raise the census's error with the same message
     p = ModelParams(*params)
     want = _refusal(_oracle_zeros, p)
-    got, res = _refusal(lambda p: _census_zeros(p, *placed(p)), p), _refusal(euler_characteristic, p)
-    chi = _refusal(lambda p: _chi(p, *placed(p)), p)
+    got, res = _refusal(lambda p: _census_zeros(p, *_placed(p)), p), _refusal(euler_characteristic, p)
+    chi = _refusal(lambda p: _chi(p, *_placed(p)), p)
     if not isinstance(want, list):
         assert got == res == chi == want
         return
@@ -522,12 +528,13 @@ def test_census_answers_next_to_zero_and_the_closings(params):
 
 
 # det J at (pi, 0) and (pi, pi) is + and - c r R (c - c_p) / (c - (R +- r))^2.
-# The kernel's relative error is at most DET_BOUND (eps + delta) (1 + kappa):
+# The kernel's relative error is at most DET_BOUND eps (1 + kappa):
 # kappa = ((R +- r)^2 + c R) / (R |c - c_p|) is the cancellation of G_yy's
-# terms next to c_p, and delta = (r sin(-pi) / (R - r))^2 at (pi, pi) the
-# float ky = -pi's share in rho (0 at ky = 0).  Measured: at most 1.9 on
-# 160,000 sets drawn as in band_params and within 1e-12 R to 1e-3 R of c_p,
-# c_f and R -+ r, with every product normal.
+# terms next to c_p.  The kernel takes sin ky = 0 and rho = R +- r on both
+# fixed lines, so the float sin(-pi) adds no term at (pi, pi).  Measured: at
+# most 2.3 on 160,000 sets drawn as in band_params and within 1e-12 R to
+# 1e-3 R of c_p, c_f and R -+ r, with every product normal (101.8 with
+# rho from the float sin(-pi)).
 DET_BOUND = 4.0
 
 
@@ -535,6 +542,7 @@ DET_BOUND = 4.0
 @given(st.one_of(band_params(), kernel_params()))
 @example((1.0, 0.1, 1.1))
 @example((2.0, 1.0, 1.175494351e-38))
+@example((860.6578062862046, 860.6578054147086, 1.7635407707058508e-06))  # rho at (pi, pi) is R - r, not 7.3e-15 more
 def test_fixed_zero_det_matches_the_factored_form(params):
     p = ModelParams(*params)
     R, r, c = (Fraction(x) for x in p)
@@ -548,9 +556,8 @@ def test_fixed_zero_det_matches_the_factored_form(params):
             continue  # a subnormal product has fewer bits than eps assumes
         want = sign * c * r * R * (c - c_p) / (c - closing) ** 2
         kappa = (closing**2 + c * R) / (R * abs(c - c_p))
-        delta = (r * Fraction(math.sin(PI)) / (R - r)) ** 2 if sign < 0 else 0
         eps = Fraction(sys.float_info.epsilon)
-        assert abs(Fraction(det) - want) <= DET_BOUND * (eps + delta) * (1 + kappa) * abs(want), (p, ky, det)
+        assert abs(Fraction(det) - want) <= DET_BOUND * eps * (1 + kappa) * abs(want), (p, ky, det)
 
 
 @st.composite
@@ -576,38 +583,50 @@ def hessian_params(draw):
 @given(hessian_params())
 @example((1.0, 1e-08, 0.9999999999999999))
 @example((1.0, 1e-08, 0.99999999))
+@example((1.0, 0.99999999, 1.9999999989472883e-08))
 def test_float_hessian_matches_array_oracle(params):
-    # at every census zero the diagonal Jacobian (math) is the general-point
-    # array Hessian (the oracle, numpy, whose rho**3 is its own power) up to
-    # the last bits, the oracle's hxy is rounding noise, and both show the
-    # same kind wherever each diagonal entry is well above those bits.  At
-    # (pi, 0) and (pi, pi) the oracle's |h| is the float sqrt, whose rho
-    # rounds R +- r: next to a closing it loses digits that census_jacobian's
-    # |c - (R +- r)| keeps, as at (1, 1e-8, 0.9999999999999999).  There the
-    # oracle's entries are scaled to the census's |h|.  Its float ky = -pi
-    # also gives it hz = r sin(-pi) and a vx of c rho sin(-pi) / |h|, terms of
-    # relative size (1e-16 R / |h|)^2 in its Hessian; where its |h| is at
-    # most 1e-9 R, as at (1, 1e-8, 0.99999999), they exceed the test's bound
-    # and the point is skipped (the factored-form test checks it).
+    # at every census zero the diagonal Jacobian (math) is the oracle up to
+    # the last bits, and both show the same kind wherever each diagonal
+    # entry is well above those bits.  Off ky = 0 and -pi the oracle is the
+    # general-point array Hessian (numpy, whose rho**3 is its own power),
+    # whose hxy is rounding noise.  On those fixed lines the census takes
+    # sin ky = 0 and rho = R +- r, and the oracle is their factored form on
+    # fractions, whose hyy's last bits scale with the terms that cancel next
+    # to c_p: the array Hessian at the float ky = -pi carries r sin(-pi) in
+    # rho and hz, which next to a closing is far above those bits, as at
+    # (1, 0.99999999, 1.9999999989472883e-08)
     p = ModelParams(*params)
     try:
-        points = _closed_form_census(p, *placed(p))
+        points = _closed_form_census(p, *_placed(p))
     except TopologyError:
         return
     for kx, ky, _ in points:
         hxx, hyy = census_jacobian(kx, ky, p)
-        x, y = np.array([kx]), np.array([ky])
-        want = [float(h[0]) for h in array_hessian(x, y, p)]
-        if kx == -PI and ky in (0.0, -PI):
-            gap = float(array_velocity_and_gap(x, y, p)[2][0])
-            if gap <= 1e-9 * p.R:
-                continue
-            want = [h * (gap / census_gap(p, ky)) for h in want]
-        scale = max(abs(h) for h in want)
+        if ky in (0.0, -PI):
+            want, terms = _factored_hessian(kx, ky, p)
+        else:
+            want, terms = [float(h[0]) for h in array_hessian(np.array([kx]), np.array([ky]), p)], 0.0
+        scale = max(terms, *(abs(h) for h in want))
         got = (hxx, 0.0, hyy)
         assert all(abs(a - b) <= 1e-13 * scale for a, b in zip(got, want)), (got, want)
         if min(abs(hxx), abs(hyy)) > 1e-12 * scale:
             assert _shown(hxx * hyy, hxx + hyy) is _shown(want[0] * want[2] - want[1] ** 2, want[0] + want[2])
+
+
+def _factored_hessian(kx, ky, p):
+    """(hxx, hxy, hyy) at a fixed zero, kx and ky in {0, -pi}, on fractions and each rounded once, and their scale.
+
+    With cx = cos kx, cy = cos ky and rho = R + r cy: hxx = -c rho cx / |h|,
+    hxy = 0 and hyy = G_yy / |h| = r (r - R cy (1 + c cx / rho)) / |h|, with
+    |h| = |rho cx + c|.  The terms r R, c r R / rho and r^2 of G_yy cancel
+    next to c_p, so the scale of hyy's last bits is their sum over |h|.
+    """
+    R, r, c = (Fraction(x) for x in p)
+    cx, cy = (1 if k == 0.0 else -1 for k in (kx, ky))
+    rho = R + r * cy
+    gap = abs(rho * cx + c)
+    want = [float(-c * rho * cx / gap), 0.0, float(r * (r - R * cy * (1 + c * cx / rho)) / gap)]
+    return want, float((r * R + c * r * R / rho + r * r) / gap)
 
 
 @settings(max_examples=100)
