@@ -38,8 +38,6 @@ leaves the unit Bloch vector unchanged).  ``gap_min`` finds that gap in
 closed form, on the line kx = pi.
 """
 
-from __future__ import annotations
-
 import math
 from typing import NamedTuple
 

@@ -35,8 +35,6 @@ cell, and hands its position and the cubic's roots to ``chern.gap_min``
 and ``zeromode``: C, the zero count and the kinds follow from it.
 """
 
-from __future__ import annotations
-
 import collections
 import math
 from typing import BinaryIO, Iterator, NamedTuple

@@ -18,8 +18,6 @@ sum of the census kernel's exact kinds (``zeromode._chi``), no records.
 Identical sweep inputs give identical grids; ``cli`` writes them as CSV.
 """
 
-from __future__ import annotations
-
 import collections
 import itertools
 import math

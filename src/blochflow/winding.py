@@ -22,8 +22,6 @@ Samples, fields and angles are lists of floats, computed with ``math``.
   caller's analytic derivative of E.
 """
 
-from __future__ import annotations
-
 import math
 from typing import NamedTuple
 

@@ -31,8 +31,6 @@ zone [-pi, pi]^2 exactly when a coordinate equals -pi; the `zeros`
 output of ``cli`` lists its closed-zone copies with their weights.
 """
 
-from __future__ import annotations
-
 import math
 from enum import Enum
 from typing import NamedTuple

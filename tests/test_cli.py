@@ -8,6 +8,8 @@ import sys
 import warnings
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 import blochflow
 from blochflow import (
@@ -22,9 +24,10 @@ from blochflow import (
 )
 from blochflow import model
 from blochflow.chern import chern_direct
-from blochflow.cli import COMMANDS, closed_zone_records, main
+from blochflow.cli import COMMANDS, _json, closed_zone_records, main
+from blochflow.model import PARAM_MAX, PARAM_MIN
 
-from oracles import surface_csv_rows
+from oracles import critical_shifts, surface_csv_rows
 
 
 def run(capsys, argv):
@@ -295,6 +298,54 @@ def test_winding_keeps_the_bytes_of_drawn_circles(capsys):
         assert (rc, out, err) == (0, json.dumps(doc, indent=2) + "\n", "")
 
 
+def test_json_writer_matches_json_dumps():
+    record = {"zero": -0.0, "tiny": 5e-324, "huge": 1e300, "n": -7, "kind": "saddle"}
+    for doc in (record, [record, {"kx": -math.pi, "weight_den": 4}]):
+        assert _json(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+@st.composite
+def scaled_params(draw):
+    """(R, r, c) with R from 1e-3 to 1e3, or the largest parameter at PARAM_MAX, or r at
+    PARAM_MIN; c lies at least 0.05 R from 0, the closings and the census bifurcations,
+    where no command refuses (closer to a closing, the direct quadrature can)."""
+    ratio, shift = draw(st.floats(0.2, 0.8)), draw(st.floats(0.05, 2.5))
+    edge = draw(st.sampled_from(("scale", "max", "min")))
+    if edge == "scale":
+        R = 10.0 ** draw(st.floats(-3.0, 3.0))
+    elif edge == "max":
+        R = PARAM_MAX / max(1.0, shift)
+    else:
+        R = PARAM_MIN / ratio
+    r, c = max(ratio * R, PARAM_MIN), min(shift * R, PARAM_MAX)
+    assume(all(abs(c - v) > 0.05 * R for v in critical_shifts(R, r)))
+    return R, r, c
+
+
+# the four JSON commands: zeros (whose records include copies on the -pi
+# edges and at the corner), euler, both Chern methods, and winding
+JSON_COMMANDS = (["zeros"], ["euler"], ["chern"], ["chern", "--method", "direct"], ["winding"])
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(scaled_params())
+def test_json_bytes_are_json_dumps(tmp_path, capsys, params):
+    # what each command prints is json.dumps(doc, indent=2) of what it means,
+    # and --out gets the same bytes
+    flags = [f"--{name}={x!r}" for name, x in zip(("R", "r", "c"), params)]
+    for command in JSON_COMMANDS:
+        rc, out, err = run(capsys, [*command, *flags])
+        assert (rc, err) == (0, "")
+        tail = ""
+        if command == ["zeros"]:
+            out, tail = out[: out.rindex("chi ")], out[out.rindex("chi ") :]
+            assert {rec["weight_den"] for rec in json.loads(out)} == {1, 2, 4}
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+        path = tmp_path / "out"
+        assert run(capsys, [*command, *flags, "--out", str(path)]) == (0, tail, "")
+        assert path.read_bytes() == out.encode()
+
+
 def test_phase_diagram_csv(tmp_path, capsys):
     out_path = tmp_path / "pd.csv"
     rc, _, _ = run(
@@ -355,44 +406,48 @@ def _blochflow(*argv, **popen_args):
 
 # Every subcommand, then --help and --version, run through cli.main in one
 # process that cannot import numpy: numpy is a test-only package.  The field
-# dump writes every line from this one process.
-_WITHOUT_NUMPY = """
-import json, sys
+# dump writes every line from this one process.  The commands are written
+# into the script and its results printed as reprs, so that the script
+# itself imports nothing that the CLI must not.
+_WITHOUT_NUMPY_COMMANDS = [
+    ["zeros", "--c", "3"],
+    ["euler", "--c", "3"],
+    ["chern", "--c", "3"],
+    ["chern", "--c", "3", "--method", "direct"],
+    ["winding", "--c", "3"],
+    ["phase-diagram", "--axis", "c:0.5:4.5:9", "--quantity", "chern"],
+    ["phase-diagram", "--axis", "c:0.5:4.5:9", "--quantity", "euler"],
+    ["field-dump", "--grid-n", "17"],
+]
+_WITHOUT_NUMPY = f"""
+import sys
 sys.modules["numpy"] = None  # from here on, `import numpy` raises ImportError
 from blochflow.cli import main
-out, commands = sys.argv[1], json.loads(sys.argv[2])
+out, commands = sys.argv[1], {_WITHOUT_NUMPY_COMMANDS!r}
 codes = [main([*argv, "--out", out]) for argv in commands]
 codes += [main(argv) for argv in (["--help"], ["--version"], *([cmd, "--help"] for cmd, *_ in commands))]
-print(json.dumps(codes))
+print(codes)
 # the modules that start-up must not pay for: dataclasses alone takes
 # inspect, ast, dis and tokenize with it, and argparse takes gettext and
-# then locale
-print(json.dumps(sorted({"dataclasses", "inspect", "argparse", "gettext", "locale"} & set(sys.modules))))
+# then locale; json with its C part _json takes about 2.3 ms and
+# __future__ about 0.2 ms, measured in process on a 2 vCPU Xeon
+unwanted = {{"dataclasses", "inspect", "argparse", "gettext", "locale", "json", "_json", "__future__"}}
+print(sorted(unwanted & set(sys.modules)))
 """
 
 
 def test_every_subcommand_runs_without_numpy(tmp_path):
-    commands = [
-        ["zeros", "--c", "3"],
-        ["euler", "--c", "3"],
-        ["chern", "--c", "3"],
-        ["chern", "--c", "3", "--method", "direct"],
-        ["winding", "--c", "3"],
-        ["phase-diagram", "--axis", "c:0.5:4.5:9", "--quantity", "chern"],
-        ["phase-diagram", "--axis", "c:0.5:4.5:9", "--quantity", "euler"],
-        ["field-dump", "--grid-n", "17"],
-    ]
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(blochflow.__file__))}
     proc = subprocess.run(
-        [sys.executable, "-c", _WITHOUT_NUMPY, str(tmp_path / "out"), json.dumps(commands)],
+        [sys.executable, "-c", _WITHOUT_NUMPY, str(tmp_path / "out")],
         env=env,
         capture_output=True,
         timeout=120,
     )
     assert (proc.returncode, proc.stderr) == (0, b"")
-    codes, unwanted = proc.stdout.splitlines()[-2:]
-    assert json.loads(codes) == [0] * (2 * len(commands) + 2)
-    assert json.loads(unwanted) == []
+    codes, unwanted = proc.stdout.decode().splitlines()[-2:]
+    assert codes == repr([0] * (2 * len(_WITHOUT_NUMPY_COMMANDS) + 2))
+    assert unwanted == "[]"
     # the last one wrote the whole dump
     assert (tmp_path / "out").read_text().count("\n") == 1 + 17 * 17
 
