@@ -38,8 +38,8 @@ leaves the unit Bloch vector unchanged).  ``gap_min`` finds that gap in
 closed form, on the line kx = pi.
 """
 
+import collections
 import math
-from typing import NamedTuple
 
 from .errors import DegenerateTriangle, GaplessModel, InsufficientSampling
 from .model import TWO_PI, ModelParams, _bloch, _kx_trig, _past_closings, _placed, _trig_rho
@@ -57,12 +57,8 @@ DIRECT_N = 256
 DIRECT_TOL = 1e-2
 
 
-class ChernResult(NamedTuple):
-    raw: float
-    value: int
-    gap_min: float
-    method: str  # "plaquette_solid_angle" or "direct_quadrature"
-    grid_n: int
+# method is "plaquette_solid_angle" or "direct_quadrature"
+ChernResult = collections.namedtuple("ChernResult", "raw value gap_min method grid_n")
 
 
 def _degree_integrand(cx: list, ky: float, p: ModelParams) -> list:

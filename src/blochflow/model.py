@@ -37,7 +37,6 @@ and ``zeromode``: C, the zero count and the kinds follow from it.
 
 import collections
 import math
-from typing import BinaryIO, Iterator, NamedTuple
 
 from .errors import SpoolError
 
@@ -92,11 +91,10 @@ class ModelParams(collections.namedtuple("ModelParams", "R r c")):
         return cls(*iterable)
 
 
-class KPoint(NamedTuple):
+class KPoint(collections.namedtuple("KPoint", "kx ky")):
     """A crystal-momentum point, kx and ky in radians."""
 
-    kx: float
-    ky: float
+    __slots__ = ()
 
     def canonical(self) -> "KPoint":
         """Equivalent representative in the fundamental domain [-pi, pi)^2."""
@@ -305,7 +303,7 @@ def _surface_line(p: ModelParams, plan: tuple, y: float, heads: tuple) -> list:
     return lines
 
 
-def _ky_lines(p: ModelParams, plan: tuple, ys: list, heads: list) -> Iterator[bytes]:
+def _ky_lines(p: ModelParams, plan: tuple, ys: list, heads: list):
     """Yield the ky lines of the dump in order, each as bytes.
 
     ``ys`` holds the ky values and ``heads`` their strings, each with its
@@ -339,7 +337,7 @@ def _ky_lines(p: ModelParams, plan: tuple, ys: list, heads: list) -> Iterator[by
         raise SpoolError(f"the field dump's spool in TMPDIR{where}: {e}") from e
 
 
-def write_surface_csv(p: ModelParams, n: int, fh: BinaryIO) -> None:
+def write_surface_csv(p: ModelParams, n: int, fh) -> None:
     """Write h and the velocity on an n x n uniform grid over [-pi, pi)^2 as CSV to the binary file ``fh``.
 
     One row per node, ky the slow index and kx the fast one, floats with

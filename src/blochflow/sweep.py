@@ -21,7 +21,6 @@ Identical sweep inputs give identical grids; ``cli`` writes them as CSV.
 import collections
 import itertools
 import math
-from typing import NamedTuple
 
 from .chern import _chern_preimages, _gap_min
 from .errors import DegenerateField, DegenerateZero, GaplessModel, NonIsolatedZero
@@ -77,16 +76,9 @@ class SweepAxis(collections.namedtuple("SweepAxis", "name start stop steps")):
         return [self.start + i * step for i in range(n)] + [self.stop]
 
 
-class SweepCell(NamedTuple):
-    params: ModelParams
-    chern: int | None
-    chi: int | None
-    gap_min: float
-    status: str
-
-
-class PhaseDiagramGrid(NamedTuple):
-    cells: tuple
+# chern and chi are None where the cell's quantity is the other one or status is not "ok"
+SweepCell = collections.namedtuple("SweepCell", "params chern chi gap_min status")
+PhaseDiagramGrid = collections.namedtuple("PhaseDiagramGrid", "cells")
 
 
 def _cell_param_sets(axes, base: ModelParams):

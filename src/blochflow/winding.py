@@ -22,8 +22,8 @@ Samples, fields and angles are lists of floats, computed with ``math``.
   caller's analytic derivative of E.
 """
 
+import collections
 import math
-from typing import NamedTuple
 
 from .errors import GaplessPoint, InsufficientSampling, ZeroOnLoop
 from .model import EPS_GAP, TWO_PI, KPoint, ModelParams, _bloch, _kx_trig, _trig_rho, reduce_angle
@@ -35,15 +35,31 @@ MAX_INCREMENT = math.pi / 2
 NORM_FLOOR = 1e-12
 
 
-class LoopSpec(NamedTuple):
-    """A closed sampling loop in the zone: a circle or an explicit polyline."""
+class LoopSpec(collections.namedtuple("LoopSpec", "center radius points", defaults=(None, 0.0, None))):
+    """A closed sampling loop in the zone: a circle or an explicit polyline.
 
-    center: KPoint | None = None
-    radius: float = 0.0
-    points: tuple | None = None
+    A circle has a KPoint ``center`` and a ``radius``, a polyline its
+    ``points`` alone (``circle``, ``polyline``).  An immutable named tuple:
+    construction, ``_make``, ``_replace`` and unpickling (pickle protocol 2
+    and up) all check the loop.
+    """
 
-    @classmethod
-    def circle(cls, center: KPoint, radius: float) -> "LoopSpec":
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        loop = super().__new__(cls, *args, **kwargs)
+        center, radius, points = loop
+        if (center is None) is (points is None) or points is not None and radius != 0.0:
+            raise ValueError("a loop takes a center and a radius (a circle) or points alone (a polyline)")
+        if points is not None:
+            if len(points) < MIN_SAMPLES + 1:
+                raise ValueError(f"polyline loop needs at least {MIN_SAMPLES + 1} points")
+            if not all(math.isfinite(q.kx) and math.isfinite(q.ky) for q in points):
+                raise ValueError("polyline points must be finite")
+            first, last = points[0].canonical(), points[-1].canonical()
+            if math.hypot(reduce_angle(first.kx - last.kx), reduce_angle(first.ky - last.ky)) > 1e-9:
+                raise ValueError("polyline loop must be closed (first and last point coincide)")
+            return loop
         if not (math.isfinite(center.kx) and math.isfinite(center.ky)):
             raise ValueError(f"loop center must be finite, got ({center.kx}, {center.ky})")
         if not 0.0 < radius < math.inf:
@@ -51,22 +67,20 @@ class LoopSpec(NamedTuple):
         # center +- radius rounding back to the center would put every sample on one kx or one ky
         if any(x + radius == x or x - radius == x for x in center):
             raise ValueError(f"loop radius {radius!r} is too small to move center {tuple(center)} in floats")
+        return loop
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's own _make, which _replace calls, bypasses __new__
+        return cls(*iterable)
+
+    @classmethod
+    def circle(cls, center: KPoint, radius: float) -> "LoopSpec":
         return cls(center=center, radius=radius)
 
     @classmethod
     def polyline(cls, points) -> "LoopSpec":
-        pts = tuple(points)
-        if len(pts) < MIN_SAMPLES + 1:
-            raise ValueError(f"polyline loop needs at least {MIN_SAMPLES + 1} points")
-        if not all(math.isfinite(q.kx) and math.isfinite(q.ky) for q in pts):
-            raise ValueError("polyline points must be finite")
-        first = pts[0].canonical()
-        last = pts[-1].canonical()
-        if math.hypot(
-            reduce_angle(first.kx - last.kx), reduce_angle(first.ky - last.ky)
-        ) > 1e-9:
-            raise ValueError("polyline loop must be closed (first and last point coincide)")
-        return cls(points=pts)
+        return cls(points=tuple(points))
 
     def sample_points(self, n: int) -> tuple:
         """Loop sample coordinates as lists (kx, ky), closure left implicit: n on a circle, a polyline's own."""
@@ -79,11 +93,7 @@ class LoopSpec(NamedTuple):
         )
 
 
-class WindingResult(NamedTuple):
-    w: int
-    total_angle: float
-    min_field_norm: float
-    samples: int
+WindingResult = collections.namedtuple("WindingResult", "w total_angle min_field_norm samples")
 
 
 def winding_planar(field_samples) -> WindingResult:

@@ -31,9 +31,9 @@ zone [-pi, pi]^2 exactly when a coordinate equals -pi; the `zeros`
 output of ``cli`` lists its closed-zone copies with their weights.
 """
 
+import collections
 import math
 from enum import Enum
-from typing import NamedTuple
 
 from .errors import DegenerateField, DegenerateZero, GaplessModel, NonIsolatedZero
 from .model import KPoint, ModelParams, _placed, _trig_rho
@@ -48,13 +48,10 @@ class ZeroKind(Enum):
 SINK, SOURCE, SADDLE = ZeroKind
 
 
-class ZeroMode(NamedTuple):
-    """A located, classified zero of the velocity field."""
+class ZeroMode(collections.namedtuple("ZeroMode", "location det trace kind")):
+    """A located, classified zero of the velocity field: a KPoint, det J, trace J and a ZeroKind."""
 
-    location: KPoint
-    det: float
-    trace: float
-    kind: ZeroKind
+    __slots__ = ()
 
     @property
     def index(self) -> int:
@@ -62,9 +59,7 @@ class ZeroMode(NamedTuple):
         return -1 if self.kind is SADDLE else 1
 
 
-class EulerResult(NamedTuple):
-    chi: int
-    modes: list
+EulerResult = collections.namedtuple("EulerResult", "chi modes")
 
 
 def _closed_form_census(p: ModelParams, phase: int, roots: list):

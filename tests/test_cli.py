@@ -430,16 +430,18 @@ print(codes)
 # the modules that start-up must not pay for: dataclasses alone takes
 # inspect, ast, dis and tokenize with it, and argparse takes gettext and
 # then locale; json with its C part _json takes about 2.3 ms and
-# __future__ about 0.2 ms, measured in process on a 2 vCPU Xeon
-unwanted = {{"dataclasses", "inspect", "argparse", "gettext", "locale", "json", "_json", "__future__"}}
+# __future__ about 0.2 ms, measured in process on a 2 vCPU Xeon; typing
+# takes contextlib with it, and re and warnings, which tempfile also takes
+unwanted = {{"dataclasses", "inspect", "argparse", "gettext", "locale", "json", "_json", "__future__", "typing"}}
 print(sorted(unwanted & set(sys.modules)))
 """
 
 
 def test_every_subcommand_runs_without_numpy(tmp_path):
+    # -S: no site, whose .pth files may preload typing or numpy and so hide an import of the CLI's own
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(blochflow.__file__))}
     proc = subprocess.run(
-        [sys.executable, "-c", _WITHOUT_NUMPY, str(tmp_path / "out")],
+        [sys.executable, "-S", "-c", _WITHOUT_NUMPY, str(tmp_path / "out")],
         env=env,
         capture_output=True,
         timeout=120,

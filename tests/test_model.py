@@ -2,6 +2,7 @@
 
 import errno
 import io
+import json
 import math
 import pickle
 import sys
@@ -13,8 +14,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from blochflow import KPoint, ModelParams, SweepAxis, model
-from blochflow.chern import gap_min
+from blochflow import KPoint, LoopSpec, ModelParams, SweepAxis, chern, model, sweep, winding, zeromode
+from blochflow.chern import chern_plaquette, gap_min
+from blochflow.cli import main
 from blochflow.errors import SpoolError
 from blochflow.model import (
     PARAM_MAX,
@@ -28,6 +30,9 @@ from blochflow.model import (
     write_surface_csv,
     zero_bifurcations,
 )
+from blochflow.sweep import sweep_chern, sweep_euler
+from blochflow.winding import winding_hermitian
+from blochflow.zeromode import euler_characteristic
 
 from oracles import (
     array_bloch_components,
@@ -145,6 +150,9 @@ def test_params_checks_match_the_generator_form(R, r, c):
         (SweepAxis, ("c", 0.0, 1.0, 3), {"start": 2.0}, "start < stop"),
         (SweepAxis, ("c", 0.0, 1.0, 3), {"steps": 2.5}, "steps must be an integer"),
         (SweepAxis, ("c", 0.0, 1.0, 3), {"steps": 3.0}, "steps must be an integer"),
+        (LoopSpec, (KPoint(0.0, 0.0), 0.3, None), {"radius": -0.3}, "must be positive and finite"),
+        (LoopSpec, (KPoint(0.0, 0.0), 0.3, None), {"radius": math.nan}, "must be positive and finite"),
+        (LoopSpec, (KPoint(0.0, 0.0), 0.3, None), {"center": None}, "a center and a radius .* or points alone"),
     ],
 )
 def test_validated_records_check_every_constructor(cls, good, bad, message):
@@ -167,6 +175,47 @@ def test_validated_records_check_every_constructor(cls, good, bad, message):
     forged = pickle.dumps(tuple.__new__(cls, values.values()))
     with pytest.raises(ValueError, match=message):
         pickle.loads(forged)
+
+
+# One instance of each public record class, with the command whose JSON
+# object lists that record's fields, if any.
+_RECORDS = {
+    "ModelParams": (lambda: ModelParams(3, 1, 1), None),
+    "KPoint": (lambda: KPoint(0.5, -1.0), None),
+    "SweepAxis": (lambda: SweepAxis("c", 0.5, 4.5, 9), None),
+    "LoopSpec": (lambda: LoopSpec.circle(KPoint(0.0, 0.0), 0.3), None),
+    "ZeroMode": (lambda: euler_characteristic(ModelParams(3, 1, 1)).modes[0], None),
+    "EulerResult": (lambda: euler_characteristic(ModelParams(3, 1, 3)), None),
+    "ChernResult": (lambda: chern_plaquette(ModelParams(3, 1, 3)), ["chern", "--c", "3"]),
+    "WindingResult": (lambda: winding_hermitian(LoopSpec.circle(KPoint(0.0, 0.0), 0.3), P1), ["winding", "--c", "3"]),
+    "SweepCell": (lambda: sweep_euler([SweepAxis("c", 0.5, 4.5, 3)], P1).cells[1], None),
+    "PhaseDiagramGrid": (lambda: sweep_chern([SweepAxis("c", 0.5, 4.5, 3)], P1), None),
+}
+
+
+def test_every_public_record_class_is_listed():
+    modules = (model, zeromode, chern, winding, sweep)
+    found = {name for m in modules for name, v in vars(m).items() if isinstance(v, type) and hasattr(v, "_fields")}
+    assert found == set(_RECORDS)
+
+
+@pytest.mark.parametrize("name", _RECORDS)
+def test_records_are_slotted_named_tuples(name, capsys):
+    build, command = _RECORDS[name]
+    record = build()
+    assert type(record).__name__ == name
+    # no instance __dict__: neither a new attribute nor a field can be set
+    assert not hasattr(record, "__dict__")
+    for attribute in ("note", record._fields[0]):
+        with pytest.raises(AttributeError):
+            setattr(record, attribute, None)
+    again = pickle.loads(pickle.dumps(record))
+    assert (again, type(again)) == (record, type(record))
+    if command:
+        # the CLI writes the record's _asdict() in field order, samples as samples_used
+        assert main(command) == 0
+        keys = list(json.loads(capsys.readouterr().out))
+        assert keys == [{"samples": "samples_used"}.get(f, f) for f in record._fields]
 
 
 def test_kpoint_canonical():
