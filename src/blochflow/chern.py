@@ -89,7 +89,7 @@ def gap_min(p: ModelParams) -> float:
 
         |h|^2 = (rho - c)^2 + r^2 (1 - u^2),   rho^2 = R^2 + r^2 + 2 R r u,
 
-    whose stationary points are u = -+1, where |h| = |c - (R -+ r)| (``model._past_closings``),
+    whose stationary points are u = -+1, where |h| = |c - (R -+ r)|, correctly rounded (``model._past_closings``),
     and the roots in (-1, 1) of the cubic ``model._kx_pi_cubic`` that ``model._placed`` hands on.
     """
     return _gap_min(p, _placed(p)[1])

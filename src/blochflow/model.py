@@ -58,7 +58,17 @@ def reduce_angle(x):
     return (x + math.pi) % TWO_PI - math.pi
 
 
-class ModelParams(collections.namedtuple("ModelParams", "R r c")):
+class _Checked:
+    """A checked named tuple's base: its ``_make``, so ``_replace`` too, runs ``__new__``, as namedtuple's does not."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class ModelParams(_Checked, collections.namedtuple("ModelParams", "R r c")):
     """Torus parameters: major radius R, tube radius r, axis shift c (default 0.0).
 
     Requires R > r > 0 so the image surface is embedded (never touches its
@@ -84,11 +94,6 @@ class ModelParams(collections.namedtuple("ModelParams", "R r c")):
         if c < 0.0:
             raise ValueError(f"axis shift c must be nonnegative, got c={c}")
         return super().__new__(cls, R, r, c)
-
-    @classmethod
-    def _make(cls, iterable):
-        # namedtuple's own _make, which _replace calls, bypasses __new__
-        return cls(*iterable)
 
 
 class KPoint(collections.namedtuple("KPoint", "kx ky")):
@@ -157,24 +162,28 @@ def zero_bifurcations(R: float, r: float) -> tuple:
     On kx = pi the zeros off ky in {0, pi} solve g(u) = c, with
     g(u) = rho (1 - (r/R) u) and u = cos ky.  Since g(-1) = g(1) = c_p, a
     zero pair splits off each of (pi, 0) and (pi, pi) at the pitchfork c_p;
-    the pairs merge again at the fold c_f, the maximum of g at u = -r/(3R).
+    the pairs merge again at the fold c_f, the maximum of g at u = -r/(3R).  ``ModelParams`` checks R and r.
     """
+    ModelParams(R, r)
     return (R * R - r * r) / R, (R * R + r * r / 3.0) ** 1.5 / (R * R)
 
 
-def _past_closings(p: ModelParams) -> tuple:
-    """(c - (R - r), c - (R + r)), the signed gaps at (pi, pi) and (pi, 0), each with its exact sign.
+def _lifted(p: ModelParams) -> list:
+    """[R, r, c] times 2^1100, as exact ints: 2^1100 x is an integer for every float x."""
+    return [n * 2**1100 // d for n, d in (x.as_integer_ratio() for x in p)]
 
-    Fast TwoSum writes R -+ r as a float s plus its exact error t (R >= r), and each value is (c - s) - t:
-    c - (R -+ r) rounded once where c lies within a factor 2 of s, as c - s is exact there (Sterbenz),
-    else within 1 ulp of it, with the sign of c - s.  Non-floats, such as integers past 2^53, go through
-    exact ints, as in ``_phase``.
+
+def _past_closings(p: ModelParams) -> tuple:
+    """(c - (R - r), c - (R + r)), the signed gaps at (pi, pi) and (pi, 0), each correctly rounded.
+
+    ``math.fsum`` rounds each exact sum of three floats once.  Other numbers, such as integers past
+    2^53, go through exact ints (``_lifted``), whose quotient Python also rounds once.  So the signs
+    are exact, and no digits are lost next to a closing.
     """
     R, r, c = p
     if type(R) is type(r) is type(c) is float:
-        s, t = R - r, R + r
-        return (c - s) + (r + (s - R)), (c - t) - (r - (t - R))
-    R, r, c = (n * 2**1100 // d for n, d in (x.as_integer_ratio() for x in p))
+        return math.fsum((c, -R, r)), math.fsum((c, -R, -r))
+    R, r, c = _lifted(p)
     return (c - R + r) / 2**1100, (c - R - r) / 2**1100
 
 
@@ -185,7 +194,7 @@ def _phase(p: ModelParams) -> int:
     c_p < c < c_f, 8 is c > R + r), and 2 k + 1 at the next.
     The signs of c - (R -+ r) are exact (``_past_closings``).  c R - R^2 + r^2 and (3 R^2 + r^2)^3 -
     27 c^2 R^4 have the signs of c - c_p and c_f - c: in floats beyond 1e-14 times their terms, else
-    on ints, as 2^1100 x is one for every float x.
+    on exact ints (``_lifted``).
     """
     past_lo, past_hi = _past_closings(p)
     if not past_lo > 0.0 > past_hi:
@@ -198,7 +207,7 @@ def _phase(p: ModelParams) -> int:
     a, b = (3.0 * RR + rr) ** 3, 27.0 * (cR * R) ** 2
     if pitchfork > bound and abs(a - b) > 1e-14 * (a + b):
         return 4 if a > b else 6
-    R, r, c = (n * 2**1100 // d for n, d in (x.as_integer_ratio() for x in p))
+    R, r, c = _lifted(p)
     pitchfork, a, b = c * R - R * R + r * r, (3 * R * R + r * r) ** 3, 27 * (c * R * R) ** 2
     return 4 + (pitchfork > 0) - (pitchfork < 0) - (a > b) + (a < b)
 
@@ -214,10 +223,9 @@ def gapless_boundary(R: float, r: float) -> tuple:
 
     There |h| vanishes at (pi, pi) and (pi, 0) respectively.  For c between
     them the image surface encloses the origin and the Chern number is +1;
-    outside it is 0.
+    outside it is 0.  ``ModelParams`` checks R and r.
     """
-    if not (R > r > 0.0):
-        raise ValueError(f"requires R > r > 0, got R={R}, r={r}")
+    ModelParams(R, r)
     return (R - r, R + r)
 
 

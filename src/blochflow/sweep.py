@@ -24,7 +24,7 @@ import math
 
 from .chern import _chern_preimages, _gap_min
 from .errors import DegenerateField, DegenerateZero, GaplessModel, NonIsolatedZero
-from .model import ModelParams, _placed
+from .model import ModelParams, _Checked, _placed
 from .zeromode import _chi
 
 GAPLESS_THRESHOLD = 1e-3
@@ -36,7 +36,7 @@ STATUS_DEGENERATE = "degenerate"
 _AXIS_NAMES = ("R", "r", "c")
 
 
-class SweepAxis(collections.namedtuple("SweepAxis", "name start stop steps")):
+class SweepAxis(_Checked, collections.namedtuple("SweepAxis", "name start stop steps")):
     """One uniform sweep axis: ``steps`` values of parameter ``name`` from start to stop.
 
     An immutable named tuple: construction, ``_make``, ``_replace`` and
@@ -58,11 +58,6 @@ class SweepAxis(collections.namedtuple("SweepAxis", "name start stop steps")):
         if not start < stop:
             raise ValueError(f"axis needs start < stop, got [{start}, {stop}]")
         return super().__new__(cls, name, start, stop, steps)
-
-    @classmethod
-    def _make(cls, iterable):
-        # namedtuple's own _make, which _replace calls, bypasses __new__
-        return cls(*iterable)
 
     def values(self) -> list:
         """``steps`` evenly spaced values from start to stop, bit for bit those of np.linspace."""

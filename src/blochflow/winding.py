@@ -26,7 +26,7 @@ import collections
 import math
 
 from .errors import GaplessPoint, InsufficientSampling, ZeroOnLoop
-from .model import EPS_GAP, TWO_PI, KPoint, ModelParams, _bloch, _kx_trig, _trig_rho, reduce_angle
+from .model import EPS_GAP, TWO_PI, KPoint, ModelParams, _bloch, _Checked, _kx_trig, _trig_rho, reduce_angle
 
 MIN_SAMPLES = 16
 DEFAULT_SAMPLES = 256
@@ -35,7 +35,7 @@ MAX_INCREMENT = math.pi / 2
 NORM_FLOOR = 1e-12
 
 
-class LoopSpec(collections.namedtuple("LoopSpec", "center radius points", defaults=(None, 0.0, None))):
+class LoopSpec(_Checked, collections.namedtuple("LoopSpec", "center radius points", defaults=(None, 0.0, None))):
     """A closed sampling loop in the zone: a circle or an explicit polyline.
 
     A circle has a KPoint ``center`` and a ``radius``, a polyline its
@@ -68,11 +68,6 @@ class LoopSpec(collections.namedtuple("LoopSpec", "center radius points", defaul
         if any(x + radius == x or x - radius == x for x in center):
             raise ValueError(f"loop radius {radius!r} is too small to move center {tuple(center)} in floats")
         return loop
-
-    @classmethod
-    def _make(cls, iterable):
-        # namedtuple's own _make, which _replace calls, bypasses __new__
-        return cls(*iterable)
 
     @classmethod
     def circle(cls, center: KPoint, radius: float) -> "LoopSpec":

@@ -17,7 +17,7 @@ exactly, or a float velocity Jacobian at a zero, the Hessian of |h| there,
 that does not show the exact kind (DegenerateZero), and a root pair that
 the float cubic misses (NonIsolatedZero).  The Jacobian is diagonal on kx
 in {0, pi}, in ``math``, evaluated once per ky line (``_census_zeros``),
-with |h| = |c - (R +- r)| rounded once at (pi, 0) and (pi, pi).  The
+with |h| = |c - (R +- r)| correctly rounded at (pi, 0) and (pi, pi).  The
 velocity is that of the upper band +|h|; the lower band carries -v and
 the negated Hessian, so the zeros and indexes are band independent,
 while sinks and sources swap.
@@ -36,7 +36,7 @@ import math
 from enum import Enum
 
 from .errors import DegenerateField, DegenerateZero, GaplessModel, NonIsolatedZero
-from .model import KPoint, ModelParams, _placed, _trig_rho
+from .model import KPoint, ModelParams, _past_closings, _placed, _trig_rho
 
 
 class ZeroKind(Enum):
@@ -93,8 +93,8 @@ def _line_jacobians(ky: float, p: ModelParams) -> list:
     with cx = cos kx = -1.0 or 1.0 as math.cos gives it.  The terms free of cx (G_yy = a - c_rr cx b + d)
     are rounded as in the whole expression; sin ky and hz enter only squared: -+ky give the same bits.
     The fixed lines ky = 0, -pi take sin ky = 0 and rho = R +- r, not ``_trig_rho``'s float sin(-pi),
-    and at (pi, 0) and (pi, pi) |h| = |c - (R +- r)| rounded once, which keeps its digits next to a
-    closing, where fl(c - fl(R +- r)) loses them; it is 0.0 only at c = R -+ r, which the census refuses.
+    and at (pi, 0) and (pi, pi) |h| = |c - (R +- r)| correctly rounded (``_past_closings``): next to a
+    closing fl(c - fl(R +- r)) loses its digits.  It is 0.0 only at c = R -+ r, which the census refuses.
     """
     fixed = ky in (0.0, -math.pi)
     sy, cy, rho, hz = (0.0, math.cos(ky), p.R + p.r * math.cos(ky), 0.0) if fixed else _trig_rho(ky, p)[:4]
@@ -104,7 +104,7 @@ def _line_jacobians(ky: float, p: ModelParams) -> list:
     jacobians = []
     for cx in (-1.0, 1.0):
         u = rho * cx + p.c
-        gap = abs(math.fsum((p.c, -p.R, -p.r * cy))) if cx < 0.0 and fixed else math.sqrt(u * u + hz2)
+        gap = abs(_past_closings(p)[ky == 0.0]) if cx < 0.0 and fixed else math.sqrt(u * u + hz2)
         hxx, hyy = c_rho * cx / gap, (a - c_rr * cx * b + d) / gap
         jacobians.append((hxx * hyy, hxx + hyy))
     return jacobians

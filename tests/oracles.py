@@ -27,11 +27,14 @@ method, damped Newton from a seed grid with a greedy dedup (the library
 solves the model's cubic in closed form; the Newton census refuses two
 zeros closer than ``ISOLATION_RADIUS``, its own constant, pair by pair in
 2-D), the fold of that census by a
-dense scan, and the plaquette solid-angle sum by np.roll neighbours,
+dense scan, the plaquette solid-angle sum by np.roll neighbours,
 np.cross and einsum over an (n, n, 3) stack of unit vectors (the library
 slices three component arrays of a wrapped open grid and shares the cross
 product and the edge dot products between the two triangles of a
-plaquette).
+plaquette), and the Chern number of each band from its Bloch states,
+numpy eigh's eigenvectors of H = h . sigma, by the link variables of
+Fukui, Hatsugai and Suzuki (``fhs_chern``; the library counts the
+preimages of -x).
 
 Five oracles are plainer forms of library code, which the library must
 match bit for bit and message for message: the velocity Jacobian at one
@@ -284,6 +287,28 @@ def roll_solid_angle_sum(u):
             return math.nan
         total += float(np.sum(2.0 * np.arctan2(numer, denom)))
     return total
+
+
+def fhs_chern(p, n, band):
+    """The Chern number of the lower (band = -1) or upper (band = 1) band of H = h . sigma on the n x n grid.
+
+    Fukui, Hatsugai and Suzuki's lattice form: with the band's eigenvector u
+    at every node (numpy eigh, in any phase), the link variables
+    U_mu(k) = <u(k)|u(k + mu)> along kx and ky, and the plaquette's Berry
+    flux F(k) = arg(U_x(k) U_y(k + x) / (U_x(k + y) U_y(k))) in (-pi, pi],
+    the sum of F over the periodic grid is 2 pi times an integer for every
+    n: this returns that sum over 2 pi, a float.  It is the band's Chern
+    number once no plaquette's flux leaves (-pi, pi].  The ticks are
+    pi (2 i - n) / n, so an even n has (pi, 0) and (pi, pi) as nodes.
+    """
+    t = np.pi * (2 * np.arange(n) - n) / n
+    hx, hy, hz = array_bloch_components(*np.meshgrid(t, t, indexing="ij"), p)
+    H = np.empty((n, n, 2, 2), dtype=complex)
+    H[..., 0, 0], H[..., 0, 1], H[..., 1, 0], H[..., 1, 1] = hz, hx - 1j * hy, hx + 1j * hy, -hz
+    u = np.linalg.eigh(H)[1][..., :, int(band > 0)]  # eigh sorts the eigenvalues: column 0 is the lower band
+    ux, uy = (np.sum(u.conj() * np.roll(u, -1, axis), axis=-1) for axis in (0, 1))
+    flux = np.angle(ux * np.roll(uy, -1, 0) * np.roll(ux, -1, 1).conj() * uy.conj())
+    return float(np.sum(flux)) / TWO_PI
 
 
 def generic_velocity_and_gap(kx, ky, p):

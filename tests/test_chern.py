@@ -30,6 +30,7 @@ from oracles import (
     bloch_components,
     critical_shifts,
     fd_degree_integrand,
+    fhs_chern,
     frame_chern_direct,
     frame_degree_integrand,
     integrand_preimage_count,
@@ -116,23 +117,9 @@ def params_at_critical_shifts(draw):
 
 
 def _end_gaps(p):
-    """For u = -1 and 1, the floats that gap_min may read for |c - (R -+ r)|, on fractions.
-
-    That is the value rounded once where c lies within a factor 2 of the
-    float R -+ r, where c - (R -+ r) needs one rounding only, and any float
-    within 1 ulp of it elsewhere.
-    """
+    """|c - (R -+ r)| for u = -1 and 1 on fractions, correctly rounded: the bits that gap_min reads there."""
     R, r, c = p
-    ends = []
-    for sign in (-1, 1):
-        exact = abs(Fraction(c) - Fraction(R) - sign * Fraction(r))
-        near = float(exact)
-        if (R + sign * r) / 2 <= c <= 2 * (R + sign * r):
-            ends.append({near})
-        else:
-            floats = (math.nextafter(near, -math.inf), near, math.nextafter(near, math.inf))
-            ends.append({x for x in floats if abs(Fraction(x) - exact) <= Fraction(math.ulp(near))})
-    return ends
+    return [float(abs(Fraction(c) - Fraction(R) - sign * Fraction(r))) for sign in (-1, 1)]
 
 
 @settings(max_examples=400)
@@ -148,12 +135,11 @@ def test_gap_min_bits_match_the_loop(params):
     # gap_min is the least of |c - (R -+ r)| at the ends u = -+1 and of |h|
     # at the roots of the cubic: the roots give the loop's bits, at and next
     # to the closings and the bifurcations, for integer R and r too, and the
-    # ends |c - (R -+ r)| on fractions, which fl(c - fl(R -+ r)) misses next
-    # to a closing: at (1, 0.1, 1.1) it is 8.3e-17, not 0
+    # ends |c - (R -+ r)| on fractions, correctly rounded, which
+    # fl(c - fl(R -+ r)) misses next to a closing: at (1, 0.1, 1.1) it is
+    # 8.3e-17, not 0
     p = ModelParams(*params)
-    got, at_roots, ends = gap_min(p), loop_root_gap(p), _end_gaps(p)
-    assert got <= at_roots and all(got <= max(end) for end in ends)
-    assert got == at_roots or any(got in end for end in ends)
+    assert gap_min(p) == min(loop_root_gap(p), *_end_gaps(p))
 
 
 def test_gap_min_matches_boundary_roots():
@@ -267,6 +253,29 @@ def test_even_grid_resolves_every_gapped_set(params):
     assert not math.isnan(raw)
     assert abs(raw - ((c < R + r) - (c < R - r))) <= 1e-9
     assert _chern_preimages(p, g, _phase(p)) == round(raw)
+
+
+@settings(max_examples=200)
+@given(params_near_closing(), st.integers(2, 16))
+@example((3.0, 1.0, 2.0000031), 2)
+@example((3.0, 1.0, 3.9999969), 2)
+@example((1.0, 0.99999999, 1.9999989), 2)
+def test_each_band_from_its_bloch_states_carries_the_preimage_count(params, half_n):
+    # the link-variable sum over numpy eigh's eigenvectors of H = h . sigma
+    # gives -C for the lower band and +C for the upper one, C the preimage
+    # count, down to the gate gap / R = EPS_GAP_CHERN; n = 2 half_n.  n = 4
+    # is the least grid that agrees there (on 50,602 drawn sets): n = 2 gives
+    # 0 at (3, 1, 3), and every odd n, which misses (pi, 0) and (pi, pi),
+    # gives 0 at (3, 1, 3.9999969), a gap of 3.1e-6
+    R, r, c = params
+    assume(c >= 0.0)
+    p = ModelParams(R, r, c)
+    g = gap_min(p)
+    assume(g / R > EPS_GAP_CHERN)
+    C = _chern_preimages(p, g, _phase(p))
+    for band in (-1, 1):
+        raw = fhs_chern(p, 2 * half_n, band)
+        assert abs(raw - band * C) <= 1e-9
 
 
 @st.composite

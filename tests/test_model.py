@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from blochflow import KPoint, LoopSpec, ModelParams, SweepAxis, chern, model, sweep, winding, zeromode
@@ -40,6 +40,8 @@ from oracles import (
     array_velocity_and_gap,
     axis_distance,
     bloch_components,
+    census_gap,
+    census_jacobian,
     fd_bloch_frame,
     frame_components,
     generator_params_error,
@@ -658,3 +660,55 @@ def test_kx_pi_roots_at_rounding_edges(R, r, c):
         assert abs(u) < 1.0
         assert abs(((c3 * u + c2) * u + c1) * u + c0) <= 1e-12 * _term_size(cubic, u)
     assert abs(gap_min(p) - scan_gap_min(p)) <= 1e-9 * R
+
+
+def test_closed_forms_check_R_and_r_as_model_params_does():
+    # no torus has r > R, so neither closed form answers for one
+    for closed_form in (zero_bifurcations, model.gapless_boundary):
+        with pytest.raises(ValueError, match=r"major radius must exceed tube radius \(R > r\), got R=1, r=2"):
+            closed_form(1, 2)
+    assert zero_bifurcations(3, 1) == (8 / 3, (28 / 3) ** 1.5 / 9)
+    assert model.gapless_boundary(3, 1) == (2, 4)
+
+
+@st.composite
+def params_next_to_the_closings(draw):
+    """(R, r, c): R over six decades with c 0 to 64 ulps from the float R -+ r or anywhere in [0, 3 R]; or
+    integers past 2^53, with c an integer or a float 0 to 64 from R -+ r."""
+    if draw(st.booleans()):
+        R = draw(st.integers(2**53, 2**64))
+        r = draw(st.integers(1, R - 1))
+        c = R + draw(st.sampled_from((-r, r))) + draw(st.integers(-64, 64))
+        return R, r, draw(st.sampled_from((int, float)))(max(0, c))
+    R = 10.0 ** draw(st.floats(-3.0, 3.0))
+    r = R * draw(st.floats(1e-8, 1.0 - 1e-8))
+    if draw(st.booleans()):
+        return R, r, R * draw(st.floats(0.0, 3.0))
+    c, toward = draw(st.sampled_from((R - r, R + r))), draw(st.sampled_from((0.0, math.inf)))
+    for _ in range(draw(st.integers(0, 64))):
+        c = math.nextafter(c, toward)
+    return R, r, c
+
+
+@settings(max_examples=500)
+@given(params_next_to_the_closings())
+@example((3.0, 0.750156486242814, 0.2))
+@example((2**53 + 2, 1, float(2**53)))
+def test_the_gaps_at_the_closings_are_rounded_once(params):
+    # c - (R -+ r) on fractions, rounded once, is what _past_closings
+    # returns; gap_min, where it solves no cubic, is the lesser magnitude,
+    # and the census divides by the same |h| at (pi, 0) and (pi, pi) as its
+    # fraction oracle, wherever its rho = R +- r is not 0 in floats.  At
+    # (3, 0.750156486242814, 0.2) a float R - r and its error term gave
+    # 2.0498435137571858 for 2.049843513757186
+    p = ModelParams(*params)
+    R, r, c = map(Fraction, params)
+    lo, hi = float(c - (R - r)), float(c - (R + r))
+    assert [x.hex() for x in model._past_closings(p)] == [lo.hex(), hi.hex()]
+    if model._placed(p)[0] != 4:
+        assert gap_min(p).hex() == min(abs(lo), abs(hi)).hex()
+    for ky, end in ((-math.pi, lo), (0.0, hi)):
+        assert census_gap(p, ky) == abs(end)
+        if end != 0.0 and float(p.R) != float(p.r):
+            hxx, hyy = census_jacobian(-math.pi, ky, p)
+            assert zeromode._line_jacobians(ky, p)[0] == (hxx * hyy, hxx + hyy)

@@ -109,3 +109,38 @@ def test_the_phase_and_the_roots_have_one_caller_in_src():
             if isinstance(node, ast.Call) and name in (getattr(node.func, a, None) for a in ("id", "attr"))
         ]
         assert callers == [("model", "_placed")]
+
+
+def _functions_where(match):
+    """(module, function) of each function of src/ that has a node for which ``match`` is true, sorted."""
+    return sorted(
+        {
+            (module, function.name)
+            for module, tree in _modules().items()
+            for function in ast.walk(tree)
+            if isinstance(function, ast.FunctionDef) and any(match(node) for node in ast.walk(function))
+        }
+    )
+
+
+def test_each_rule_has_one_definition_in_src():
+    # c - (R -+ r) is rounded by one math.fsum, in model._past_closings; the
+    # exact-int lift, x.as_integer_ratio() times 2^1100, is written once, in
+    # model._lifted; and one class defines the _make that runs a checked
+    # record's __new__
+    fsum = _functions_where(lambda node: isinstance(node, ast.Attribute) and node.attr == "fsum")
+    assert fsum == [("model", "_past_closings")]
+    lift = _functions_where(
+        lambda node: isinstance(node, ast.Attribute) and node.attr == "as_integer_ratio"
+        or isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult) and ast.unparse(node.right) == "2 ** 1100"
+    )
+    assert lift == [("model", "_lifted")]
+    makes = [
+        (module, cls.name)
+        for module, tree in _modules().items()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and node.name == "_make"
+    ]
+    assert makes == [("model", "_Checked")]
